@@ -50,7 +50,6 @@ from .stability import (
 from .solver import (
     ErrorReport,
     ForceField,
-    error_report,
     error_report_detailed,
     named_load,
     solve_atomistic,

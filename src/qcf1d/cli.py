@@ -5,16 +5,18 @@ config echoed in # comments, or JSON) and encode acceptance in the exit
 status: 0 when every proved inequality and tolerance in the run holds,
 1 when one fails, 2 for configuration errors.
 
-Flags can also be given in a flat key=value config file (--config);
-explicit flags override file values.
+Each option is declared once, as a RunConfig field; the flags, the
+config-file keys and the echo are all derived from those fields.  Flags
+can also be given in a flat key=value config file (--config); explicit
+flags override file values.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Callable, Optional, Sequence
 
 from .lattice import DomainSpec
 from .potentials import Coefficients, lennard_jones
@@ -29,7 +31,7 @@ from .scans import (
     patch_test_scan,
     write_table,
 )
-from .solver import named_load
+from .solver import LOADS, named_load
 
 POTENTIALS = {"lj": lennard_jones}
 
@@ -43,8 +45,6 @@ def _float_list(s: str) -> list[float]:
 
 
 def _bool(s: str) -> bool:
-    if isinstance(s, bool):
-        return s
     if s.lower() in ("1", "true", "yes", "on"):
         return True
     if s.lower() in ("0", "false", "no", "off"):
@@ -52,27 +52,19 @@ def _bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-# converters for config-file values, keyed by argparse dest
-CONFIG_TYPES = {
-    "phiF": float,
-    "phi2F": float,
-    "potential": str,
-    "F": float,
-    "F_list": _float_list,
-    "N": int,
-    "N_list": _int_list,
-    "K": int,
-    "K_ratio": float,
-    "K_all": _bool,
-    "M_factor": int,
-    "p_list": _float_list,
-    "load": str,
-    "jobs": int,
-    "out": str,
-    "format": str,
-    "seed": int,
-    "operator": str,
-}
+def _option(parse: Callable, default=None, choices: Optional[Sequence] = None,
+            commands: Optional[tuple] = None):
+    """A RunConfig field that is also a flag and a config-file key.
+
+    parse converts the string given on the command line or in the file;
+    choices, when given, lists the accepted values; commands names the
+    subcommands that take the option (None: every subcommand).  A _bool
+    option is a flag without a value on the command line.
+    """
+    meta = {"parse": parse, "choices": choices, "commands": commands}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
 
 
 @dataclass(frozen=True)
@@ -80,24 +72,24 @@ class RunConfig:
     """Resolved configuration of one subcommand run."""
 
     command: str
-    phiF: Optional[float] = None
-    phi2F: Optional[float] = None
-    potential: str = "lj"
-    F: Optional[float] = None
-    F_list: Optional[list] = None
-    N: Optional[int] = None
-    N_list: list = field(default_factory=list)
-    K: Optional[int] = None
-    K_ratio: Optional[float] = None
-    K_all: bool = False
-    M_factor: int = 4
-    p_list: list = field(default_factory=lambda: [1.0, 2.0, 4.0])
-    load: str = "cospi"
-    jobs: int = 1
-    out: str = ""
-    format: str = "csv"
-    seed: int = 0
-    operator: Optional[str] = None
+    format: str = _option(str, "csv", choices=("csv", "json"))
+    out: str = _option(str, "")
+    phiF: Optional[float] = _option(float)
+    phi2F: Optional[float] = _option(float)
+    potential: str = _option(str, "lj", choices=sorted(POTENTIALS))
+    F: Optional[float] = _option(float)
+    F_list: Optional[list] = _option(_float_list, commands=("patch-test",))
+    N: Optional[int] = _option(int, commands=("dump-operator",))
+    N_list: list = _option(_int_list, [])
+    K: Optional[int] = _option(int)
+    K_ratio: Optional[float] = _option(float)
+    K_all: bool = _option(_bool, False, commands=("patch-test",))
+    M_factor: int = _option(int, 4)
+    p_list: list = _option(_float_list, [1.0, 2.0, 4.0], commands=("infsup",))
+    load: str = _option(str, "cospi", choices=sorted(LOADS), commands=("convergence",))
+    operator: Optional[str] = _option(
+        str, choices=sorted(OPERATOR_BUILDERS), commands=("dump-operator",)
+    )
 
     def coefficients(self) -> Coefficients:
         if self.phiF is not None and self.phi2F is not None:
@@ -126,37 +118,40 @@ class RunConfig:
         return pairs
 
     def echo(self) -> dict:
-        d = {
-            "command": self.command,
-            "jobs": self.jobs,
-            "format": self.format,
-            "seed": self.seed,
-            "out": self.out,
-        }
-        for key in (
-            "phiF",
-            "phi2F",
-            "potential",
-            "F",
-            "F_list",
-            "N",
-            "N_list",
-            "K",
-            "K_ratio",
-            "K_all",
-            "M_factor",
-            "p_list",
-            "load",
-            "operator",
-        ):
-            v = getattr(self, key)
+        d = {"command": self.command}
+        for f in options():
+            v = getattr(self, f.name)
             if v is not None and v != []:
-                d[key] = v
+                d[f.name] = v
         return d
 
 
-def read_config_file(path: str) -> dict:
-    """Flat key=value file; # starts a comment; keys must be known flags."""
+def options(command: Optional[str] = None) -> list:
+    """The settable RunConfig fields; with a command, only those it takes."""
+    return [
+        f
+        for f in fields(RunConfig)
+        if f.name != "command"
+        and (command is None or f.metadata["commands"] is None or command in f.metadata["commands"])
+    ]
+
+
+def _parse(f, text: str):
+    value = f.metadata["parse"](text)
+    choices = f.metadata["choices"]
+    if choices is not None and value not in choices:
+        raise ValueError(f"{value!r} is not one of {', '.join(choices)}")
+    return value
+
+
+def read_config_file(path: str, command: Optional[str] = None) -> dict:
+    """Flat key=value file; # starts a comment.
+
+    Keys are option names (dashes or underscores).  Values go through the
+    same parser and choices as the flags, and with a command only the
+    options of that subcommand are accepted.
+    """
+    known = {f.name: f for f in options(command)}
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -167,30 +162,14 @@ def read_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
-            val = val.strip()
-            if key not in CONFIG_TYPES:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key not in known:
+                scope = f" for {command}" if command else ""
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}{scope}")
             try:
-                values[key] = CONFIG_TYPES[key](val)
+                values[key] = _parse(known[key], val.strip())
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return values
-
-
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", help="flat key=value config file; flags override it")
-    sub.add_argument("--phiF", type=float, default=None)
-    sub.add_argument("--phi2F", type=float, default=None)
-    sub.add_argument("--potential", choices=sorted(POTENTIALS), default=None)
-    sub.add_argument("--F", type=float, default=None)
-    sub.add_argument("--N-list", dest="N_list", type=_int_list, default=None)
-    sub.add_argument("--K", type=int, default=None)
-    sub.add_argument("--K-ratio", dest="K_ratio", type=float, default=None)
-    sub.add_argument("--M-factor", dest="M_factor", type=int, default=None)
-    sub.add_argument("--jobs", type=int, default=None)
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
-    sub.add_argument("--seed", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,47 +178,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="experiments for the force-based coupled chain",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("patch-test", help="ghost-force residuals at uniform states")
-    _add_common(p)
-    p.add_argument("--F-list", dest="F_list", type=_float_list, default=None)
-    p.add_argument("--K-all", dest="K_all", action="store_true", default=None)
-
-    p = subs.add_parser("coercivity", help="scan the minimum of the quadratic form")
-    _add_common(p)
-
-    p = subs.add_parser("infsup", help="inf-sup bounds and exact 2-norm values")
-    _add_common(p)
-    p.add_argument("--p-list", dest="p_list", type=_float_list, default=None)
-
-    p = subs.add_parser("convergence", help="coupled-vs-reference error study")
-    _add_common(p)
-    p.add_argument("--load", choices=("cospi", "const", "zero"), default=None)
-
-    p = subs.add_parser("dump-operator", help="write (row,col,value) triples")
-    _add_common(p)
-    p.add_argument("--operator", choices=sorted(OPERATOR_BUILDERS), default=None)
-    p.add_argument("--N", type=int, default=None)
-
-    p = subs.add_parser("eig-scan", help="exploratory eigenvalue-sign scan")
-    _add_common(p)
+    for command, run in COMMANDS.items():
+        sub = subs.add_parser(command, help=run.__doc__)
+        sub.add_argument("--config", help="flat key=value config file; flags override it")
+        for f in options(command):
+            flag = "--" + f.name.replace("_", "-")
+            if f.metadata["parse"] is _bool:
+                sub.add_argument(flag, dest=f.name, action="store_true", default=None)
+            else:
+                sub.add_argument(flag, dest=f.name, type=f.metadata["parse"],
+                                 choices=f.metadata["choices"], default=None)
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
-    merged = {}
-    for key in CONFIG_TYPES:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-        elif key in file_values:
-            merged[key] = file_values[key]
+    merged = read_config_file(args.config, args.command) if args.config else {}
+    for f in options(args.command):
+        if getattr(args, f.name) is not None:
+            merged[f.name] = getattr(args, f.name)
     cfg = RunConfig(command=args.command, **merged)
     if not cfg.out:
         raise ValueError("missing output path (--out)")
-    if cfg.jobs < 1:
-        raise ValueError("--jobs must be >= 1")
     return cfg
 
 
@@ -251,9 +210,10 @@ class TripleRow:
 
 
 def cmd_patch_test(cfg: RunConfig) -> int:
+    """ghost-force residuals at uniform states"""
     phi = POTENTIALS[cfg.potential]()
     F_values = cfg.F_list or ([cfg.F] if cfg.F is not None else [0.9, 1.0, 1.1])
-    rows = patch_test_scan(phi, F_values, cfg.nk_pairs(), jobs=cfg.jobs)
+    rows = patch_test_scan(phi, F_values, cfg.nk_pairs())
     ok = all(r.passed for r in rows)
     extras = {"max_residual": max(r.residual for r in rows), "all_passed": ok}
     write_table(cfg.out, cfg.format, cfg.command, cfg.echo(), rows, extras)
@@ -261,8 +221,9 @@ def cmd_patch_test(cfg: RunConfig) -> int:
 
 
 def cmd_coercivity(cfg: RunConfig) -> int:
+    """scan the minimum of the quadratic form"""
     c = cfg.coefficients()
-    rows = coercivity_scan(c, cfg.nk_pairs(), jobs=cfg.jobs)
+    rows = coercivity_scan(c, cfg.nk_pairs())
     slope = coercivity_slope(rows)
     extras = {} if slope is None else {"slope_abs_rayleigh_vs_N": slope}
     # feasibility of the witness is the one proved relation in this scan
@@ -272,8 +233,9 @@ def cmd_coercivity(cfg: RunConfig) -> int:
 
 
 def cmd_infsup(cfg: RunConfig) -> int:
+    """inf-sup bounds and exact 2-norm values"""
     c = cfg.coefficients()
-    rows = infsup_scan(c, cfg.nk_pairs(), cfg.p_list, jobs=cfg.jobs)
+    rows = infsup_scan(c, cfg.nk_pairs(), cfg.p_list)
     extras = {}
     by_kind = {}
     for r in rows:
@@ -293,10 +255,11 @@ def cmd_infsup(cfg: RunConfig) -> int:
 
 
 def cmd_convergence(cfg: RunConfig) -> int:
+    """coupled-vs-reference error study"""
     c = cfg.coefficients()
     load = named_load(cfg.load)
     pairs = cfg.nk_pairs()
-    checked = convergence_scan_with_checks(c, load, pairs, cfg.M_factor, jobs=cfg.jobs)
+    checked = convergence_scan_with_checks(c, load, pairs, cfg.M_factor)
     rows = [rep for rep, _ in checked]
     ok = True
     for rep, half_t_l1 in checked:
@@ -312,6 +275,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
 
 
 def cmd_dump_operator(cfg: RunConfig) -> int:
+    """write (row,col,value) triples"""
     if not cfg.operator:
         raise ValueError("need --operator")
     n = cfg.N if cfg.N is not None else (cfg.N_list[0] if cfg.N_list else None)
@@ -325,7 +289,8 @@ def cmd_dump_operator(cfg: RunConfig) -> int:
 
 
 def cmd_eig_scan(cfg: RunConfig) -> int:
-    rows = eig_scan(cfg.coefficients(), cfg.nk_pairs(), jobs=cfg.jobs)
+    """exploratory eigenvalue-sign scan"""
+    rows = eig_scan(cfg.coefficients(), cfg.nk_pairs())
     write_table(cfg.out, cfg.format, cfg.command, cfg.echo(), rows, {})
     return 0
 

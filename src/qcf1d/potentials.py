@@ -26,7 +26,6 @@ class PairPotential:
     name: str = ""
 
 
-# module-level so PairPotential instances pickle into worker processes
 def _lj_checked(r):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):

@@ -1,18 +1,15 @@
 """Parameter sweeps behind the CLI, plus table serialization.
 
-Each scan maps a list of domain sizes to rows of plain numbers; rows are
-small frozen dataclasses so they serialize uniformly to CSV and JSON.
-Sweep points are independent, so a worker pool can evaluate them in any
-order; results are always emitted in input order.
+Each scan maps a list of domain sizes to rows of plain numbers, one
+sweep point after another in input order; rows are small frozen
+dataclasses so they serialize uniformly to CSV and JSON.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from functools import partial
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +17,7 @@ from .chain import force_qcf
 from .lattice import DomainSpec, lp_norm, uniform_positions
 from .operators import assemble_eqcf, assemble_la, assemble_llqc, assemble_lqcf, assemble_ea
 from .potentials import Coefficients, PairPotential
-from .solver import ErrorReport, ForceField, error_report_detailed
+from .solver import ForceField, error_report_detailed
 from .stability import (
     infsup_2,
     infsup_p_upper,
@@ -42,14 +39,6 @@ def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ValueError("log-log fit needs positive data")
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
-
-
-def _run_points(fn: Callable, points: Iterable, jobs: int) -> list:
-    points = list(points)
-    if jobs <= 1 or len(points) <= 1:
-        return [fn(pt) for pt in points]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, points))
 
 
 @dataclass(frozen=True)
@@ -88,8 +77,7 @@ class EigScanRow:
     n_nonpositive: int
 
 
-def _patch_point(phi: PairPotential, point) -> PatchTestRow:
-    F, n, k = point
+def _patch_point(phi: PairPotential, F: float, n: int, k: int) -> PatchTestRow:
     spec = DomainSpec(n, k)
     y = uniform_positions(F, n, spec.eps, snap=True)
     residual = float(np.max(np.abs(force_qcf(y, spec, phi).values)))
@@ -102,15 +90,12 @@ def patch_test_scan(
     phi: PairPotential,
     F_values: Sequence[float],
     nk_pairs: Sequence[tuple],
-    jobs: int = 1,
 ) -> list[PatchTestRow]:
     """Ghost-force residuals of the coupled force at uniform states."""
-    points = [(F, n, k) for F in F_values for (n, k) in nk_pairs]
-    return _run_points(partial(_patch_point, phi), points, jobs)
+    return [_patch_point(phi, F, n, k) for F in F_values for (n, k) in nk_pairs]
 
 
-def _coercivity_point(c: Coefficients, point) -> CoercivityScanRow:
-    n, k = point
+def _coercivity_point(c: Coefficients, n: int, k: int) -> CoercivityScanRow:
     spec = DomainSpec(n, k)
     r = rayleigh_min(c, spec)
     witness = min(
@@ -120,11 +105,9 @@ def _coercivity_point(c: Coefficients, point) -> CoercivityScanRow:
     return CoercivityScanRow(n, k, r, witness)
 
 
-def coercivity_scan(
-    c: Coefficients, nk_pairs: Sequence[tuple], jobs: int = 1
-) -> list[CoercivityScanRow]:
+def coercivity_scan(c: Coefficients, nk_pairs: Sequence[tuple]) -> list[CoercivityScanRow]:
     """Rayleigh minima next to the value at the explicit spike candidate."""
-    return _run_points(partial(_coercivity_point, c), nk_pairs, jobs)
+    return [_coercivity_point(c, n, k) for n, k in nk_pairs]
 
 
 def coercivity_slope(rows: Sequence[CoercivityScanRow]) -> Optional[float]:
@@ -135,8 +118,7 @@ def coercivity_slope(rows: Sequence[CoercivityScanRow]) -> Optional[float]:
     return loglog_slope([r.N for r in neg], [abs(r.rayleigh_min) for r in neg])
 
 
-def _infsup_point(c: Coefficients, ps: Sequence[float], point) -> list[InfSupScanRow]:
-    n, k = point
+def _infsup_point(c: Coefficients, ps: Sequence[float], n: int, k: int) -> list[InfSupScanRow]:
     spec = DomainSpec(n, k)
     rows = [
         InfSupScanRow(n, k, np.inf, "lower_bound", 0.5 * rdd_margin(assemble_eqcf(c, spec))),
@@ -151,15 +133,12 @@ def infsup_scan(
     c: Coefficients,
     nk_pairs: Sequence[tuple],
     ps: Sequence[float],
-    jobs: int = 1,
 ) -> list[InfSupScanRow]:
     """Certified lower bound, exact 2-norm value, and probe upper bounds."""
-    nested = _run_points(partial(_infsup_point, c, list(ps)), nk_pairs, jobs)
-    return [row for group in nested for row in group]
+    return [row for n, k in nk_pairs for row in _infsup_point(c, ps, n, k)]
 
 
-def _convergence_point(c: Coefficients, load: ForceField, m_factor: int, point):
-    n, k = point
+def _convergence_point(c: Coefficients, load: ForceField, m_factor: int, n: int, k: int):
     spec = DomainSpec(n, k, M=m_factor * n)
     report, details = error_report_detailed(c, load, spec)
     half_t_l1 = 0.5 * lp_norm(details["t"], spec.eps, 1)
@@ -171,24 +150,12 @@ def convergence_scan_with_checks(
     load: ForceField,
     nk_pairs: Sequence[tuple],
     m_factor: int = 4,
-    jobs: int = 1,
 ) -> list[tuple]:
     """(ErrorReport, half 1-norm of the truncation error) per sweep point."""
-    return _run_points(partial(_convergence_point, c, load, m_factor), nk_pairs, jobs)
+    return [_convergence_point(c, load, m_factor, n, k) for n, k in nk_pairs]
 
 
-def convergence_scan(
-    c: Coefficients,
-    load: ForceField,
-    nk_pairs: Sequence[tuple],
-    m_factor: int = 4,
-    jobs: int = 1,
-) -> list[ErrorReport]:
-    return [rep for rep, _ in convergence_scan_with_checks(c, load, nk_pairs, m_factor, jobs)]
-
-
-def _eig_point(c: Coefficients, point) -> EigScanRow:
-    n, k = point
+def _eig_point(c: Coefficients, n: int, k: int) -> EigScanRow:
     ev = np.linalg.eigvals(assemble_lqcf(c, DomainSpec(n, k)).interior_block())
     return EigScanRow(
         n,
@@ -199,9 +166,9 @@ def _eig_point(c: Coefficients, point) -> EigScanRow:
     )
 
 
-def eig_scan(c: Coefficients, nk_pairs: Sequence[tuple], jobs: int = 1) -> list[EigScanRow]:
+def eig_scan(c: Coefficients, nk_pairs: Sequence[tuple]) -> list[EigScanRow]:
     """Exploratory eigenvalue-sign scan of the (nonsymmetric) coupled operator."""
-    return _run_points(partial(_eig_point, c), nk_pairs, jobs)
+    return [_eig_point(c, n, k) for n, k in nk_pairs]
 
 
 OPERATOR_BUILDERS = {

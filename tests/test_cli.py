@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
+from qcf1d import cli
 from qcf1d.cli import main, read_config_file
 
 
@@ -31,7 +33,6 @@ def test_patch_test_csv(tmp_path):
     assert header == ["F", "N", "K", "residual", "tolerance", "passed"]
     assert len(rows) == 6  # one row per (F, N, K)
     assert any("F_list=[0.9, 1.0, 1.1]" in c for c in comments)
-    assert any("seed=" in c for c in comments)
     assert all(float(r["residual"]) <= float(r["tolerance"]) for r in rows)
 
 
@@ -171,24 +172,67 @@ def test_config_file_diagnostics(tmp_path):
         read_config_file(str(bad))
 
 
-def test_jobs_flag_gives_same_rows(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["infsup", "--phiF", "1", "--phi2F", "-0.05",
-            "--N-list", "8,16,32", "--K-ratio", "0.25", "--p-list", "1,2"]
-    assert run(args + ["--jobs", "1", "--out", a]) == 0
-    assert run(args + ["--jobs", "3", "--out", b]) == 0
-    rows = lambda p: [l for l in p.read_text().splitlines() if not l.startswith("#")]
-    assert rows(a) == rows(b)
+@pytest.mark.parametrize("key, args", [
+    ("potential", ["--F", "1.0"]),
+    ("operator", ["--phiF", "1", "--phi2F", "1"]),
+])
+def test_config_file_bad_choice_exits_2(tmp_path, capsys, key, args):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = foo\n")
+    code = run(["dump-operator", "--config", cfg, "--N", "8", "--K", "2", *args,
+                "--out", tmp_path / "x.csv"])
+    assert code == 2
+    assert f"'{key}'" in capsys.readouterr().err
 
 
-def test_patch_test_parallel_workers(tmp_path):
-    # the potential must survive pickling into the worker pool
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["patch-test", "--N-list", "16,32", "--K-all", "--F-list", "0.95,1.05"]
-    assert run(args + ["--jobs", "1", "--out", a]) == 0
-    assert run(args + ["--jobs", "2", "--out", b]) == 0
-    rows = lambda p: [l for l in p.read_text().splitlines() if not l.startswith("#")]
-    assert rows(a) == rows(b)
+def test_config_file_bad_format_exits_before_sweep(tmp_path, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran")
+
+    monkeypatch.setattr(cli, "patch_test_scan", no_sweep)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = xml\n")
+    code = run(["patch-test", "--config", cfg, "--N-list", "16", "--out", tmp_path / "x.csv"])
+    assert code == 2
+
+
+def test_config_file_keys_are_scoped_per_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("K_all = yes\n")
+    code = run(["coercivity", "--config", cfg, "--phiF", "1", "--phi2F", "-0.2",
+                "--N-list", "16", "--out", tmp_path / "x.csv"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'K_all'" in err and "coercivity" in err
+
+
+COMMON_OPTIONS = {
+    "-h", "--help", "--config", "--phiF", "--phi2F", "--potential", "--F", "--N-list",
+    "--K", "--K-ratio", "--M-factor", "--out", "--format",
+}
+COMMAND_OPTIONS = {
+    "patch-test": {"--F-list", "--K-all"},
+    "coercivity": set(),
+    "infsup": {"--p-list"},
+    "convergence": {"--load"},
+    "dump-operator": {"--operator", "--N"},
+    "eig-scan": set(),
+}
+
+
+def test_parser_option_strings_per_subcommand():
+    parser = cli.build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(subs.choices) == set(COMMAND_OPTIONS)
+    for command, sub in subs.choices.items():
+        assert set(sub._option_string_actions) == COMMON_OPTIONS | COMMAND_OPTIONS[command]
+
+
+@pytest.mark.parametrize("flag", ["--jobs", "--seed"])
+def test_removed_flags_exit_2(tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(["patch-test", "--N-list", "16", flag, "1", "--out", tmp_path / "x.csv"])
+    assert exc.value.code == 2
 
 
 def test_coefficients_required(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcf1d.lattice import DomainSpec, Field, diff, diff4_centered, lp_norm
+from qcf1d import solver
 from qcf1d.potentials import Coefficients
 from qcf1d.solver import (
     ForceField,
@@ -34,6 +35,25 @@ def test_atomistic_solve_residual():
     resid = assemble_la(C, m, eps).apply(u).values - f.values[1:-1]
     assert np.max(np.abs(resid)) <= 1e-10 * np.max(np.abs(f.values))
     assert u.at(-m) == 0.0 and u.at(m) == 0.0
+
+
+def test_atomistic_solve_backward_stable_at_large_m():
+    # ||A|| grows like M^2: at M=3072 the residual exceeds 1e-10 * max|b|,
+    # yet the normwise backward error stays at rounding level
+    eps = 1.0 / 768
+    u = solve_atomistic(C, named_load("cospi").sample(3072, eps), eps)
+    assert np.all(np.isfinite(u.values))
+    assert u.at(-3072) == 0.0 and u.at(3072) == 0.0
+
+
+def test_solve_gate_reports_condition_estimate(monkeypatch):
+    monkeypatch.setattr(solver, "BACKWARD_ERROR_TOL", 0.0)
+    A = RNG.standard_normal((50, 50))
+    rcond = 1.0 / np.linalg.cond(A, np.inf)
+    with pytest.raises(RuntimeError, match="backward error") as exc:
+        solver._solve_refined(A, RNG.standard_normal(50), "test solve")
+    estimate = float(str(exc.value).rsplit(" ", 1)[1].rstrip(")"))
+    assert rcond / 10 <= estimate <= rcond * 10
 
 
 def test_atomistic_solve_reflection_symmetry():
