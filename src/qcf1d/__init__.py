@@ -26,7 +26,7 @@ from .chain import (
     force_qcf,
 )
 from .operators import (
-    DenseOperator,
+    Operator,
     assemble_ea,
     assemble_eqcf,
     assemble_l1,

@@ -17,8 +17,11 @@ at the boundary.  The conjugate of the coupled operator is not banded:
 interface and far-field rows carry three extra entries in the interface
 columns, the fingerprint of the coupling being non-conservative.
 
-Matrices are dense; at desk scale (2N <= a few thousand) assembly and
-application cost nothing compared to the eigensolves downstream.
+Matrices are sparse (CSR, at most five nonzeros per row) and assembled
+without loops from two region tables: displacement operators from the
+spring constants of each row's two second-difference stencils, strain
+operators from the next-nearest band plus the interface columns.
+Assembly and application cost O(N).
 """
 
 from __future__ import annotations
@@ -27,23 +30,29 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+import scipy.sparse
 
 from .lattice import DomainSpec, Field, diff, diff3, inner
 from .potentials import Coefficients
 
 
 @dataclass(frozen=True)
-class DenseOperator:
-    """Dense matrix with explicit signed index ranges for rows and columns."""
+class Operator:
+    """Sparse CSR matrix with explicit signed index ranges for rows and columns.
 
-    entries: np.ndarray
+    Stored without explicit zeros, column indices sorted within each row.
+    """
+
+    entries: scipy.sparse.csr_array
     row_lo: int
     col_lo: int
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
+        e = scipy.sparse.csr_array(self.entries, dtype=float, copy=True)
         if e.ndim != 2:
             raise ValueError("entries must be a 2-D array")
+        e.sum_duplicates()
+        e.eliminate_zeros()
         object.__setattr__(self, "entries", e)
 
     @property
@@ -65,10 +74,7 @@ class DenseOperator:
             )
         return Field(self.entries @ f.values, self.row_lo)
 
-    def transpose(self) -> "DenseOperator":
-        return DenseOperator(self.entries.T, self.col_lo, self.row_lo)
-
-    def interior_block(self) -> np.ndarray:
+    def interior_block(self) -> scipy.sparse.csr_array:
         """Square block obtained by dropping the boundary columns.
 
         Valid for displacement operators whose rows cover the free atoms
@@ -81,14 +87,54 @@ class DenseOperator:
 
     def to_triples(self):
         """(row, col, value) for every stored nonzero, row-major."""
-        rows, cols = np.nonzero(self.entries)
+        e = self.entries.tocoo()
         return [
-            (int(r + self.row_lo), int(c + self.col_lo), float(self.entries[r, c]))
-            for r, c in zip(rows, cols)
+            (int(r) + self.row_lo, int(c) + self.col_lo, float(v))
+            for r, c, v in zip(e.row, e.col, e.data)
         ]
 
 
-def assemble_la(c: Coefficients, m: int, eps: float) -> DenseOperator:
+def _second_differences(n: int, eps: float, springs, core=(0.0, 0.0), k: int = -1) -> Operator:
+    """Displacement operator from per-row spring constants (k1, k2).
+
+    Row j (free atoms -n+1..n-1, columns -n..n) is k1/eps^2 times the
+    second difference plus k2/eps^2 times the wide second difference,
+    with (k1, k2) = core on |j| <= k and springs elsewhere.  A
+    next-nearest bond reaching past +-n is absent, which leaves half the
+    wide diagonal on the first and last row.
+    """
+    j = np.arange(-n + 1, n)
+    k1, k2 = np.transpose(np.where((np.abs(j) <= k)[:, None], core, springs)) / eps**2
+    wide = np.where(np.abs(j) == n - 1, 1.0, 2.0)
+    diagonals = [-k2[1:], -k1, 2.0 * k1 + wide * k2, -k1, -k2[:-1]]
+    A = scipy.sparse.diags_array(diagonals, offsets=[-1, 0, 1, 2, 3], shape=(2 * n - 1, 2 * n + 1))
+    return Operator(A, -n + 1, -n)
+
+
+def _strain_operator(c: Coefficients, n: int, k: int) -> Operator:
+    """phiF * I + phi2F * B on bonds -n+1..n, with next-nearest band -k..k+1.
+
+    A band row of B has 1 toward each neighboring bond and as many on the
+    diagonal; a row left of the band has 4 on the diagonal plus
+    [1, -2, 1] in the interface columns -k-1..-k+1, and a row right of it
+    the same in columns k..k+2.
+    """
+    nb = 2 * n
+    j = np.arange(-n + 1, n + 1)
+    band = ((j >= -k) & (j <= k + 1)).astype(float)
+    diag = 4.0 - 2.0 * band
+    diag[[0, -1]] -= band[[0, -1]]  # a band row at a chain end has one neighbor
+    far = np.flatnonzero(band == 0.0)
+    # each far-field row: [1, -2, 1] in the three interface columns on its side
+    rows = np.repeat(far, 3)
+    cols = np.where(j[far] < 0, -k - 1, k)[:, None] + np.arange(n - 1, n + 2)
+    vals = np.tile([1.0, -2.0, 1.0], far.size)
+    B = scipy.sparse.diags_array([band[1:], diag, band[:-1]], offsets=[-1, 0, 1])
+    B = B + scipy.sparse.coo_array((vals, (rows, cols.ravel())), shape=(nb, nb))
+    return Operator(c.phiF * scipy.sparse.eye_array(nb) + c.phi2F * B, -n + 1, -n + 1)
+
+
+def assemble_la(c: Coefficients, m: int, eps: float) -> Operator:
     """Linearized atomistic operator: rows -m+1..m-1, columns -m..m.
 
     Interior rows carry both second-difference stencils; the first and
@@ -96,120 +142,51 @@ def assemble_la(c: Coefficients, m: int, eps: float) -> DenseOperator:
     """
     if m < 2:
         raise ValueError("half-width must be at least 2")
-    s1 = c.phiF / eps**2
-    s2 = c.phi2F / eps**2
-    A = np.zeros((2 * m - 1, 2 * m + 1))
-    for j in range(-m + 1, m):
-        i = j + m - 1
-        o = j + m
-        A[i, o - 1] += -s1
-        A[i, o] += 2.0 * s1
-        A[i, o + 1] += -s1
-        if j == -m + 1:
-            A[i, o] += s2
-            A[i, o + 2] += -s2
-        elif j == m - 1:
-            A[i, o] += s2
-            A[i, o - 2] += -s2
-        else:
-            A[i, o - 2] += -s2
-            A[i, o] += 2.0 * s2
-            A[i, o + 2] += -s2
-    return DenseOperator(A, -m + 1, -m)
+    return _second_differences(m, eps, (c.phiF, c.phi2F))
 
 
-def assemble_llqc(c: Coefficients, n: int, eps: float) -> DenseOperator:
+def assemble_llqc(c: Coefficients, n: int, eps: float) -> Operator:
     """Linearized local operator: one tridiagonal stencil, rows -n+1..n-1."""
     if n < 2:
         raise ValueError("half-width must be at least 2")
-    s = (c.phiF + 4.0 * c.phi2F) / eps**2
-    A = np.zeros((2 * n - 1, 2 * n + 1))
-    for i in range(2 * n - 1):
-        A[i, i] = -s
-        A[i, i + 1] = 2.0 * s
-        A[i, i + 2] = -s
-    return DenseOperator(A, -n + 1, -n)
+    return _second_differences(n, eps, (c.phiF + 4.0 * c.phi2F, 0.0))
 
 
-def assemble_lqcf(c: Coefficients, spec: DomainSpec) -> DenseOperator:
+def assemble_lqcf(c: Coefficients, spec: DomainSpec) -> Operator:
     """Coupled operator: atomistic rows on |j| <= K, local rows elsewhere.
 
     Rows cover the free atoms -N+1..N-1 only; the zero extension to +-N
     is realized by omitting those rows, which pair to zero against any
     field vanishing at the boundary.
     """
-    n, k = spec.N, spec.K
-    eps = spec.eps
-    s1 = c.phiF / eps**2
-    s2 = c.phi2F / eps**2
-    slqc = (c.phiF + 4.0 * c.phi2F) / eps**2
-    A = np.zeros((2 * n - 1, 2 * n + 1))
-    for j in range(-n + 1, n):
-        i = j + n - 1
-        o = j + n
-        if abs(j) <= k:
-            A[i, o - 1] += -s1
-            A[i, o] += 2.0 * s1
-            A[i, o + 1] += -s1
-            A[i, o - 2] += -s2
-            A[i, o] += 2.0 * s2
-            A[i, o + 2] += -s2
-        else:
-            A[i, o - 1] += -slqc
-            A[i, o] += 2.0 * slqc
-            A[i, o + 1] += -slqc
-    return DenseOperator(A, -n + 1, -n)
+    local = (c.phiF + 4.0 * c.phi2F, 0.0)
+    return _second_differences(spec.N, spec.eps, local, (c.phiF, c.phi2F), spec.K)
 
 
-def assemble_l1(n: int, eps: float) -> DenseOperator:
+def assemble_l1(n: int, eps: float) -> Operator:
     """Nearest-neighbor part: plain second difference on every free atom."""
-    return assemble_llqc(Coefficients(1.0, 0.0), n, eps)
+    return _second_differences(n, eps, (1.0, 0.0))
 
 
-def assemble_l2(spec: DomainSpec) -> DenseOperator:
+def assemble_l2(spec: DomainSpec) -> Operator:
     """Next-nearest part of the coupled operator.
 
     Wide second differences on |j| <= K, four times the narrow one on the
     continuum rows; the coupled operator is phiF * L1 + phi2F * L2.
     """
-    n, k = spec.N, spec.K
-    s = 1.0 / spec.eps**2
-    A = np.zeros((2 * n - 1, 2 * n + 1))
-    for j in range(-n + 1, n):
-        i = j + n - 1
-        o = j + n
-        if abs(j) <= k:
-            A[i, o - 2] += -s
-            A[i, o] += 2.0 * s
-            A[i, o + 2] += -s
-        else:
-            A[i, o - 1] += -4.0 * s
-            A[i, o] += 8.0 * s
-            A[i, o + 1] += -4.0 * s
-    return DenseOperator(A, -n + 1, -n)
+    return _second_differences(spec.N, spec.eps, (4.0, 0.0), (0.0, 1.0), spec.K)
 
 
-def assemble_ea(c: Coefficients, m: int, eps: float) -> DenseOperator:
+def assemble_ea(c: Coefficients, m: int, eps: float) -> Operator:
     """Conjugate of the atomistic operator, on bonds -m+1..m.
 
     phiF on the diagonal plus phi2F times the symmetric [1,2,1] band whose
     corner rows degenerate to [1,1].
     """
-    nb = 2 * m
-    B = np.zeros((nb, nb))
-    for i in range(nb):
-        B[i, i] = 2.0
-        if i > 0:
-            B[i, i - 1] = 1.0
-        if i < nb - 1:
-            B[i, i + 1] = 1.0
-    B[0, 0] = 1.0
-    B[nb - 1, nb - 1] = 1.0
-    E = c.phiF * np.eye(nb) + c.phi2F * B
-    return DenseOperator(E, -m + 1, -m + 1)
+    return _strain_operator(c, m, m - 1)
 
 
-def assemble_eqcf(c: Coefficients, spec: DomainSpec) -> DenseOperator:
+def assemble_eqcf(c: Coefficients, spec: DomainSpec) -> Operator:
     """Conjugate of the coupled operator, on bonds -N+1..N.
 
     The atomistic band -K..K+1 keeps the symmetric tridiagonal rows; the
@@ -217,39 +194,10 @@ def assemble_eqcf(c: Coefficients, spec: DomainSpec) -> DenseOperator:
     the three interface columns, connecting each strain to the boundary
     through as few nonzeros as possible.  Every row has at most 4 nonzeros.
     """
-    n, k = spec.N, spec.K
-    nb = 2 * n
-    off = n - 1  # bond j sits at offset j + off
-    B = np.zeros((nb, nb))
-    for j in range(-n + 1, n + 1):
-        i = j + off
-        if j <= -k - 2:
-            B[i, i] += 4.0
-            B[i, -k - 1 + off] += 1.0
-            B[i, -k + off] += -2.0
-            B[i, -k + 1 + off] += 1.0
-        elif j == -k - 1:
-            B[i, -k - 1 + off] += 5.0
-            B[i, -k + off] += -2.0
-            B[i, -k + 1 + off] += 1.0
-        elif j <= k + 1:
-            B[i, i - 1] += 1.0
-            B[i, i] += 2.0
-            B[i, i + 1] += 1.0
-        elif j == k + 2:
-            B[i, k + off] += 1.0
-            B[i, k + 1 + off] += -2.0
-            B[i, k + 2 + off] += 5.0
-        else:
-            B[i, i] += 4.0
-            B[i, k + off] += 1.0
-            B[i, k + 1 + off] += -2.0
-            B[i, k + 2 + off] += 1.0
-    E = c.phiF * np.eye(nb) + c.phi2F * B
-    return DenseOperator(E, -n + 1, -n + 1)
+    return _strain_operator(c, spec.N, spec.K)
 
 
-def pair_with_test(L: DenseOperator, v: Field, w: Field, eps: float) -> float:
+def pair_with_test(L: Operator, v: Field, w: Field, eps: float) -> float:
     """<L v, w> where w vanishes on the rows L omits."""
     return inner(L.apply(v), w.restrict(L.row_lo, L.row_hi), eps)
 

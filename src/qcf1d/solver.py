@@ -84,18 +84,20 @@ def _norm_inf(A: np.ndarray) -> float:
 def _solve_refined(A: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
     """Direct dense solve with one step of iterative refinement.
 
-    Raises with a condition estimate unless the normwise backward error
-    ||Ax - b|| / (||A|| ||x|| + ||b||) in the max norm stays within
-    BACKWARD_ERROR_TOL (Rigal-Gaches; Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 7).  A residual measured against ||b||
-    alone grows with ||A||, which is of order N^2 here.
+    Raises RuntimeError on a non-finite x (a singular matrix) and, with a
+    condition estimate, unless the normwise backward error ||Ax - b|| /
+    (||A|| ||x|| + ||b||) in the max norm stays within BACKWARD_ERROR_TOL
+    (Rigal-Gaches; Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 7).  A residual against ||b|| alone grows with ||A|| ~ N^2.
     """
     try:
         lu, piv = scipy.linalg.lu_factor(A)
-        x = scipy.linalg.lu_solve((lu, piv), b)
-        x += scipy.linalg.lu_solve((lu, piv), b - A @ x)
     except scipy.linalg.LinAlgError as exc:
         raise RuntimeError(f"{what}: factorization failed: {exc}") from exc
+    x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    if not np.all(np.isfinite(x)):
+        raise RuntimeError(f"{what}: solution is not finite (singular matrix)")
+    x += scipy.linalg.lu_solve((lu, piv), b - A @ x, check_finite=False)
     a_norm = _norm_inf(A)
     resid = float(np.max(np.abs(A @ x - b)))
     scale = a_norm * float(np.max(np.abs(x))) + float(np.max(np.abs(b)))
@@ -120,7 +122,7 @@ def solve_atomistic(c: Coefficients, f: Field, eps: float) -> Field:
             f"{c.phiF + 4.0 * c.phi2F}"
         )
     m = f.half_width
-    A = assemble_la(c, m, eps).interior_block()
+    A = assemble_la(c, m, eps).interior_block().toarray()
     x = _solve_refined(A, f.values[1:-1], "atomistic solve")
     u = np.zeros(2 * m + 1)
     u[1:-1] = x
@@ -147,7 +149,7 @@ def solve_qcf(
             RuntimeWarning,
             stacklevel=2,
         )
-    A = assemble_lqcf(c, spec).interior_block()
+    A = assemble_lqcf(c, spec).interior_block().toarray()
     x = _solve_refined(A, f.values[1:-1], "coupled solve")
     j = np.arange(-n, n + 1)
     u = bc_left + (bc_right - bc_left) * (n + j) / (2.0 * n)
@@ -183,10 +185,12 @@ def truncation_error(u_a: Field, c: Coefficients, spec: DomainSpec) -> Field:
     n = spec.N
     if u_a.half_width < n + 2:
         raise ValueError("reference field too short for the stencils at +-(N-1)")
-    lq = assemble_lqcf(c, spec).apply(u_a.restrict(-n, n))
+    # lq and la agree to O(eps^2) relative, so their rounding is all the
+    # noise in t; lq is a dense product, rounded like the solves above
+    lq = assemble_lqcf(c, spec).entries.toarray() @ u_a.restrict(-n, n).values
     la = _apply_la_interior(c, u_a, spec.eps, -n + 1, n - 1)
     t = np.zeros(2 * n + 1)
-    t[1:-1] = lq.values - la.values
+    t[1:-1] = lq - la.values
     return Field(t, -n)
 
 

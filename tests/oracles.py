@@ -2,11 +2,13 @@
 
 Everything here recomputes quantities by a different route than the
 library: explicit bond loops for energies, finite differences for
-gradients and Jacobians, and direct pairing maximization for the dual
-norm.  Keep these dumb and slow on purpose.
+gradients and Jacobians, direct pairing maximization for the dual norm,
+dense row loops for the operators, and dense eigen- and singular-value
+solves for the stability constants.  Keep these dumb and slow on purpose.
 """
 
 import numpy as np
+import scipy.linalg
 
 from qcf1d.lattice import Field, diff, inner, lp_norm
 
@@ -117,3 +119,150 @@ def sampled_dual_norm(f, eps, n_samples, rng):
             pairings = eps * (W @ f.values)
             best = max(best, float(np.max(np.abs(pairings) / norms)))
     return best
+
+
+# Grid for differential tests of the sparse operators and kernels: K=2,
+# K=N/2 and K in between, and phiF + 8*phi2F -> 0 (with phiF = 1).
+DIFFERENTIAL_PHI2F = [0.0, -0.2, -0.125 + 1e-6, 0.3]
+DIFFERENTIAL_NK = [(16, 2), (64, 32), (128, 2), (256, 63), (512, 128)]
+
+# Dense loop assemblers: one explicit loop over rows per operator, with
+# the same index conventions as qcf1d.operators (displacement operators
+# on rows -n+1..n-1 by columns -n..n, strain operators on bonds -n+1..n).
+
+
+def la_dense(c, m, eps):
+    s1 = c.phiF / eps**2
+    s2 = c.phi2F / eps**2
+    A = np.zeros((2 * m - 1, 2 * m + 1))
+    for j in range(-m + 1, m):
+        i = j + m - 1
+        o = j + m
+        A[i, o - 1] += -s1
+        A[i, o] += 2.0 * s1
+        A[i, o + 1] += -s1
+        if j == -m + 1:
+            A[i, o] += s2
+            A[i, o + 2] += -s2
+        elif j == m - 1:
+            A[i, o] += s2
+            A[i, o - 2] += -s2
+        else:
+            A[i, o - 2] += -s2
+            A[i, o] += 2.0 * s2
+            A[i, o + 2] += -s2
+    return A
+
+
+def llqc_dense(c, n, eps):
+    s = (c.phiF + 4.0 * c.phi2F) / eps**2
+    A = np.zeros((2 * n - 1, 2 * n + 1))
+    for i in range(2 * n - 1):
+        A[i, i] = -s
+        A[i, i + 1] = 2.0 * s
+        A[i, i + 2] = -s
+    return A
+
+
+def lqcf_dense(c, spec):
+    n, k = spec.N, spec.K
+    eps = spec.eps
+    s1 = c.phiF / eps**2
+    s2 = c.phi2F / eps**2
+    slqc = (c.phiF + 4.0 * c.phi2F) / eps**2
+    A = np.zeros((2 * n - 1, 2 * n + 1))
+    for j in range(-n + 1, n):
+        i = j + n - 1
+        o = j + n
+        if abs(j) <= k:
+            A[i, o - 1] += -s1
+            A[i, o] += 2.0 * s1
+            A[i, o + 1] += -s1
+            A[i, o - 2] += -s2
+            A[i, o] += 2.0 * s2
+            A[i, o + 2] += -s2
+        else:
+            A[i, o - 1] += -slqc
+            A[i, o] += 2.0 * slqc
+            A[i, o + 1] += -slqc
+    return A
+
+
+def l2_dense(spec):
+    n, k = spec.N, spec.K
+    s = 1.0 / spec.eps**2
+    A = np.zeros((2 * n - 1, 2 * n + 1))
+    for j in range(-n + 1, n):
+        i = j + n - 1
+        o = j + n
+        if abs(j) <= k:
+            A[i, o - 2] += -s
+            A[i, o] += 2.0 * s
+            A[i, o + 2] += -s
+        else:
+            A[i, o - 1] += -4.0 * s
+            A[i, o] += 8.0 * s
+            A[i, o + 1] += -4.0 * s
+    return A
+
+
+def ea_dense(c, m):
+    nb = 2 * m
+    B = np.zeros((nb, nb))
+    for i in range(nb):
+        B[i, i] = 2.0
+        if i > 0:
+            B[i, i - 1] = 1.0
+        if i < nb - 1:
+            B[i, i + 1] = 1.0
+    B[0, 0] = 1.0
+    B[nb - 1, nb - 1] = 1.0
+    return c.phiF * np.eye(nb) + c.phi2F * B
+
+
+def eqcf_dense(c, spec):
+    n, k = spec.N, spec.K
+    nb = 2 * n
+    off = n - 1  # bond j sits at offset j + off
+    B = np.zeros((nb, nb))
+    for j in range(-n + 1, n + 1):
+        i = j + off
+        if j <= -k - 2:
+            B[i, i] += 4.0
+            B[i, -k - 1 + off] += 1.0
+            B[i, -k + off] += -2.0
+            B[i, -k + 1 + off] += 1.0
+        elif j == -k - 1:
+            B[i, -k - 1 + off] += 5.0
+            B[i, -k + off] += -2.0
+            B[i, -k + 1 + off] += 1.0
+        elif j <= k + 1:
+            B[i, i - 1] += 1.0
+            B[i, i] += 2.0
+            B[i, i + 1] += 1.0
+        elif j == k + 2:
+            B[i, k + off] += 1.0
+            B[i, k + 1 + off] += -2.0
+            B[i, k + 2 + off] += 5.0
+        else:
+            B[i, i] += 4.0
+            B[i, k + off] += 1.0
+            B[i, k + 1 + off] += -2.0
+            B[i, k + 2 + off] += 1.0
+    return c.phiF * np.eye(nb) + c.phi2F * B
+
+
+def rayleigh_min_dense(c, spec):
+    """Smallest eigenvalue of the symmetrized interior block against the
+    strain Gram matrix, by a dense generalized symmetric eigensolve."""
+    n, eps = spec.N, spec.eps
+    Li = lqcf_dense(c, spec)[:, 1:-1]
+    A = eps * 0.5 * (Li + Li.T)
+    B = (2.0 * np.eye(2 * n - 1) - np.eye(2 * n - 1, k=1) - np.eye(2 * n - 1, k=-1)) / eps
+    return float(scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=(0, 0))[0])
+
+
+def infsup_2_dense(M):
+    """Smallest singular value of M compressed to the mean-zero subspace."""
+    Q = scipy.linalg.null_space(np.ones((1, M.shape[0])))
+    return float(scipy.linalg.svdvals(Q.T @ M @ Q)[-1])

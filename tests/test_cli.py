@@ -235,6 +235,34 @@ def test_removed_flags_exit_2(tmp_path, flag):
     assert exc.value.code == 2
 
 
+def test_abbreviated_flag_exits_2(tmp_path):
+    # --N is not an option of coercivity and must not abbreviate --N-list
+    with pytest.raises(SystemExit) as exc:
+        run(["coercivity", "--phiF", "1", "--phi2F", "0", "--N", "16",
+             "--out", tmp_path / "x.csv"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_infsup_checks_p2_bound_without_p2_row(tmp_path, monkeypatch):
+    # the exact 2-norm value is checked against the p=2 probe bound even
+    # when --p-list writes no p=2 row
+    upper = cli.infsup_p_upper
+
+    def zero_at_p2(c, spec, p):
+        return 0.0 if p == 2 else upper(c, spec, p)
+
+    monkeypatch.setattr(cli, "infsup_p_upper", zero_at_p2)
+    out = tmp_path / "infsup.csv"
+    argv = ["infsup", "--phiF", "1", "--phi2F", "-0.05", "--N-list", "16,32",
+            "--p-list", "1", "--out", out]
+    assert run(argv) == 1
+    _, _, rows = read_rows(out)
+    assert {r["p"] for r in rows if r["kind"] == "upper_bound"} == {"1.0"}
+    monkeypatch.setattr(cli, "infsup_p_upper", upper)
+    assert run(argv) == 0
+
+
 def test_coefficients_required(tmp_path, capsys):
     code = run(["coercivity", "--N-list", "16", "--out", tmp_path / "x.csv"])
     assert code == 2

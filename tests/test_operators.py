@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_max_ulp
 
 from qcf1d.chain import force_atomistic, force_lqc, force_qcf
 from qcf1d.lattice import DomainSpec, Field, diff, inner, uniform_positions
@@ -19,7 +19,17 @@ from qcf1d.operators import (
 )
 from qcf1d.potentials import Coefficients, lennard_jones
 
-from oracles import fd_jacobian
+from oracles import (
+    DIFFERENTIAL_NK,
+    DIFFERENTIAL_PHI2F,
+    ea_dense,
+    eqcf_dense,
+    fd_jacobian,
+    l2_dense,
+    la_dense,
+    llqc_dense,
+    lqcf_dense,
+)
 
 LJ = lennard_jones()
 C = Coefficients(1.0, -0.05)
@@ -59,7 +69,7 @@ def test_la_stencils():
     # first row: one-sided next-nearest stencil with 4 nonzeros
     assert_allclose(A.at(-5, -5), (2 * C.phiF + C.phi2F) * s)
     assert_allclose(A.at(-5, -3), -C.phi2F * s)
-    assert np.count_nonzero(A.entries[0]) == 4
+    assert np.count_nonzero(A.entries.toarray()[0]) == 4
 
 
 def test_la_interior_rows_annihilate_affine():
@@ -90,9 +100,9 @@ def test_llqc_stencil_readoff():
 
 def test_lqcf_row_dispatch_is_exact():
     spec = DomainSpec(16, 4)
-    Lq = assemble_lqcf(C, spec).entries
-    La = assemble_la(C, 16, spec.eps).entries
-    Ll = assemble_llqc(C, 16, spec.eps).entries
+    Lq = assemble_lqcf(C, spec).entries.toarray()
+    La = assemble_la(C, 16, spec.eps).entries.toarray()
+    Ll = assemble_llqc(C, 16, spec.eps).entries.toarray()
     for j in range(-15, 16):
         i = j + 15
         if abs(j) <= 4:
@@ -128,9 +138,9 @@ def test_lqcf_is_not_symmetric():
 
 def test_lqcf_splits_into_l1_and_l2():
     spec = DomainSpec(12, 3)
-    Lq = assemble_lqcf(C, spec).entries
-    L1 = assemble_l1(12, spec.eps).entries
-    L2 = assemble_l2(spec).entries
+    Lq = assemble_lqcf(C, spec).entries.toarray()
+    L1 = assemble_l1(12, spec.eps).entries.toarray()
+    L2 = assemble_l2(spec).entries.toarray()
     assert_allclose(Lq, C.phiF * L1 + C.phi2F * L2, rtol=1e-14, atol=1e-9)
 
 
@@ -140,27 +150,27 @@ def test_bandwidth_and_sparsity():
     for i, j, _ in Lq.to_triples():
         assert abs(i - j) <= 2
     Eq = assemble_eqcf(C, spec)
-    counts = (Eq.entries != 0.0).sum(axis=1)
+    counts = (Eq.entries.toarray() != 0.0).sum(axis=1)
     assert counts.max() <= 4
     # atomistic band rows are symmetric tridiagonal
     off = 15  # bond j at offset j + off
-    band = Eq.entries[-4 + off : 5 + off + 1, :]
+    band = Eq.entries.toarray()[-4 + off : 5 + off + 1, :]
     for local, i in enumerate(range(-4 + off, 5 + off + 1)):
         row = band[local]
         nz = np.nonzero(row)[0]
         assert set(nz) <= {i - 1, i, i + 1}
-    sub = Eq.entries[-4 + off : 5 + off + 1, -4 + off : 5 + off + 1]
+    sub = Eq.entries.toarray()[-4 + off : 5 + off + 1, -4 + off : 5 + off + 1]
     assert np.array_equal(sub, sub.T)
 
 
 def test_ea_structure():
     m = 5
     E = assemble_ea(C, m, 0.2)
-    B = (E.entries - C.phiF * np.eye(2 * m)) / C.phi2F
+    B = (E.entries.toarray() - C.phiF * np.eye(2 * m)) / C.phi2F
     assert_allclose(B[0], [1, 1, 0, 0, 0, 0, 0, 0, 0, 0], atol=1e-14)
     assert_allclose(B[1], [1, 2, 1, 0, 0, 0, 0, 0, 0, 0], atol=1e-14)
     assert_allclose(B[-1], [0, 0, 0, 0, 0, 0, 0, 0, 1, 1], atol=1e-14)
-    assert np.array_equal(E.entries, E.entries.T)
+    assert np.array_equal(E.entries.toarray(), E.entries.toarray().T)
 
 
 def test_weak_form_identity_ea():
@@ -307,3 +317,29 @@ def test_operator_apply_rejects_range_mismatch():
     A = assemble_la(C, 4, 0.25)
     with pytest.raises(ValueError):
         A.apply(Field(np.zeros(7), -3))
+
+
+@pytest.mark.parametrize("n,k", DIFFERENTIAL_NK)
+@pytest.mark.parametrize("phi2F", DIFFERENTIAL_PHI2F)
+def test_sparse_assembly_matches_dense_oracles(phi2F, n, k):
+    c = Coefficients(1.0, phi2F)
+    spec = DomainSpec(n, k)
+    eps = spec.eps
+    cases = [
+        (assemble_la(c, n, eps), la_dense(c, n, eps)),
+        (assemble_llqc(c, n, eps), llqc_dense(c, n, eps)),
+        (assemble_lqcf(c, spec), lqcf_dense(c, spec)),
+        (assemble_l1(n, eps), llqc_dense(Coefficients(1.0, 0.0), n, eps)),
+        (assemble_l2(spec), l2_dense(spec)),
+        (assemble_ea(c, n, eps), ea_dense(c, n)),
+        (assemble_eqcf(c, spec), eqcf_dense(c, spec)),
+    ]
+    for op, dense in cases:
+        assert op.entries.shape == dense.shape
+        assert_array_max_ulp(op.entries.toarray(), dense, maxulp=1)
+        # stored pattern = nonzero pattern, read row-major
+        rows, cols = np.nonzero(dense)
+        triples = op.to_triples()
+        assert [(i, j) for i, j, _ in triples] == [
+            (int(r) + op.row_lo, int(c_) + op.col_lo) for r, c_ in zip(rows, cols)
+        ]

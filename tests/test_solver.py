@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from qcf1d.lattice import DomainSpec, Field, diff, diff4_centered, lp_norm
@@ -54,6 +55,15 @@ def test_solve_gate_reports_condition_estimate(monkeypatch):
         solver._solve_refined(A, RNG.standard_normal(50), "test solve")
     estimate = float(str(exc.value).rsplit(" ", 1)[1].rstrip(")"))
     assert rcond / 10 <= estimate <= rcond * 10
+
+
+def test_singular_solve_is_a_numerical_failure():
+    # a zero pivot gives inf/NaN; that must surface as RuntimeError (exit 1),
+    # not as the ValueError of a configuration error (exit 2)
+    A = np.array([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.warns(scipy.linalg.LinAlgWarning):
+        with pytest.raises(RuntimeError, match="not finite"):
+            solver._solve_refined(A, np.array([1.0, 2.0]), "test solve")
 
 
 def test_atomistic_solve_reflection_symmetry():

@@ -8,6 +8,8 @@ from qcf1d.lattice import DomainSpec, Field, diff, lp_norm
 from qcf1d.operators import assemble_ea, assemble_eqcf, assemble_l2, pair_with_test
 from qcf1d.potentials import Coefficients
 from qcf1d.stability import (
+    _certified_shift,
+    _rayleigh_pencil,
     dual_norm_star,
     infsup_2,
     infsup_p_upper,
@@ -18,7 +20,15 @@ from qcf1d.stability import (
     unstable_candidate,
 )
 
-from oracles import plateau_dual_norm, sampled_dual_norm
+from oracles import (
+    DIFFERENTIAL_NK,
+    DIFFERENTIAL_PHI2F,
+    eqcf_dense,
+    infsup_2_dense,
+    plateau_dual_norm,
+    rayleigh_min_dense,
+    sampled_dual_norm,
+)
 
 C = Coefficients(1.0, -0.05)
 RNG = np.random.default_rng(19)
@@ -243,3 +253,17 @@ def test_noncoercivity_onset_grows_with_stiffness_ratio():
     onsets = [onset(Coefficients(1.0, -1.0 / r)) for r in (2.5, 5.0, 10.0)]
     assert onsets[0] <= onsets[1] <= onsets[2]
     assert onsets[1] < onsets[2]
+
+
+@pytest.mark.parametrize("n,k", DIFFERENTIAL_NK)
+@pytest.mark.parametrize("phi2F", DIFFERENTIAL_PHI2F)
+def test_sparse_kernels_match_dense_oracles(phi2F, n, k):
+    c = Coefficients(1.0, phi2F)
+    spec = DomainSpec(n, k)
+    dense = rayleigh_min_dense(c, spec)
+    assert_allclose(rayleigh_min(c, spec), dense, rtol=1e-9)
+    sigma = _certified_shift(*_rayleigh_pencil(c, spec))
+    assert sigma < dense
+    assert_allclose(
+        infsup_2(assemble_eqcf(c, spec)), infsup_2_dense(eqcf_dense(c, spec)), rtol=1e-9
+    )
