@@ -48,6 +48,7 @@ from .stability import (
     unstable_candidate,
 )
 from .solver import (
+    ErrorDetails,
     ErrorReport,
     ForceField,
     error_report_detailed,

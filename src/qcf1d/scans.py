@@ -142,7 +142,7 @@ def infsup_scan(
 def _convergence_point(c: Coefficients, load: ForceField, m_factor: int, n: int, k: int):
     spec = DomainSpec(n, k, M=m_factor * n)
     report, details = error_report_detailed(c, load, spec)
-    half_t_l1 = 0.5 * lp_norm(details["t"], spec.eps, 1)
+    half_t_l1 = 0.5 * lp_norm(details.t, spec.eps, 1)
     return report, half_t_l1
 
 

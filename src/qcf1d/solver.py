@@ -10,6 +10,10 @@ residual supported in the continuum region, equal there to
 eps^2 * phi2F * (centered fourth difference); measuring it in the dual
 norm of dual_norm_star and dividing by the certified inf-sup constant
 bounds the strain error at order eps^2.
+
+Both solves factor the sparse interior block as a banded LU (LAPACK
+dgbtrf, partial pivoting, bandwidth 2 on each side), so a solve costs
+O(N) time and memory; no dense N x N matrix is formed.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .lattice import DomainSpec, Field, diff, diff3, diff4_centered, lp_norm
 from .operators import assemble_la, assemble_lqcf
@@ -76,33 +81,46 @@ def named_load(name: str) -> ForceField:
         raise ValueError(f"unknown load '{name}', choose from {sorted(LOADS)}")
 
 
-def _norm_inf(A: np.ndarray) -> float:
-    """Max row sum of |A|, taken 256 rows at a time to bound the temporary."""
-    return max(float(np.abs(A[i : i + 256]).sum(axis=1).max()) for i in range(0, len(A), 256))
+def _solve_refined(A, b: np.ndarray, what: str) -> np.ndarray:
+    """Banded LU solve with one step of iterative refinement, O(N) memory.
 
-
-def _solve_refined(A: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    """Direct dense solve with one step of iterative refinement.
-
-    Raises RuntimeError on a non-finite x (a singular matrix) and, with a
-    condition estimate, unless the normwise backward error ||Ax - b|| /
-    (||A|| ||x|| + ||b||) in the max norm stays within BACKWARD_ERROR_TOL
-    (Rigal-Gaches; Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 7).  A residual against ||b|| alone grows with ||A|| ~ N^2.
+    A is a sparse (or dense) square matrix.  Its stored entries, with
+    the bandwidths they span, go into LAPACK band storage, factored by
+    dgbtrf with the partial pivoting of a dense LU.  Warns LinAlgWarning
+    on an exactly zero pivot.  Raises RuntimeError on a non-finite x (a
+    singular matrix) and, with a dgbcon condition estimate, unless the
+    normwise backward error ||Ax - b|| / (||A|| ||x|| + ||b||) in the max
+    norm stays within BACKWARD_ERROR_TOL (Rigal-Gaches; Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 7).  A residual against
+    ||b|| alone grows with ||A|| ~ N^2.
     """
-    try:
-        lu, piv = scipy.linalg.lu_factor(A)
-    except scipy.linalg.LinAlgError as exc:
-        raise RuntimeError(f"{what}: factorization failed: {exc}") from exc
-    x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    coo = scipy.sparse.coo_array(A)
+    offsets = coo.col - coo.row
+    kl, ku = int(-offsets.min(initial=0)), int(offsets.max(initial=0))
+    ab = np.zeros((2 * kl + ku + 1, coo.shape[1]))
+    ab[kl + ku - offsets, coo.col] = coo.data
+    lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
+    if info < 0:
+        raise RuntimeError(f"{what}: factorization failed: dgbtrf info {info}")
+    if info > 0:
+        warnings.warn(
+            f"{what}: diagonal number {info} is exactly zero, singular matrix",
+            scipy.linalg.LinAlgWarning,
+            stacklevel=2,
+        )
+
+    def lu_solve(r):
+        return scipy.linalg.lapack.dgbtrs(lu, kl, ku, r, piv)[0]
+
+    x = lu_solve(b)
     if not np.all(np.isfinite(x)):
         raise RuntimeError(f"{what}: solution is not finite (singular matrix)")
-    x += scipy.linalg.lu_solve((lu, piv), b - A @ x, check_finite=False)
-    a_norm = _norm_inf(A)
+    x += lu_solve(b - A @ x)
+    a_norm = float(abs(A).sum(axis=1).max())
     resid = float(np.max(np.abs(A @ x - b)))
     scale = a_norm * float(np.max(np.abs(x))) + float(np.max(np.abs(b)))
     if not resid <= BACKWARD_ERROR_TOL * scale:  # also catches NaN
-        rcond, _ = scipy.linalg.lapack.dgecon(lu, a_norm, norm="I")
+        rcond, _ = scipy.linalg.lapack.dgbcon(kl, ku, lu, piv, a_norm, norm="I")
         raise RuntimeError(
             f"{what}: backward error {resid / scale:.3e} exceeds {BACKWARD_ERROR_TOL:.1e} "
             f"(reciprocal condition estimate {rcond:.3e})"
@@ -122,7 +140,7 @@ def solve_atomistic(c: Coefficients, f: Field, eps: float) -> Field:
             f"{c.phiF + 4.0 * c.phi2F}"
         )
     m = f.half_width
-    A = assemble_la(c, m, eps).interior_block().toarray()
+    A = assemble_la(c, m, eps).interior_block()
     x = _solve_refined(A, f.values[1:-1], "atomistic solve")
     u = np.zeros(2 * m + 1)
     u[1:-1] = x
@@ -149,7 +167,7 @@ def solve_qcf(
             RuntimeWarning,
             stacklevel=2,
         )
-    A = assemble_lqcf(c, spec).interior_block().toarray()
+    A = assemble_lqcf(c, spec).interior_block()
     x = _solve_refined(A, f.values[1:-1], "coupled solve")
     j = np.arange(-n, n + 1)
     u = bc_left + (bc_right - bc_left) * (n + j) / (2.0 * n)
@@ -186,8 +204,11 @@ def truncation_error(u_a: Field, c: Coefficients, spec: DomainSpec) -> Field:
     if u_a.half_width < n + 2:
         raise ValueError("reference field too short for the stencils at +-(N-1)")
     # lq and la agree to O(eps^2) relative, so their rounding is all the
-    # noise in t; lq is a dense product, rounded like the solves above
-    lq = assemble_lqcf(c, spec).entries.toarray() @ u_a.restrict(-n, n).values
+    # noise in t; lq is the dense (BLAS) product, whose rounding the tests
+    # pin, taken 256 rows at a time so the temporary stays O(N)
+    L = assemble_lqcf(c, spec).entries
+    u = u_a.restrict(-n, n).values
+    lq = np.concatenate([L[i : i + 256].toarray() @ u for i in range(0, L.shape[0], 256)])
     la = _apply_la_interior(c, u_a, spec.eps, -n + 1, n - 1)
     t = np.zeros(2 * n + 1)
     t[1:-1] = lq - la.values
@@ -226,12 +247,22 @@ class ErrorReport:
     trunc_bound: float
 
 
-def error_report_detailed(c: Coefficients, load: ForceField, spec: DomainSpec):
-    """Run the reference and coupled solves and assemble an ErrorReport.
+@dataclass(frozen=True)
+class ErrorDetails:
+    """The fields behind an ErrorReport that downstream checks need."""
 
-    Returns (report, details) where details holds the fields every
-    downstream check needs (solutions, truncation error both ways).
-    """
+    u_a: Field
+    u_qcf: Field
+    t: Field
+    t_stencil: Field
+    f: Field
+    d3_max_continuum: float
+
+
+def error_report_detailed(
+    c: Coefficients, load: ForceField, spec: DomainSpec
+) -> tuple[ErrorReport, ErrorDetails]:
+    """Run the reference and coupled solves; return (ErrorReport, ErrorDetails)."""
     if not c.phiF + 8.0 * c.phi2F > 0.0:
         raise ValueError("error report needs the stability regime phiF + 8*phi2F > 0")
     m = spec.require_reference(2)
@@ -258,12 +289,4 @@ def error_report_detailed(c: Coefficients, load: ForceField, spec: DomainSpec):
         trunc_star=dual_norm_star(t, eps),
         trunc_bound=2.0 * eps**2 * abs(c.phi2F) * d3_max,
     )
-    details = {
-        "u_a": u_a,
-        "u_qcf": u_q,
-        "t": t,
-        "t_stencil": t_stencil,
-        "f": f_m,
-        "d3_max_continuum": d3_max,
-    }
-    return report, details
+    return report, ErrorDetails(u_a, u_q, t, t_stencil, f_m, d3_max)

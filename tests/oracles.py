@@ -3,8 +3,9 @@
 Everything here recomputes quantities by a different route than the
 library: explicit bond loops for energies, finite differences for
 gradients and Jacobians, direct pairing maximization for the dual norm,
-dense row loops for the operators, and dense eigen- and singular-value
-solves for the stability constants.  Keep these dumb and slow on purpose.
+dense row loops for the operators, dense eigen- and singular-value
+solves for the stability constants, and dense LU for the linear solves.
+Keep these dumb and slow on purpose.
 """
 
 import numpy as np
@@ -266,3 +267,10 @@ def infsup_2_dense(M):
     """Smallest singular value of M compressed to the mean-zero subspace."""
     Q = scipy.linalg.null_space(np.ones((1, M.shape[0])))
     return float(scipy.linalg.svdvals(Q.T @ M @ Q)[-1])
+
+
+def solve_refined_dense(A, b):
+    """Dense LU solve with one step of iterative refinement."""
+    lu, piv = scipy.linalg.lu_factor(A)
+    x = scipy.linalg.lu_solve((lu, piv), b)
+    return x + scipy.linalg.lu_solve((lu, piv), b - A @ x)

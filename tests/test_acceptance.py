@@ -254,7 +254,7 @@ def test_c09_convergence():
         rep, det = error_report_detailed(c, load, spec)
         assert rep.err_strain_inf <= rep.bound_rhs, n
         assert rep.trunc_star <= rep.trunc_bound, n
-        assert rep.trunc_star <= 0.5 * lp_norm(det["t"], spec.eps, 1) + 1e-15, n
+        assert rep.trunc_star <= 0.5 * lp_norm(det.t, spec.eps, 1) + 1e-15, n
         errs.append(rep.err_strain_inf)
         epss.append(rep.eps)
     slope = loglog_slope(epss, errs)

@@ -64,6 +64,19 @@ def test_convergence_json_and_exit(tmp_path):
     }
 
 
+def test_convergence_holds_past_dense_solve_limit(tmp_path):
+    # N=1024 and 2048 need M=4096 and 8192 reference chains
+    out = tmp_path / "conv.csv"
+    code = run(["convergence", "--phiF", "1", "--phi2F", "-0.05", "--N-list", "1024,2048",
+                "--K-ratio", "0.25", "--M-factor", "4", "--load", "cospi", "--out", out])
+    assert code == 0
+    comments, _, rows = read_rows(out)
+    assert [r["N"] for r in rows] == ["1024", "2048"]
+    extras = dict(c[2:].split("=", 1) for c in comments if "=" in c)
+    assert extras["all_inequalities_hold"] == "1"
+    assert abs(float(extras["slope_err_vs_eps"]) - 2.0) <= 0.2
+
+
 def test_coercivity_reports_slope(tmp_path):
     out = tmp_path / "coerc.csv"
     code = run(["coercivity", "--phiF", "1", "--phi2F", "-0.2",

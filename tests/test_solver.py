@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 
 from qcf1d.lattice import DomainSpec, Field, diff, diff4_centered, lp_norm
 from qcf1d import solver
+from qcf1d.operators import assemble_la, assemble_lqcf
 from qcf1d.potentials import Coefficients
 from qcf1d.solver import (
     ForceField,
@@ -16,6 +17,8 @@ from qcf1d.solver import (
     truncation_error_stencil,
 )
 from qcf1d.stability import dual_norm_star
+
+from oracles import DIFFERENTIAL_NK, DIFFERENTIAL_PHI2F, solve_refined_dense
 
 C = Coefficients(1.0, -0.05)
 RNG = np.random.default_rng(31)
@@ -64,6 +67,20 @@ def test_singular_solve_is_a_numerical_failure():
     with pytest.warns(scipy.linalg.LinAlgWarning):
         with pytest.raises(RuntimeError, match="not finite"):
             solver._solve_refined(A, np.array([1.0, 2.0]), "test solve")
+
+
+@pytest.mark.parametrize("n,k", DIFFERENTIAL_NK)
+@pytest.mark.parametrize("phi2F", DIFFERENTIAL_PHI2F)
+def test_banded_solve_matches_dense_oracle(phi2F, n, k):
+    # La blocks are symmetric, Lqcf blocks are not
+    c = Coefficients(1.0, phi2F)
+    spec = DomainSpec(n, k)
+    b = np.random.default_rng(n + k).standard_normal(2 * n - 1)
+    for L in (assemble_la(c, n, spec.eps), assemble_lqcf(c, spec)):
+        A = L.interior_block()
+        x = solver._solve_refined(A, b, "test solve")
+        x_dense = solve_refined_dense(A.toarray(), b)
+        assert np.max(np.abs(x - x_dense)) <= 1e-10 * np.max(np.abs(x_dense))
 
 
 def test_atomistic_solve_reflection_symmetry():
@@ -175,6 +192,18 @@ def test_truncation_vanishes_on_cubic_fields():
     assert np.max(np.abs(t.values)) <= 1e-12 / spec.eps**2
 
 
+@pytest.mark.parametrize("n", [12, 128, 200, 512])
+def test_truncation_error_row_blocks_match_full_dense_product(n):
+    # the 256-row blocks (one, one full, a partial second, four) must round
+    # exactly like one product with the whole matrix
+    spec = DomainSpec(n, n // 4, M=4 * n)
+    u_a = make_reference(spec)
+    full = assemble_lqcf(C, spec).entries.toarray() @ u_a.restrict(-n, n).values
+    la = solver._apply_la_interior(C, u_a, spec.eps, -n + 1, n - 1)
+    t = truncation_error(u_a, C, spec)
+    assert np.array_equal(t.values[1:-1], full - la.values)
+
+
 def test_truncation_needs_reference_margin():
     spec = DomainSpec(32, 8, M=33)
     with pytest.raises(ValueError, match="reference half-width"):
@@ -186,9 +215,9 @@ def test_error_report_inequalities_and_symmetry():
     rep, det = error_report_detailed(C, named_load("cospi"), spec)
     assert rep.err_strain_inf <= rep.bound_rhs
     assert rep.trunc_star <= rep.trunc_bound
-    assert rep.trunc_star <= 0.5 * lp_norm(det["t"], spec.eps, 1) + 1e-15
+    assert rep.trunc_star <= 0.5 * lp_norm(det.t, spec.eps, 1) + 1e-15
     # even load -> even solutions and even error field
-    u_a, u_q = det["u_a"], det["u_qcf"]
+    u_a, u_q = det.u_a, det.u_qcf
     for u in (u_a, u_q):
         assert_allclose(u.values, u.values[::-1], atol=1e-11 * np.max(np.abs(u.values)))
     e = u_a.restrict(-32, 32) - u_q
