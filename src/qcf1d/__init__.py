@@ -24,6 +24,7 @@ from .chain import (
     force_atomistic,
     force_lqc,
     force_qcf,
+    max_abs_force_qcf,
 )
 from .operators import (
     Operator,

@@ -79,6 +79,15 @@ def force_lqc(y: Field, phi: PairPotential, eps: float) -> Field:
     return Field((g[1:] - g[:-1]) / eps, -L + 1)
 
 
+def _atomistic_shells(K):
+    """Number of shells m = |j| on the atomistic law: sites |j| <= K.
+
+    The one statement of the split rule; force_qcf and max_abs_force_qcf
+    both read it.
+    """
+    return K + 1
+
+
 def force_qcf(y: Field, spec: DomainSpec, phi: PairPotential) -> Field:
     """Region-dispatched force on -N+1..N-1.
 
@@ -89,6 +98,32 @@ def force_qcf(y: Field, spec: DomainSpec, phi: PairPotential) -> Field:
         raise ValueError(f"expected positions over -N..N with N={spec.N}")
     fa = force_atomistic(y, phi, spec.eps)
     fl = force_lqc(y, phi, spec.eps)
-    j = fa.indices()
-    values = np.where(np.abs(j) <= spec.K, fa.values, fl.values)
-    return Field(values, fa.lo)
+    atomistic = np.abs(fa.indices()) < _atomistic_shells(spec.K)
+    return Field(np.where(atomistic, fa.values, fl.values), fa.lo)
+
+
+def max_abs_force_qcf(y: Field, ks: list[int], phi: PairPotential) -> np.ndarray:
+    """max_j |force_qcf(y, DomainSpec(N, K), phi)_j| for every split K in ks.
+
+    N is the half-width of y.  Each force law is evaluated once: sites j
+    and -j fold into the shell m = |j|, and since a split's atomistic
+    shells come first, a running maximum of the atomistic field from the
+    center out and one of the local field from the boundary in give each
+    K in O(1), O(N + len(ks)) in all.  Maxima are exact and propagate NaN
+    as np.max does, so every value equals the direct one bit for bit.
+    """
+    n = y.half_width
+    ks = np.asarray(ks, dtype=int)
+    DomainSpec(n, int(ks.min()))  # admissible splits form a range: check both ends
+    eps = DomainSpec(n, int(ks.max())).eps
+    fa = force_atomistic(y, phi, eps).values
+    fl = force_lqc(y, phi, eps).values
+
+    def shells(f):  # max |f_j| over j = m and j = -m, for m = 0..N-1
+        a = np.abs(f)
+        return np.maximum(a[n - 1 :], a[n - 1 :: -1])
+
+    inner = np.maximum.accumulate(shells(fa))
+    outer = np.maximum.accumulate(shells(fl)[::-1])[::-1]
+    s = _atomistic_shells(ks)
+    return np.maximum(inner[s - 1], outer[s])

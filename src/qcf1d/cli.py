@@ -18,6 +18,8 @@ import sys
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .lattice import DomainSpec
 from .potentials import Coefficients, lennard_jones
 from .scans import (
@@ -218,7 +220,14 @@ def cmd_patch_test(cfg: RunConfig) -> int:
     F_values = cfg.F_list or ([cfg.F] if cfg.F is not None else [0.9, 1.0, 1.1])
     rows = patch_test_scan(phi, F_values, cfg.nk_pairs())
     ok = all(r.passed for r in rows)
-    extras = {"max_residual": max(r.residual for r in rows), "all_passed": ok}
+    # np.max, not max: a NaN residual must show in the extras wherever it sits
+    residuals = np.array([r.residual for r in rows])
+    extras = {
+        "max_residual": float(np.max(residuals)),
+        "worst_residual_over_tol": float(np.max(residuals / [r.tolerance for r in rows])),
+        "points_checked": len(rows),
+        "all_passed": ok,
+    }
     write_table(cfg.out, cfg.format, cfg.command, cfg.echo(), rows, extras)
     return 0 if ok else 1
 

@@ -210,6 +210,8 @@ def uniform_positions(F: float, half_width: int, eps: float, snap: bool = False)
     """
     if half_width < 1:
         raise ValueError("half_width must be positive")
+    if not np.isfinite(F):
+        raise ValueError(f"strain F must be finite, got F={F}")
     j = np.arange(-half_width, half_width + 1, dtype=float)
     b = F * eps
     if not snap or b == 0.0:

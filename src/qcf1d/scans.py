@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain import force_qcf
+from .chain import max_abs_force_qcf
 from .lattice import DomainSpec, lp_norm, uniform_positions
 from .operators import assemble_eqcf, assemble_la, assemble_llqc, assemble_lqcf, assemble_ea
 from .potentials import Coefficients, PairPotential
@@ -77,13 +77,13 @@ class EigScanRow:
     n_nonpositive: int
 
 
-def _patch_point(phi: PairPotential, F: float, n: int, k: int) -> PatchTestRow:
-    spec = DomainSpec(n, k)
-    y = uniform_positions(F, n, spec.eps, snap=True)
-    residual = float(np.max(np.abs(force_qcf(y, spec, phi).values)))
+def _patch_point(phi: PairPotential, F: float, n: int, ks: Sequence[int]) -> list[PatchTestRow]:
+    eps = DomainSpec(n, ks[0]).eps
+    y = uniform_positions(F, n, eps, snap=True)
+    residuals = max_abs_force_qcf(y, ks, phi).tolist()
     scale = max(1.0, abs(float(phi.deriv1(F))) + abs(float(phi.deriv1(2.0 * F))))
-    tol = PATCH_TEST_TOL * scale / spec.eps
-    return PatchTestRow(F, n, k, residual, tol, residual <= tol)
+    tol = PATCH_TEST_TOL * scale / eps
+    return [PatchTestRow(F, n, k, r, tol, r <= tol) for k, r in zip(ks, residuals)]
 
 
 def patch_test_scan(
@@ -91,8 +91,19 @@ def patch_test_scan(
     F_values: Sequence[float],
     nk_pairs: Sequence[tuple],
 ) -> list[PatchTestRow]:
-    """Ghost-force residuals of the coupled force at uniform states."""
-    return [_patch_point(phi, F, n, k) for F in F_values for (n, k) in nk_pairs]
+    """Ghost-force residuals of the coupled force at uniform states.
+
+    One sweep point per F and run of consecutive pairs with the same N,
+    which evaluates the forces once for all of its splits K; the rows
+    keep the order F, then nk_pairs.
+    """
+    runs = []  # (N, [K, ...])
+    for n, k in nk_pairs:
+        if runs and runs[-1][0] == n:
+            runs[-1][1].append(k)
+        else:
+            runs.append((n, [k]))
+    return [row for F in F_values for n, ks in runs for row in _patch_point(phi, F, n, ks)]
 
 
 def _coercivity_point(c: Coefficients, n: int, k: int) -> CoercivityScanRow:

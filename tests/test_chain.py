@@ -10,9 +10,11 @@ from qcf1d.chain import (
     force_atomistic,
     force_lqc,
     force_qcf,
+    max_abs_force_qcf,
 )
 from qcf1d.lattice import DomainSpec, Field, uniform_positions
-from qcf1d.potentials import lennard_jones
+from qcf1d.potentials import PairPotential, lennard_jones
+from qcf1d.scans import patch_test_scan
 
 from oracles import energy_atomistic_loop, energy_lqc_loop, fd_gradient, fd_jacobian
 
@@ -160,6 +162,81 @@ def test_patch_test_property(F, n, k_frac):
     residual = np.max(np.abs(force_qcf(y, spec, LJ).values))
     scale = max(1.0, abs(LJ.deriv1(F)) + abs(LJ.deriv1(2.0 * F)))
     assert residual <= 1e-13 * scale / spec.eps
+
+
+# phi''(2F) > 0, unlike LJ near F = 1: a zigzag then moves the local field
+# more than the atomistic one
+QUARTIC = PairPotential(lambda r: r**4 / 12, lambda r: r**3 / 3, lambda r: r**2, name="quartic")
+
+
+def graded_zigzag(F, n, rng, grow):
+    """Snapped uniform state plus an alternating perturbation whose seeded
+    random amplitude grows (or, with grow=False, shrinks) with |j| up to
+    |j| = n//2 + 2 and is zero beyond.
+
+    Under LJ with growing amplitude, max|force_qcf| for split K is the
+    atomistic value at |j| = K; under QUARTIC with shrinking amplitude, it
+    is the local value at |j| = K+1.  Either way every K has its own value.
+    """
+    eps = 1.0 / n
+    j = np.arange(-n, n + 1)
+    m = np.abs(j)
+    amp = np.sort(rng.uniform(1.0, 1.002, n + 1))
+    amp = (amp if grow else amp[::-1])[m]
+    amp[m > n // 2 + 2] = 0.0
+    y = uniform_positions(F, n, eps, snap=True)
+    return Field(y.values + 0.01 * eps * amp * (-1.0) ** j, -n)
+
+
+def direct_maxima(y, ks, phi=LJ):
+    """max|force_qcf| per split, and the same from an explicit |j| <= K dispatch."""
+    n = y.half_width
+    fa = force_atomistic(y, phi, 1.0 / n)
+    fl = force_lqc(y, phi, 1.0 / n)
+    js = fa.indices()
+    via_qcf = [np.max(np.abs(force_qcf(y, DomainSpec(n, k), phi).values)) for k in ks]
+    via_rule = [np.max(np.abs(np.where(np.abs(js) <= k, fa.values, fl.values))) for k in ks]
+    return np.array(via_qcf), np.array(via_rule)
+
+
+@pytest.mark.parametrize("n", [4, 9, 16, 64, 257])
+def test_split_maxima_match_direct_dispatch(n):
+    # every admissible K, the edges K=2 and K=n//2 included, compared with ==
+    ks = list(range(2, n // 2 + 1))
+    F_values = [0.9, 1.0, 1.1]
+    rows = patch_test_scan(LJ, F_values, [(n, k) for k in ks])
+    assert [(r.F, r.N, r.K) for r in rows] == [(F, n, k) for F in F_values for k in ks]
+    for F, group in zip(F_values, np.split(np.array([r.residual for r in rows]), 3)):
+        via_qcf, via_rule = direct_maxima(uniform_positions(F, n, 1.0 / n, snap=True), ks)
+        assert np.all(group == 0.0)
+        assert np.array_equal(group, via_qcf) and np.array_equal(group, via_rule)
+
+    rng = np.random.default_rng(n)
+    states = [(graded_zigzag(F, n, rng, grow=True), LJ, True) for F in (0.9, 1.0)]
+    states.append((graded_zigzag(1.0, n, rng, grow=False), QUARTIC, True))
+    states += [(perturbed_uniform(F, n, 1.0 / n, rng=rng), LJ, False) for F in (0.9, 1.0)]
+    for y, phi, graded in states:
+        fast = max_abs_force_qcf(y, ks, phi)
+        via_qcf, via_rule = direct_maxima(y, ks, phi)
+        assert np.all(fast > 0.0)
+        assert np.array_equal(fast, via_qcf) and np.array_equal(fast, via_rule)
+        if graded:
+            assert len(set(fast.tolist())) == len(ks)
+
+    # a NaN anywhere reaches every split's maximum, as np.max propagates it
+    v = states[0][0].values.copy()
+    v[n + n // 2] = np.nan
+    with np.errstate(invalid="ignore"):
+        fast = max_abs_force_qcf(Field(v, -n), ks, LJ)
+        via_qcf, _ = direct_maxima(Field(v, -n), ks)
+    assert np.all(np.isnan(fast)) and np.all(np.isnan(via_qcf))
+
+
+def test_split_maxima_reject_inadmissible_split():
+    y = uniform_positions(1.0, 16, 1.0 / 16, snap=True)
+    for ks in ([1, 2, 3], [2, 8, 9]):
+        with pytest.raises(ValueError, match="K out of range"):
+            max_abs_force_qcf(y, ks, LJ)
 
 
 @settings(max_examples=25, deadline=None)

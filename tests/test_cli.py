@@ -1,11 +1,13 @@
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from qcf1d import cli
 from qcf1d.cli import main, read_config_file
+from qcf1d.scans import PatchTestRow
 
 
 def run(argv):
@@ -34,6 +36,8 @@ def test_patch_test_csv(tmp_path):
     assert len(rows) == 6  # one row per (F, N, K)
     assert any("F_list=[0.9, 1.0, 1.1]" in c for c in comments)
     assert all(float(r["residual"]) <= float(r["tolerance"]) for r in rows)
+    assert "# points_checked=6" in comments
+    assert "# worst_residual_over_tol=0.0" in comments
 
 
 def test_patch_test_k_out_of_range(tmp_path, capsys):
@@ -42,6 +46,33 @@ def test_patch_test_k_out_of_range(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "K out of range" in err
     assert "usage:" in err
+
+
+@pytest.mark.parametrize("F", ["nan", "inf"])
+def test_patch_test_nonfinite_strain_exits_2(tmp_path, capsys, F):
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["patch-test", "--N-list", "16", "--K-all", "--F-list", F, "--out", out])
+    assert code == 2
+    assert f"strain F must be finite, got F={F}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_patch_test_extras_propagate_nan(tmp_path, monkeypatch):
+    # wherever a NaN residual sits among the rows, the extras report it
+    def scan_with_nan(phi, F_values, nk_pairs):
+        return [PatchTestRow(1.0, 16, 2, 0.0, 1e-11, True),
+                PatchTestRow(1.0, 16, 3, float("nan"), 1e-11, False),
+                PatchTestRow(1.0, 16, 4, 0.0, 1e-11, True)]
+
+    monkeypatch.setattr(cli, "patch_test_scan", scan_with_nan)
+    out = tmp_path / "x.csv"
+    assert run(["patch-test", "--N-list", "16", "--K-all", "--out", out]) == 1
+    comments, _, _ = read_rows(out)
+    for line in ("# max_residual=nan", "# worst_residual_over_tol=nan",
+                 "# points_checked=3", "# all_passed=0"):
+        assert line in comments
 
 
 def test_missing_out_path(tmp_path, capsys):
