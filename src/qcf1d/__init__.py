@@ -56,7 +56,6 @@ from .solver import (
     named_load,
     solve_atomistic,
     solve_qcf,
-    truncation_error,
     truncation_error_stencil,
 )
 

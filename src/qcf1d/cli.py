@@ -37,6 +37,8 @@ from .solver import LOADS, named_load
 from .stability import infsup_p_upper
 
 POTENTIALS = {"lj": lennard_jones}
+# the subcommands that read spring constants through RunConfig.coefficients
+COEFFICIENT_COMMANDS = ("coercivity", "infsup", "convergence", "dump-operator", "eig-scan")
 
 
 def _int_list(s: str) -> list[int]:
@@ -77,8 +79,8 @@ class RunConfig:
     command: str
     format: str = _option(str, "csv", choices=("csv", "json"))
     out: str = _option(str, "")
-    phiF: Optional[float] = _option(float)
-    phi2F: Optional[float] = _option(float)
+    phiF: Optional[float] = _option(float, commands=COEFFICIENT_COMMANDS)
+    phi2F: Optional[float] = _option(float, commands=COEFFICIENT_COMMANDS)
     potential: str = _option(str, "lj", choices=sorted(POTENTIALS))
     F: Optional[float] = _option(float)
     F_list: Optional[list] = _option(_float_list, commands=("patch-test",))
@@ -87,7 +89,7 @@ class RunConfig:
     K: Optional[int] = _option(int)
     K_ratio: Optional[float] = _option(float)
     K_all: bool = _option(_bool, False, commands=("patch-test",))
-    M_factor: int = _option(int, 4)
+    M_factor: int = _option(int, 4, commands=("convergence",))
     p_list: list = _option(_float_list, [1.0, 2.0, 4.0], commands=("infsup",))
     load: str = _option(str, "cospi", choices=sorted(LOADS), commands=("convergence",))
     operator: Optional[str] = _option(
@@ -122,7 +124,7 @@ class RunConfig:
 
     def echo(self) -> dict:
         d = {"command": self.command}
-        for f in options():
+        for f in options(self.command):
             v = getattr(self, f.name)
             if v is not None and v != []:
                 d[f.name] = v

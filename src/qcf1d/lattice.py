@@ -46,9 +46,6 @@ class DomainSpec:
     def eps(self) -> float:
         return 1.0 / self.N
 
-    def site_indices(self) -> np.ndarray:
-        return np.arange(-self.N, self.N + 1)
-
     def interior_sites(self) -> np.ndarray:
         return np.arange(-self.N + 1, self.N)
 

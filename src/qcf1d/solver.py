@@ -9,7 +9,10 @@ Plugging the reference solution into the coupled equations leaves a
 residual supported in the continuum region, equal there to
 eps^2 * phi2F * (centered fourth difference); measuring it in the dual
 norm of dual_norm_star and dividing by the certified inf-sup constant
-bounds the strain error at order eps^2.
+bounds the strain error at order eps^2.  The residual is taken from
+differences of third differences of the reference solution in O(N);
+applying both operators and subtracting, the direct route the tests keep
+as an oracle, cancels terms of size 1/eps^2 down to eps^2.
 
 Both solves factor the sparse interior block as a banded LU (LAPACK
 dgbtrf, partial pivoting, bandwidth 2 on each side), so a solve costs
@@ -26,7 +29,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .lattice import DomainSpec, Field, diff, diff3, diff4_centered, lp_norm
+from .lattice import DomainSpec, Field, diff, diff3, lp_norm
 from .operators import assemble_la, assemble_lqcf
 from .potentials import Coefficients
 from .stability import dual_norm_star
@@ -177,59 +180,26 @@ def solve_qcf(
     return Field(u, -n)
 
 
-def _apply_la_interior(c: Coefficients, u: Field, eps: float, lo: int, hi: int) -> Field:
-    """Interior atomistic stencil applied to u on rows lo..hi.
-
-    u must extend two sites beyond the requested rows on both ends.
-    """
-    if u.lo > lo - 2 or u.hi < hi + 2:
-        raise ValueError("field does not cover the stencil of the requested rows")
-    v = u.values
-    idx = np.arange(lo - u.lo, hi - u.lo + 1)
-    nn = -v[idx + 1] + 2.0 * v[idx] - v[idx - 1]
-    nnn = -v[idx + 2] + 2.0 * v[idx] - v[idx - 2]
-    return Field((c.phiF * nn + c.phi2F * nnn) / eps**2, lo)
-
-
-def truncation_error(u_a: Field, c: Coefficients, spec: DomainSpec) -> Field:
+def truncation_error_stencil(u_a: Field, c: Coefficients, spec: DomainSpec) -> Field:
     """Residual of the reference solution in the coupled equations.
 
-    Computed directly as (coupled operator applied to the restriction)
-    minus (atomistic operator applied to the full field), with zeros at
-    the boundary sites.  Needs M >= N+2 so the atomistic stencil at rows
-    +-(N-1) stays inside the reference chain.
-    """
-    spec.require_reference(2)
-    n = spec.N
-    if u_a.half_width < n + 2:
-        raise ValueError("reference field too short for the stencils at +-(N-1)")
-    # lq and la agree to O(eps^2) relative, so their rounding is all the
-    # noise in t; lq is the dense (BLAS) product, whose rounding the tests
-    # pin, taken 256 rows at a time so the temporary stays O(N)
-    L = assemble_lqcf(c, spec).entries
-    u = u_a.restrict(-n, n).values
-    lq = np.concatenate([L[i : i + 256].toarray() @ u for i in range(0, L.shape[0], 256)])
-    la = _apply_la_interior(c, u_a, spec.eps, -n + 1, n - 1)
-    t = np.zeros(2 * n + 1)
-    t[1:-1] = lq - la.values
-    return Field(t, -n)
-
-
-def truncation_error_stencil(u_a: Field, c: Coefficients, spec: DomainSpec) -> Field:
-    """Same residual via the closed form: eps^2 * phi2F * D4 on the continuum.
-
-    Independent route used to cross-check truncation_error; zero on the
-    atomistic sites and at the boundary.
+    On the continuum sites it is eps^2 * phi2F * D4_j, taken here as
+    eps * phi2F * (D3_{j+2} - D3_{j+1}) from one array of third
+    differences; zero on the atomistic sites and at the boundary.  Each
+    entry carries rounding of order 1e-16 * N^2, as on any route, but the
+    suffix sums of dual_norm_star telescope to differences of the same
+    third differences, so there the rounding of each D3 cancels.  That of
+    a separately computed fourth difference (diff4_centered) would not.
+    O(N).
     """
     spec.require_reference(2)
     n, k = spec.N, spec.K
-    eps = spec.eps
-    d4 = diff4_centered(u_a, eps)
-    t = np.zeros(2 * n + 1)
+    d3 = diff3(u_a, spec.eps)
     j = np.arange(-n, n + 1)
     cont = (np.abs(j) > k) & (np.abs(j) <= n - 1)
-    d4_vals = d4.values[j[cont] - d4.lo]
-    t[cont] = eps**2 * c.phi2F * d4_vals
+    jc = j[cont] - d3.lo
+    t = np.zeros(2 * n + 1)
+    t[cont] = spec.eps * c.phi2F * (d3.values[jc + 2] - d3.values[jc + 1])
     return Field(t, -n)
 
 
@@ -254,9 +224,6 @@ class ErrorDetails:
     u_a: Field
     u_qcf: Field
     t: Field
-    t_stencil: Field
-    f: Field
-    d3_max_continuum: float
 
 
 def error_report_detailed(
@@ -276,8 +243,7 @@ def error_report_detailed(
     d3 = diff3(u_a, eps)
     cbonds = spec.extended_continuum_bonds()
     d3_max = float(np.max(np.abs(d3.values[cbonds - d3.lo])))
-    t = truncation_error(u_a, c, spec)
-    t_stencil = truncation_error_stencil(u_a, c, spec)
+    t = truncation_error_stencil(u_a, c, spec)
     gamma = c.phiF + 8.0 * c.phi2F
     report = ErrorReport(
         N=n,
@@ -289,4 +255,4 @@ def error_report_detailed(
         trunc_star=dual_norm_star(t, eps),
         trunc_bound=2.0 * eps**2 * abs(c.phi2F) * d3_max,
     )
-    return report, ErrorDetails(u_a, u_q, t, t_stencil, f_m, d3_max)
+    return report, ErrorDetails(u_a, u_q, t)

@@ -17,8 +17,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .lattice import DomainSpec, Field, diff, inner, lp_norm
-from .operators import Operator, assemble_l1, assemble_lqcf
+from .lattice import DomainSpec, Field, diff, lp_norm
+from .operators import Operator, assemble_l1, assemble_lqcf, pair_with_test
 from .potentials import Coefficients
 
 EIG_TOL = 1e-10
@@ -44,8 +44,7 @@ def quadratic_form(c: Coefficients, spec: DomainSpec, v: Field) -> float:
     """<L v, v> for the coupled operator and a field vanishing at +-N."""
     if not v.is_homogeneous:
         raise ValueError("quadratic form is defined on fields vanishing at +-N")
-    L = assemble_lqcf(c, spec)
-    return inner(L.apply(v), v.restrict(L.row_lo, L.row_hi), spec.eps)
+    return pair_with_test(assemble_lqcf(c, spec), v, v, spec.eps)
 
 
 def _rayleigh_pencil(c: Coefficients, spec: DomainSpec) -> tuple:

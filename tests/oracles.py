@@ -4,7 +4,8 @@ Everything here recomputes quantities by a different route than the
 library: explicit bond loops for energies, finite differences for
 gradients and Jacobians, direct pairing maximization for the dual norm,
 dense row loops for the operators, dense eigen- and singular-value
-solves for the stability constants, and dense LU for the linear solves.
+solves for the stability constants, dense LU for the linear solves, and
+a dense operator product for the truncation error.
 Keep these dumb and slow on purpose.
 """
 
@@ -12,6 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from qcf1d.lattice import Field, diff, inner, lp_norm
+from qcf1d.operators import assemble_lqcf
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -274,3 +276,37 @@ def solve_refined_dense(A, b):
     lu, piv = scipy.linalg.lu_factor(A)
     x = scipy.linalg.lu_solve((lu, piv), b)
     return x + scipy.linalg.lu_solve((lu, piv), b - A @ x)
+
+
+def apply_la_interior(c, u, eps, lo, hi):
+    """Interior atomistic stencil applied to u on rows lo..hi.
+
+    u must extend two sites beyond the requested rows on both ends.
+    """
+    if u.lo > lo - 2 or u.hi < hi + 2:
+        raise ValueError("field does not cover the stencil of the requested rows")
+    v = u.values
+    idx = np.arange(lo - u.lo, hi - u.lo + 1)
+    nn = -v[idx + 1] + 2.0 * v[idx] - v[idx - 1]
+    nnn = -v[idx + 2] + 2.0 * v[idx] - v[idx - 2]
+    return Field((c.phiF * nn + c.phi2F * nnn) / eps**2, lo)
+
+
+def truncation_error_dense(u_a, c, spec):
+    """Residual of the reference solution in the coupled equations, directly.
+
+    The coupled operator applied to the restriction (one dense product)
+    minus the atomistic stencil applied to the full field, with zeros at
+    the boundary sites.  The two applications agree to O(eps^2) relative,
+    so their rounding is all the noise in the result.  Needs M >= N+2 so
+    the atomistic stencil at rows +-(N-1) stays inside the reference chain.
+    """
+    spec.require_reference(2)
+    n = spec.N
+    if u_a.half_width < n + 2:
+        raise ValueError("reference field too short for the stencils at +-(N-1)")
+    lq = assemble_lqcf(c, spec).entries.toarray() @ u_a.restrict(-n, n).values
+    la = apply_la_interior(c, u_a, spec.eps, -n + 1, n - 1)
+    t = np.zeros(2 * n + 1)
+    t[1:-1] = lq - la.values
+    return Field(t, -n)

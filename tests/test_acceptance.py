@@ -36,7 +36,6 @@ from qcf1d.solver import (
     named_load,
     solve_atomistic,
     solve_qcf,
-    truncation_error,
     truncation_error_stencil,
 )
 from qcf1d.stability import (
@@ -49,7 +48,7 @@ from qcf1d.stability import (
     unstable_candidate,
 )
 
-from oracles import fd_jacobian, sampled_dual_norm
+from oracles import fd_jacobian, sampled_dual_norm, truncation_error_dense
 
 LJ = lennard_jones()
 
@@ -220,7 +219,7 @@ def test_c08_truncation_identity():
     # entrywise, at the standard configuration
     spec = DomainSpec(32, 8, M=128)
     u_a = solve_atomistic(c, load.sample(128, spec.eps), spec.eps)
-    t = truncation_error(u_a, c, spec)
+    t = truncation_error_dense(u_a, c, spec)
     ts = truncation_error_stencil(u_a, c, spec)
     entry_tol = 1e-12 / spec.eps**2
     assert np.max(np.abs(t.values - ts.values)) <= entry_tol
@@ -230,7 +229,7 @@ def test_c08_truncation_identity():
     # noise of the direct route sits below the 1e-12 relative tolerance
     spec_small = DomainSpec(12, 3, M=48)
     u_small = solve_atomistic(c, load.sample(48, spec_small.eps), spec_small.eps)
-    t_small = truncation_error(u_small, c, spec_small)
+    t_small = truncation_error_dense(u_small, c, spec_small)
     d4 = diff4_centered(u_small, spec_small.eps)
     cont = spec_small.continuum_sites()
     worst = 0.0

@@ -40,6 +40,23 @@ def test_patch_test_csv(tmp_path):
     assert "# worst_residual_over_tol=0.0" in comments
 
 
+def test_patch_test_echoes_only_its_options(tmp_path):
+    out = tmp_path / "patch.csv"
+    assert run(["patch-test", "--N-list", "16", "--K", "4", "--out", out]) == 0
+    comments, _, _ = read_rows(out)
+    keys = {c[2:].split("=", 1)[0] for c in comments if "=" in c}
+    assert {"command", "N_list", "K", "potential"} <= keys
+    assert not keys & {"load", "p_list", "M_factor", "phiF", "phi2F"}
+
+
+@pytest.mark.parametrize("flag", ["--M-factor", "--phiF", "--phi2F"])
+def test_patch_test_rejects_flags_it_ignores(tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(["patch-test", "--N-list", "8", flag, "8", "--out", tmp_path / "x.csv"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_patch_test_k_out_of_range(tmp_path, capsys):
     code = run(["patch-test", "--N-list", "16", "--K", "16", "--out", tmp_path / "x.csv"])
     assert code == 2
@@ -251,16 +268,17 @@ def test_config_file_keys_are_scoped_per_subcommand(tmp_path, capsys):
 
 
 COMMON_OPTIONS = {
-    "-h", "--help", "--config", "--phiF", "--phi2F", "--potential", "--F", "--N-list",
-    "--K", "--K-ratio", "--M-factor", "--out", "--format",
+    "-h", "--help", "--config", "--potential", "--F", "--N-list",
+    "--K", "--K-ratio", "--out", "--format",
 }
+SPRINGS = {"--phiF", "--phi2F"}
 COMMAND_OPTIONS = {
     "patch-test": {"--F-list", "--K-all"},
-    "coercivity": set(),
-    "infsup": {"--p-list"},
-    "convergence": {"--load"},
-    "dump-operator": {"--operator", "--N"},
-    "eig-scan": set(),
+    "coercivity": SPRINGS,
+    "infsup": SPRINGS | {"--p-list"},
+    "convergence": SPRINGS | {"--load", "--M-factor"},
+    "dump-operator": SPRINGS | {"--operator", "--N"},
+    "eig-scan": SPRINGS,
 }
 
 

@@ -13,12 +13,16 @@ from qcf1d.solver import (
     named_load,
     solve_atomistic,
     solve_qcf,
-    truncation_error,
     truncation_error_stencil,
 )
 from qcf1d.stability import dual_norm_star
 
-from oracles import DIFFERENTIAL_NK, DIFFERENTIAL_PHI2F, solve_refined_dense
+from oracles import (
+    DIFFERENTIAL_NK,
+    DIFFERENTIAL_PHI2F,
+    solve_refined_dense,
+    truncation_error_dense,
+)
 
 C = Coefficients(1.0, -0.05)
 RNG = np.random.default_rng(31)
@@ -153,7 +157,7 @@ def make_reference(spec, load=None):
 def test_truncation_error_supported_on_continuum():
     spec = DomainSpec(32, 8, M=128)
     u_a = make_reference(spec)
-    t = truncation_error(u_a, C, spec)
+    t = truncation_error_dense(u_a, C, spec)
     js = t.indices()
     # the two operators share their rows on the atomistic band, so the
     # residual there sits at the rounding floor of the applications
@@ -163,11 +167,15 @@ def test_truncation_error_supported_on_continuum():
 
 
 def test_truncation_error_matches_stencil_route():
-    spec = DomainSpec(32, 8, M=128)
-    u_a = make_reference(spec)
-    t = truncation_error(u_a, C, spec)
-    ts = truncation_error_stencil(u_a, C, spec)
-    assert np.max(np.abs(t.values - ts.values)) <= 1e-12 / spec.eps**2
+    # the third-difference route against the direct dense oracle: entries
+    # to the oracle's cancellation floor, the dual norm to its rounding
+    for n in (12, 32, 128, 512, 1024):
+        spec = DomainSpec(n, n // 4, M=4 * n)
+        u_a = make_reference(spec)
+        t = truncation_error_dense(u_a, C, spec)
+        ts = truncation_error_stencil(u_a, C, spec)
+        assert np.max(np.abs(t.values - ts.values)) <= 1e-12 / spec.eps**2, n
+        assert_allclose(dual_norm_star(ts, spec.eps), dual_norm_star(t, spec.eps), rtol=1e-6)
 
 
 def test_truncation_norm_identity():
@@ -175,7 +183,7 @@ def test_truncation_norm_identity():
     # domain keeps the eps^-2 cancellation noise under the tight tolerance
     spec = DomainSpec(12, 3, M=48)
     u_a = make_reference(spec)
-    t = truncation_error(u_a, C, spec)
+    t = truncation_error_dense(u_a, C, spec)
     d4 = diff4_centered(u_a, spec.eps)
     cont = spec.continuum_sites()
     for p in (1, 2, np.inf):
@@ -188,26 +196,31 @@ def test_truncation_vanishes_on_cubic_fields():
     spec = DomainSpec(16, 4, M=64)
     x = np.arange(-64, 65) * spec.eps
     cubic = Field(1.0 + x - 0.5 * x**2 + 0.25 * x**3, -64)
-    t = truncation_error(cubic, C, spec)
-    assert np.max(np.abs(t.values)) <= 1e-12 / spec.eps**2
-
-
-@pytest.mark.parametrize("n", [12, 128, 200, 512])
-def test_truncation_error_row_blocks_match_full_dense_product(n):
-    # the 256-row blocks (one, one full, a partial second, four) must round
-    # exactly like one product with the whole matrix
-    spec = DomainSpec(n, n // 4, M=4 * n)
-    u_a = make_reference(spec)
-    full = assemble_lqcf(C, spec).entries.toarray() @ u_a.restrict(-n, n).values
-    la = solver._apply_la_interior(C, u_a, spec.eps, -n + 1, n - 1)
-    t = truncation_error(u_a, C, spec)
-    assert np.array_equal(t.values[1:-1], full - la.values)
+    for route in (truncation_error_dense, truncation_error_stencil):
+        t = route(cubic, C, spec)
+        assert np.max(np.abs(t.values)) <= 1e-12 / spec.eps**2, route.__name__
 
 
 def test_truncation_needs_reference_margin():
     spec = DomainSpec(32, 8, M=33)
-    with pytest.raises(ValueError, match="reference half-width"):
-        truncation_error(Field(np.zeros(67), -33), C, spec)
+    for route in (truncation_error_dense, truncation_error_stencil):
+        with pytest.raises(ValueError, match="reference half-width"):
+            route(Field(np.zeros(67), -33), C, spec)
+
+
+def test_trunc_star_holds_its_bound_at_large_n():
+    # the direct route fails here: trunc_star 4.50e-10 against the bound
+    # 3.66e-10 at N=32768, and a ratio of 1.29 between the first two sizes;
+    # a separately rounded fourth difference fails at N=131072 (7.8e-11
+    # against 2.5e-11)
+    load = named_load("cospi")
+    reports = [
+        error_report_detailed(C, load, DomainSpec(n, n // 4, M=4 * n))[0]
+        for n in (16384, 32768, 131072)
+    ]
+    for rep in reports:
+        assert rep.trunc_star <= rep.trunc_bound, rep.N
+    assert 3.8 <= reports[0].trunc_star / reports[1].trunc_star <= 4.2
 
 
 def test_error_report_inequalities_and_symmetry():
