@@ -115,6 +115,8 @@ class RunConfig:
         pairs = []
         for n in self.N_list:
             if self.K_all:
+                if n < 4:
+                    raise ValueError(f"no admissible split K for N={n} (--K-all needs N >= 4)")
                 pairs.extend((n, k) for k in range(2, n // 2 + 1))
             else:
                 pairs.append((n, self.k_for(n)))
@@ -219,6 +221,8 @@ class TripleRow:
 def cmd_patch_test(cfg: RunConfig) -> int:
     """ghost-force residuals at uniform states"""
     phi = POTENTIALS[cfg.potential]()
+    if cfg.F_list == []:
+        raise ValueError("need at least one strain in --F-list")
     F_values = cfg.F_list or ([cfg.F] if cfg.F is not None else [0.9, 1.0, 1.1])
     rows = patch_test_scan(phi, F_values, cfg.nk_pairs())
     ok = all(r.passed for r in rows)

@@ -27,13 +27,15 @@ Assembly and application cost O(N).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
-import scipy.sparse
 
 from .lattice import DomainSpec, Field, diff, diff3, inner
 from .potentials import Coefficients
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,8 @@ class Operator:
     col_lo: int
 
     def __post_init__(self):
+        import scipy.sparse
+
         e = scipy.sparse.csr_array(self.entries, dtype=float, copy=True)
         if e.ndim != 2:
             raise ValueError("entries must be a 2-D array")
@@ -103,6 +107,8 @@ def _second_differences(n: int, eps: float, springs, core=(0.0, 0.0), k: int = -
     next-nearest bond reaching past +-n is absent, which leaves half the
     wide diagonal on the first and last row.
     """
+    import scipy.sparse
+
     j = np.arange(-n + 1, n)
     k1, k2 = np.transpose(np.where((np.abs(j) <= k)[:, None], core, springs)) / eps**2
     wide = np.where(np.abs(j) == n - 1, 1.0, 2.0)
@@ -119,6 +125,8 @@ def _strain_operator(c: Coefficients, n: int, k: int) -> Operator:
     [1, -2, 1] in the interface columns -k-1..-k+1, and a row right of it
     the same in columns k..k+2.
     """
+    import scipy.sparse
+
     nb = 2 * n
     j = np.arange(-n + 1, n + 1)
     band = ((j >= -k) & (j <= k + 1)).astype(float)

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .lattice import DomainSpec, Field, diff, diff3, lp_norm
 from .operators import assemble_la, assemble_lqcf
@@ -97,6 +95,9 @@ def _solve_refined(A, b: np.ndarray, what: str) -> np.ndarray:
     and Stability of Numerical Algorithms, ch. 7).  A residual against
     ||b|| alone grows with ||A|| ~ N^2.
     """
+    import scipy.linalg
+    import scipy.sparse
+
     coo = scipy.sparse.coo_array(A)
     offsets = coo.col - coo.row
     kl, ku = int(-offsets.min(initial=0)), int(offsets.max(initial=0))

@@ -13,22 +13,27 @@ constructions.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .lattice import DomainSpec, Field, diff, lp_norm
 from .operators import Operator, assemble_l1, assemble_lqcf, pair_with_test
 from .potentials import Coefficients
 
+if TYPE_CHECKING:
+    import scipy.sparse
+
 EIG_TOL = 1e-10
 
-# scipy.sparse.linalg is imported inside the two eigensolvers only, so runs
-# that never call them (patch tests, convergence studies) skip its cost.
+# In every qcf1d module, scipy is imported only inside the functions that call
+# it: the import costs more than a whole patch test, which never needs scipy.
 
 
 def _square(A, what: str) -> scipy.sparse.csr_array:
     """An Operator's entries, or any dense or sparse matrix, as square CSR."""
+    import scipy.sparse
+
     M = scipy.sparse.csr_array(A.entries if isinstance(A, Operator) else A, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{what} needs a square matrix")
@@ -61,6 +66,8 @@ def _certified_shift(A, B) -> float:
     doubles downward until the banded factorization (LAPACK upper band
     storage) succeeds, which it must since B is definite.
     """
+    import scipy.linalg
+
     a, b = (np.array([np.pad(S.diagonal(d), (d, 0)) for d in (2, 1, 0)]) for S in (A, B))
     sigma = -1.0
     while True:
@@ -133,6 +140,8 @@ def rdd_margin(A) -> float:
     When gamma > 0 the mean-zero max-norm/1-norm inf-sup constant of A is
     at least gamma/2.
     """
+    import scipy.sparse
+
     M = _square(A, "rdd_margin")
     off = M - scipy.sparse.diags_array(M.diagonal())
     neg = off.minimum(0.0).sum(axis=1)

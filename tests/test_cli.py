@@ -329,3 +329,34 @@ def test_coefficients_required(tmp_path, capsys):
     code = run(["coercivity", "--N-list", "16", "--out", tmp_path / "x.csv"])
     assert code == 2
     assert "phiF" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_list", ["3", "16,3"])
+def test_patch_test_k_all_needs_n_at_least_4(tmp_path, capsys, monkeypatch, n_list):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran")
+
+    monkeypatch.setattr(cli, "patch_test_scan", no_sweep)
+    out = tmp_path / "x.csv"
+    assert run(["patch-test", "--N-list", n_list, "--K-all", "--out", out]) == 2
+    assert "no admissible split K for N=3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("via_file", [False, True])
+def test_patch_test_empty_f_list_exits_2(tmp_path, capsys, monkeypatch, via_file):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran")
+
+    monkeypatch.setattr(cli, "patch_test_scan", no_sweep)
+    out = tmp_path / "x.csv"
+    argv = ["patch-test", "--N-list", "16", "--K", "2", "--out", out]
+    if via_file:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("F_list = ,\n")
+        argv += ["--config", cfg]
+    else:
+        argv += ["--F-list", ","]
+    assert run(argv) == 2
+    assert "--F-list" in capsys.readouterr().err
+    assert not out.exists()
