@@ -15,6 +15,7 @@ from .lattice import (
     displacement,
     inner,
     lp_norm,
+    summed_load,
     uniform_positions,
 )
 from .potentials import Coefficients, PairPotential, is_admissible, lennard_jones
@@ -28,6 +29,7 @@ from .chain import (
 )
 from .operators import (
     Operator,
+    StrainStencil,
     assemble_ea,
     assemble_eqcf,
     assemble_l1,
@@ -37,6 +39,7 @@ from .operators import (
     assemble_lqcf,
     l2_decomposition,
     pair_with_test,
+    strain_stencil,
 )
 from .stability import (
     dual_norm_star,
@@ -56,6 +59,7 @@ from .solver import (
     named_load,
     solve_atomistic,
     solve_qcf,
+    solve_strain,
     truncation_error_stencil,
 )
 

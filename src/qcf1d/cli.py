@@ -253,6 +253,8 @@ def cmd_coercivity(cfg: RunConfig) -> int:
 def cmd_infsup(cfg: RunConfig) -> int:
     """inf-sup bounds and exact 2-norm values"""
     c = cfg.coefficients()
+    if not cfg.p_list:
+        raise ValueError("need at least one exponent in --p-list")
     rows = infsup_scan(c, cfg.nk_pairs(), cfg.p_list)
     extras = {}
     by_kind = {}

@@ -178,6 +178,20 @@ def diff(f: Field, eps: float) -> Field:
     return Field(np.diff(f.values) / eps, f.lo + 1)
 
 
+def summed_load(f: Field, eps: float) -> Field:
+    """Weighted suffix sums g_i = eps * sum_{j=i}^{hi-1} f_j on bonds lo+1..hi.
+
+    g_hi = 0.  For every w vanishing at lo and hi, <f, w> = <g, Dw>: the
+    load paired with a field equals g paired with its strain.  The end
+    samples f_lo and f_hi never enter.
+    """
+    if len(f) < 2:
+        raise ValueError("need at least 2 values for a summed load")
+    g = np.zeros(len(f) - 1)
+    g[:-1] = eps * np.cumsum(f.values[-2:0:-1])[::-1]
+    return Field(g, f.lo + 1)
+
+
 def diff3(f: Field, eps: float) -> Field:
     """Third backward difference, (v_j - 3v_{j-1} + 3v_{j-2} - v_{j-3})/eps^3."""
     if len(f) < 4:

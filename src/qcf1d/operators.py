@@ -20,8 +20,9 @@ columns, the fingerprint of the coupling being non-conservative.
 Matrices are sparse (CSR, at most five nonzeros per row) and assembled
 without loops from two region tables: displacement operators from the
 spring constants of each row's two second-difference stencils, strain
-operators from the next-nearest band plus the interface columns.
-Assembly and application cost O(N).
+operators from the next-nearest band plus the interface columns of
+strain_stencil, which the strain solver reads as numpy bands without
+building a matrix.  Assembly and application cost O(N).
 """
 
 from __future__ import annotations
@@ -117,28 +118,67 @@ def _second_differences(n: int, eps: float, springs, core=(0.0, 0.0), k: int = -
     return Operator(A, -n + 1, -n)
 
 
-def _strain_operator(c: Coefficients, n: int, k: int) -> Operator:
-    """phiF * I + phi2F * B on bonds -n+1..n, with next-nearest band -k..k+1.
+@dataclass(frozen=True)
+class StrainStencil:
+    """Next-nearest part B of a strain operator phiF * I + phi2F * B, as bands.
+
+    Bonds -n+1..n sit at offsets 0..2n-1.  Row i of B has diag[i] on the
+    diagonal and band[i] toward each neighboring bond that exists; a band
+    row couples to both neighbors, a far-field row to neither.  Each
+    interface (rows, col) adds [1, -2, 1] in columns col..col+2 to the
+    rows its boolean mask marks.  So B = T + sum of rank-one terms, with
+    T tridiagonal.
+    """
+
+    band: np.ndarray
+    diag: np.ndarray
+    interfaces: tuple
+
+    def tridiagonal(self, c: Coefficients) -> tuple:
+        """(lower, diag, upper) of phiF * I + phi2F * T; lower[0] = upper[-1] = 0."""
+        lower = c.phi2F * self.band
+        upper = lower.copy()
+        lower[0] = upper[-1] = 0.0
+        return lower, c.phiF + c.phi2F * self.diag, upper
+
+    def apply(self, c: Coefficients, w: np.ndarray) -> np.ndarray:
+        """(phiF * I + phi2F * B) w for strains w at offsets 0..2n-1."""
+        bw = self.diag * w
+        bw[1:] += self.band[1:] * w[:-1]
+        bw[:-1] += self.band[:-1] * w[1:]
+        for rows, col in self.interfaces:
+            bw[rows] += w[col] - 2.0 * w[col + 1] + w[col + 2]
+        return c.phiF * w + c.phi2F * bw
+
+
+def strain_stencil(n: int, k: int) -> StrainStencil:
+    """B on bonds -n+1..n, with next-nearest band -k..k+1.
 
     A band row of B has 1 toward each neighboring bond and as many on the
     diagonal; a row left of the band has 4 on the diagonal plus
     [1, -2, 1] in the interface columns -k-1..-k+1, and a row right of it
-    the same in columns k..k+2.
+    the same in columns k..k+2.  With k = n-1 the band covers every bond
+    and there is no interface.
     """
-    import scipy.sparse
-
-    nb = 2 * n
     j = np.arange(-n + 1, n + 1)
     band = ((j >= -k) & (j <= k + 1)).astype(float)
     diag = 4.0 - 2.0 * band
     diag[[0, -1]] -= band[[0, -1]]  # a band row at a chain end has one neighbor
-    far = np.flatnonzero(band == 0.0)
-    # each far-field row: [1, -2, 1] in the three interface columns on its side
-    rows = np.repeat(far, 3)
-    cols = np.where(j[far] < 0, -k - 1, k)[:, None] + np.arange(n - 1, n + 2)
-    vals = np.tile([1.0, -2.0, 1.0], far.size)
-    B = scipy.sparse.diags_array([band[1:], diag, band[:-1]], offsets=[-1, 0, 1])
-    B = B + scipy.sparse.coo_array((vals, (rows, cols.ravel())), shape=(nb, nb))
+    sides = ((j < -k, -k - 1), (j > k + 1, k))
+    return StrainStencil(band, diag, tuple((rows, col + n - 1) for rows, col in sides if rows.any()))
+
+
+def _strain_operator(c: Coefficients, n: int, k: int) -> Operator:
+    """phiF * I + phi2F * B on bonds -n+1..n, B from strain_stencil(n, k)."""
+    import scipy.sparse
+
+    s = strain_stencil(n, k)
+    nb = 2 * n
+    B = scipy.sparse.diags_array([s.band[1:], s.diag, s.band[:-1]], offsets=[-1, 0, 1])
+    for rows, col in s.interfaces:
+        far = np.flatnonzero(rows)
+        coords = (np.repeat(far, 3), np.tile(col + np.arange(3), far.size))
+        B = B + scipy.sparse.coo_array((np.tile([1.0, -2.0, 1.0], far.size), coords), shape=(nb, nb))
     return Operator(c.phiF * scipy.sparse.eye_array(nb) + c.phi2F * B, -n + 1, -n + 1)
 
 

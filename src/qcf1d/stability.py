@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .lattice import DomainSpec, Field, diff, lp_norm
+from .lattice import DomainSpec, Field, diff, lp_norm, summed_load
 from .operators import Operator, assemble_l1, assemble_lqcf, pair_with_test
 from .potentials import Coefficients
 
@@ -229,11 +229,7 @@ def dual_norm_star(f: Field, eps: float) -> float:
     g_i = eps * sum_{j=i}^{N-1} f_j (with g_N = 0).  The boundary samples
     f_{+-N} never pair with an admissible w and are ignored.
     """
-    n = f.half_width
-    if n < 1:
+    if f.half_width < 1:
         raise ValueError("field too short")
-    interior = f.values[1:-1]
-    g = np.empty(2 * n)
-    g[-1] = 0.0
-    g[:-1] = eps * np.cumsum(interior[::-1])[::-1]
+    g = summed_load(f, eps).values
     return 0.5 * float(g.max() - g.min())

@@ -5,15 +5,18 @@ library: explicit bond loops for energies, finite differences for
 gradients and Jacobians, direct pairing maximization for the dual norm,
 dense row loops for the operators, dense eigen- and singular-value
 solves for the stability constants, dense LU for the linear solves, and
-a dense operator product for the truncation error.
+a direct operator product in exact rational arithmetic for the
+truncation error.
 Keep these dumb and slow on purpose.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
 
 from qcf1d.lattice import Field, diff, inner, lp_norm
-from qcf1d.operators import assemble_lqcf
+from qcf1d.potentials import Coefficients
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -278,35 +281,43 @@ def solve_refined_dense(A, b):
     return x + scipy.linalg.lu_solve((lu, piv), b - A @ x)
 
 
-def apply_la_interior(c, u, eps, lo, hi):
-    """Interior atomistic stencil applied to u on rows lo..hi.
-
-    u must extend two sites beyond the requested rows on both ends.
-    """
-    if u.lo > lo - 2 or u.hi < hi + 2:
-        raise ValueError("field does not cover the stencil of the requested rows")
-    v = u.values
-    idx = np.arange(lo - u.lo, hi - u.lo + 1)
-    nn = -v[idx + 1] + 2.0 * v[idx] - v[idx - 1]
-    nnn = -v[idx + 2] + 2.0 * v[idx] - v[idx - 2]
-    return Field((c.phiF * nn + c.phi2F * nnn) / eps**2, lo)
+def solve_bordered_dense(E, g, delta_u, eps):
+    """Strains w with E w = g + const and eps * sum(w) = delta_u, densely."""
+    nb = E.shape[0]
+    A = np.zeros((nb + 1, nb + 1))
+    A[:nb, :nb] = E
+    A[:nb, nb] = -1.0
+    A[nb, :nb] = eps
+    return solve_refined_dense(A, np.append(g, delta_u))[:nb]
 
 
 def truncation_error_dense(u_a, c, spec):
     """Residual of the reference solution in the coupled equations, directly.
 
-    The coupled operator applied to the restriction (one dense product)
+    The coupled operator phiF * L1 + phi2F * L2, with the integer
+    stencils of the dense loop assemblers, applied to the restriction,
     minus the atomistic stencil applied to the full field, with zeros at
     the boundary sites.  The two applications agree to O(eps^2) relative,
-    so their rounding is all the noise in the result.  Needs M >= N+2 so
-    the atomistic stencil at rows +-(N-1) stays inside the reference chain.
+    so in floating point the rounding of their 1/eps^2-sized terms would
+    be all the noise in the result: at N=1024 it moves the dual norm by
+    1e-7 to 7e-6 relative, depending on the last bits of u_a.  So every
+    product and sum runs in exact rational arithmetic on the float data,
+    rounded once per entry.  Needs M >= N+2 so the atomistic stencil at
+    rows +-(N-1) stays inside the reference chain.
     """
     spec.require_reference(2)
-    n = spec.N
+    n, eps = spec.N, spec.eps
     if u_a.half_width < n + 2:
         raise ValueError("reference field too short for the stencils at +-(N-1)")
-    lq = assemble_lqcf(c, spec).entries.toarray() @ u_a.restrict(-n, n).values
-    la = apply_la_interior(c, u_a, spec.eps, -n + 1, n - 1)
+    u = [Fraction(v) for v in u_a.values]
+    phiF, phi2F = Fraction(c.phiF), Fraction(c.phi2F)
+    L1 = np.rint(llqc_dense(Coefficients(1.0, 0.0), n, eps) * eps**2).astype(int)
+    L2 = np.rint(l2_dense(spec) * eps**2).astype(int)
     t = np.zeros(2 * n + 1)
-    t[1:-1] = lq - la.values
+    for i, j in enumerate(range(-n + 1, n)):
+        lq = sum((phiF * int(L1[i, q]) + phi2F * int(L2[i, q])) * u[q - n - u_a.lo]
+                 for q in np.flatnonzero(L1[i] | L2[i]))
+        s = j - u_a.lo
+        la = phiF * (2 * u[s] - u[s - 1] - u[s + 1]) + phi2F * (2 * u[s] - u[s - 2] - u[s + 2])
+        t[i + 1] = float((lq - la) / Fraction(eps) ** 2)
     return Field(t, -n)

@@ -360,3 +360,36 @@ def test_patch_test_empty_f_list_exits_2(tmp_path, capsys, monkeypatch, via_file
     assert run(argv) == 2
     assert "--F-list" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("via_file", [False, True])
+def test_infsup_empty_p_list_exits_2(tmp_path, capsys, monkeypatch, via_file):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran")
+
+    monkeypatch.setattr(cli, "infsup_scan", no_sweep)
+    out = tmp_path / "x.csv"
+    argv = ["infsup", "--phiF", "1", "--phi2F", "-0.2", "--N-list", "16,32", "--out", out]
+    if via_file:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p_list = ,\n")
+        argv += ["--config", cfg]
+    else:
+        argv += ["--p-list", ","]
+    assert run(argv) == 2
+    assert "--p-list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_convergence_holds_at_large_n(tmp_path):
+    # strain-form solves keep err_strain_inf on its eps^2 line up to
+    # N=131072 (M=524288); displacement-form solves lost it from N=32768
+    out = tmp_path / "conv.csv"
+    assert run(["convergence", "--phiF", "1", "--phi2F", "-0.05",
+                "--N-list", "16384,32768,65536,131072", "--K-ratio", "0.25",
+                "--M-factor", "4", "--load", "cospi", "--out", out]) == 0
+    comments, _, rows = read_rows(out)
+    extras = dict(c[2:].split("=", 1) for c in comments if "=" in c)
+    assert extras["all_inequalities_hold"] == "1"
+    assert abs(float(extras["slope_err_vs_eps"]) - 2.0) <= 0.2
+    assert [int(r["N"]) for r in rows] == [16384, 32768, 65536, 131072]

@@ -1,4 +1,7 @@
-"""scipy stays out of every run that builds no operator.
+"""scipy stays out of every run that builds no operator, and out of convergence.
+
+The convergence study solves for strains with a numpy kernel that reads
+the strain stencil as bands, so it builds no operator either.
 
 Each case runs a fresh interpreter, since this test session has long
 since imported scipy itself.
@@ -44,6 +47,22 @@ def test_import_and_patch_test_load_no_scipy(tmp_path):
     got = fresh_run(PATCH_TEST, out)
     assert got == {"code": 0, "after_import": [], "after_run": []}
     assert "# all_passed=1" in out.read_text()
+
+
+CONVERGENCE = """
+import json, sys
+import qcf1d.cli
+code = qcf1d.cli.main(["convergence", "--phiF", "1", "--phi2F", "-0.05", "--N-list", "16,32",
+                       "--K-ratio", "0.25", "--M-factor", "4", "--load", "cospi",
+                       "--out", sys.argv[1]])
+print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_convergence_loads_no_scipy(tmp_path):
+    out = tmp_path / "conv.csv"
+    assert fresh_run(CONVERGENCE, out) == {"code": 0, "scipy": []}
+    assert "# all_inequalities_hold=1" in out.read_text()
 
 
 OPERATOR_RUNS = """

@@ -16,6 +16,7 @@ from qcf1d.operators import (
     assemble_lqcf,
     l2_decomposition,
     pair_with_test,
+    strain_stencil,
 )
 from qcf1d.potentials import Coefficients, lennard_jones
 
@@ -343,3 +344,19 @@ def test_sparse_assembly_matches_dense_oracles(phi2F, n, k):
         assert [(i, j) for i, j, _ in triples] == [
             (int(r) + op.row_lo, int(c_) + op.col_lo) for r, c_ in zip(rows, cols)
         ]
+
+
+@pytest.mark.parametrize("n,k", DIFFERENTIAL_NK)
+@pytest.mark.parametrize("phi2F", DIFFERENTIAL_PHI2F)
+def test_strain_stencil_bands_match_dense_oracles(phi2F, n, k):
+    # the bands the strain solver reads: T plus the interface terms is E
+    c = Coefficients(1.0, phi2F)
+    w = np.random.default_rng(n + k).standard_normal(2 * n)
+    for band, dense in ((n - 1, ea_dense(c, n)), (k, eqcf_dense(c, DomainSpec(n, k)))):
+        s = strain_stencil(n, band)
+        lower, diag, upper = s.tridiagonal(c)
+        E = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+        for rows, col in s.interfaces:
+            E[rows, col:col + 3] += c.phi2F * np.array([1.0, -2.0, 1.0])
+        assert_allclose(E, dense, rtol=0, atol=1e-15)
+        assert_allclose(s.apply(c, w), dense @ w, rtol=0, atol=1e-14 * np.max(np.abs(w)))

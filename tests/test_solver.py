@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from numpy.testing import assert_allclose
 
 from qcf1d.lattice import DomainSpec, Field, diff, diff4_centered, lp_norm
 from qcf1d import solver
-from qcf1d.operators import assemble_la, assemble_lqcf
 from qcf1d.potentials import Coefficients
 from qcf1d.solver import (
     ForceField,
@@ -13,6 +11,7 @@ from qcf1d.solver import (
     named_load,
     solve_atomistic,
     solve_qcf,
+    solve_strain,
     truncation_error_stencil,
 )
 from qcf1d.stability import dual_norm_star
@@ -20,6 +19,11 @@ from qcf1d.stability import dual_norm_star
 from oracles import (
     DIFFERENTIAL_NK,
     DIFFERENTIAL_PHI2F,
+    ea_dense,
+    eqcf_dense,
+    la_dense,
+    lqcf_dense,
+    solve_bordered_dense,
     solve_refined_dense,
     truncation_error_dense,
 )
@@ -54,37 +58,53 @@ def test_atomistic_solve_backward_stable_at_large_m():
     assert u.at(-3072) == 0.0 and u.at(3072) == 0.0
 
 
-def test_solve_gate_reports_condition_estimate(monkeypatch):
+def test_solve_gate_reports_dominance_margin(monkeypatch):
+    # the margin of the tridiagonal part T bounds ||T^{-1}|| by its inverse:
+    # min(phiF, phiF + 4*phi2F) for the strain operators
     monkeypatch.setattr(solver, "BACKWARD_ERROR_TOL", 0.0)
-    A = RNG.standard_normal((50, 50))
-    rcond = 1.0 / np.linalg.cond(A, np.inf)
-    with pytest.raises(RuntimeError, match="backward error") as exc:
-        solver._solve_refined(A, RNG.standard_normal(50), "test solve")
-    estimate = float(str(exc.value).rsplit(" ", 1)[1].rstrip(")"))
-    assert rcond / 10 <= estimate <= rcond * 10
+    g = RNG.standard_normal(64)
+    for k in (8, 31):  # coupled, atomistic
+        with pytest.raises(RuntimeError, match="test solve: backward error") as exc:
+            solve_strain(C, 32, k, g, 0.3, 1.0 / 32, "test solve")
+        margin = float(str(exc.value).rsplit(" ", 1)[1].rstrip(")"))
+        assert_allclose(margin, C.phiF + 4.0 * C.phi2F, rtol=1e-3)
 
 
-def test_singular_solve_is_a_numerical_failure():
-    # a zero pivot gives inf/NaN; that must surface as RuntimeError (exit 1),
-    # not as the ValueError of a configuration error (exit 2)
-    A = np.array([[1.0, 1.0], [1.0, 1.0]])
-    with pytest.warns(scipy.linalg.LinAlgWarning):
-        with pytest.raises(RuntimeError, match="not finite"):
-            solver._solve_refined(A, np.array([1.0, 2.0]), "test solve")
+def test_nonfinite_solve_is_a_numerical_failure():
+    # the summed load of finite samples overflows: that must surface as
+    # RuntimeError (exit 1), not as the ValueError of a configuration error
+    f = Field(np.full(65, 1e308), -32)
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="not finite"):
+        solve_atomistic(C, f, 1.0 / 8)
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="not finite"):
+        solve_qcf(C, f, DomainSpec(32, 8), 0.0, 0.0)
 
 
+@pytest.mark.filterwarnings("ignore:phiF \\+ 8\\*phi2F")
 @pytest.mark.parametrize("n,k", DIFFERENTIAL_NK)
 @pytest.mark.parametrize("phi2F", DIFFERENTIAL_PHI2F)
 def test_banded_solve_matches_dense_oracle(phi2F, n, k):
-    # La blocks are symmetric, Lqcf blocks are not
+    # the strain solve against a dense bordered solve of Ea and Eqcf, and
+    # both displacement wrappers against a dense LU of the interior block
     c = Coefficients(1.0, phi2F)
     spec = DomainSpec(n, k)
-    b = np.random.default_rng(n + k).standard_normal(2 * n - 1)
-    for L in (assemble_la(c, n, spec.eps), assemble_lqcf(c, spec)):
-        A = L.interior_block()
-        x = solver._solve_refined(A, b, "test solve")
-        x_dense = solve_refined_dense(A.toarray(), b)
-        assert np.max(np.abs(x - x_dense)) <= 1e-10 * np.max(np.abs(x_dense))
+    eps = spec.eps
+    rng = np.random.default_rng(n + k)
+    g, delta_u = rng.standard_normal(2 * n), rng.standard_normal()
+    for E, band in ((ea_dense(c, n), n - 1), (eqcf_dense(c, spec), k)):
+        w = solve_strain(c, n, band, g, delta_u, eps)
+        w_dense = solve_bordered_dense(E, g, delta_u, eps)
+        assert np.max(np.abs(w - w_dense)) <= 1e-12 * np.max(np.abs(w_dense))
+    f = Field(rng.standard_normal(2 * n + 1), -n)
+    bc = rng.standard_normal(2)
+    cases = (
+        (solve_atomistic(c, f, eps), la_dense(c, n, eps), (0.0, 0.0)),
+        (solve_qcf(c, f, spec, *bc), lqcf_dense(c, spec), bc),
+    )
+    for u, L, (left, right) in cases:
+        x_dense = solve_refined_dense(L[:, 1:-1], f.values[1:-1] - left * L[:, 0] - right * L[:, -1])
+        assert np.max(np.abs(u.values[1:-1] - x_dense)) <= 1e-10 * np.max(np.abs(x_dense))
+        assert u.values[0] == left and u.values[-1] == right
 
 
 def test_atomistic_solve_reflection_symmetry():
@@ -99,6 +119,14 @@ def test_atomistic_solve_reflection_symmetry():
 def test_atomistic_solve_needs_bulk_stability():
     with pytest.raises(ValueError):
         solve_atomistic(Coefficients(1.0, -0.3), Field(np.zeros(17), -8), 0.125)
+
+
+@pytest.mark.parametrize("phi2F", [-0.25, -0.3])
+def test_qcf_solve_needs_diagonal_dominance(phi2F):
+    # phiF + 4*phi2F <= 0 leaves the tridiagonal part of Eqcf without
+    # strict diagonal dominance, which cyclic reduction relies on
+    with pytest.raises(ValueError, match="coupled solve needs phiF \\+ 4\\*phi2F > 0"):
+        solve_qcf(Coefficients(1.0, phi2F), Field(np.zeros(33), -16), DomainSpec(16, 4), 0.0, 0.0)
 
 
 def test_qcf_solve_trivial_and_affine():
@@ -160,7 +188,7 @@ def test_truncation_error_supported_on_continuum():
     t = truncation_error_dense(u_a, C, spec)
     js = t.indices()
     # the two operators share their rows on the atomistic band, so the
-    # residual there sits at the rounding floor of the applications
+    # residual vanishes there
     assert np.max(np.abs(t.values[np.abs(js) <= 8])) <= 1e-12 / spec.eps**2
     assert t.at(-32) == 0.0 and t.at(32) == 0.0
     assert np.max(np.abs(t.values)) > 1e3 * np.max(np.abs(t.values[np.abs(js) <= 8]))
@@ -173,7 +201,7 @@ def test_truncation_error_matches_stencil_route():
         spec = DomainSpec(n, n // 4, M=4 * n)
         u_a = make_reference(spec)
         t = truncation_error_dense(u_a, C, spec)
-        ts = truncation_error_stencil(u_a, C, spec)
+        ts = truncation_error_stencil(diff(u_a, spec.eps), C, spec)
         assert np.max(np.abs(t.values - ts.values)) <= 1e-12 / spec.eps**2, n
         assert_allclose(dual_norm_star(ts, spec.eps), dual_norm_star(t, spec.eps), rtol=1e-6)
 
@@ -196,9 +224,9 @@ def test_truncation_vanishes_on_cubic_fields():
     spec = DomainSpec(16, 4, M=64)
     x = np.arange(-64, 65) * spec.eps
     cubic = Field(1.0 + x - 0.5 * x**2 + 0.25 * x**3, -64)
-    for route in (truncation_error_dense, truncation_error_stencil):
-        t = route(cubic, C, spec)
-        assert np.max(np.abs(t.values)) <= 1e-12 / spec.eps**2, route.__name__
+    stencil = truncation_error_stencil(diff(cubic, spec.eps), C, spec)
+    for name, t in (("dense", truncation_error_dense(cubic, C, spec)), ("stencil", stencil)):
+        assert np.max(np.abs(t.values)) <= 1e-12 / spec.eps**2, name
 
 
 def test_truncation_needs_reference_margin():
