@@ -2,6 +2,7 @@
 # Standard experiment sweeps; tables land in results/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 # one BLAS thread: eig-scan's eigenvalues move in the 11th digit with the
 # thread count, and the committed tables must not depend on the core count
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1

@@ -134,7 +134,7 @@ def _infsup_point(c: Coefficients, ps: Sequence[float], n: int, k: int) -> list[
     E = assemble_eqcf(c, spec)
     rows = [
         InfSupScanRow(n, k, np.inf, "lower_bound", 0.5 * rdd_margin(E)),
-        InfSupScanRow(n, k, 2.0, "exact", infsup_2(E)),
+        InfSupScanRow(n, k, 2.0, "exact", infsup_2(c, spec)),
     ]
     for p in ps:
         rows.append(InfSupScanRow(n, k, float(p), "upper_bound", infsup_p_upper(c, spec, p)))
@@ -168,7 +168,7 @@ def convergence_scan_with_checks(
 
 
 def _eig_point(c: Coefficients, n: int, k: int) -> EigScanRow:
-    ev = np.linalg.eigvals(assemble_lqcf(c, DomainSpec(n, k)).interior_block().toarray())
+    ev = np.linalg.eigvals(assemble_lqcf(c, DomainSpec(n, k)).interior_block())
     return EigScanRow(
         n,
         k,

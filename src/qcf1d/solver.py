@@ -9,15 +9,11 @@ Both are solved for strains.  A displacement u with L u = f in the
 interior has strain w = Du with E w = G + const, where E is the
 conjugate strain operator and G_i = eps * sum_{j>=i} f_j the summed load;
 the boundary values enter as the mean constraint
-eps * sum(w) = u(N) - u(-N).  E is the tridiagonal part T of
-strain_stencil plus one rank-one term per interface.  T is strictly row
-diagonally dominant when phiF + 4*phi2F > 0, and odd-even cyclic
-reduction keeps each reduced system so, with a margin no smaller than
-before, so it needs no pivoting (Heller, SIAM J. Numer. Anal. 13, 1976).
-One vectorised reduction takes every right-hand side, and a 3x3
-(reference: 1x1) system couples the constant of the mean constraint
-with the two interface values.  A solve costs O(N) in numpy alone, and
-the condition number of the strain system stays bounded in N, where
+eps * sum(w) = u(N) - u(-N).  The bordered strain solve of
+operators.StrainStencil (one cyclic reduction of the tridiagonal part
+of E, strictly diagonally dominant when phiF + 4*phi2F > 0, plus a 3x3,
+for the reference 1x1, capacitance system) costs O(N) in numpy alone,
+and the condition number of the strain system stays bounded in N, where
 that of the displacement system grows like M^2.
 
 Plugging the reference solution into the coupled equations leaves a
@@ -94,38 +90,6 @@ def named_load(name: str) -> ForceField:
         raise ValueError(f"unknown load '{name}', choose from {sorted(LOADS)}")
 
 
-def _cyclic_reduction(lower, diag, upper, rhs: np.ndarray) -> np.ndarray:
-    """Solve lower_i x_{i-1} + diag_i x_i + upper_i x_{i+1} = rhs_i, column by column.
-
-    lower[0] and upper[-1] are ignored as zero.  Eliminating the even
-    unknowns from each odd row leaves a tridiagonal system of half the
-    size in the odd unknowns; once it is solved, each even unknown takes
-    one division.  An even-sized system first gains a decoupled row
-    x = 0, so that every odd row has two even neighbors.
-    """
-    size = diag.size
-    if size == 1:
-        return rhs / diag[0]
-    if size % 2 == 0:
-        lower, diag, upper = np.append(lower, 0.0), np.append(diag, 1.0), np.append(upper, 0.0)
-        rhs = np.vstack([rhs, np.zeros((1, rhs.shape[1]))])
-    a, b, c, d = lower[0::2], diag[0::2], upper[0::2], rhs[0::2]
-    left = -lower[1::2] / b[:-1]
-    right = -upper[1::2] / b[1:]
-    x_odd = _cyclic_reduction(
-        left * a[:-1],
-        diag[1::2] + left * c[:-1] + right * a[1:],
-        right * c[1:],
-        rhs[1::2] + left[:, None] * d[:-1] + right[:, None] * d[1:],
-    )
-    padded = np.zeros((b.size + 1, rhs.shape[1]))
-    padded[1:-1] = x_odd
-    x = np.empty_like(rhs)
-    x[0::2] = (d - a[:, None] * padded[:-1] - c[:, None] * padded[1:]) / b[:, None]
-    x[1::2] = x_odd
-    return x[:size]
-
-
 def solve_strain(
     c: Coefficients, n: int, k: int, g: np.ndarray, delta_u: float, eps: float,
     what: str = "strain solve",
@@ -134,11 +98,10 @@ def solve_strain(
 
     E is phiF * I + phi2F * B with B = strain_stencil(n, k): the
     conjugate atomistic operator for k = n-1, the conjugate coupled one
-    for k = K.  Writing E = T + phi2F * sum_s chi_s a_s^T (chi_s marks
-    the far-field rows of interface s, a_s its [1, -2, 1] columns), one
-    cyclic reduction of T against g, 1 and each phi2F * chi_s gives w as
-    T^{-1} g + const * T^{-1} 1 - sum_s (a_s^T w) T^{-1} phi2F chi_s,
-    and a small dense solve fixes the constant and the a_s^T w.
+    for k = K.  The bordered solve of StrainStencil.factor writes E as
+    its tridiagonal part T plus one rank-one term per interface and
+    takes w from one cyclic reduction of T and a small capacitance
+    system for the constant and the interface values.
 
     Raises ValueError unless phiF + 4*phi2F > 0, which (with phiF > 0)
     makes T strictly row diagonally dominant.  Raises RuntimeError on a
@@ -150,36 +113,17 @@ def solve_strain(
     ||T|| + 4 |phi2F| on far-field rows, exact unless a far field is a
     single row wide.
     """
-    if not c.phiF + 4.0 * c.phi2F > 0.0:
-        raise ValueError(
-            f"{what} needs phiF + 4*phi2F > 0, got {c.phiF + 4.0 * c.phi2F}"
-        )
     s = strain_stencil(n, k)
-    lower, diag, upper = s.tridiagonal(c)
-    far = [c.phi2F * rows for rows, _ in s.interfaces]
-    y = _cyclic_reduction(lower, diag, upper, np.column_stack([g, np.ones(2 * n), *far]))
-
-    def constraints(v):  # eps * sum(v) and a_s^T v, per column of v
-        return np.array([eps * np.sum(v, axis=0)]
-                        + [v[col] - 2.0 * v[col + 1] + v[col + 2] for _, col in s.interfaces])
-
-    # w = y[:, 0] + Y z with z = (const, a_1^T w, ...); iface picks the a_s^T w
-    iface = np.append(0.0, np.ones(len(far)))
-    Y = y[:, 1:] * (1.0 - 2.0 * iface)
-    try:
-        z = np.linalg.solve(constraints(Y) - np.diag(iface),
-                            (1.0 - iface) * delta_u - constraints(y[:, 0]))
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"{what}: bordered system is singular") from exc
-    w = y[:, 0] + Y @ z
+    w, const = s.factor(c, "E", weight=eps, what=what).solve(g, delta_u)
     if not np.all(np.isfinite(w)):
         raise RuntimeError(f"{what}: solution is not finite")
-    resid = max(float(np.max(np.abs(s.apply(c, w) - g - z[0]))),
+    resid = max(float(np.max(np.abs(s.apply(c, w) - g - const))),
                 abs(eps * float(np.sum(w)) - delta_u))
+    lower, diag, upper = s.tridiagonal(c)
     off = np.abs(lower) + np.abs(upper)
     row_norms = np.abs(diag) + off + 4.0 * abs(c.phi2F) * sum(rows for rows, _ in s.interfaces)
     a_norm = max(float(np.max(row_norms)) + 1.0, 2.0 * n * eps)
-    scale = (a_norm * max(float(np.max(np.abs(w))), abs(z[0]))
+    scale = (a_norm * max(float(np.max(np.abs(w))), abs(const))
              + max(float(np.max(np.abs(g))), abs(delta_u)))
     if not resid <= BACKWARD_ERROR_TOL * scale:  # also catches NaN
         margin = float(np.min(np.abs(diag) - off))

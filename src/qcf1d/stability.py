@@ -13,36 +13,54 @@ constructions.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from .lattice import DomainSpec, Field, diff, lp_norm, summed_load
-from .operators import Operator, assemble_l1, assemble_lqcf, pair_with_test
+from .operators import Operator, assemble_eqcf, assemble_lqcf, pair_with_test, strain_stencil
 from .potentials import Coefficients
 
-if TYPE_CHECKING:
-    import scipy.sparse
-
 EIG_TOL = 1e-10
-
-# In every qcf1d module, scipy is imported only inside the functions that call
-# it: the import costs more than a whole patch test, which never needs scipy.
-
-
-def _square(A, what: str) -> scipy.sparse.csr_array:
-    """An Operator's entries, or any dense or sparse matrix, as square CSR."""
-    import scipy.sparse
-
-    M = scipy.sparse.csr_array(A.entries if isinstance(A, Operator) else A, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{what} needs a square matrix")
-    return M
+LANCZOS_TOL = 1e-10
+LANCZOS_MAX_ITER = 200
 
 
 def _start_vector(n: int) -> np.ndarray:
     """Fixed Lanczos start vector, so every run returns the same digits."""
     return np.random.default_rng(0).uniform(-1.0, 1.0, n)
+
+
+def _lanczos_max(op, n: int, what: str) -> tuple:
+    """Largest eigenvalue and unit eigenvector of a symmetric op on mean-zero vectors of size n.
+
+    Plain Lanczos with full reorthogonalisation (Golub and Van Loan,
+    Matrix Computations, ch. 10) from the fixed start vector, stopped
+    when the residual |beta_m s_m| of the largest Ritz pair falls to
+    LANCZOS_TOL times its Ritz value, or when the Krylov space is
+    invariant.  Raises RuntimeError after LANCZOS_MAX_ITER steps.
+    """
+    v = _start_vector(n)
+    v -= v.mean()
+    basis = np.empty((min(n, 32), n))
+    basis[0] = v / np.linalg.norm(v)
+    alpha, beta = [], []
+    resid = theta = np.inf
+    for m in range(min(LANCZOS_MAX_ITER, n - 1)):
+        w = op(basis[m])
+        alpha.append(float(basis[m] @ w))
+        for _ in range(2):  # twice is enough (Kahan, Parlett)
+            w -= basis[: m + 1].T @ (basis[: m + 1] @ w)
+        beta.append(float(np.linalg.norm(w)))
+        ritz, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
+        theta, resid = ritz[-1], beta[-1] * abs(vecs[-1, -1])
+        if resid <= LANCZOS_TOL * abs(theta) or m + 2 == n:
+            return float(theta), basis[: m + 1].T @ vecs[:, -1]
+        if m + 1 == basis.shape[0]:
+            basis = np.vstack([basis, np.empty_like(basis)])
+        basis[m + 1] = w / beta[-1]
+    raise RuntimeError(
+        f"{what}: Lanczos did not converge in {LANCZOS_MAX_ITER} iterations "
+        f"(residual {resid:.3e} > {LANCZOS_TOL:.1e} * Ritz value {theta:.3e})"
+    )
 
 
 def quadratic_form(c: Coefficients, spec: DomainSpec, v: Field) -> float:
@@ -52,54 +70,83 @@ def quadratic_form(c: Coefficients, spec: DomainSpec, v: Field) -> float:
     return pair_with_test(assemble_lqcf(c, spec), v, v, spec.eps)
 
 
-def _rayleigh_pencil(c: Coefficients, spec: DomainSpec) -> tuple:
-    """Symmetrized coupled interior block A, Gram matrix B of ||Dv||^2 (eps * L1)."""
-    Li = assemble_lqcf(c, spec).interior_block()
-    return spec.eps * 0.5 * (Li + Li.T), spec.eps * assemble_l1(spec.N, spec.eps).interior_block()
+def _below_spectrum(solve, c: Coefficients) -> bool:
+    """Whether the bordered solve of sym(E) - sigma has sigma below the mean-zero spectrum.
 
-
-def _certified_shift(A, B) -> float:
-    """A shift sigma below every generalized eigenvalue of banded (A, B).
-
-    With B positive definite, A - sigma*B has a Cholesky factorization
-    exactly when every eigenvalue exceeds sigma.  sigma starts at -1 and
-    doubles downward until the banded factorization (LAPACK upper band
-    storage) succeeds, which it must since B is definite.
+    With A = sym(T) - sigma positive definite and sym(E) - sigma =
+    A + U C U^T, Sylvester's law of inertia applied to
+    [[A, U, 1], [U^T, -C^{-1}, 0], [1^T, 0, 0]] in two elimination orders
+    shows that the Schur matrix -C^{-1} - [1 U]^T A^{-1} [1 U] (C^{-1}
+    padded by a zero for the 1 column) has r/2 + 1 + m negative
+    eigenvalues, where m counts the eigenvalues below sigma of sym(E)
+    on mean-zero strains and r/2 those of -C^{-1}.  The factor holds
+    A^{-1} [1, U C], so [1 U]^T A^{-1} [1 U] is its Gram matrix times
+    diag(1, C^{-1}).
     """
-    import scipy.linalg
+    r = solve.gram.shape[0] - 1
+    c_inv = np.zeros((r + 1, r + 1))
+    if r:
+        c_inv[1:, 1:] = np.kron(np.eye(r // 2), [[0.0, 2.0 / c.phi2F], [2.0 / c.phi2F, 0.0]])
+    one_c_inv = c_inv.copy()
+    one_c_inv[0, 0] = 1.0  # diag(1, C^{-1})
+    schur = -c_inv - solve.gram @ one_c_inv
+    eig = np.linalg.eigvalsh(0.5 * (schur + schur.T))
+    return np.count_nonzero(eig < 0.0) == r // 2 + 1 and np.count_nonzero(eig > 0.0) == r // 2
 
-    a, b = (np.array([np.pad(S.diagonal(d), (d, 0)) for d in (2, 1, 0)]) for S in (A, B))
+
+def _shift_below_spectrum(c: Coefficients, spec: DomainSpec) -> tuple:
+    """(sigma, bordered solve of sym(Eqcf) - sigma) for the first certified sigma in -1, -2, -4, ...
+
+    sigma is first taken low enough that sym(T) - sigma is strictly
+    diagonally dominant, hence positive definite, and then until
+    _below_spectrum certifies it.  A certified sigma also lies below the
+    Rayleigh quotient <E w, w> / <w, w> of every trial strain w, so the
+    shifts above that of the spike candidates' strains are skipped
+    without factoring them; the sigma found is the same.
+    """
+    s = strain_stencil(spec.N, spec.K)
+    lower, diag, upper = s.tridiagonal(c, "sym")
+    bound = float(np.min(diag - np.abs(lower) - np.abs(upper)))
+    if spec.N - spec.K > 2:  # room for the candidates' ramp
+        for sign in "+-":
+            w = np.diff(unstable_candidate(spec, sign, normalize=False).values)
+            bound = min(bound, float(w @ s.apply(c, w) / (w @ w)))
     sigma = -1.0
+    while not sigma < bound:
+        sigma *= 2.0
     while True:
-        try:
-            scipy.linalg.cholesky_banded(a - sigma * b)
-            return sigma
-        except scipy.linalg.LinAlgError:
-            sigma *= 2.0
+        solve = s.factor(c, "sym", shift=sigma)
+        if _below_spectrum(solve, c):
+            return sigma, solve
+        sigma *= 2.0
 
 
 def rayleigh_min(c: Coefficients, spec: DomainSpec) -> float:
     """Minimum of <L v, v> over fields vanishing at +-N with ||Dv|| = 1.
 
-    Only the symmetric part of the operator enters a quadratic form, so
-    this is the smallest eigenvalue of the symmetrized interior block A
-    against the strain Gram matrix B: the one nearest a shift sigma that
-    a banded Cholesky factorization of A - sigma*B certifies to lie below
-    the spectrum, found by shift-invert Lanczos.  It is returned as the
-    Rayleigh quotient of the Lanczos vector (2e-12 relative at N=4096,
-    where the Ritz value is off by 4e-10), and the pair must pass a
-    residual check scaled by Frobenius norms.
+    By the conjugate identity <L v, v> = <E Dv, Dv>, and since Dv ranges
+    over all mean-zero strains, this is the smallest eigenvalue of
+    sym(E) on mean-zero strains, E = Eqcf.  Shift-invert Lanczos finds
+    it from the bordered solve of sym(E) - sigma, with sigma certified
+    below the spectrum by an inertia count (_shift_below_spectrum).  It
+    is returned as the Rayleigh quotient of the Lanczos vector, and the
+    pair must pass a residual check scaled by ||E||_F >= ||sym(E)||_F
+    and ||I||_F.
     """
-    import scipy.sparse.linalg
+    n = 2 * spec.N
+    _, solve = _shift_below_spectrum(c, spec)
 
-    A, B = _rayleigh_pencil(c, spec)
-    _, vecs = scipy.sparse.linalg.eigsh(
-        A, k=1, M=B, sigma=_certified_shift(A, B), which="LM", v0=_start_vector(A.shape[0])
-    )
-    x = vecs[:, 0]
-    lam = float(x @ (A @ x) / (x @ (B @ x)))
-    resid = np.linalg.norm(A @ x - lam * (B @ x))
-    scale = (np.linalg.norm(A.data) + abs(lam) * np.linalg.norm(B.data)) * np.linalg.norm(x)
+    def shift_invert(x):
+        y = solve.solve(x - x.mean())[0]
+        return y - y.mean()
+
+    _, x = _lanczos_max(shift_invert, n, "rayleigh_min")
+    E = assemble_eqcf(c, spec)
+    hx = 0.5 * (np.bincount(E.row, E.value * x[E.col], minlength=n)
+                + np.bincount(E.col, E.value * x[E.row], minlength=n))
+    lam = float(x @ hx / (x @ x))
+    resid = np.linalg.norm(hx - hx.mean() - lam * x)
+    scale = (np.linalg.norm(E.value) + abs(lam) * np.sqrt(n)) * np.linalg.norm(x)
     if scale > 0 and resid > EIG_TOL * scale:
         raise RuntimeError(
             f"eigensolve residual {resid:.3e} exceeds {EIG_TOL:.1e} * {scale:.3e}"
@@ -133,50 +180,51 @@ def unstable_candidate(spec: DomainSpec, sign: str = "-", normalize: bool = True
 
 
 def rdd_margin(A) -> float:
-    """Row diagonal-dominance margin gamma of a square matrix.
+    """Row diagonal-dominance margin gamma of a square dense array or Operator.
 
     gamma = min_i (A_ii + sum of negative off-diagonals in row i)
             - max_i (sum of positive off-diagonals in row i).
     When gamma > 0 the mean-zero max-norm/1-norm inf-sup constant of A is
     at least gamma/2.
     """
-    import scipy.sparse
+    shape = A.shape if isinstance(A, Operator) else np.shape(A)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError("rdd_margin needs a square matrix")
+    if isinstance(A, Operator):
+        row, col, value = A.row, A.col, A.value
+    else:
+        row, col = np.indices(shape).reshape(2, -1)
+        value = np.asarray(A, dtype=float).ravel()
+    off = np.where(row != col, value, 0.0)
 
-    M = _square(A, "rdd_margin")
-    off = M - scipy.sparse.diags_array(M.diagonal())
-    neg = off.minimum(0.0).sum(axis=1)
-    pos = off.maximum(0.0).sum(axis=1)
-    return float(np.min(M.diagonal() + neg) - np.max(pos))
+    def row_sums(v):
+        return np.bincount(row, v, minlength=shape[0])
+
+    diag = row_sums(np.where(row == col, value, 0.0))
+    return float(np.min(diag + row_sums(np.minimum(off, 0.0))) - np.max(row_sums(np.maximum(off, 0.0))))
 
 
-def infsup_2(A) -> float:
-    """Inf-sup constant of A over mean-zero strains in the 2-norm pairing.
+def infsup_2(c: Coefficients, spec: DomainSpec) -> float:
+    """Inf-sup constant of Eqcf over mean-zero strains in the 2-norm pairing.
 
-    Equals the smallest singular value s of A compressed to the mean-zero
-    subspace (the eps-weights cancel between trial and test norms).  The
-    solve S of the bordered system [[A, -1], [1^T, 0]] (one sparse LU)
-    maps b to the mean-zero x with A x - b constant: the inverse of the
-    compressed A.  Lanczos on x -> P S^T S P x, with P removing the
-    mean, returns 1/s^2 as the largest eigenvalue.
+    Equals the smallest singular value s of E compressed to the
+    mean-zero subspace (the eps-weights cancel between trial and test
+    norms).  The bordered solve S of E maps b to the mean-zero x with
+    E x - b constant: the inverse of the compressed E; S^T is the
+    bordered solve of E^T.  Lanczos on x -> P S^T S P x, with P removing
+    the mean, returns 1/s^2 as the largest eigenvalue.  Raises
+    ValueError unless phiF + 4*phi2F > 0, as the coupled solve does.
     """
-    import scipy.sparse.linalg
-
-    M = _square(A, "infsup_2")
-    n = M.shape[0]
-    one = np.ones((n, 1))
-    bordered = scipy.sparse.block_array([[M, -one], [one.T, None]], format="csc")
-    lu = scipy.sparse.linalg.splu(bordered)
+    s = strain_stencil(spec.N, spec.K)
+    solve, solve_t = (s.factor(c, form, what="infsup_2") for form in ("E", "E^T"))
 
     def normal(x):
-        y = lu.solve(np.append(x - x.mean(), 0.0))[:n]
-        z = lu.solve(np.append(y, 0.0), trans="T")[:n]
+        y = solve.solve(x - x.mean())[0]
+        z = solve_t.solve(y - y.mean())[0]
         return z - z.mean()
 
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=normal, dtype=float)
-    lam = scipy.sparse.linalg.eigsh(
-        op, k=1, which="LA", v0=_start_vector(n), return_eigenvectors=False
-    )
-    return float(1.0 / np.sqrt(lam[0]))
+    lam, _ = _lanczos_max(normal, 2 * spec.N, "infsup_2")
+    return float(1.0 / np.sqrt(lam))
 
 
 def interface_probe(c: Coefficients, spec: DomainSpec) -> Field:

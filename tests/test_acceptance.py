@@ -140,7 +140,7 @@ def test_c04_jacobian_consistency():
     worst = 0.0
     for name, (L, force) in cases.items():
         J = fd_jacobian(lambda v: force(v).values, y.values)
-        scaled_L = eps**2 * L.entries
+        scaled_L = eps**2 * L.toarray()
         gap = np.max(np.abs(scaled_L + eps**2 * J))  # L = -dF/dy
         rel = gap / np.max(np.abs(scaled_L))
         assert rel <= 1e-6, name
@@ -189,7 +189,7 @@ def test_c07_infsup_decay():
     # rate fits use coefficients whose probe weight vanishes (alpha = 0),
     # which reach the asymptotic decay inside this window
     c_rate = Coefficients(1.0, -0.2)
-    exact = {n: infsup_2(assemble_eqcf(c_rate, DomainSpec(n, n // 4))) for n in ns}
+    exact = {n: infsup_2(c_rate, DomainSpec(n, n // 4)) for n in ns}
     slope2 = loglog_slope(ns, [exact[n] for n in ns])
     assert abs(slope2 - (-0.5)) <= 0.1
     for p in (1.0, 2.0, 4.0):

@@ -393,3 +393,11 @@ def test_convergence_holds_at_large_n(tmp_path):
     assert extras["all_inequalities_hold"] == "1"
     assert abs(float(extras["slope_err_vs_eps"]) - 2.0) <= 0.2
     assert [int(r["N"]) for r in rows] == [16384, 32768, 65536, 131072]
+
+
+def test_infsup_outside_dominance_exits_2(tmp_path, capsys):
+    code = main(["infsup", "--phiF", "1", "--phi2F", "-0.3", "--N-list", "16,32",
+                 "--out", str(tmp_path / "i.csv")])
+    assert code == 2
+    assert "infsup_2 needs phiF + 4*phi2F > 0 (diagonal dominance of T), got -0.2" in capsys.readouterr().err
+    assert not (tmp_path / "i.csv").exists()

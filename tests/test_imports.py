@@ -1,7 +1,8 @@
-"""scipy stays out of every run that builds no operator, and out of convergence.
+"""No subcommand loads scipy: qcf1d runs on numpy alone.
 
-The convergence study solves for strains with a numpy kernel that reads
-the strain stencil as bands, so it builds no operator either.
+Operators are numpy (row, col, value) arrays, and every solve, eigen-
+and singular-value kernel runs on the bordered strain solve.  Only the
+dense test oracles use scipy.
 
 Each case runs a fresh interpreter, since this test session has long
 since imported scipy itself.
@@ -11,13 +12,9 @@ import json
 import os
 import subprocess
 import sys
-import typing
 from pathlib import Path
 
-import scipy.sparse
-
 import qcf1d
-from qcf1d import operators, stability
 
 SRC = str(Path(qcf1d.__file__).resolve().parents[1])
 
@@ -65,29 +62,23 @@ def test_convergence_loads_no_scipy(tmp_path):
     assert "# all_inequalities_hold=1" in out.read_text()
 
 
-OPERATOR_RUNS = """
+STABILITY_RUNS = """
 import json, sys
-from qcf1d import Coefficients, assemble_ea
 import qcf1d.cli
-E = assemble_ea(Coefficients(1.0, -0.2), 4, 0.25)
-triples = E.to_triples()
-code = qcf1d.cli.main(["coercivity", "--phiF", "1", "--phi2F", "-0.2",
-                       "--N-list", "16,32", "--out", sys.argv[1]])
-print(json.dumps({"triples": triples[:3], "nnz": len(triples), "code": code,
-                  "sparse_loaded": "scipy.sparse" in sys.modules}))
+runs = [
+    ["coercivity", "--phiF", "1", "--phi2F", "-0.2", "--N-list", "16,32"],
+    ["infsup", "--phiF", "1", "--phi2F", "-0.2", "--N-list", "16,32", "--p-list", "1,2,4"],
+    ["dump-operator", "--operator", "Eqcf", "--N", "8", "--K", "2", "--phiF", "1", "--phi2F", "1"],
+    ["eig-scan", "--phiF", "1", "--phi2F", "-0.2", "--N-list", "16,32"],
+]
+codes = [qcf1d.cli.main(argv + ["--out", f"{sys.argv[1]}/{argv[0]}.csv"]) for argv in runs]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
 """
 
 
-def test_operator_build_and_coercivity_load_scipy_sparse(tmp_path):
-    got = fresh_run(OPERATOR_RUNS, tmp_path / "c.csv")
-    # bonds -3..4: phiF + phi2F * [1,1] corner rows and [1,2,1] band rows
-    assert got["triples"] == [[-3, -3, 0.8], [-3, -2, -0.2], [-2, -3, -0.2]]
-    assert got["nnz"] == 3 * 8 - 2
-    assert got["code"] == 0 and got["sparse_loaded"]
-
-
-def test_sparse_annotations_name_csr_array():
-    # the annotations are import-time strings; they resolve wherever scipy is bound
-    ns = {"scipy": scipy}
-    assert typing.get_type_hints(operators.Operator, localns=ns)["entries"] is scipy.sparse.csr_array
-    assert typing.get_type_hints(stability._square, localns=ns)["return"] is scipy.sparse.csr_array
+def test_stability_commands_load_no_scipy(tmp_path):
+    assert fresh_run(STABILITY_RUNS, tmp_path) == {"codes": [0, 0, 0, 0], "scipy": []}
+    rows = {path.stem: path.read_text().splitlines() for path in tmp_path.glob("*.csv")}
+    assert rows["coercivity"][-2].startswith("16,4,")
+    assert sum(line.startswith("32,8,2.0,exact,") for line in rows["infsup"]) == 1
+    assert len(rows["dump-operator"]) > 20 and len(rows["eig-scan"]) > 2

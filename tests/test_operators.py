@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_max_ulp
 from qcf1d.chain import force_atomistic, force_lqc, force_qcf
 from qcf1d.lattice import DomainSpec, Field, diff, inner, uniform_positions
 from qcf1d.operators import (
+    Operator,
     assemble_ea,
     assemble_eqcf,
     assemble_l1,
@@ -70,7 +71,7 @@ def test_la_stencils():
     # first row: one-sided next-nearest stencil with 4 nonzeros
     assert_allclose(A.at(-5, -5), (2 * C.phiF + C.phi2F) * s)
     assert_allclose(A.at(-5, -3), -C.phi2F * s)
-    assert np.count_nonzero(A.entries.toarray()[0]) == 4
+    assert np.count_nonzero(A.toarray()[0]) == 4
 
 
 def test_la_interior_rows_annihilate_affine():
@@ -101,9 +102,9 @@ def test_llqc_stencil_readoff():
 
 def test_lqcf_row_dispatch_is_exact():
     spec = DomainSpec(16, 4)
-    Lq = assemble_lqcf(C, spec).entries.toarray()
-    La = assemble_la(C, 16, spec.eps).entries.toarray()
-    Ll = assemble_llqc(C, 16, spec.eps).entries.toarray()
+    Lq = assemble_lqcf(C, spec).toarray()
+    La = assemble_la(C, 16, spec.eps).toarray()
+    Ll = assemble_llqc(C, 16, spec.eps).toarray()
     for j in range(-15, 16):
         i = j + 15
         if abs(j) <= 4:
@@ -139,9 +140,9 @@ def test_lqcf_is_not_symmetric():
 
 def test_lqcf_splits_into_l1_and_l2():
     spec = DomainSpec(12, 3)
-    Lq = assemble_lqcf(C, spec).entries.toarray()
-    L1 = assemble_l1(12, spec.eps).entries.toarray()
-    L2 = assemble_l2(spec).entries.toarray()
+    Lq = assemble_lqcf(C, spec).toarray()
+    L1 = assemble_l1(12, spec.eps).toarray()
+    L2 = assemble_l2(spec).toarray()
     assert_allclose(Lq, C.phiF * L1 + C.phi2F * L2, rtol=1e-14, atol=1e-9)
 
 
@@ -151,27 +152,27 @@ def test_bandwidth_and_sparsity():
     for i, j, _ in Lq.to_triples():
         assert abs(i - j) <= 2
     Eq = assemble_eqcf(C, spec)
-    counts = (Eq.entries.toarray() != 0.0).sum(axis=1)
+    counts = (Eq.toarray() != 0.0).sum(axis=1)
     assert counts.max() <= 4
     # atomistic band rows are symmetric tridiagonal
     off = 15  # bond j at offset j + off
-    band = Eq.entries.toarray()[-4 + off : 5 + off + 1, :]
+    band = Eq.toarray()[-4 + off : 5 + off + 1, :]
     for local, i in enumerate(range(-4 + off, 5 + off + 1)):
         row = band[local]
         nz = np.nonzero(row)[0]
         assert set(nz) <= {i - 1, i, i + 1}
-    sub = Eq.entries.toarray()[-4 + off : 5 + off + 1, -4 + off : 5 + off + 1]
+    sub = Eq.toarray()[-4 + off : 5 + off + 1, -4 + off : 5 + off + 1]
     assert np.array_equal(sub, sub.T)
 
 
 def test_ea_structure():
     m = 5
     E = assemble_ea(C, m, 0.2)
-    B = (E.entries.toarray() - C.phiF * np.eye(2 * m)) / C.phi2F
+    B = (E.toarray() - C.phiF * np.eye(2 * m)) / C.phi2F
     assert_allclose(B[0], [1, 1, 0, 0, 0, 0, 0, 0, 0, 0], atol=1e-14)
     assert_allclose(B[1], [1, 2, 1, 0, 0, 0, 0, 0, 0, 0], atol=1e-14)
     assert_allclose(B[-1], [0, 0, 0, 0, 0, 0, 0, 0, 1, 1], atol=1e-14)
-    assert np.array_equal(E.entries.toarray(), E.entries.toarray().T)
+    assert np.array_equal(E.toarray(), E.toarray().T)
 
 
 def test_weak_form_identity_ea():
@@ -266,7 +267,7 @@ def test_operators_linearize_their_force_fields(assemble, force_name):
         "qcf": lambda y: force_qcf(y, spec, LJ),
     }
     J = jacobian_of(forces[force_name], n, eps, F)
-    L = assemble(c, n, eps, spec).entries
+    L = assemble(c, n, eps, spec).toarray()
     # linearizing the equilibrium equations gives L = -dF/dy exactly
     scaled = eps**2 * L
     gap = np.max(np.abs(scaled - (-(eps**2) * J)))
@@ -314,6 +315,19 @@ def test_l2_decomposition_requires_homogeneous_test_field():
         l2_decomposition(v, bad, spec)
 
 
+def test_operator_stores_sorted_summed_nonzero_triples():
+    # unsorted input with a duplicate (0, 1) and an entry that cancels to zero
+    op = Operator([1, 0, 0, 1, 0], [0, 1, 2, 1, 1], [2.0, 1.0, 3.0, 0.0, -0.5], (2, 3), -1, -2)
+    assert op.to_triples() == [(-1, -1, 0.5), (-1, 0, 3.0), (0, -2, 2.0)]
+    assert op.at(0, -1) == 0.0 and op.at(-1, -1) == 0.5
+    assert_allclose(op.toarray(), [[0.0, 0.5, 3.0], [2.0, 0.0, 0.0]])
+    assert_allclose(op.apply(Field(np.array([1.0, 2.0, 4.0]), -2)).values, [13.0, 2.0])
+    with pytest.raises(IndexError):
+        op.at(1, 0)
+    with pytest.raises(ValueError, match="outside the shape"):
+        Operator([2], [0], [1.0], (2, 3), 0, 0)
+
+
 def test_operator_apply_rejects_range_mismatch():
     A = assemble_la(C, 4, 0.25)
     with pytest.raises(ValueError):
@@ -336,8 +350,8 @@ def test_sparse_assembly_matches_dense_oracles(phi2F, n, k):
         (assemble_eqcf(c, spec), eqcf_dense(c, spec)),
     ]
     for op, dense in cases:
-        assert op.entries.shape == dense.shape
-        assert_array_max_ulp(op.entries.toarray(), dense, maxulp=1)
+        assert op.shape == dense.shape
+        assert_array_max_ulp(op.toarray(), dense, maxulp=1)
         # stored pattern = nonzero pattern, read row-major
         rows, cols = np.nonzero(dense)
         triples = op.to_triples()

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from qcf1d import stability
 from qcf1d.lattice import DomainSpec, Field, diff, lp_norm
-from qcf1d.operators import assemble_ea, assemble_eqcf, assemble_l2, pair_with_test
+from qcf1d.operators import assemble_ea, assemble_eqcf, assemble_l2, pair_with_test, strain_stencil
 from qcf1d.potentials import Coefficients
 from qcf1d.stability import (
-    _certified_shift,
-    _rayleigh_pencil,
+    _below_spectrum,
+    _shift_below_spectrum,
     dual_norm_star,
     infsup_2,
     infsup_p_upper,
@@ -102,7 +103,8 @@ def test_rdd_margin_independent_of_split(n):
 
 
 def test_infsup_2_identity():
-    assert_allclose(infsup_2(np.eye(12)), 1.0, atol=1e-12)
+    # phi2F = 0 leaves E = phiF * I on 12 bonds
+    assert_allclose(infsup_2(Coefficients(1.5, 0.0), DomainSpec(6, 2)), 1.5, atol=1e-12)
 
 
 def test_infsup_2_decay_rate():
@@ -110,7 +112,7 @@ def test_infsup_2_decay_rate():
     # N^(-1/2) rate inside this window
     c = Coefficients(1.0, -0.2)
     ns = [64, 128, 256, 512]
-    vals = [infsup_2(assemble_eqcf(c, DomainSpec(n, n // 4))) for n in ns]
+    vals = [infsup_2(c, DomainSpec(n, n // 4)) for n in ns]
     slope = np.polyfit(np.log(ns), np.log(vals), 1)[0]
     assert abs(slope - (-0.5)) <= 0.1
 
@@ -118,7 +120,7 @@ def test_infsup_2_decay_rate():
 def test_infsup_2_below_upper_bound():
     for n in (64, 128, 256):
         spec = DomainSpec(n, n // 4)
-        assert infsup_2(assemble_eqcf(C, spec)) <= infsup_p_upper(C, spec, 2) + 1e-12
+        assert infsup_2(C, spec) <= infsup_p_upper(C, spec, 2) + 1e-12
 
 
 def test_infsup_p_upper_matches_direct_computation():
@@ -225,7 +227,7 @@ def test_certified_bound_never_beaten_by_candidates():
     rng = np.random.default_rng(23)
     for n in (8, 16, 32):
         for k in range(2, n // 2 + 1):
-            E = assemble_eqcf(C, DomainSpec(n, k)).entries
+            E = assemble_eqcf(C, DomainSpec(n, k)).toarray()
             X = rng.standard_normal((300, 2 * n))
             X = np.vstack([X, interface_probe(C, DomainSpec(n, k)).values])
             X -= X.mean(axis=1, keepdims=True)
@@ -262,8 +264,62 @@ def test_sparse_kernels_match_dense_oracles(phi2F, n, k):
     spec = DomainSpec(n, k)
     dense = rayleigh_min_dense(c, spec)
     assert_allclose(rayleigh_min(c, spec), dense, rtol=1e-9)
-    sigma = _certified_shift(*_rayleigh_pencil(c, spec))
+    sigma, _ = _shift_below_spectrum(c, spec)
     assert sigma < dense
-    assert_allclose(
-        infsup_2(assemble_eqcf(c, spec)), infsup_2_dense(eqcf_dense(c, spec)), rtol=1e-9
-    )
+    assert_allclose(infsup_2(c, spec), infsup_2_dense(eqcf_dense(c, spec)), rtol=1e-9)
+
+
+@pytest.mark.parametrize("n,k", DIFFERENTIAL_NK)
+def test_rayleigh_min_where_t_alone_is_not_dominant(n, k):
+    # phiF + 4*phi2F = -0.6: only the shift makes sym(T) - sigma dominant
+    c = Coefficients(1.0, -0.4)
+    spec = DomainSpec(n, k)
+    assert_allclose(rayleigh_min(c, spec), rayleigh_min_dense(c, spec), rtol=1e-9)
+
+
+@pytest.mark.parametrize("n,k", DIFFERENTIAL_NK)
+@pytest.mark.parametrize("phi2F", [-0.249, -0.25 + 1e-6])
+def test_infsup_2_near_the_dominance_limit(phi2F, n, k):
+    # The bordered solve divides by pivots of T no smaller than its
+    # dominance margin phiF + 4*phi2F, and its capacitance step cancels
+    # terms up to ||T^-1|| ~ 1/margin in size, so its rounding grows like
+    # 1/margin while the compressed E stays well conditioned: measured
+    # 3.8e-13 at margin 4e-3 and 3.5e-9 at 4e-6 on this grid, about
+    # 1.4e-14 / margin.  So the tolerance scales with 1/margin, with a
+    # factor 7 of room; at -0.249 it is 2.5e-11, tighter than 1e-9.
+    c = Coefficients(1.0, phi2F)
+    spec = DomainSpec(n, k)
+    margin = c.phiF + 4.0 * c.phi2F
+    assert_allclose(infsup_2(c, spec), infsup_2_dense(eqcf_dense(c, spec)), rtol=1e-13 / margin)
+
+
+@pytest.mark.parametrize("phi2F,margin", [(-0.25, "0"), (-0.3, "-0.2")])
+def test_infsup_2_needs_diagonal_dominance(phi2F, margin):
+    with pytest.raises(ValueError, match=rf"infsup_2 needs phiF \+ 4\*phi2F > 0 .*, got {margin}$"):
+        infsup_2(Coefficients(1.0, phi2F), DomainSpec(16, 4))
+
+
+@pytest.mark.parametrize("n,k", DIFFERENTIAL_NK)
+@pytest.mark.parametrize("phi2F", DIFFERENTIAL_PHI2F + [-0.4])
+def test_inertia_certificate_matches_dense_eigenvalues(phi2F, n, k):
+    # on both sides of the smallest eigenvalue, wherever sym(T) - sigma
+    # is strictly dominant, as the certificate requires
+    c = Coefficients(1.0, phi2F)
+    spec = DomainSpec(n, k)
+    dense = rayleigh_min_dense(c, spec)
+    s = strain_stencil(n, k)
+    lower, diag, upper = s.tridiagonal(c, "sym")
+    dominant_below = np.min(diag - np.abs(lower) - np.abs(upper))
+    checked = 0
+    for sigma in dense + np.array([-1.0, -1e-3, 1e-3, 0.5]) * max(1.0, abs(dense)):
+        if sigma < dominant_below:
+            assert _below_spectrum(s.factor(c, "sym", shift=sigma), c) == (sigma < dense), sigma
+            checked += 1
+    assert checked >= 2
+
+
+@pytest.mark.parametrize("kernel", [rayleigh_min, infsup_2])
+def test_lanczos_cap_is_a_numerical_failure(kernel, monkeypatch):
+    monkeypatch.setattr(stability, "LANCZOS_MAX_ITER", 2)
+    with pytest.raises(RuntimeError, match=r"did not converge in 2 iterations \(residual [0-9.e+-]+ >"):
+        kernel(Coefficients(1.0, -0.2), DomainSpec(64, 16))
