@@ -17,14 +17,15 @@ at the boundary.  The conjugate of the coupled operator is not banded:
 interface and far-field rows carry three extra entries in the interface
 columns, the fingerprint of the coupling being non-conservative.
 
-Matrices are sparse (row-major (row, col, value) arrays, at most five
-nonzeros per row) and assembled without loops from two region tables:
-displacement operators from the spring constants of each row's two
-second-difference stencils, strain operators from the next-nearest band
-plus the interface columns of strain_stencil.  Assembly and application
-cost O(N).  The strain solves and the stability kernels never build a
-matrix: StrainStencil.factor factors the bands of E, E^T or sym(E)
-directly, as a tridiagonal part plus a few rank-one terms.
+Strain operators have one source, the bands of StrainStencil: split
+writes E, E^T or sym(E) as a tridiagonal part plus a few rank-one terms,
+which factor solves with and apply multiplies by, and entries lists E's
+nonzeros.  The strain solves and the stability kernels read E there and
+build no matrix.  The sparse Operator (row-major (row, col, value)
+arrays, at most five nonzeros per row) serves dump-operator, eig-scan and
+the tests: displacement operators are assembled without loops from the
+spring constants of each row's two second-difference stencils, strain
+operators from StrainStencil.entries, both in O(N).
 """
 
 from __future__ import annotations
@@ -36,21 +37,6 @@ import numpy as np
 
 from .lattice import DomainSpec, Field, diff, diff3, inner
 from .potentials import Coefficients
-
-
-def _coalesce(shape: tuple, row, col, value) -> tuple:
-    """(row, col, value) arrays sorted row-major, with duplicates summed."""
-    row, col = np.asarray(row, dtype=np.int64), np.asarray(col, dtype=np.int64)
-    value = np.asarray(value, dtype=float)
-    if row.size and (min(row.min(), col.min()) < 0 or row.max() >= shape[0] or col.max() >= shape[1]):
-        raise ValueError(f"an entry lies outside the shape {shape}")
-    key = row * shape[1] + col
-    if np.any(key[1:] <= key[:-1]):
-        order = np.argsort(key, kind="stable")
-        row, col, value, key = row[order], col[order], value[order], key[order]
-        first = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
-        row, col, value = row[first], col[first], np.add.reduceat(value, first)
-    return row, col, value
 
 
 @dataclass(frozen=True)
@@ -69,12 +55,21 @@ class Operator:
     col_lo: int
 
     def __post_init__(self):
-        row, col, value = _coalesce(self.shape, self.row, self.col, self.value)
+        """Sort the entries row-major, sum duplicates and drop zeros."""
+        shape = tuple(self.shape)
+        row, col = np.asarray(self.row, dtype=np.int64), np.asarray(self.col, dtype=np.int64)
+        value = np.asarray(self.value, dtype=float)
+        if row.size and (min(row.min(), col.min()) < 0 or row.max() >= shape[0] or col.max() >= shape[1]):
+            raise ValueError(f"an entry lies outside the shape {shape}")
+        key = row * shape[1] + col
+        if np.any(key[1:] <= key[:-1]):
+            order = np.argsort(key, kind="stable")
+            row, col, value, key = row[order], col[order], value[order], key[order]
+            first = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+            row, col, value = row[first], col[first], np.add.reduceat(value, first)
         keep = value != 0.0
-        object.__setattr__(self, "shape", tuple(self.shape))
-        object.__setattr__(self, "row", row[keep])
-        object.__setattr__(self, "col", col[keep])
-        object.__setattr__(self, "value", value[keep])
+        for name, v in (("shape", shape), ("row", row[keep]), ("col", col[keep]), ("value", value[keep])):
+            object.__setattr__(self, name, v)
 
     @property
     def nnz(self) -> int:
@@ -288,37 +283,19 @@ class StrainStencil:
             lower, upper = np.append(0.0, above), np.append(below, 0.0)
         return lower, c.phiF + c.phi2F * self.diag, upper
 
-    def apply(self, c: Coefficients, w: np.ndarray) -> np.ndarray:
-        """(phiF * I + phi2F * B) w for strains w at offsets 0..2n-1."""
-        bw = self.diag * w
-        bw[1:] += self.band[1:] * w[:-1]
-        bw[:-1] += self.band[:-1] * w[1:]
-        for rows, col in self.interfaces:
-            bw[rows] += w[col] - 2.0 * w[col + 1] + w[col + 2]
-        return c.phiF * w + c.phi2F * bw
-
-    def factor(self, c: Coefficients, form: str = "E", shift: float = 0.0, weight: float = 1.0,
-               what: str = "strain solve") -> BorderedSolve:
-        """The bordered solve of E (form "E"), E^T ("E^T") or sym(E) - shift ("sym").
+    def split(self, c: Coefficients, form: str = "E") -> tuple:
+        """((lower, diag, upper), L, R^T) of E, E^T or sym(E) = T' + L R^T, as BorderedSolve takes them.
 
         E^T is T^T plus phi2F * a_s chi_s^T per interface; sym(E) is
-        sym(T) plus (phi2F / 2) * (chi_s a_s^T + a_s chi_s^T), so its
-        left columns are U C and its right functionals U^T, with
-        U = [a_1, chi_1, a_2, chi_2] and C = (phi2F / 2) times a swap in
-        each pair.  With phi2F = 0 there are no low-rank terms.  Forms
-        "E" and "E^T" raise ValueError unless phiF + 4*phi2F > 0; for
-        "sym" the caller chooses a shift that makes sym(T) - shift
-        strictly diagonally dominant.
+        sym(T) plus (phi2F / 2) * (chi_s a_s^T + a_s chi_s^T), so its L is
+        U C and its R is U, with U = [a_1, chi_1, a_2, chi_2] and
+        C = (phi2F / 2) times a swap in each pair.  With phi2F = 0 there
+        are no low-rank terms.
         """
-        if form != "sym" and not c.phiF + 4.0 * c.phi2F > 0.0:
-            raise ValueError(
-                f"{what} needs phiF + 4*phi2F > 0 (diagonal dominance of T), "
-                f"got {c.phiF + 4.0 * c.phi2F:.6g}"
-            )
-        lower, diag, upper = self.tridiagonal(c, form)
+        tridiagonal = self.tridiagonal(c, form)
         terms = self.interfaces if c.phi2F != 0.0 else ()
         chi = [c.phi2F * rows for rows, _ in terms]
-        a = [np.zeros(diag.size) for _ in terms]
+        a = [np.zeros(self.diag.size) for _ in terms]
         for vec, (_, col) in zip(a, terms):
             vec[col:col + 3] = [c.phi2F, -2.0 * c.phi2F, c.phi2F]
 
@@ -331,17 +308,64 @@ class StrainStencil:
             return [np.sum(v[rows], axis=0) for rows in far]
 
         if form == "E":
-            left, right = chi, a_dot
-        elif form == "E^T":
-            left, right = a, chi_dot
-        else:
-            diag = diag - shift
-            left = [0.5 * vec for pair in zip(chi, a) for vec in pair]
+            return tridiagonal, chi, a_dot
+        if form == "E^T":
+            return tridiagonal, a, chi_dot
 
-            def right(v):
-                return [val for pair in zip(a_dot(v), chi_dot(v)) for val in pair]
+        def right(v):
+            return [val for pair in zip(a_dot(v), chi_dot(v)) for val in pair]
 
-        return BorderedSolve((lower, diag, upper), left, right, weight, what)
+        return tridiagonal, [0.5 * vec for pair in zip(chi, a) for vec in pair], right
+
+    def apply(self, c: Coefficients, w: np.ndarray, form: str = "E") -> np.ndarray:
+        """E w, E^T w (form "E^T") or sym(E) w ("sym") for strains w at offsets 0..2n-1."""
+        (lower, diag, upper), left, right = self.split(c, form)
+        out = diag * w
+        out[1:] += lower[1:] * w[:-1]
+        out[:-1] += upper[:-1] * w[1:]
+        for vec, val in zip(left, right(w)):
+            out += val * vec
+        return out
+
+    def entries(self, c: Coefficients) -> tuple:
+        """(row, col, value) of E at offsets 0..2n-1: one entry per position, diagonal first.
+
+        A far-field row of T holds only its diagonal, so an interface term
+        meets T only on the diagonal of the far row next to the band.  B's
+        small-integer entries are summed there before the scaling by
+        phi2F, so an entry phiF + 5*phi2F that cancels is an exact zero.
+        """
+        nb = self.diag.size
+        i = np.arange(nb)
+        lo, up = np.flatnonzero(self.band[1:]) + 1, np.flatnonzero(self.band[:-1])  # rows with a neighbor term
+        rows, cols, b = [i, lo, up], [i, lo - 1, up + 1], [self.diag.copy(), self.band[lo], self.band[up]]
+        for far, col in self.interfaces:
+            far_rows = np.flatnonzero(far)
+            for j, coef in enumerate((1.0, -2.0, 1.0), start=col):
+                if far[j]:  # the far row next to the band meets its own diagonal
+                    b[0][j] += coef
+                r = far_rows[far_rows != j]
+                rows.append(r)
+                cols.append(np.full(r.size, j))
+                b.append(np.full(r.size, coef))
+        value = c.phi2F * np.concatenate(b)
+        value[:nb] += c.phiF
+        return np.concatenate(rows), np.concatenate(cols), value
+
+    def factor(self, c: Coefficients, form: str = "E", shift: float = 0.0, weight: float = 1.0,
+               what: str = "strain solve") -> BorderedSolve:
+        """The bordered solve of E (form "E"), E^T ("E^T") or sym(E) - shift ("sym"), from split.
+
+        Forms "E" and "E^T" raise ValueError unless phiF + 4*phi2F > 0; for
+        "sym" the caller makes sym(T) - shift strictly diagonally dominant.
+        """
+        if form != "sym" and not c.phiF + 4.0 * c.phi2F > 0.0:
+            raise ValueError(
+                f"{what} needs phiF + 4*phi2F > 0 (diagonal dominance of T), "
+                f"got {c.phiF + 4.0 * c.phi2F:.6g}"
+            )
+        (lower, diag, upper), left, right = self.split(c, form)
+        return BorderedSolve((lower, diag - shift, upper), left, right, weight, what)
 
 
 def strain_stencil(n: int, k: int) -> StrainStencil:
@@ -363,19 +387,7 @@ def strain_stencil(n: int, k: int) -> StrainStencil:
 
 def _strain_operator(c: Coefficients, n: int, k: int) -> Operator:
     """phiF * I + phi2F * B on bonds -n+1..n, B from strain_stencil(n, k)."""
-    s = strain_stencil(n, k)
-    nb = 2 * n
-    i = np.arange(nb)
-    lo, up = np.flatnonzero(s.band[1:]) + 1, np.flatnonzero(s.band[:-1])  # rows with a neighbor term
-    rows, cols, entries = [lo, i, up], [lo - 1, i, up + 1], [s.band[lo], s.diag, s.band[up]]
-    for far, col in s.interfaces:
-        far = np.flatnonzero(far)
-        rows.append(np.repeat(far, 3))
-        cols.append(np.tile(col + np.arange(3), far.size))
-        entries.append(np.tile([1.0, -2.0, 1.0], far.size))
-    # B's entries are small integers, so summing them is exact
-    row, col, b = _coalesce((nb, nb), *map(np.concatenate, (rows, cols, entries)))
-    return Operator(row, col, np.where(row == col, c.phiF, 0.0) + c.phi2F * b, (nb, nb), -n + 1, -n + 1)
+    return Operator(*strain_stencil(n, k).entries(c), (2 * n, 2 * n), -n + 1, -n + 1)
 
 
 def assemble_la(c: Coefficients, m: int, eps: float) -> Operator:

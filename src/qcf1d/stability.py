@@ -8,7 +8,8 @@ independently of domain sizes.  In every other strain pairing the
 constant decays like N^(-1/p), and the quadratic form itself takes values
 as low as -const * sqrt(N): both effects come from the interface columns
 of the conjugate operator and are reproduced here by explicit
-constructions.
+constructions.  Every kernel reads that operator, E, from the bands of
+operators.StrainStencil and assembles no matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lattice import DomainSpec, Field, diff, lp_norm, summed_load
-from .operators import Operator, assemble_eqcf, assemble_lqcf, pair_with_test, strain_stencil
+from .operators import StrainStencil, strain_stencil
 from .potentials import Coefficients
 
 EIG_TOL = 1e-10
@@ -64,10 +65,11 @@ def _lanczos_max(op, n: int, what: str) -> tuple:
 
 
 def quadratic_form(c: Coefficients, spec: DomainSpec, v: Field) -> float:
-    """<L v, v> for the coupled operator and a field vanishing at +-N."""
+    """<L v, v> = <E Dv, Dv> (the conjugate identity) for a field vanishing at +-N."""
     if not v.is_homogeneous:
         raise ValueError("quadratic form is defined on fields vanishing at +-N")
-    return pair_with_test(assemble_lqcf(c, spec), v, v, spec.eps)
+    dv = diff(v, spec.eps).values
+    return spec.eps * float(dv @ strain_stencil(spec.N, spec.K).apply(c, dv))
 
 
 def _below_spectrum(solve, c: Coefficients) -> bool:
@@ -108,9 +110,7 @@ def _shift_below_spectrum(c: Coefficients, spec: DomainSpec) -> tuple:
     lower, diag, upper = s.tridiagonal(c, "sym")
     bound = float(np.min(diag - np.abs(lower) - np.abs(upper)))
     if spec.N - spec.K > 2:  # room for the candidates' ramp
-        for sign in "+-":
-            w = np.diff(unstable_candidate(spec, sign, normalize=False).values)
-            bound = min(bound, float(w @ s.apply(c, w) / (w @ w)))
+        bound = min(bound, *(quadratic_form(c, spec, unstable_candidate(spec, sign)) for sign in "+-"))
     sigma = -1.0
     while not sigma < bound:
         sigma *= 2.0
@@ -141,12 +141,11 @@ def rayleigh_min(c: Coefficients, spec: DomainSpec) -> float:
         return y - y.mean()
 
     _, x = _lanczos_max(shift_invert, n, "rayleigh_min")
-    E = assemble_eqcf(c, spec)
-    hx = 0.5 * (np.bincount(E.row, E.value * x[E.col], minlength=n)
-                + np.bincount(E.col, E.value * x[E.row], minlength=n))
+    s = strain_stencil(spec.N, spec.K)
+    hx = s.apply(c, x, "sym")
     lam = float(x @ hx / (x @ x))
     resid = np.linalg.norm(hx - hx.mean() - lam * x)
-    scale = (np.linalg.norm(E.value) + abs(lam) * np.sqrt(n)) * np.linalg.norm(x)
+    scale = (np.linalg.norm(s.entries(c)[2]) + abs(lam) * np.sqrt(n)) * np.linalg.norm(x)
     if scale > 0 and resid > EIG_TOL * scale:
         raise RuntimeError(
             f"eigensolve residual {resid:.3e} exceeds {EIG_TOL:.1e} * {scale:.3e}"
@@ -179,29 +178,18 @@ def unstable_candidate(spec: DomainSpec, sign: str = "-", normalize: bool = True
     return f
 
 
-def rdd_margin(A) -> float:
-    """Row diagonal-dominance margin gamma of a square dense array or Operator.
+def rdd_margin(c: Coefficients, stencil: StrainStencil) -> float:
+    """Row diagonal-dominance margin gamma of the strain operator E of stencil.
 
-    gamma = min_i (A_ii + sum of negative off-diagonals in row i)
+    gamma = min_i (E_ii + sum of negative off-diagonals in row i)
             - max_i (sum of positive off-diagonals in row i).
-    When gamma > 0 the mean-zero max-norm/1-norm inf-sup constant of A is
+    When gamma > 0 the mean-zero max-norm/1-norm inf-sup constant of E is
     at least gamma/2.
     """
-    shape = A.shape if isinstance(A, Operator) else np.shape(A)
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError("rdd_margin needs a square matrix")
-    if isinstance(A, Operator):
-        row, col, value = A.row, A.col, A.value
-    else:
-        row, col = np.indices(shape).reshape(2, -1)
-        value = np.asarray(A, dtype=float).ravel()
-    off = np.where(row != col, value, 0.0)
-
-    def row_sums(v):
-        return np.bincount(row, v, minlength=shape[0])
-
-    diag = row_sums(np.where(row == col, value, 0.0))
-    return float(np.min(diag + row_sums(np.minimum(off, 0.0))) - np.max(row_sums(np.maximum(off, 0.0))))
+    row, _, value = stencil.entries(c)
+    nb = stencil.diag.size  # entries lists the diagonal first
+    neg, pos = (np.bincount(row[nb:], clip(value[nb:], 0.0), minlength=nb) for clip in (np.minimum, np.maximum))
+    return float(np.min(value[:nb] + neg) - np.max(pos))
 
 
 def infsup_2(c: Coefficients, spec: DomainSpec) -> float:

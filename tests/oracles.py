@@ -5,8 +5,8 @@ library: explicit bond loops for energies, finite differences for
 gradients and Jacobians, direct pairing maximization for the dual norm,
 dense row loops for the operators, dense eigen- and singular-value
 solves for the stability constants, dense LU for the linear solves, and
-a direct operator product in exact rational arithmetic for the
-truncation error.
+direct operator products in exact rational arithmetic for the
+truncation error and the quadratic form.
 Keep these dumb and slow on purpose.
 """
 
@@ -256,6 +256,34 @@ def eqcf_dense(c, spec):
             B[i, k + 1 + off] += -2.0
             B[i, k + 2 + off] += 1.0
     return c.phiF * np.eye(nb) + c.phi2F * B
+
+
+def quadratic_form_exact(c, spec, v):
+    """<L v, v> for the coupled operator in exact rational arithmetic, rounded once.
+
+    Row by row from the displacement stencils of lqcf_dense: atomistic
+    rows on |j| <= K, local rows elsewhere, on the float data of v and
+    the coefficients taken exactly.
+    """
+    n, k = spec.N, spec.K
+    u = [Fraction(x) for x in v.values]  # site j at j + n
+    phiF, phi2F = Fraction(c.phiF), Fraction(c.phi2F)
+    total = Fraction(0)
+    for o in range(1, 2 * n):
+        near = 2 * u[o] - u[o - 1] - u[o + 1]
+        if abs(o - n) <= k:
+            lv = phiF * near + phi2F * (2 * u[o] - u[o - 2] - u[o + 2])
+        else:
+            lv = (phiF + 4 * phi2F) * near
+        total += lv * u[o]
+    return float(total / Fraction(spec.eps))
+
+
+def rdd_margin_dense(A):
+    """Row diagonal-dominance margin of a square dense array, from its dense row sums."""
+    d = np.diag(A)
+    off = A - np.diag(d)
+    return float(np.min(d + np.minimum(off, 0.0).sum(axis=1)) - np.max(np.maximum(off, 0.0).sum(axis=1)))
 
 
 def rayleigh_min_dense(c, spec):

@@ -7,6 +7,7 @@ import pytest
 
 from qcf1d import cli
 from qcf1d.cli import main, read_config_file
+from qcf1d.operators import Operator
 from qcf1d.scans import PatchTestRow
 
 
@@ -145,6 +146,18 @@ def test_coercivity_nearest_neighbor_skips_fit(tmp_path):
     comments, _, rows = read_rows(out)
     assert not any("slope" in c for c in comments)
     assert all(float(r["rayleigh_min"]) > 0 for r in rows)
+
+
+def test_stability_commands_assemble_no_matrix(tmp_path, monkeypatch):
+    # coercivity and infsup read Eqcf from the bands of its strain stencil
+    def no_assembly(self):
+        raise RuntimeError("a matrix was assembled")
+
+    monkeypatch.setattr(Operator, "__post_init__", no_assembly)
+    for argv in (["coercivity", "--N-list", "16,32"],
+                 ["infsup", "--N-list", "16,32", "--p-list", "1,2"]):
+        out = tmp_path / f"{argv[0]}.csv"
+        assert run([*argv, "--phiF", "1", "--phi2F", "-0.2", "--K-ratio", "0.25", "--out", out]) == 0
 
 
 def test_infsup_table(tmp_path):

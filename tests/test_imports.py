@@ -1,8 +1,8 @@
 """No subcommand loads scipy: qcf1d runs on numpy alone.
 
-Operators are numpy (row, col, value) arrays, and every solve, eigen-
-and singular-value kernel runs on the bordered strain solve.  Only the
-dense test oracles use scipy.
+Every solve, eigen- and singular-value kernel runs on the bordered
+strain solve, and the sparse operators are numpy (row, col, value)
+arrays.  Only the dense test oracles use scipy.
 
 Each case runs a fresh interpreter, since this test session has long
 since imported scipy itself.

@@ -373,4 +373,13 @@ def test_strain_stencil_bands_match_dense_oracles(phi2F, n, k):
         for rows, col in s.interfaces:
             E[rows, col:col + 3] += c.phi2F * np.array([1.0, -2.0, 1.0])
         assert_allclose(E, dense, rtol=0, atol=1e-15)
-        assert_allclose(s.apply(c, w), dense @ w, rtol=0, atol=1e-14 * np.max(np.abs(w)))
+        for form, dense_form in (("E", dense), ("E^T", dense.T), ("sym", 0.5 * (dense + dense.T))):
+            assert_allclose(s.apply(c, w, form), dense_form @ w, rtol=0, atol=1e-14 * np.max(np.abs(w)))
+        # entries: one per position, diagonal first, exactly the oracle's values
+        row, col, value = s.entries(c)
+        assert np.array_equal(row[:2 * n], np.arange(2 * n)) and np.array_equal(col[:2 * n], np.arange(2 * n))
+        assert np.unique(row * 2 * n + col).size == row.size
+        E = np.zeros_like(dense)
+        E[row, col] = value
+        assert np.array_equal(E, dense)
+        assert_allclose(np.linalg.norm(value), np.linalg.norm(dense), rtol=1e-14)

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from qcf1d import stability
 from qcf1d.lattice import DomainSpec, Field, diff, lp_norm
-from qcf1d.operators import assemble_ea, assemble_eqcf, assemble_l2, pair_with_test, strain_stencil
+from qcf1d.operators import assemble_eqcf, assemble_l2, pair_with_test, strain_stencil
 from qcf1d.potentials import Coefficients
 from qcf1d.stability import (
     _below_spectrum,
@@ -24,10 +24,13 @@ from qcf1d.stability import (
 from oracles import (
     DIFFERENTIAL_NK,
     DIFFERENTIAL_PHI2F,
+    ea_dense,
     eqcf_dense,
     infsup_2_dense,
     plateau_dual_norm,
+    quadratic_form_exact,
     rayleigh_min_dense,
+    rdd_margin_dense,
     sampled_dual_norm,
 )
 
@@ -48,6 +51,17 @@ def test_rayleigh_min_is_a_lower_bound_for_the_candidates():
         r = rayleigh_min(c, spec)
         for sign in "+-":
             assert r <= quadratic_form(c, spec, unstable_candidate(spec, sign)) + 1e-9
+
+
+@pytest.mark.parametrize("n", [256, 512])
+@pytest.mark.parametrize("sign", "+-")
+def test_witness_matches_exact_quadratic_form(sign, n):
+    # the conjugate route eps * Dv . E Dv against the displacement
+    # stencils summed in exact rational arithmetic
+    c = Coefficients(1.0, -0.2)
+    spec = DomainSpec(n, n // 4)
+    v = unstable_candidate(spec, sign)
+    assert_allclose(quadratic_form(c, spec, v), quadratic_form_exact(c, spec, v), rtol=1e-14)
 
 
 def test_candidate_normalization_and_support():
@@ -82,23 +96,25 @@ def test_candidate_needs_room_for_the_ramp():
 
 
 def test_rdd_margin_identity_matrix():
-    assert rdd_margin(np.eye(7)) == 1.0
+    assert rdd_margin_dense(np.eye(7)) == 1.0
+    # phi2F = 0 leaves E = phiF * I
+    assert rdd_margin(Coefficients(1.0, 0.0), strain_stencil(8, 2)) == 1.0
 
 
 def test_rdd_margin_of_conjugate_operators():
     # conjugate coupled operator: margin phiF + 8 phi2F, size-independent
-    g = rdd_margin(assemble_eqcf(Coefficients(1.0, -0.05), DomainSpec(64, 16)))
+    g = rdd_margin(Coefficients(1.0, -0.05), strain_stencil(64, 16))
     assert_allclose(g, 0.6, atol=1e-14)
     # conjugate atomistic operator: no positive off-diagonals, margin
     # comes from the interior rows alone: phiF + 4 phi2F
-    g = rdd_margin(assemble_ea(Coefficients(1.0, -0.1), 32, 1.0 / 32))
+    g = rdd_margin(Coefficients(1.0, -0.1), strain_stencil(32, 31))
     assert_allclose(g, 0.6, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [16, 64])
 def test_rdd_margin_independent_of_split(n):
     for k in range(2, n // 2 + 1):
-        g = rdd_margin(assemble_eqcf(C, DomainSpec(n, k)))
+        g = rdd_margin(C, strain_stencil(n, k))
         assert abs(g - (C.phiF + 8.0 * C.phi2F)) <= 1e-14
 
 
@@ -267,6 +283,8 @@ def test_sparse_kernels_match_dense_oracles(phi2F, n, k):
     sigma, _ = _shift_below_spectrum(c, spec)
     assert sigma < dense
     assert_allclose(infsup_2(c, spec), infsup_2_dense(eqcf_dense(c, spec)), rtol=1e-9)
+    for band, dense in ((k, eqcf_dense(c, spec)), (n - 1, ea_dense(c, n))):
+        assert rdd_margin(c, strain_stencil(n, band)) == rdd_margin_dense(dense)
 
 
 @pytest.mark.parametrize("n,k", DIFFERENTIAL_NK)
