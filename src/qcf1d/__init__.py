@@ -52,11 +52,10 @@ from .stability import (
     unstable_candidate,
 )
 from .solver import (
-    ErrorDetails,
     ErrorReport,
-    ForceField,
     error_report_detailed,
     named_load,
+    sample_load,
     solve_atomistic,
     solve_qcf,
     solve_strain,

@@ -218,7 +218,7 @@ class TripleRow:
     value: float
 
 
-def cmd_patch_test(cfg: RunConfig) -> int:
+def cmd_patch_test(cfg: RunConfig) -> tuple:
     """ghost-force residuals at uniform states"""
     phi = POTENTIALS[cfg.potential]()
     if cfg.F_list == []:
@@ -234,11 +234,10 @@ def cmd_patch_test(cfg: RunConfig) -> int:
         "points_checked": len(rows),
         "all_passed": ok,
     }
-    write_table(cfg.out, cfg.format, cfg.command, cfg.echo(), rows, extras)
-    return 0 if ok else 1
+    return rows, extras, ok
 
 
-def cmd_coercivity(cfg: RunConfig) -> int:
+def cmd_coercivity(cfg: RunConfig) -> tuple:
     """scan the minimum of the quadratic form"""
     c = cfg.coefficients()
     rows = coercivity_scan(c, cfg.nk_pairs())
@@ -246,11 +245,10 @@ def cmd_coercivity(cfg: RunConfig) -> int:
     extras = {} if slope is None else {"slope_abs_rayleigh_vs_N": slope}
     # feasibility of the witness is the one proved relation in this scan
     ok = all(r.rayleigh_min <= r.witness_value + 1e-9 * max(1.0, abs(r.witness_value)) for r in rows)
-    write_table(cfg.out, cfg.format, cfg.command, cfg.echo(), rows, extras)
-    return 0 if ok else 1
+    return rows, extras, ok
 
 
-def cmd_infsup(cfg: RunConfig) -> int:
+def cmd_infsup(cfg: RunConfig) -> tuple:
     """inf-sup bounds and exact 2-norm values"""
     c = cfg.coefficients()
     if not cfg.p_list:
@@ -268,11 +266,10 @@ def cmd_infsup(cfg: RunConfig) -> int:
     # every exact value against the p=2 probe bound, whether or not --p-list writes it
     ok = all(r.value <= infsup_p_upper(c, DomainSpec(r.N, r.K), 2.0) + 1e-12
              for r in rows if r.kind == "exact")
-    write_table(cfg.out, cfg.format, cfg.command, cfg.echo(), rows, extras)
-    return 0 if ok else 1
+    return rows, extras, ok
 
 
-def cmd_convergence(cfg: RunConfig) -> int:
+def cmd_convergence(cfg: RunConfig) -> tuple:
     """coupled-vs-reference error study"""
     c = cfg.coefficients()
     load = named_load(cfg.load)
@@ -288,11 +285,10 @@ def cmd_convergence(cfg: RunConfig) -> int:
     errs = [r.err_strain_inf for r in rows]
     if len(rows) >= 2 and all(e > 0 for e in errs):
         extras["slope_err_vs_eps"] = loglog_slope([r.eps for r in rows], errs)
-    write_table(cfg.out, cfg.format, cfg.command, cfg.echo(), rows, extras)
-    return 0 if ok else 1
+    return rows, extras, ok
 
 
-def cmd_dump_operator(cfg: RunConfig) -> int:
+def cmd_dump_operator(cfg: RunConfig) -> tuple:
     """write (row,col,value) triples"""
     if not cfg.operator:
         raise ValueError("need --operator")
@@ -302,17 +298,16 @@ def cmd_dump_operator(cfg: RunConfig) -> int:
     spec = DomainSpec(n, cfg.k_for(n))
     op = OPERATOR_BUILDERS[cfg.operator](cfg.coefficients(), spec)
     rows = [TripleRow(*t) for t in op.to_triples()]
-    write_table(cfg.out, cfg.format, cfg.command, cfg.echo(), rows, {})
-    return 0
+    return rows, {}, True
 
 
-def cmd_eig_scan(cfg: RunConfig) -> int:
+def cmd_eig_scan(cfg: RunConfig) -> tuple:
     """exploratory eigenvalue-sign scan"""
     rows = eig_scan(cfg.coefficients(), cfg.nk_pairs())
-    write_table(cfg.out, cfg.format, cfg.command, cfg.echo(), rows, {})
-    return 0
+    return rows, {}, True
 
 
+# each run returns (rows, extras, ok); main writes the table and maps ok to the exit status
 COMMANDS = {
     "patch-test": cmd_patch_test,
     "coercivity": cmd_coercivity,
@@ -328,7 +323,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        return COMMANDS[cfg.command](cfg)
+        rows, extras, ok = COMMANDS[cfg.command](cfg)
+        write_table(cfg.out, cfg.format, cfg.command, cfg.echo(), rows, extras)
+        return 0 if ok else 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -163,7 +163,7 @@ def inner(f: Field, g: Field, eps: float) -> float:
 def lp_norm(f, eps: float, p) -> float:
     """Weighted norm (eps * sum |v|^p)^(1/p); p = inf gives the max norm."""
     v = f.values if isinstance(f, Field) else np.asarray(f, dtype=float)
-    if p == np.inf or p == "inf":
+    if p == np.inf:
         return float(np.max(np.abs(v))) if v.size else 0.0
     p = float(p)
     if p < 1:

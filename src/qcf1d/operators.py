@@ -173,7 +173,10 @@ def _reduce(lower, diag, upper) -> tuple:
 
 
 def _substitute(reduction: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve for each row of rhs: down the reduced systems, then each even unknown by one division."""
+    """Solve for each row of rhs: down the reduced systems, then each even unknown by one division.
+
+    Each level's even rows are freed once the way back up has used them.
+    """
     levels, last = reduction
     evens = []
     for size, _, _, _, left, right in levels:
@@ -182,7 +185,8 @@ def _substitute(reduction: tuple, rhs: np.ndarray) -> np.ndarray:
         evens.append(rhs[:, 0::2])
         rhs = rhs[:, 1::2] + left * rhs[:, 0:-1:2] + right * rhs[:, 2::2]
     x = rhs / last
-    for (size, a, b, c, _, _), d in zip(reversed(levels), reversed(evens)):
+    for size, a, b, c, _, _ in reversed(levels):
+        d = evens.pop()
         padded = np.zeros((x.shape[0], b.size + 1))
         padded[:, 1:-1] = x
         full = np.empty((x.shape[0], 2 * b.size - 1))
@@ -198,38 +202,23 @@ class BorderedSolve:
     T is tridiagonal and strictly diagonally dominant by rows or by
     columns, L holds r columns, and right(v) lists the r values R^T v,
     each an array over the columns of v when v is a matrix.  Factoring
-    reduces T once; then x = T^{-1} b + [T^{-1} 1, T^{-1} L] u, and
+    reduces T once and substitutes the columns T^{-1} [1, L] and their
+    Gram matrix; then x = T^{-1} b + [T^{-1} 1, T^{-1} L] u, and
     u = (const, -R^T x) comes from an (r+1)^2 capacitance system
-    (Sherman-Morrison-Woodbury form).  The columns T^{-1} [1, L] are
-    substituted together with the first right-hand side, so one solve
-    costs one substitution, as does each later solve, plus a small dense
-    solve each.
+    (Sherman-Morrison-Woodbury form).  So each solve costs one
+    substitution plus a small dense solve.
     """
 
     def __init__(self, tridiagonal: tuple, left: list, right, weight: float = 1.0,
                  what: str = "strain solve"):
         self.reduction = _reduce(*tridiagonal)
-        self.size = tridiagonal[1].size
-        self.left, self.right, self.weight, self.what = left, right, weight, what
+        self.right, self.weight, self.what = right, weight, what
         self.iface = np.append(0.0, np.ones(len(left)))
-        self._columns = self._gram = None
-
-    def _substitute(self, rows: list) -> np.ndarray:
-        """T^{-1} for each of rows; the first call also takes T^{-1} [1, L] and its Gram matrix."""
-        if self._columns is not None:
-            return _substitute(self.reduction, np.array(rows))
-        y = _substitute(self.reduction, np.vstack([*rows, np.ones(self.size), *self.left]))
-        # one column per right-hand side, as the capacitance sums expect
-        self._columns = y[len(rows):].T.copy()
-        self._gram = self.constraints(self._columns)
-        return y[:len(rows)]
-
-    @property
-    def gram(self) -> np.ndarray:
-        """[weight * 1^T; R^T] T^{-1} [1, L]."""
-        if self._gram is None:
-            self._substitute([])
-        return self._gram
+        # T^{-1} [1, L], one column per right-hand side, as the capacitance
+        # sums expect; [1, L] is passed unnamed so the substitution can free it
+        self.columns = _substitute(
+            self.reduction, np.array([np.ones(tridiagonal[1].size), *left])).T.copy()
+        self.gram = self.constraints(self.columns)  # [weight * 1^T; R^T] T^{-1} [1, L]
 
     def constraints(self, v: np.ndarray) -> np.ndarray:
         """weight * sum(v) and R^T v, per column of v."""
@@ -237,13 +226,13 @@ class BorderedSolve:
 
     def solve(self, b: np.ndarray, d: float = 0.0) -> tuple:
         """(x, const) with (T + L R^T) x = b + const * 1 and weight * sum(x) = d."""
-        y = self._substitute([b])[0]
+        y = _substitute(self.reduction, b[None, :])[0]
         try:
             u = np.linalg.solve(self.gram + np.diag(self.iface),
                                 (1.0 - self.iface) * d - self.constraints(y))
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"{self.what}: bordered system is singular") from exc
-        return y + self._columns @ u, float(u[0])
+        return y + self.columns @ u, float(u[0])
 
 
 @dataclass(frozen=True)

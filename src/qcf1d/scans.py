@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .chain import max_abs_force_qcf
 from .lattice import DomainSpec, lp_norm, uniform_positions
 from .operators import assemble_ea, assemble_eqcf, assemble_la, assemble_llqc, assemble_lqcf, strain_stencil
 from .potentials import Coefficients, PairPotential
-from .solver import ForceField, error_report_detailed
+from .solver import error_report_detailed
 from .stability import (
     infsup_2,
     infsup_p_upper,
@@ -149,16 +149,15 @@ def infsup_scan(
     return [row for n, k in nk_pairs for row in _infsup_point(c, ps, n, k)]
 
 
-def _convergence_point(c: Coefficients, load: ForceField, m_factor: int, n: int, k: int):
+def _convergence_point(c: Coefficients, load: Callable, m_factor: int, n: int, k: int):
     spec = DomainSpec(n, k, M=m_factor * n)
-    report, details = error_report_detailed(c, load, spec)
-    half_t_l1 = 0.5 * lp_norm(details.t, spec.eps, 1)
-    return report, half_t_l1
+    report, t = error_report_detailed(c, load, spec)
+    return report, 0.5 * lp_norm(t, spec.eps, 1)
 
 
 def convergence_scan_with_checks(
     c: Coefficients,
-    load: ForceField,
+    load: Callable,
     nk_pairs: Sequence[tuple],
     m_factor: int = 4,
 ) -> list[tuple]:

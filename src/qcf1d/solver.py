@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -43,51 +43,28 @@ from .stability import dual_norm_star
 BACKWARD_ERROR_TOL = 1e-13
 
 
-@dataclass(frozen=True)
-class ForceField:
-    """External load: a closed form sampled at x_j = j*eps, or stored samples."""
-
-    fn: Optional[Callable] = None
-    samples: Optional[Field] = None
-    name: str = ""
-
-    @classmethod
-    def from_function(cls, fn: Callable, name: str = "") -> "ForceField":
-        return cls(fn=fn, name=name)
-
-    @classmethod
-    def from_samples(cls, samples: Field, name: str = "") -> "ForceField":
-        return cls(samples=samples, name=name)
-
-    def sample(self, half_width: int, eps: float) -> Field:
-        if self.fn is not None:
-            x = np.arange(-half_width, half_width + 1) * eps
-            v = np.asarray(self.fn(x), dtype=float)
-            if v.shape != x.shape:
-                raise ValueError("load function must map samples elementwise")
-            return Field(v, -half_width)
-        if self.samples is None:
-            raise ValueError("empty ForceField")
-        if self.samples.half_width < half_width:
-            raise ValueError(
-                f"stored samples cover half-width {self.samples.half_width}, "
-                f"need {half_width}"
-            )
-        return self.samples.restrict(-half_width, half_width)
-
-
+# each load is a numpy function of x = j*eps
 LOADS = {
-    "cospi": ForceField.from_function(lambda x: np.cos(np.pi * x), name="cospi"),
-    "const": ForceField.from_function(lambda x: np.ones_like(x), name="const"),
-    "zero": ForceField.from_function(lambda x: np.zeros_like(x), name="zero"),
+    "cospi": lambda x: np.cos(np.pi * x),
+    "const": np.ones_like,
+    "zero": np.zeros_like,
 }
 
 
-def named_load(name: str) -> ForceField:
+def named_load(name: str) -> Callable:
     try:
         return LOADS[name]
     except KeyError:
         raise ValueError(f"unknown load '{name}', choose from {sorted(LOADS)}")
+
+
+def sample_load(load: Callable, half_width: int, eps: float) -> Field:
+    """The load sampled at x_j = j*eps on sites -half_width..half_width."""
+    x = np.arange(-half_width, half_width + 1) * eps
+    v = np.asarray(load(x), dtype=float)
+    if v.shape != x.shape:
+        raise ValueError("load function must map samples elementwise")
+    return Field(v, -half_width)
 
 
 def solve_strain(
@@ -217,33 +194,24 @@ class ErrorReport:
     trunc_bound: float
 
 
-@dataclass(frozen=True)
-class ErrorDetails:
-    """The fields behind an ErrorReport that downstream checks need."""
-
-    u_a: Field
-    u_qcf: Field
-    t: Field
-
-
 def error_report_detailed(
-    c: Coefficients, load: ForceField, spec: DomainSpec
-) -> tuple[ErrorReport, ErrorDetails]:
-    """Run the reference and coupled solves; return (ErrorReport, ErrorDetails).
+    c: Coefficients, load: Callable, spec: DomainSpec
+) -> tuple[ErrorReport, Field]:
+    """Run the reference and coupled solves; return (ErrorReport, truncation error t).
 
     Both solves are strain solves on the reference's summed load: on
     bonds -N+1..N it differs from the coupled problem's own by the
     constant eps * sum_{j=N}^{M-1} f_j, which the multiplier of the mean
     constraint absorbs, and sharing it keeps its cumsum rounding out of
     the error.  The error, D3 and the truncation residual are all taken
-    from strains; displacements are only integrated for ErrorDetails.
+    from strains.
     """
     if not c.phiF + 8.0 * c.phi2F > 0.0:
         raise ValueError("error report needs the stability regime phiF + 8*phi2F > 0")
     m = spec.require_reference(2)
     n = spec.N
     eps = spec.eps
-    g = summed_load(load.sample(m, eps), eps)
+    g = summed_load(sample_load(load, m, eps), eps)
     w_a = Field(solve_strain(c, m, m - 1, g.values, 0.0, eps, "atomistic solve"), g.lo)
     w_an = w_a.restrict(-n + 1, n).values
     w_q = solve_strain(c, n, spec.K, g.restrict(-n + 1, n).values, eps * float(np.sum(w_an)),
@@ -263,6 +231,4 @@ def error_report_detailed(
         trunc_star=dual_norm_star(t, eps),
         trunc_bound=2.0 * eps**2 * abs(c.phi2F) * d3_max,
     )
-    u_a = _displacements(w_a.values, eps, 0.0, 0.0)
-    u_q = _displacements(w_q, eps, u_a.at(-n), u_a.at(n))
-    return report, ErrorDetails(u_a, u_q, t)
+    return report, t

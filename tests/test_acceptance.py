@@ -35,6 +35,7 @@ from qcf1d.scans import loglog_slope
 from qcf1d.solver import (
     error_report_detailed,
     named_load,
+    sample_load,
     solve_atomistic,
     solve_qcf,
     truncation_error_stencil,
@@ -219,7 +220,7 @@ def test_c08_truncation_identity():
     load = named_load("cospi")
     # entrywise, at the standard configuration
     spec = DomainSpec(32, 8, M=128)
-    u_a = solve_atomistic(c, load.sample(128, spec.eps), spec.eps)
+    u_a = solve_atomistic(c, sample_load(load, 128, spec.eps), spec.eps)
     t = truncation_error_dense(u_a, c, spec)
     ts = truncation_error_stencil(diff(u_a, spec.eps), c, spec)
     entry_tol = 1e-12 / spec.eps**2
@@ -231,7 +232,7 @@ def test_c08_truncation_identity():
     # tolerance (the direct route is exact rational): the gap is 9.8e-14
     # at N=12 and 7.6e-11 at N=64
     spec_small = DomainSpec(12, 3, M=48)
-    u_small = solve_atomistic(c, load.sample(48, spec_small.eps), spec_small.eps)
+    u_small = solve_atomistic(c, sample_load(load, 48, spec_small.eps), spec_small.eps)
     t_small = truncation_error_dense(u_small, c, spec_small)
     d4 = diff4_centered(u_small, spec_small.eps)
     cont = spec_small.continuum_sites()
@@ -253,10 +254,10 @@ def test_c09_convergence():
     errs, epss = [], []
     for n in (16, 32, 64, 128):
         spec = DomainSpec(n, n // 4, M=4 * n)
-        rep, det = error_report_detailed(c, load, spec)
+        rep, t = error_report_detailed(c, load, spec)
         assert rep.err_strain_inf <= rep.bound_rhs, n
         assert rep.trunc_star <= rep.trunc_bound, n
-        assert rep.trunc_star <= 0.5 * lp_norm(det.t, spec.eps, 1) + 1e-15, n
+        assert rep.trunc_star <= 0.5 * lp_norm(t, spec.eps, 1) + 1e-15, n
         errs.append(rep.err_strain_inf)
         epss.append(rep.eps)
     slope = loglog_slope(epss, errs)

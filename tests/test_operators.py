@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from qcf1d.chain import force_atomistic, force_lqc, force_qcf
 from qcf1d.lattice import DomainSpec, Field, diff, inner, uniform_positions
 from qcf1d.operators import (
     Operator,
+    _reduce,
+    _substitute,
     assemble_ea,
     assemble_eqcf,
     assemble_l1,
@@ -383,3 +387,26 @@ def test_strain_stencil_bands_match_dense_oracles(phi2F, n, k):
         E[row, col] = value
         assert np.array_equal(E, dense)
         assert_allclose(np.linalg.norm(value), np.linalg.norm(dense), rtol=1e-14)
+
+
+def test_substitution_frees_even_rows_on_the_way_up():
+    # 5 right-hand sides at n=2^16: freeing each level's even rows once
+    # the way back up has used them peaks at 4.0 times their bytes;
+    # keeping every level's even rows to the end peaks at 5.0
+    n = 2**16
+    rng = np.random.default_rng(3)
+    lower, upper = rng.uniform(-1.0, 1.0, (2, n))
+    diag = 3.0 + rng.uniform(0.0, 1.0, n)
+    reduction = _reduce(lower, diag, upper)
+    rhs = rng.standard_normal((5, n))
+    tracemalloc.start()
+    try:
+        x = _substitute(reduction, rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * rhs.nbytes, peak / rhs.nbytes
+    tx = diag * x
+    tx[:, 1:] += lower[1:] * x[:, :-1]
+    tx[:, :-1] += upper[:-1] * x[:, 1:]
+    assert_allclose(tx, rhs, rtol=0, atol=1e-12 * np.max(np.abs(rhs)))

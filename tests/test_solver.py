@@ -6,9 +6,9 @@ from qcf1d.lattice import DomainSpec, Field, diff, diff4_centered, lp_norm
 from qcf1d import solver
 from qcf1d.potentials import Coefficients
 from qcf1d.solver import (
-    ForceField,
     error_report_detailed,
     named_load,
+    sample_load,
     solve_atomistic,
     solve_qcf,
     solve_strain,
@@ -53,7 +53,7 @@ def test_atomistic_solve_backward_stable_at_large_m():
     # ||A|| grows like M^2: at M=3072 the residual exceeds 1e-10 * max|b|,
     # yet the normwise backward error stays at rounding level
     eps = 1.0 / 768
-    u = solve_atomistic(C, named_load("cospi").sample(3072, eps), eps)
+    u = solve_atomistic(C, sample_load(named_load("cospi"), 3072, eps), eps)
     assert np.all(np.isfinite(u.values))
     assert u.at(-3072) == 0.0 and u.at(3072) == 0.0
 
@@ -160,7 +160,7 @@ def test_qcf_solve_warns_outside_stability_regime():
 def test_qcf_strain_bound_random_loads():
     spec = DomainSpec(32, 8, M=128)
     gamma = C.phiF + 8.0 * C.phi2F
-    load_m = named_load("cospi").sample(128, spec.eps)
+    load_m = sample_load(named_load("cospi"), 128, spec.eps)
     for seed in range(5):
         rng = np.random.default_rng(seed)
         vals = np.zeros(2 * 128 + 1)
@@ -178,7 +178,7 @@ def test_qcf_strain_bound_random_loads():
 
 def make_reference(spec, load=None):
     load = load or named_load("cospi")
-    f_m = load.sample(spec.M, spec.eps)
+    f_m = sample_load(load, spec.M, spec.eps)
     return solve_atomistic(C, f_m, spec.eps)
 
 
@@ -253,12 +253,14 @@ def test_trunc_star_holds_its_bound_at_large_n():
 
 def test_error_report_inequalities_and_symmetry():
     spec = DomainSpec(32, 8, M=128)
-    rep, det = error_report_detailed(C, named_load("cospi"), spec)
+    rep, t = error_report_detailed(C, named_load("cospi"), spec)
     assert rep.err_strain_inf <= rep.bound_rhs
     assert rep.trunc_star <= rep.trunc_bound
-    assert rep.trunc_star <= 0.5 * lp_norm(det.t, spec.eps, 1) + 1e-15
+    assert rep.trunc_star <= 0.5 * lp_norm(t, spec.eps, 1) + 1e-15
     # even load -> even solutions and even error field
-    u_a, u_q = det.u_a, det.u_qcf
+    f_m = sample_load(named_load("cospi"), 128, spec.eps)
+    u_a = solve_atomistic(C, f_m, spec.eps)
+    u_q = solve_qcf(C, f_m.restrict(-32, 32), spec, u_a.at(-32), u_a.at(32))
     for u in (u_a, u_q):
         assert_allclose(u.values, u.values[::-1], atol=1e-11 * np.max(np.abs(u.values)))
     e = u_a.restrict(-32, 32) - u_q
@@ -281,15 +283,12 @@ def test_constant_load_hits_rounding_floor():
     assert rep.trunc_star <= 1e-9
 
 
-def test_force_field_interface():
-    f = named_load("zero")
-    s = f.sample(8, 0.125)
-    assert np.all(s.values == 0.0)
-    with pytest.raises(ValueError):
+def test_sample_load():
+    load = named_load("cospi")
+    s = sample_load(load, 8, 0.125)
+    assert (s.lo, s.hi) == (-8, 8)
+    j = np.arange(-8, 9)
+    assert np.array_equal(s.values, load(j * 0.125))
+    assert np.all(sample_load(named_load("zero"), 8, 0.125).values == 0.0)
+    with pytest.raises(ValueError, match="unknown load"):
         named_load("nope")
-    stored = ForceField.from_samples(Field(np.arange(17.0), -8))
-    assert stored.sample(4, 0.125).at(0) == 8.0
-    with pytest.raises(ValueError):
-        stored.sample(16, 0.125)
-    with pytest.raises(ValueError):
-        ForceField().sample(4, 0.125)
