@@ -82,8 +82,8 @@ def force_lqc(y: Field, phi: PairPotential, eps: float) -> Field:
 def _atomistic_shells(K):
     """Number of shells m = |j| on the atomistic law: sites |j| <= K.
 
-    The one statement of the split rule; force_qcf and max_abs_force_qcf
-    both read it.
+    The split rule of the force laws, read by force_qcf and
+    max_abs_force_qcf; the linearized operators read operators.strain_stencil.
     """
     return K + 1
 

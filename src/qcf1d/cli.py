@@ -85,7 +85,7 @@ class RunConfig:
     F: Optional[float] = _option(float)
     F_list: Optional[list] = _option(_float_list, commands=("patch-test",))
     N: Optional[int] = _option(int, commands=("dump-operator",))
-    N_list: list = _option(_int_list, [])
+    N_list: list = _option(_int_list, [], commands=("patch-test", "coercivity", "infsup", "convergence", "eig-scan"))
     K: Optional[int] = _option(int)
     K_ratio: Optional[float] = _option(float)
     K_all: bool = _option(_bool, False, commands=("patch-test",))
@@ -292,10 +292,9 @@ def cmd_dump_operator(cfg: RunConfig) -> tuple:
     """write (row,col,value) triples"""
     if not cfg.operator:
         raise ValueError("need --operator")
-    n = cfg.N if cfg.N is not None else (cfg.N_list[0] if cfg.N_list else None)
-    if n is None:
-        raise ValueError("need --N (or --N-list) for dump-operator")
-    spec = DomainSpec(n, cfg.k_for(n))
+    if cfg.N is None:
+        raise ValueError("need --N for dump-operator")
+    spec = DomainSpec(cfg.N, cfg.k_for(cfg.N))
     op = OPERATOR_BUILDERS[cfg.operator](cfg.coefficients(), spec)
     rows = [TripleRow(*t) for t in op.to_triples()]
     return rows, {}, True

@@ -210,14 +210,14 @@ def diff4_centered(f: Field, eps: float) -> Field:
     return Field(d, f.lo + 2)
 
 
-def uniform_positions(F: float, half_width: int, eps: float, snap: bool = False) -> Field:
-    """Positions y_j = F*j*eps of the uniformly strained chain.
+def uniform_positions(F: float, half_width: int, eps: float) -> Field:
+    """Positions y_j = j*b of the uniformly strained chain, b = F*eps snapped.
 
-    With snap=True the bond length is first rounded to a float with enough
-    trailing zero bits that every position j*b is exactly representable.
-    All bond differences of a snapped state are then bitwise identical, so a
-    ghost-force test sees coupling artifacts only, not rounding residue of
-    the input state.  The snapped strain differs from F by < 2^-40 relative.
+    The bond length b is first rounded to a float with enough trailing
+    zero bits that every position j*b is exactly representable.  All
+    bond differences are then bitwise identical, so a ghost-force test
+    sees coupling artifacts only, not rounding residue of the input
+    state.  The snapped strain differs from F by < 2^-40 relative.
     """
     if half_width < 1:
         raise ValueError("half_width must be positive")
@@ -225,7 +225,7 @@ def uniform_positions(F: float, half_width: int, eps: float, snap: bool = False)
         raise ValueError(f"strain F must be finite, got F={F}")
     j = np.arange(-half_width, half_width + 1, dtype=float)
     b = F * eps
-    if not snap or b == 0.0:
+    if b == 0.0:
         return Field(F * (j * eps), -half_width)
     drop = int(np.ceil(np.log2(half_width + 1))) + 1
     quantum = 2.0 ** (np.floor(np.log2(abs(b))) - (52 - drop))

@@ -17,15 +17,15 @@ at the boundary.  The conjugate of the coupled operator is not banded:
 interface and far-field rows carry three extra entries in the interface
 columns, the fingerprint of the coupling being non-conservative.
 
-Strain operators have one source, the bands of StrainStencil: split
+Every operator has one source, the bands of StrainStencil.  split
 writes E, E^T or sym(E) as a tridiagonal part plus a few rank-one terms,
-which factor solves with and apply multiplies by, and entries lists E's
-nonzeros.  The strain solves and the stability kernels read E there and
-build no matrix.  The sparse Operator (row-major (row, col, value)
-arrays, at most five nonzeros per row) serves dump-operator, eig-scan and
-the tests: displacement operators are assembled without loops from the
-spring constants of each row's two second-difference stencils, strain
-operators from StrainStencil.entries, both in O(N).
+which factor solves with and apply multiplies by; the strain solves and
+the stability kernels read E there and build no matrix.  integer_entries
+lists B's nonzeros as small integers: scaled, they give E, and summed
+through D^T B D, they give every displacement operator as the conjugate
+of its strain operator.  Operator is only the output format, row-major
+(row, col, value) arrays, for dump-operator, eig-scan and the tests; both
+kinds are assembled without loops in O(N log N).
 """
 
 from __future__ import annotations
@@ -62,17 +62,16 @@ class Operator:
         if row.size and (min(row.min(), col.min()) < 0 or row.max() >= shape[0] or col.max() >= shape[1]):
             raise ValueError(f"an entry lies outside the shape {shape}")
         key = row * shape[1] + col
-        if np.any(key[1:] <= key[:-1]):
-            order = np.argsort(key, kind="stable")
-            row, col, value, key = row[order], col[order], value[order], key[order]
-            first = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
-            row, col, value = row[first], col[first], np.add.reduceat(value, first)
+        order = np.argsort(key, kind="stable")
+        row, col, value, key = row[order], col[order], value[order], key[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))  # -1 precedes every key; no keys, no entries
+        row, col, value = row[first], col[first], np.add.reduceat(value, first)
         keep = value != 0.0
         for name, v in (("shape", shape), ("row", row[keep]), ("col", col[keep]), ("value", value[keep])):
             object.__setattr__(self, name, v)
 
     @property
-    def nnz(self) -> int:
+    def nnz(self) -> int:  # perfbench/tracer.py counts an assembly result without nnz as dense
         return self.value.size
 
     @property
@@ -106,43 +105,12 @@ class Operator:
         a[self.row, self.col] = self.value
         return a
 
-    def interior_block(self) -> np.ndarray:
-        """Square dense block obtained by dropping the boundary columns.
-
-        Valid for displacement operators whose rows cover the free atoms
-        and whose columns include the two constrained boundary sites.
-        """
-        n_rows, n_cols = self.shape
-        if n_cols != n_rows + 2 or self.col_lo != self.row_lo - 1:
-            raise ValueError("operator is not in free-rows / full-columns form")
-        return self.toarray()[:, 1:-1]
-
     def to_triples(self):
         """(row, col, value) for every stored nonzero, row-major."""
         return [
             (int(r) + self.row_lo, int(c) + self.col_lo, float(v))
             for r, c, v in zip(self.row, self.col, self.value)
         ]
-
-
-def _second_differences(n: int, eps: float, springs, core=(0.0, 0.0), k: int = -1) -> Operator:
-    """Displacement operator from per-row spring constants (k1, k2).
-
-    Row j (free atoms -n+1..n-1, columns -n..n) is k1/eps^2 times the
-    second difference plus k2/eps^2 times the wide second difference,
-    with (k1, k2) = core on |j| <= k and springs elsewhere.  A
-    next-nearest bond reaching past +-n is absent, which leaves half the
-    wide diagonal on the first and last row.
-    """
-    j = np.arange(-n + 1, n)
-    k1, k2 = np.transpose(np.where((np.abs(j) <= k)[:, None], core, springs)) / eps**2
-    wide = np.where(np.abs(j) == n - 1, 1.0, 2.0)
-    # row i holds columns i-1..i+3 (column i+1 is site j); row-major, the
-    # first and last of these fall outside the columns -n..n
-    values = np.column_stack([-k2, -k1, 2.0 * k1 + wide * k2, -k1, -k2]).ravel()[1:-1]
-    rows = np.arange(2 * n - 1)
-    cols = (rows[:, None] + np.arange(-1, 4)).ravel()[1:-1]
-    return Operator(np.repeat(rows, 5)[1:-1], cols, values, (2 * n - 1, 2 * n + 1), -n + 1, -n)
 
 
 def _reduce(lower, diag, upper) -> tuple:
@@ -316,16 +284,14 @@ class StrainStencil:
             out += val * vec
         return out
 
-    def entries(self, c: Coefficients) -> tuple:
-        """(row, col, value) of E at offsets 0..2n-1: one entry per position, diagonal first.
+    def integer_entries(self) -> tuple:
+        """(row, col, b) of B at offsets 0..2n-1: one entry per position, diagonal first.
 
         A far-field row of T holds only its diagonal, so an interface term
-        meets T only on the diagonal of the far row next to the band.  B's
-        small-integer entries are summed there before the scaling by
-        phi2F, so an entry phiF + 5*phi2F that cancels is an exact zero.
+        meets T only on the diagonal of the far row next to the band,
+        where B's small integers are summed.
         """
-        nb = self.diag.size
-        i = np.arange(nb)
+        i = np.arange(self.diag.size)
         lo, up = np.flatnonzero(self.band[1:]) + 1, np.flatnonzero(self.band[:-1])  # rows with a neighbor term
         rows, cols, b = [i, lo, up], [i, lo - 1, up + 1], [self.diag.copy(), self.band[lo], self.band[up]]
         for far, col in self.interfaces:
@@ -337,9 +303,18 @@ class StrainStencil:
                 rows.append(r)
                 cols.append(np.full(r.size, j))
                 b.append(np.full(r.size, coef))
-        value = c.phi2F * np.concatenate(b)
-        value[:nb] += c.phiF
-        return np.concatenate(rows), np.concatenate(cols), value
+        return np.concatenate(rows), np.concatenate(cols), np.concatenate(b)
+
+    def entries(self, c: Coefficients) -> tuple:
+        """(row, col, value) of E, positioned as integer_entries lists B.
+
+        B's integer entries are scaled by phi2F once, so an entry
+        phiF + 5*phi2F that cancels is an exact zero.
+        """
+        row, col, b = self.integer_entries()
+        value = c.phi2F * b
+        value[:self.diag.size] += c.phiF
+        return row, col, value
 
     def factor(self, c: Coefficients, form: str = "E", shift: float = 0.0, weight: float = 1.0,
                what: str = "strain solve") -> BorderedSolve:
@@ -379,47 +354,68 @@ def _strain_operator(c: Coefficients, n: int, k: int) -> Operator:
     return Operator(*strain_stencil(n, k).entries(c), (2 * n, 2 * n), -n + 1, -n + 1)
 
 
+def _conjugate(n: int, eps: float, identity: float, next_nearest: float = 0.0, k=None) -> Operator:
+    """Displacement operator conjugate to E = identity * I + next_nearest * B.
+
+    B comes from strain_stencil(n, k), by default with k = n-1.  Row j
+    (free atoms -n+1..n-1, columns -n..n) is ((E Dv)_j - (E Dv)_{j+1}) / eps,
+    so an entry of E at bond offsets (r, c) lands in rows r-1, r and
+    columns c, c+1.  The integer entries of D^T D and D^T B D are summed
+    before the scaling, so entries that cancel are exact zeros.
+    """
+    nb = 2 * n
+    row, col, b = strain_stencil(n, n - 1 if k is None else k).integer_entries()
+    a = (row == col).astype(float)  # the entries of I
+    rows = np.concatenate([row, row, row - 1, row - 1])
+    cols = np.concatenate([col + 1, col, col + 1, col])
+    sign = np.repeat([1.0, -1.0, -1.0, 1.0], row.size)
+    keep = (rows >= 0) & (rows < nb - 1)
+    key, index = np.unique((rows * (nb + 1) + cols)[keep], return_inverse=True)
+    a, b = (np.bincount(index, (sign * np.tile(x, 4))[keep]) for x in (a, b))
+    value = (identity * a + next_nearest * b) / eps**2
+    return Operator(key // (nb + 1), key % (nb + 1), value, (nb - 1, nb + 1), -n + 1, -n)
+
+
 def assemble_la(c: Coefficients, m: int, eps: float) -> Operator:
-    """Linearized atomistic operator: rows -m+1..m-1, columns -m..m.
+    """Linearized atomistic operator: rows -m+1..m-1, columns -m..m; the conjugate of Ea.
 
     Interior rows carry both second-difference stencils; the first and
     last row lose the out-of-range half of the next-nearest stencil.
     """
     if m < 2:
         raise ValueError("half-width must be at least 2")
-    return _second_differences(m, eps, (c.phiF, c.phi2F))
+    return _conjugate(m, eps, c.phiF, c.phi2F, m - 1)
 
 
 def assemble_llqc(c: Coefficients, n: int, eps: float) -> Operator:
     """Linearized local operator: one tridiagonal stencil, rows -n+1..n-1."""
     if n < 2:
         raise ValueError("half-width must be at least 2")
-    return _second_differences(n, eps, (c.phiF + 4.0 * c.phi2F, 0.0))
+    return _conjugate(n, eps, c.phiF + 4.0 * c.phi2F)
 
 
 def assemble_lqcf(c: Coefficients, spec: DomainSpec) -> Operator:
-    """Coupled operator: atomistic rows on |j| <= K, local rows elsewhere.
+    """Coupled operator: atomistic rows on |j| <= K, local rows elsewhere; the conjugate of Eqcf.
 
     Rows cover the free atoms -N+1..N-1 only; the zero extension to +-N
     is realized by omitting those rows, which pair to zero against any
     field vanishing at the boundary.
     """
-    local = (c.phiF + 4.0 * c.phi2F, 0.0)
-    return _second_differences(spec.N, spec.eps, local, (c.phiF, c.phi2F), spec.K)
+    return _conjugate(spec.N, spec.eps, c.phiF, c.phi2F, spec.K)
 
 
 def assemble_l1(n: int, eps: float) -> Operator:
     """Nearest-neighbor part: plain second difference on every free atom."""
-    return _second_differences(n, eps, (1.0, 0.0))
+    return _conjugate(n, eps, 1.0)
 
 
 def assemble_l2(spec: DomainSpec) -> Operator:
-    """Next-nearest part of the coupled operator.
+    """Next-nearest part of the coupled operator, the conjugate of B.
 
     Wide second differences on |j| <= K, four times the narrow one on the
     continuum rows; the coupled operator is phiF * L1 + phi2F * L2.
     """
-    return _second_differences(spec.N, spec.eps, (4.0, 0.0), (0.0, 1.0), spec.K)
+    return _conjugate(spec.N, spec.eps, 0.0, 1.0, spec.K)
 
 
 def assemble_ea(c: Coefficients, m: int, eps: float) -> Operator:

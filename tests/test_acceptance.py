@@ -67,7 +67,7 @@ def test_c01_patch_test():
         for k in range(2, n // 2 + 1):
             spec = DomainSpec(n, k)
             for F in (0.9, 0.95, 1.0, 1.05, 1.1):
-                y = uniform_positions(F, n, eps, snap=True)
+                y = uniform_positions(F, n, eps)
                 residual = float(np.max(np.abs(force_qcf(y, spec, LJ).values)))
                 scale = max(1.0, abs(LJ.deriv1(F)) + abs(LJ.deriv1(2 * F)))
                 tol = 1e-13 * scale / eps

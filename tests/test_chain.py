@@ -100,7 +100,7 @@ def test_force_lqc_is_scaled_energy_gradient():
 def test_force_atomistic_uniform_interior_and_boundary():
     eps = 1.0 / 8
     F = 0.95
-    y = uniform_positions(F, 8, eps, snap=True)
+    y = uniform_positions(F, 8, eps)
     f = force_atomistic(y, LJ, eps)
     interior = f.values[1:-1]
     assert np.max(np.abs(interior)) <= 1e-10 / eps
@@ -113,7 +113,7 @@ def test_force_atomistic_uniform_interior_and_boundary():
 
 def test_force_lqc_uniform_vanishes_everywhere():
     eps = 1.0 / 8
-    y = uniform_positions(1.05, 8, eps, snap=True)
+    y = uniform_positions(1.05, 8, eps)
     assert np.max(np.abs(force_lqc(y, LJ, eps).values)) <= 1e-12 / eps
 
 
@@ -158,7 +158,7 @@ def test_patch_test_property(F, n, k_frac):
     # no ghost forces: the coupled force vanishes at every uniform state
     k = 2 + int(round(k_frac * (n // 2 - 2)))
     spec = DomainSpec(n, k)
-    y = uniform_positions(F, n, spec.eps, snap=True)
+    y = uniform_positions(F, n, spec.eps)
     residual = np.max(np.abs(force_qcf(y, spec, LJ).values))
     scale = max(1.0, abs(LJ.deriv1(F)) + abs(LJ.deriv1(2.0 * F)))
     assert residual <= 1e-13 * scale / spec.eps
@@ -184,7 +184,7 @@ def graded_zigzag(F, n, rng, grow):
     amp = np.sort(rng.uniform(1.0, 1.002, n + 1))
     amp = (amp if grow else amp[::-1])[m]
     amp[m > n // 2 + 2] = 0.0
-    y = uniform_positions(F, n, eps, snap=True)
+    y = uniform_positions(F, n, eps)
     return Field(y.values + 0.01 * eps * amp * (-1.0) ** j, -n)
 
 
@@ -207,7 +207,7 @@ def test_split_maxima_match_direct_dispatch(n):
     rows = patch_test_scan(LJ, F_values, [(n, k) for k in ks])
     assert [(r.F, r.N, r.K) for r in rows] == [(F, n, k) for F in F_values for k in ks]
     for F, group in zip(F_values, np.split(np.array([r.residual for r in rows]), 3)):
-        via_qcf, via_rule = direct_maxima(uniform_positions(F, n, 1.0 / n, snap=True), ks)
+        via_qcf, via_rule = direct_maxima(uniform_positions(F, n, 1.0 / n), ks)
         assert np.all(group == 0.0)
         assert np.array_equal(group, via_qcf) and np.array_equal(group, via_rule)
 
@@ -233,7 +233,7 @@ def test_split_maxima_match_direct_dispatch(n):
 
 
 def test_split_maxima_reject_inadmissible_split():
-    y = uniform_positions(1.0, 16, 1.0 / 16, snap=True)
+    y = uniform_positions(1.0, 16, 1.0 / 16)
     for ks in ([1, 2, 3], [2, 8, 9]):
         with pytest.raises(ValueError, match="K out of range"):
             max_abs_force_qcf(y, ks, LJ)

@@ -186,6 +186,18 @@ def test_dump_operator_triples(tmp_path):
     assert got[("-3", "-1")] == 1.0
 
 
+def test_dump_operator_takes_its_size_from_n_only(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["dump-operator", "--operator", "Lqcf", "--N-list", "8,16", "--K", "2",
+             "--phiF", "1", "--phi2F", "1", "--out", out])
+    assert exc.value.code == 2
+    assert run(["dump-operator", "--operator", "Lqcf", "--K", "2",
+                "--phiF", "1", "--phi2F", "1", "--out", out]) == 2
+    assert "need --N" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dump_operator_la_row_sums(tmp_path):
     out = tmp_path / "la.csv"
     code = run(["dump-operator", "--operator", "La", "--N", "8", "--K", "2",
@@ -281,17 +293,17 @@ def test_config_file_keys_are_scoped_per_subcommand(tmp_path, capsys):
 
 
 COMMON_OPTIONS = {
-    "-h", "--help", "--config", "--potential", "--F", "--N-list",
+    "-h", "--help", "--config", "--potential", "--F",
     "--K", "--K-ratio", "--out", "--format",
 }
 SPRINGS = {"--phiF", "--phi2F"}
 COMMAND_OPTIONS = {
-    "patch-test": {"--F-list", "--K-all"},
-    "coercivity": SPRINGS,
-    "infsup": SPRINGS | {"--p-list"},
-    "convergence": SPRINGS | {"--load", "--M-factor"},
+    "patch-test": {"--N-list", "--F-list", "--K-all"},
+    "coercivity": SPRINGS | {"--N-list"},
+    "infsup": SPRINGS | {"--N-list", "--p-list"},
+    "convergence": SPRINGS | {"--N-list", "--load", "--M-factor"},
     "dump-operator": SPRINGS | {"--operator", "--N"},
-    "eig-scan": SPRINGS,
+    "eig-scan": SPRINGS | {"--N-list"},
 }
 
 
