@@ -275,10 +275,10 @@ def cmd_convergence(cfg: RunConfig) -> tuple:
     load = named_load(cfg.load)
     pairs = cfg.nk_pairs()
     checked = convergence_scan_with_checks(c, load, pairs, cfg.M_factor)
-    rows = [rep for rep, _ in checked]
+    rows = [rep for rep, _, _ in checked]
     ok = True
-    for rep, half_t_l1 in checked:
-        ok = ok and rep.err_strain_inf <= rep.bound_rhs
+    for rep, half_t_l1, floor in checked:
+        ok = ok and rep.err_strain_inf <= rep.bound_rhs + floor
         ok = ok and rep.trunc_star <= rep.trunc_bound
         ok = ok and rep.trunc_star <= half_t_l1 + 1e-15
     extras = {"all_inequalities_hold": ok}
@@ -294,8 +294,7 @@ def cmd_dump_operator(cfg: RunConfig) -> tuple:
         raise ValueError("need --operator")
     if cfg.N is None:
         raise ValueError("need --N for dump-operator")
-    spec = DomainSpec(cfg.N, cfg.k_for(cfg.N))
-    op = OPERATOR_BUILDERS[cfg.operator](cfg.coefficients(), spec)
+    op = OPERATOR_BUILDERS[cfg.operator](cfg.coefficients(), cfg.N, cfg.k_for(cfg.N))
     rows = [TripleRow(*t) for t in op.to_triples()]
     return rows, {}, True
 

@@ -18,12 +18,13 @@ interface and far-field rows carry three extra entries in the interface
 columns, the fingerprint of the coupling being non-conservative.
 
 Every operator has one source, the bands of StrainStencil.  split
-writes E, E^T or sym(E) as a tridiagonal part plus a few rank-one terms,
-which factor solves with and apply multiplies by; the strain solves and
-the stability kernels read E there and build no matrix.  integer_entries
-lists B's nonzeros as small integers: scaled, they give E, and summed
-through D^T B D, they give every displacement operator as the conjugate
-of its strain operator.  Operator is only the output format, row-major
+writes E, E^T or sym(E) in one form T' + L^T R: a tridiagonal T' plus
+one rank-one term per interface, or two for sym(E), with L and R plain
+arrays.  factor solves with that form and apply multiplies by it; the
+strain solves and the stability kernels read E there and build no
+matrix.  integer_entries lists B's nonzeros as small integers: scaled,
+they give E, and summed through D^T B D, they give every displacement
+operator as the conjugate of its strain operator.  Operator is only the output format, row-major
 (row, col, value) arrays, for dump-operator, eig-scan and the tests; both
 kinds are assembled without loops in O(N log N).
 """
@@ -165,35 +166,33 @@ def _substitute(reduction: tuple, rhs: np.ndarray) -> np.ndarray:
 
 
 class BorderedSolve:
-    """Solves (T + L R^T) x = b + const * 1 with weight * sum(x) = d, for many b.
+    """Solves (T + L^T R) x = b + const * 1 with weight * sum(x) = d, for many b.
 
     T is tridiagonal and strictly diagonally dominant by rows or by
-    columns, L holds r columns, and right(v) lists the r values R^T v,
-    each an array over the columns of v when v is a matrix.  Factoring
-    reduces T once and substitutes the columns T^{-1} [1, L] and their
-    Gram matrix; then x = T^{-1} b + [T^{-1} 1, T^{-1} L] u, and
-    u = (const, -R^T x) comes from an (r+1)^2 capacitance system
-    (Sherman-Morrison-Woodbury form).  So each solve costs one
-    substitution plus a small dense solve.
+    columns; L and R are (r, size) arrays.  Factoring reduces T once and
+    substitutes the columns T^{-1} [1, L^T] and their Gram matrix; then
+    x = T^{-1} b + [T^{-1} 1, T^{-1} L^T] u, and u = (const, -R x) comes
+    from an (r+1)^2 capacitance system (Sherman-Morrison-Woodbury form).
+    So each solve costs one substitution plus a small dense solve.
     """
 
-    def __init__(self, tridiagonal: tuple, left: list, right, weight: float = 1.0,
+    def __init__(self, tridiagonal: tuple, left: np.ndarray, right: np.ndarray, weight: float = 1.0,
                  what: str = "strain solve"):
         self.reduction = _reduce(*tridiagonal)
         self.right, self.weight, self.what = right, weight, what
         self.iface = np.append(0.0, np.ones(len(left)))
-        # T^{-1} [1, L], one column per right-hand side, as the capacitance
-        # sums expect; [1, L] is passed unnamed so the substitution can free it
+        # T^{-1} [1, L^T], one column per right-hand side, as the capacitance
+        # sums expect; [1, L^T] is passed unnamed so the substitution can free it
         self.columns = _substitute(
-            self.reduction, np.array([np.ones(tridiagonal[1].size), *left])).T.copy()
-        self.gram = self.constraints(self.columns)  # [weight * 1^T; R^T] T^{-1} [1, L]
+            self.reduction, np.vstack((np.ones(tridiagonal[1].size), left))).T.copy()
+        self.gram = self.constraints(self.columns)  # [weight * 1^T; R] T^{-1} [1, L^T]
 
     def constraints(self, v: np.ndarray) -> np.ndarray:
-        """weight * sum(v) and R^T v, per column of v."""
-        return np.array([self.weight * np.sum(v, axis=0), *self.right(v)])
+        """weight * sum(v) and R v, per column of v."""
+        return np.concatenate(([self.weight * np.sum(v, axis=0)], self.right @ v))
 
     def solve(self, b: np.ndarray, d: float = 0.0) -> tuple:
-        """(x, const) with (T + L R^T) x = b + const * 1 and weight * sum(x) = d."""
+        """(x, const) with (T + L^T R) x = b + const * 1 and weight * sum(x) = d."""
         y = _substitute(self.reduction, b[None, :])[0]
         try:
             u = np.linalg.solve(self.gram + np.diag(self.iface),
@@ -211,68 +210,49 @@ class StrainStencil:
     diagonal and band[i] toward each neighboring bond that exists; a band
     row couples to both neighbors, a far-field row to neither.  Each
     interface (rows, col) adds [1, -2, 1] in columns col..col+2 to the
-    rows its boolean mask marks.  So E = phiF * I + phi2F * B is T plus
-    one rank-one term phi2F * chi_s a_s^T per interface s, with T
-    tridiagonal, chi_s the mask and a_s the [1, -2, 1] column vector.
+    rows its boolean mask marks.  So E = phiF * I + phi2F * B is
+    T + L^T R, with T tridiagonal and one rank-one term per interface:
+    the rows of L are phi2F times the far-field masks, those of R the
+    [1, -2, 1] kinks.
     """
 
     band: np.ndarray
     diag: np.ndarray
     interfaces: tuple
 
-    def tridiagonal(self, c: Coefficients, form: str = "E") -> tuple:
-        """(lower, diag, upper) of T, T^T (form "E^T") or sym(T) ("sym"); lower[0] = upper[-1] = 0.
-
-        T = phiF * I + phi2F * (tridiagonal part of B) is strictly row
-        diagonally dominant, and T^T strictly column dominant, when
-        phiF > 0 and phiF + 4*phi2F > 0.
-        """
-        lower = c.phi2F * self.band
-        upper = lower.copy()
-        lower[0] = upper[-1] = 0.0
-        if form != "E":
-            # T[i+1, i] and T[i, i+1]; transposing swaps them, symmetrizing averages them
-            below, above = lower[1:], upper[:-1]
-            if form == "sym":
-                below = above = 0.5 * (below + above)
-            elif form != "E^T":
-                raise ValueError(f"unknown form {form!r}")
-            lower, upper = np.append(0.0, above), np.append(below, 0.0)
-        return lower, c.phiF + c.phi2F * self.diag, upper
-
     def split(self, c: Coefficients, form: str = "E") -> tuple:
-        """((lower, diag, upper), L, R^T) of E, E^T or sym(E) = T' + L R^T, as BorderedSolve takes them.
+        """((lower, diag, upper), L, R) of E, E^T or sym(E) = T' + L^T R; lower[0] = upper[-1] = 0.
 
-        E^T is T^T plus phi2F * a_s chi_s^T per interface; sym(E) is
-        sym(T) plus (phi2F / 2) * (chi_s a_s^T + a_s chi_s^T), so its L is
-        U C and its R is U, with U = [a_1, chi_1, a_2, chi_2] and
-        C = (phi2F / 2) times a swap in each pair.  With phi2F = 0 there
-        are no low-rank terms.
+        U = [far; kink] stacks the far-field masks over the [1, -2, 1]
+        kinks.  E is (L, R) = (phi2F * far, kink), E^T swaps far and
+        kink, and sym(E) is L = C U, R = U with C = (phi2F / 2) times the
+        block swap.  T is strictly row diagonally dominant, and T^T
+        strictly column dominant, when phiF > 0 and phiF + 4*phi2F > 0.
+        With phi2F = 0 there are no low-rank terms.
         """
-        tridiagonal = self.tridiagonal(c, form)
-        terms = self.interfaces if c.phi2F != 0.0 else ()
-        chi = [c.phi2F * rows for rows, _ in terms]
-        a = [np.zeros(self.diag.size) for _ in terms]
-        for vec, (_, col) in zip(a, terms):
-            vec[col:col + 3] = [c.phi2F, -2.0 * c.phi2F, c.phi2F]
-
-        def a_dot(v):  # a_s^T v
-            return [v[col] - 2.0 * v[col + 1] + v[col + 2] for _, col in terms]
-
-        far = [slice(idx[0], idx[-1] + 1) for idx in (np.flatnonzero(rows) for rows, _ in terms)]
-
-        def chi_dot(v):  # chi_s^T v; each far field is one run of bonds
-            return [np.sum(v[rows], axis=0) for rows in far]
-
-        if form == "E":
-            return tridiagonal, chi, a_dot
+        b = c.phi2F * self.band
+        below, above = b[1:], b[:-1]  # T[i+1, i] and T[i, i+1]
         if form == "E^T":
-            return tridiagonal, a, chi_dot
-
-        def right(v):
-            return [val for pair in zip(a_dot(v), chi_dot(v)) for val in pair]
-
-        return tridiagonal, [0.5 * vec for pair in zip(chi, a) for vec in pair], right
+            below, above = above, below
+        elif form == "sym":
+            below = above = 0.5 * (below + above)
+        elif form != "E":
+            raise ValueError(f"unknown form {form!r}")
+        tridiagonal = np.append(0.0, below), c.phiF + c.phi2F * self.diag, np.append(above, 0.0)
+        terms = self.interfaces if c.phi2F != 0.0 else ()
+        # zeros leaves unwritten pages unallocated, so R, a block of u, holds little memory
+        u = np.zeros((2 * len(terms), self.diag.size))
+        far, kink = u[:len(terms)], u[len(terms):]
+        for mask, vec, (rows, col) in zip(far, kink, terms):
+            mask[rows] = 1.0
+            vec[col:col + 3] = 1.0, -2.0, 1.0
+        if form == "E":
+            return tridiagonal, c.phi2F * far, kink
+        if form == "E^T":
+            return tridiagonal, c.phi2F * kink, far
+        left = np.vstack((kink, far))
+        left *= 0.5 * c.phi2F  # in place: one full copy fewer at the peak of rayleigh_min
+        return tridiagonal, left, u
 
     def apply(self, c: Coefficients, w: np.ndarray, form: str = "E") -> np.ndarray:
         """E w, E^T w (form "E^T") or sym(E) w ("sym") for strains w at offsets 0..2n-1."""
@@ -280,9 +260,7 @@ class StrainStencil:
         out = diag * w
         out[1:] += lower[1:] * w[:-1]
         out[:-1] += upper[:-1] * w[1:]
-        for vec, val in zip(left, right(w)):
-            out += val * vec
-        return out
+        return out + (right @ w) @ left
 
     def integer_entries(self) -> tuple:
         """(row, col, b) of B at offsets 0..2n-1: one entry per position, diagonal first.

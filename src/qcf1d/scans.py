@@ -151,8 +151,8 @@ def infsup_scan(
 
 def _convergence_point(c: Coefficients, load: Callable, m_factor: int, n: int, k: int):
     spec = DomainSpec(n, k, M=m_factor * n)
-    report, t = error_report_detailed(c, load, spec)
-    return report, 0.5 * lp_norm(t, spec.eps, 1)
+    report, t, floor = error_report_detailed(c, load, spec)
+    return report, 0.5 * lp_norm(t, spec.eps, 1), floor
 
 
 def convergence_scan_with_checks(
@@ -161,7 +161,7 @@ def convergence_scan_with_checks(
     nk_pairs: Sequence[tuple],
     m_factor: int = 4,
 ) -> list[tuple]:
-    """(ErrorReport, half 1-norm of the truncation error) per sweep point."""
+    """(ErrorReport, half 1-norm of the truncation error, rounding floor) per sweep point."""
     return [_convergence_point(c, load, m_factor, n, k) for n, k in nk_pairs]
 
 
@@ -181,12 +181,13 @@ def eig_scan(c: Coefficients, nk_pairs: Sequence[tuple]) -> list[EigScanRow]:
     return [_eig_point(c, n, k) for n, k in nk_pairs]
 
 
+# dump-operator's builders from (c, N, K); only the coupled operators read K, and check its range
 OPERATOR_BUILDERS = {
-    "La": lambda c, spec: assemble_la(c, spec.N, spec.eps),
-    "Llqc": lambda c, spec: assemble_llqc(c, spec.N, spec.eps),
-    "Lqcf": assemble_lqcf,
-    "Ea": lambda c, spec: assemble_ea(c, spec.N, spec.eps),
-    "Eqcf": assemble_eqcf,
+    "La": lambda c, n, k: assemble_la(c, n, 1.0 / n),
+    "Llqc": lambda c, n, k: assemble_llqc(c, n, 1.0 / n),
+    "Lqcf": lambda c, n, k: assemble_lqcf(c, DomainSpec(n, k)),
+    "Ea": lambda c, n, k: assemble_ea(c, n, 1.0 / n),
+    "Eqcf": lambda c, n, k: assemble_eqcf(c, DomainSpec(n, k)),
 }
 
 

@@ -75,10 +75,11 @@ def solve_strain(
 
     E is phiF * I + phi2F * B with B = strain_stencil(n, k): the
     conjugate atomistic operator for k = n-1, the conjugate coupled one
-    for k = K.  The bordered solve of StrainStencil.factor writes E as
-    its tridiagonal part T plus one rank-one term per interface and
-    takes w from one cyclic reduction of T and a small capacitance
-    system for the constant and the interface values.
+    for k = K.  StrainStencil.split writes E as T + L^T R, its
+    tridiagonal part T plus one rank-one term per interface, and the
+    bordered solve of StrainStencil.factor takes w from one cyclic
+    reduction of T and a small capacitance system for the constant and
+    the interface values.
 
     Raises ValueError unless phiF + 4*phi2F > 0, which (with phiF > 0)
     makes T strictly row diagonally dominant.  Raises RuntimeError on a
@@ -86,9 +87,9 @@ def solve_strain(
     system [[E, -1], [eps 1^T, 0]] in the max norm,
     ||residual|| / (||A|| ||(w, const)|| + ||(g, delta_u)||), stays within
     BACKWARD_ERROR_TOL (Rigal-Gaches; Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 7).  ||E|| is taken row by row as
-    ||T|| + 4 |phi2F| on far-field rows, exact unless a far field is a
-    single row wide.
+    Numerical Algorithms, ch. 7).  ||E|| is bounded row by row by
+    |T| 1 + |L|^T |R| 1, which adds 4 |phi2F| on far-field rows and is
+    exact unless a far field is a single row wide.
     """
     s = strain_stencil(n, k)
     w, const = s.factor(c, "E", weight=eps, what=what).solve(g, delta_u)
@@ -96,9 +97,9 @@ def solve_strain(
         raise RuntimeError(f"{what}: solution is not finite")
     resid = max(float(np.max(np.abs(s.apply(c, w) - g - const))),
                 abs(eps * float(np.sum(w)) - delta_u))
-    lower, diag, upper = s.tridiagonal(c)
+    (lower, diag, upper), left, right = s.split(c)
     off = np.abs(lower) + np.abs(upper)
-    row_norms = np.abs(diag) + off + 4.0 * abs(c.phi2F) * sum(rows for rows, _ in s.interfaces)
+    row_norms = np.abs(diag) + off + np.abs(left).T @ np.abs(right).sum(axis=1)
     a_norm = max(float(np.max(row_norms)) + 1.0, 2.0 * n * eps)
     scale = (a_norm * max(float(np.max(np.abs(w))), abs(const))
              + max(float(np.max(np.abs(g))), abs(delta_u)))
@@ -196,15 +197,18 @@ class ErrorReport:
 
 def error_report_detailed(
     c: Coefficients, load: Callable, spec: DomainSpec
-) -> tuple[ErrorReport, Field]:
-    """Run the reference and coupled solves; return (ErrorReport, truncation error t).
+) -> tuple[ErrorReport, Field, float]:
+    """Run the reference and coupled solves; return (ErrorReport, truncation error t, floor).
 
     Both solves are strain solves on the reference's summed load: on
     bonds -N+1..N it differs from the coupled problem's own by the
     constant eps * sum_{j=N}^{M-1} f_j, which the multiplier of the mean
     constraint absorbs, and sharing it keeps its cumsum rounding out of
     the error.  The error, D3 and the truncation residual are all taken
-    from strains.
+    from strains.  floor, BACKWARD_ERROR_TOL times the strains' max
+    norm, is the rounding the two solves may leave in err_strain_inf:
+    the error bound is checked up to it, since with phi2F = 0 the bound
+    is 0 and the error is rounding residue alone.
     """
     if not c.phiF + 8.0 * c.phi2F > 0.0:
         raise ValueError("error report needs the stability regime phiF + 8*phi2F > 0")
@@ -231,4 +235,4 @@ def error_report_detailed(
         trunc_star=dual_norm_star(t, eps),
         trunc_bound=2.0 * eps**2 * abs(c.phi2F) * d3_max,
     )
-    return report, t
+    return report, t, BACKWARD_ERROR_TOL * float(np.max(np.abs(w_an)))

@@ -76,19 +76,19 @@ def _below_spectrum(solve, c: Coefficients) -> bool:
     """Whether the bordered solve of sym(E) - sigma has sigma below the mean-zero spectrum.
 
     With A = sym(T) - sigma positive definite and sym(E) - sigma =
-    A + U C U^T, Sylvester's law of inertia applied to
-    [[A, U, 1], [U^T, -C^{-1}, 0], [1^T, 0, 0]] in two elimination orders
-    shows that the Schur matrix -C^{-1} - [1 U]^T A^{-1} [1 U] (C^{-1}
-    padded by a zero for the 1 column) has r/2 + 1 + m negative
+    A + U^T C U (StrainStencil.split), Sylvester's law of inertia applied
+    to [[A, U^T, 1], [U, -C^{-1}, 0], [1^T, 0, 0]] in two elimination
+    orders shows that the Schur matrix -C^{-1} - [1 U^T]^T A^{-1} [1 U^T]
+    (C^{-1} padded by a zero for the 1 column) has r/2 + 1 + m negative
     eigenvalues, where m counts the eigenvalues below sigma of sym(E)
     on mean-zero strains and r/2 those of -C^{-1}.  The factor holds
-    A^{-1} [1, U C], so [1 U]^T A^{-1} [1 U] is its Gram matrix times
-    diag(1, C^{-1}).
+    A^{-1} [1, (C U)^T], so [1 U^T]^T A^{-1} [1 U^T] is its Gram matrix
+    times diag(1, C^{-1}).
     """
     r = solve.gram.shape[0] - 1
     c_inv = np.zeros((r + 1, r + 1))
-    if r:
-        c_inv[1:, 1:] = np.kron(np.eye(r // 2), [[0.0, 2.0 / c.phi2F], [2.0 / c.phi2F, 0.0]])
+    if r:  # C^{-1} = (2 / phi2F) times the swap of U's blocks [far; kink]
+        c_inv[1:, 1:] = np.kron([[0.0, 2.0 / c.phi2F], [2.0 / c.phi2F, 0.0]], np.eye(r // 2))
     one_c_inv = c_inv.copy()
     one_c_inv[0, 0] = 1.0  # diag(1, C^{-1})
     schur = -c_inv - solve.gram @ one_c_inv
@@ -107,7 +107,7 @@ def _shift_below_spectrum(c: Coefficients, spec: DomainSpec) -> tuple:
     without factoring them; the sigma found is the same.
     """
     s = strain_stencil(spec.N, spec.K)
-    lower, diag, upper = s.tridiagonal(c, "sym")
+    lower, diag, upper = s.split(c, "sym")[0]
     bound = float(np.min(diag - np.abs(lower) - np.abs(upper)))
     if spec.N - spec.K > 2:  # room for the candidates' ramp
         bound = min(bound, *(quadratic_form(c, spec, unstable_candidate(spec, sign)) for sign in "+-"))

@@ -254,7 +254,7 @@ def test_c09_convergence():
     errs, epss = [], []
     for n in (16, 32, 64, 128):
         spec = DomainSpec(n, n // 4, M=4 * n)
-        rep, t = error_report_detailed(c, load, spec)
+        rep, t, _ = error_report_detailed(c, load, spec)
         assert rep.err_strain_inf <= rep.bound_rhs, n
         assert rep.trunc_star <= rep.trunc_bound, n
         assert rep.trunc_star <= 0.5 * lp_norm(t, spec.eps, 1) + 1e-15, n

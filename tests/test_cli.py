@@ -1,11 +1,12 @@
 import argparse
+import dataclasses
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from qcf1d import cli
+from qcf1d import cli, scans
 from qcf1d.cli import main, read_config_file
 from qcf1d.operators import Operator
 from qcf1d.scans import PatchTestRow
@@ -126,6 +127,20 @@ def test_convergence_holds_past_dense_solve_limit(tmp_path):
     assert abs(float(extras["slope_err_vs_eps"]) - 2.0) <= 0.2
 
 
+def test_convergence_checks_the_error_bound_up_to_the_rounding_floor(tmp_path, monkeypatch):
+    # with phi2F = 0 the bound is 0 and the error is the solves' rounding residue
+    argv = ["convergence", "--phiF", "1", "--phi2F", "0", "--N-list", "16,32,64", "--out", tmp_path / "c.csv"]
+    assert run(argv) == 0
+    real = scans.error_report_detailed
+
+    def inflated(*args):
+        rep, t, floor = real(*args)
+        return dataclasses.replace(rep, err_strain_inf=rep.bound_rhs + 2.0 * floor), t, floor
+
+    monkeypatch.setattr(scans, "error_report_detailed", inflated)
+    assert run(argv) == 1
+
+
 def test_coercivity_reports_slope(tmp_path):
     out = tmp_path / "coerc.csv"
     code = run(["coercivity", "--phiF", "1", "--phi2F", "-0.2",
@@ -196,6 +211,21 @@ def test_dump_operator_takes_its_size_from_n_only(tmp_path, capsys):
                 "--phiF", "1", "--phi2F", "1", "--out", out]) == 2
     assert "need --N" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("operator,size,n_rows", [
+    ("La", ["--N", "3"], 5),
+    ("Ea", ["--N", "8", "--K", "7"], 16),
+])
+def test_dump_operator_reads_k_only_for_coupled_operators(tmp_path, operator, size, n_rows):
+    # La, Llqc and Ea take no split, so a K that N leaves no room for is no error
+    out = tmp_path / "x.csv"
+    springs = ["--phiF", "1", "--phi2F", "0.1", "--out", out]
+    assert run(["dump-operator", "--operator", operator, *size, *springs]) == 0
+    _, _, rows = read_rows(out)
+    assert len({r["row"] for r in rows}) == n_rows
+    coupled = "Lqcf" if operator == "La" else "Eqcf"
+    assert run(["dump-operator", "--operator", coupled, *size, *springs]) == 2
 
 
 def test_dump_operator_la_row_sums(tmp_path):

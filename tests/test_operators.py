@@ -371,17 +371,18 @@ def test_sparse_assembly_matches_dense_oracles(phi2F, n, k):
 @pytest.mark.parametrize("n,k", DIFFERENTIAL_NK)
 @pytest.mark.parametrize("phi2F", DIFFERENTIAL_PHI2F)
 def test_strain_stencil_bands_match_dense_oracles(phi2F, n, k):
-    # the bands the strain solver reads: T plus the interface terms is E
+    # the factors the strain solver reads: T' + L^T R is E, E^T or sym(E)
     c = Coefficients(1.0, phi2F)
     w = np.random.default_rng(n + k).standard_normal(2 * n)
     for band, dense in ((n - 1, ea_dense(c, n)), (k, eqcf_dense(c, DomainSpec(n, k)))):
         s = strain_stencil(n, band)
-        lower, diag, upper = s.tridiagonal(c)
-        E = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
-        for rows, col in s.interfaces:
-            E[rows, col:col + 3] += c.phi2F * np.array([1.0, -2.0, 1.0])
-        assert_allclose(E, dense, rtol=0, atol=1e-15)
         for form, dense_form in (("E", dense), ("E^T", dense.T), ("sym", 0.5 * (dense + dense.T))):
+            (lower, diag, upper), left, right = s.split(c, form)
+            assert lower[0] == upper[-1] == 0.0
+            assert left.shape == right.shape and left.shape[1] == 2 * n
+            assert (left.shape[0] == 0) == (phi2F == 0.0 or not s.interfaces)  # phi2F = 0: no low-rank rows
+            E = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1) + left.T @ right
+            assert_allclose(E, dense_form, rtol=0, atol=1e-15)
             assert_allclose(s.apply(c, w, form), dense_form @ w, rtol=0, atol=1e-14 * np.max(np.abs(w)))
         # entries: one per position, diagonal first, exactly the oracle's values
         row, col, value = s.entries(c)

@@ -253,7 +253,7 @@ def test_trunc_star_holds_its_bound_at_large_n():
 
 def test_error_report_inequalities_and_symmetry():
     spec = DomainSpec(32, 8, M=128)
-    rep, t = error_report_detailed(C, named_load("cospi"), spec)
+    rep, t, _ = error_report_detailed(C, named_load("cospi"), spec)
     assert rep.err_strain_inf <= rep.bound_rhs
     assert rep.trunc_star <= rep.trunc_bound
     assert rep.trunc_star <= 0.5 * lp_norm(t, spec.eps, 1) + 1e-15
@@ -278,7 +278,7 @@ def test_constant_load_hits_rounding_floor():
     # the computational window, so the fourth differences vanish and the
     # coupled solve reproduces it to rounding
     spec = DomainSpec(32, 8, M=128)
-    rep, _ = error_report_detailed(C, named_load("const"), spec)
+    rep, _, _ = error_report_detailed(C, named_load("const"), spec)
     assert rep.err_strain_inf <= 1e-9
     assert rep.trunc_star <= 1e-9
 
