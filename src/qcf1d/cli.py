@@ -211,7 +211,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TripleRow:
     row: int
     col: int

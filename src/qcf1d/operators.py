@@ -133,7 +133,8 @@ def _reduce(lower, diag, upper) -> tuple:
         size = diag.size
         if size % 2 == 0:
             lower, diag, upper = (np.concatenate((v, [pad])) for v, pad in ((lower, 0.0), (diag, 1.0), (upper, 0.0)))
-        a, b, c = lower[0::2], diag[0::2], upper[0::2]
+        # copies: views of the even rows would keep every row of the level alive
+        a, b, c = lower[0::2].copy(), diag[0::2].copy(), upper[0::2].copy()
         left = -lower[1::2] / b[:-1]
         right = -upper[1::2] / b[1:]
         levels.append((size, a, b, c, left, right))
@@ -165,11 +166,21 @@ def _substitute(reduction: tuple, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def _multiply(tridiagonal: tuple, left: np.ndarray, right: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(T + L^T R) w, with T given by its (lower, diag, upper) bands."""
+    lower, diag, upper = tridiagonal
+    out = diag * w
+    out[1:] += lower[1:] * w[:-1]
+    out[:-1] += upper[:-1] * w[1:]
+    return out + (right @ w) @ left
+
+
 class BorderedSolve:
     """Solves (T + L^T R) x = b + const * 1 with weight * sum(x) = d, for many b.
 
     T is tridiagonal and strictly diagonally dominant by rows or by
-    columns; L and R are (r, size) arrays.  Factoring reduces T once and
+    columns; L and R are (r, size) arrays, kept with T's bands for apply
+    and for the callers' norm bounds.  Factoring reduces T once and
     substitutes the columns T^{-1} [1, L^T] and their Gram matrix; then
     x = T^{-1} b + [T^{-1} 1, T^{-1} L^T] u, and u = (const, -R x) comes
     from an (r+1)^2 capacitance system (Sherman-Morrison-Woodbury form).
@@ -179,7 +190,8 @@ class BorderedSolve:
     def __init__(self, tridiagonal: tuple, left: np.ndarray, right: np.ndarray, weight: float = 1.0,
                  what: str = "strain solve"):
         self.reduction = _reduce(*tridiagonal)
-        self.right, self.weight, self.what = right, weight, what
+        self.tridiagonal, self.left, self.right = tridiagonal, left, right
+        self.weight, self.what = weight, what
         self.iface = np.append(0.0, np.ones(len(left)))
         # T^{-1} [1, L^T], one column per right-hand side, as the capacitance
         # sums expect; [1, L^T] is passed unnamed so the substitution can free it
@@ -201,6 +213,10 @@ class BorderedSolve:
             raise RuntimeError(f"{self.what}: bordered system is singular") from exc
         return y + self.columns @ u, float(u[0])
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """(T + L^T R) x."""
+        return _multiply(self.tridiagonal, self.left, self.right, x)
+
 
 @dataclass(frozen=True)
 class StrainStencil:
@@ -220,15 +236,11 @@ class StrainStencil:
     diag: np.ndarray
     interfaces: tuple
 
-    def split(self, c: Coefficients, form: str = "E") -> tuple:
-        """((lower, diag, upper), L, R) of E, E^T or sym(E) = T' + L^T R; lower[0] = upper[-1] = 0.
+    def tridiagonal(self, c: Coefficients, form: str = "E") -> tuple:
+        """(lower, diag, upper) of T' in E, E^T or sym(E) = T' + L^T R; lower[0] = upper[-1] = 0.
 
-        U = [far; kink] stacks the far-field masks over the [1, -2, 1]
-        kinks.  E is (L, R) = (phi2F * far, kink), E^T swaps far and
-        kink, and sym(E) is L = C U, R = U with C = (phi2F / 2) times the
-        block swap.  T is strictly row diagonally dominant, and T^T
-        strictly column dominant, when phiF > 0 and phiF + 4*phi2F > 0.
-        With phi2F = 0 there are no low-rank terms.
+        T is strictly row diagonally dominant, and T^T strictly column
+        dominant, when phiF > 0 and phiF + 4*phi2F > 0.
         """
         b = c.phi2F * self.band
         below, above = b[1:], b[:-1]  # T[i+1, i] and T[i, i+1]
@@ -238,29 +250,56 @@ class StrainStencil:
             below = above = 0.5 * (below + above)
         elif form != "E":
             raise ValueError(f"unknown form {form!r}")
-        tridiagonal = np.append(0.0, below), c.phiF + c.phi2F * self.diag, np.append(above, 0.0)
+        return np.append(0.0, below), c.phiF + c.phi2F * self.diag, np.append(above, 0.0)
+
+    def split(self, c: Coefficients, form: str = "E") -> tuple:
+        """((lower, diag, upper), L, R) of E, E^T or sym(E) = T' + L^T R, T' from tridiagonal.
+
+        U = [far; kink] stacks the far-field masks over the [1, -2, 1]
+        kinks.  E is (L, R) = (phi2F * far, kink), E^T swaps far and
+        kink, and sym(E) is L = C U, R = U with C = (phi2F / 2) times the
+        block swap.  With phi2F = 0 there are no low-rank terms.
+        """
+        tridiagonal = self.tridiagonal(c, form)
         terms = self.interfaces if c.phi2F != 0.0 else ()
-        # zeros leaves unwritten pages unallocated, so R, a block of u, holds little memory
+        # zeros leaves unwritten pages unallocated, so the kink rows of u hold little memory
         u = np.zeros((2 * len(terms), self.diag.size))
         far, kink = u[:len(terms)], u[len(terms):]
+        # phi2F is written into the far rows for E and the kink rows for E^T,
+        # so that L and R are both blocks of u
+        f, k = {"E": (c.phi2F, 1.0), "E^T": (1.0, c.phi2F)}.get(form, (1.0, 1.0))
         for mask, vec, (rows, col) in zip(far, kink, terms):
-            mask[rows] = 1.0
-            vec[col:col + 3] = 1.0, -2.0, 1.0
+            mask[rows] = f
+            vec[col:col + 3] = k, -2.0 * k, k
         if form == "E":
-            return tridiagonal, c.phi2F * far, kink
+            return tridiagonal, far, kink
         if form == "E^T":
-            return tridiagonal, c.phi2F * kink, far
+            return tridiagonal, kink, far
         left = np.vstack((kink, far))
         left *= 0.5 * c.phi2F  # in place: one full copy fewer at the peak of rayleigh_min
         return tridiagonal, left, u
 
     def apply(self, c: Coefficients, w: np.ndarray, form: str = "E") -> np.ndarray:
         """E w, E^T w (form "E^T") or sym(E) w ("sym") for strains w at offsets 0..2n-1."""
-        (lower, diag, upper), left, right = self.split(c, form)
-        out = diag * w
-        out[1:] += lower[1:] * w[:-1]
-        out[:-1] += upper[:-1] * w[1:]
-        return out + (right @ w) @ left
+        return _multiply(*self.split(c, form), w)
+
+    def frobenius_norm(self, c: Coefficients) -> float:
+        """||E||_F, summed from the bands and the interface counts, with no entry listed.
+
+        Off the diagonal, B holds band[i] toward each neighbor of a band
+        row and each kink coefficient on every far row but the one whose
+        diagonal it meets (integer_entries).
+        """
+        d = c.phiF + c.phi2F * self.diag
+        below, above = self.band[1:], self.band[:-1]
+        total = float(d @ d) + c.phi2F**2 * float(below @ below + above @ above)
+        for far, col in self.interfaces:
+            n_far = np.count_nonzero(far)
+            for j, coef in enumerate((1.0, -2.0, 1.0), start=col):
+                if far[j]:
+                    total += (d[j] + c.phi2F * coef) ** 2 - d[j] ** 2
+                total += (n_far - far[j]) * (c.phi2F * coef) ** 2
+        return float(np.sqrt(total))
 
     def integer_entries(self) -> tuple:
         """(row, col, b) of B at offsets 0..2n-1: one entry per position, diagonal first.

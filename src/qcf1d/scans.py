@@ -31,17 +31,24 @@ PATCH_TEST_TOL = 1e-13
 
 
 def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Least-squares slope of log(y) against log(x)."""
+    """Least-squares slope of log(y) against log(x); nan when every x is the same.
+
+    The closed form of the straight-line fit,
+    sum((lx - mean(lx)) * ly) / sum((lx - mean(lx))^2).
+    """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.size < 2:
         raise ValueError("need at least two points for a slope")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ValueError("log-log fit needs positive data")
-    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+    lx = np.log(xs)
+    lx -= lx.mean()
+    sxx = float(lx @ lx)
+    return float(lx @ np.log(ys)) / sxx if sxx > 0.0 else float("nan")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatchTestRow:
     F: float
     N: int
@@ -51,7 +58,7 @@ class PatchTestRow:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoercivityScanRow:
     N: int
     K: int
@@ -59,7 +66,7 @@ class CoercivityScanRow:
     witness_value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InfSupScanRow:
     N: int
     K: int
@@ -68,7 +75,7 @@ class InfSupScanRow:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EigScanRow:
     N: int
     K: int
@@ -166,7 +173,28 @@ def convergence_scan_with_checks(
 
 
 def _eig_point(c: Coefficients, n: int, k: int) -> EigScanRow:
-    ev = np.linalg.eigvals(assemble_lqcf(c, DomainSpec(n, k)).toarray()[:, 1:-1])
+    """Eigenvalues of the interior block of Lqcf (atoms -N+1..N-1), from two half-size blocks.
+
+    Lqcf commutes exactly with the reflection j -> -j, so the interior
+    block splits into its action on even fields (v_{-m} = v_m: columns m
+    and -m summed, rows j >= 0, N x N) and on odd ones (v_{-m} = -v_m:
+    their difference, rows j >= 1, (N-1) x (N-1)).  Each block is
+    similar, by a diagonal scaling, to a diagonal block of Q^T L Q with Q
+    the orthonormal even/odd basis, so together they carry the spectrum
+    of the interior block for a quarter of the flops and memory of its
+    dense eigensolve.
+    """
+    op = assemble_lqcf(c, DomainSpec(n, k))
+    row, col = op.row - (n - 1), op.col - n  # atoms
+    m = np.abs(col)
+    even = (row >= 0) & (m < n)
+    odd = (row >= 1) & (m >= 1) & (m < n)
+    blocks = (
+        np.bincount(row[even] * n + m[even], op.value[even], minlength=n * n).reshape(n, n),
+        np.bincount((row[odd] - 1) * (n - 1) + m[odd] - 1, np.sign(col[odd]) * op.value[odd],
+                    minlength=(n - 1) ** 2).reshape(n - 1, n - 1),
+    )
+    ev = np.concatenate([np.linalg.eigvals(b) for b in blocks])
     return EigScanRow(
         n,
         k,
@@ -199,14 +227,6 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def serialize_rows(rows: Sequence) -> tuple[list[str], list[list]]:
-    """Column names and value lists for a sequence of row dataclasses."""
-    if not rows:
-        return [], []
-    names = [f.name for f in fields(rows[0])]
-    return names, [[getattr(r, n) for n in names] for r in rows]
-
-
 def write_table(
     path: str,
     fmt: str,
@@ -215,26 +235,27 @@ def write_table(
     rows: Sequence,
     extras: Optional[dict] = None,
 ) -> None:
-    """Write scan rows as CSV (with a config echo in # comments) or JSON."""
+    """Write scan rows as CSV (with a config echo in # comments) or JSON.
+
+    CSV goes to the file line by line, each row as it is formatted.
+    """
     extras = extras or {}
-    names, values = serialize_rows(rows)
+    names = [f.name for f in fields(rows[0])] if rows else []
     if fmt == "csv":
-        lines = [f"# qcf1d {command}"]
-        for k in sorted(config):
-            lines.append(f"# {k}={_format_value(config[k])}")
-        for k in sorted(extras):
-            lines.append(f"# {k}={_format_value(extras[k])}")
-        lines.append(",".join(names))
-        for row in values:
-            lines.append(",".join(_format_value(v) for v in row))
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(f"# qcf1d {command}\n")
+            for echo in (config, extras):
+                for k in sorted(echo):
+                    fh.write(f"# {k}={_format_value(echo[k])}\n")
+            fh.write(",".join(names) + "\n")
+            for r in rows:
+                fh.write(",".join([_format_value(getattr(r, n)) for n in names]) + "\n")
     elif fmt == "json":
         doc = {
             "command": command,
             "config": config,
             "extras": extras,
-            "rows": [dict(zip(names, row)) for row in values],
+            "rows": [{n: getattr(r, n) for n in names} for r in rows],
         }
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2, default=float)

@@ -79,7 +79,8 @@ def solve_strain(
     tridiagonal part T plus one rank-one term per interface, and the
     bordered solve of StrainStencil.factor takes w from one cyclic
     reduction of T and a small capacitance system for the constant and
-    the interface values.
+    the interface values.  The residual and the norm bound below read
+    T, L and R from that factor.
 
     Raises ValueError unless phiF + 4*phi2F > 0, which (with phiF > 0)
     makes T strictly row diagonally dominant.  Raises RuntimeError on a
@@ -91,13 +92,13 @@ def solve_strain(
     |T| 1 + |L|^T |R| 1, which adds 4 |phi2F| on far-field rows and is
     exact unless a far field is a single row wide.
     """
-    s = strain_stencil(n, k)
-    w, const = s.factor(c, "E", weight=eps, what=what).solve(g, delta_u)
+    solve = strain_stencil(n, k).factor(c, "E", weight=eps, what=what)
+    w, const = solve.solve(g, delta_u)
     if not np.all(np.isfinite(w)):
         raise RuntimeError(f"{what}: solution is not finite")
-    resid = max(float(np.max(np.abs(s.apply(c, w) - g - const))),
+    resid = max(float(np.max(np.abs(solve.apply(w) - g - const))),
                 abs(eps * float(np.sum(w)) - delta_u))
-    (lower, diag, upper), left, right = s.split(c)
+    (lower, diag, upper), left, right = solve.tridiagonal, solve.left, solve.right
     off = np.abs(lower) + np.abs(upper)
     row_norms = np.abs(diag) + off + np.abs(left).T @ np.abs(right).sum(axis=1)
     a_norm = max(float(np.max(row_norms)) + 1.0, 2.0 * n * eps)
@@ -181,7 +182,7 @@ def truncation_error_stencil(w_a: Field, c: Coefficients, spec: DomainSpec) -> F
     return Field(t, -n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ErrorReport:
     """One convergence-study run: measured errors next to the proved bounds."""
 

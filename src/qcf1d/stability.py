@@ -26,8 +26,22 @@ LANCZOS_MAX_ITER = 200
 
 
 def _start_vector(n: int) -> np.ndarray:
-    """Fixed Lanczos start vector, so every run returns the same digits."""
-    return np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    """Fixed Lanczos start vector, so every run returns the same digits.
+
+    Entry i is 2 frac((i+1) g) - 1 with g = (sqrt(5) - 1)/2.  Lanczos
+    finds the largest eigenvalue only if the start vector has a
+    component along its eigenvector; a random vector has one with
+    probability one, and this Weyl sequence, equidistributed in [-1, 1),
+    is no more likely to miss it.  The one structural way a fixed vector
+    can miss is symmetry: every operator here commutes with the
+    reflection of the chain, which maps the strain at offset i to that
+    at n-1-i, so a vector even or odd under it has no component along
+    any eigenvector of the other parity.  The Weyl sequence has no such
+    symmetry (g is irrational, so its entries at i and n-1-i are
+    unrelated), nor a period that could align it with the sine modes of
+    the bands.  The mean, which the operators ignore, is removed after.
+    """
+    return np.modf(np.arange(1, n + 1) * ((np.sqrt(5.0) - 1.0) / 2.0))[0] * 2.0 - 1.0
 
 
 def _lanczos_max(op, n: int, what: str) -> tuple:
@@ -37,7 +51,10 @@ def _lanczos_max(op, n: int, what: str) -> tuple:
     Matrix Computations, ch. 10) from the fixed start vector, stopped
     when the residual |beta_m s_m| of the largest Ritz pair falls to
     LANCZOS_TOL times its Ritz value, or when the Krylov space is
-    invariant.  Raises RuntimeError after LANCZOS_MAX_ITER steps.
+    invariant.  Each new basis vector is also kept free of constants:
+    when beta is small, rounding would leave it a mean of relative size
+    1e-16 * ||op|| / beta, and the returned vector with it.  Raises
+    RuntimeError after LANCZOS_MAX_ITER steps.
     """
     v = _start_vector(n)
     v -= v.mean()
@@ -50,6 +67,7 @@ def _lanczos_max(op, n: int, what: str) -> tuple:
         alpha.append(float(basis[m] @ w))
         for _ in range(2):  # twice is enough (Kahan, Parlett)
             w -= basis[: m + 1].T @ (basis[: m + 1] @ w)
+            w -= w.mean()  # and against the constants, which op ignores
         beta.append(float(np.linalg.norm(w)))
         ritz, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
         theta, resid = ritz[-1], beta[-1] * abs(vecs[-1, -1])
@@ -107,7 +125,7 @@ def _shift_below_spectrum(c: Coefficients, spec: DomainSpec) -> tuple:
     without factoring them; the sigma found is the same.
     """
     s = strain_stencil(spec.N, spec.K)
-    lower, diag, upper = s.split(c, "sym")[0]
+    lower, diag, upper = s.tridiagonal(c, "sym")
     bound = float(np.min(diag - np.abs(lower) - np.abs(upper)))
     if spec.N - spec.K > 2:  # room for the candidates' ramp
         bound = min(bound, *(quadratic_form(c, spec, unstable_candidate(spec, sign)) for sign in "+-"))
@@ -134,18 +152,17 @@ def rayleigh_min(c: Coefficients, spec: DomainSpec) -> float:
     and ||I||_F.
     """
     n = 2 * spec.N
-    _, solve = _shift_below_spectrum(c, spec)
+    sigma, solve = _shift_below_spectrum(c, spec)
 
     def shift_invert(x):
         y = solve.solve(x - x.mean())[0]
         return y - y.mean()
 
     _, x = _lanczos_max(shift_invert, n, "rayleigh_min")
-    s = strain_stencil(spec.N, spec.K)
-    hx = s.apply(c, x, "sym")
+    hx = solve.apply(x) + sigma * x  # sym(E) x
     lam = float(x @ hx / (x @ x))
     resid = np.linalg.norm(hx - hx.mean() - lam * x)
-    scale = (np.linalg.norm(s.entries(c)[2]) + abs(lam) * np.sqrt(n)) * np.linalg.norm(x)
+    scale = (strain_stencil(spec.N, spec.K).frobenius_norm(c) + abs(lam) * np.sqrt(n)) * np.linalg.norm(x)
     if scale > 0 and resid > EIG_TOL * scale:
         raise RuntimeError(
             f"eigensolve residual {resid:.3e} exceeds {EIG_TOL:.1e} * {scale:.3e}"

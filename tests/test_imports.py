@@ -1,4 +1,4 @@
-"""No subcommand loads scipy: qcf1d runs on numpy alone.
+"""No subcommand loads scipy, nor numpy.random: qcf1d runs on numpy's core and linalg alone.
 
 Every solve, eigen- and singular-value kernel runs on the bordered
 strain solve, and the sparse operators are numpy (row, col, value)
@@ -82,3 +82,26 @@ def test_stability_commands_load_no_scipy(tmp_path):
     assert rows["coercivity"][-2].startswith("16,4,")
     assert sum(line.startswith("32,8,2.0,exact,") for line in rows["infsup"]) == 1
     assert len(rows["dump-operator"]) > 20 and len(rows["eig-scan"]) > 2
+
+
+EVERY_SUBCOMMAND = """
+import json, sys
+import qcf1d.cli
+runs = [
+    ["patch-test", "--N-list", "16", "--K-all", "--F-list", "0.9,1.1"],
+    ["coercivity", "--phiF", "1", "--phi2F", "-0.2", "--N-list", "16,32"],
+    ["infsup", "--phiF", "1", "--phi2F", "-0.2", "--N-list", "16,32", "--p-list", "1,2,4"],
+    ["convergence", "--phiF", "1", "--phi2F", "-0.05", "--N-list", "16,32", "--K-ratio", "0.25",
+     "--M-factor", "4", "--load", "cospi"],
+    ["dump-operator", "--operator", "Lqcf", "--N", "8", "--K", "2", "--phiF", "1", "--phi2F", "1"],
+    ["eig-scan", "--phiF", "1", "--phi2F", "-0.2", "--N-list", "16,32"],
+]
+codes = [qcf1d.cli.main(argv + ["--out", f"{sys.argv[1]}/{argv[0]}.csv"]) for argv in runs]
+print(json.dumps({"codes": codes, "numpy.random": "numpy.random" in sys.modules}))
+"""
+
+
+def test_no_subcommand_loads_numpy_random(tmp_path):
+    # numpy imports numpy.random lazily; loading it costs every process
+    # about 6 MB, and no table needs a random number
+    assert fresh_run(EVERY_SUBCOMMAND, tmp_path) == {"codes": [0] * 6, "numpy.random": False}
