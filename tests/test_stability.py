@@ -10,7 +10,9 @@ from qcf1d.operators import assemble_eqcf, assemble_l2, pair_with_test, strain_s
 from qcf1d.potentials import Coefficients
 from qcf1d.stability import (
     _below_spectrum,
+    _lanczos_max,
     _shift_below_spectrum,
+    _start_vector,
     dual_norm_star,
     infsup_2,
     infsup_p_upper,
@@ -273,7 +275,32 @@ def test_noncoercivity_onset_grows_with_stiffness_ratio():
     assert onsets[1] < onsets[2]
 
 
-@pytest.mark.parametrize("n,k", DIFFERENTIAL_NK)
+# 2N+1 Fibonacci: a linear Weyl start vector frac((i+1) g) is odd at these N
+FIBONACCI_NK = [(n, max(2, n // 4)) for n in (6, 10, 27, 44)]
+
+
+@pytest.mark.parametrize("n", [n for n, _ in FIBONACCI_NK] + list(range(2, 3000, 97)) + [2**12, 2**20])
+def test_start_vector_has_both_reflection_parities(n):
+    v = _start_vector(2 * n)
+    v -= v.mean()
+    even, odd = 0.5 * (v + v[::-1]), 0.5 * (v - v[::-1])
+    assert min(np.linalg.norm(even), np.linalg.norm(odd)) >= 0.43 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("n", [n for n, _ in FIBONACCI_NK])
+def test_lanczos_finds_an_even_top_eigenvector(n):
+    # x -> 2x + reflected x, on mean-zero vectors: 3 on even vectors, 1 on
+    # odd ones; a start vector of one parity would return that parity's value
+    def op(x):
+        y = 2.0 * x + x[::-1]
+        return y - y.mean()
+
+    lam, x = _lanczos_max(op, 2 * n, "test")
+    assert_allclose(lam, 3.0, rtol=1e-12)
+    assert_allclose(x, x[::-1], atol=1e-10 * np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("n,k", DIFFERENTIAL_NK + FIBONACCI_NK)
 @pytest.mark.parametrize("phi2F", DIFFERENTIAL_PHI2F)
 def test_sparse_kernels_match_dense_oracles(phi2F, n, k):
     c = Coefficients(1.0, phi2F)
