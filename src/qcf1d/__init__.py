@@ -6,46 +6,23 @@ linearized operators, their stability across norm pairings, and the
 second-order convergence of the coupled solution to the reference one.
 """
 
-from .lattice import (
-    DomainSpec,
-    Field,
-    diff,
-    diff3,
-    diff4_centered,
-    displacement,
-    inner,
-    lp_norm,
-    summed_load,
-    uniform_positions,
-)
-from .potentials import Coefficients, PairPotential, is_admissible, lennard_jones
-from .chain import (
-    energy_atomistic,
-    energy_lqc,
-    force_atomistic,
-    force_lqc,
-    force_qcf,
-    max_abs_force_qcf,
-)
+from .lattice import DomainSpec, Field, diff, lp_norm, summed_load, uniform_positions
+from .potentials import Coefficients, PairPotential, lennard_jones
+from .chain import force_atomistic, force_lqc, max_abs_force_qcf
 from .operators import (
     Operator,
     StrainStencil,
     assemble_ea,
     assemble_eqcf,
-    assemble_l1,
-    assemble_l2,
     assemble_la,
     assemble_llqc,
     assemble_lqcf,
-    l2_decomposition,
-    pair_with_test,
     strain_stencil,
 )
 from .stability import (
     dual_norm_star,
     infsup_2,
     infsup_p_upper,
-    interface_probe,
     quadratic_form,
     rayleigh_min,
     rdd_margin,
@@ -56,8 +33,6 @@ from .solver import (
     error_report_detailed,
     named_load,
     sample_load,
-    solve_atomistic,
-    solve_qcf,
     solve_strain,
     truncation_error_stencil,
 )

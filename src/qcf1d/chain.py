@@ -1,4 +1,4 @@
-"""Energies and force fields of the chain with first and second neighbors.
+"""Force fields of the chain with first and second neighbors.
 
 The chain of 2L+1 atoms at positions y_j carries a nearest-neighbor bond
 for every adjacent pair and a next-nearest bond for every pair two sites
@@ -36,23 +36,6 @@ def _nnn_strains(y: Field, eps: float) -> np.ndarray:
     return (v[2:] - v[:-2]) / eps
 
 
-def energy_atomistic(y: Field, phi: PairPotential, eps: float) -> float:
-    """Total two-bond energy eps * [sum phi(NN strains) + sum phi(NNN strains)]."""
-    return eps * float(
-        np.sum(phi.eval(_nn_strains(y, eps))) + np.sum(phi.eval(_nnn_strains(y, eps)))
-    )
-
-
-def energy_lqc(y: Field, phi: PairPotential, eps: float) -> float:
-    """Local (Cauchy-Born) energy: every bond contributes phi(r) + phi(2r).
-
-    Has one next-nearest term more than the atomistic energy because the
-    local density ignores the missing second neighbor at each end.
-    """
-    r = _nn_strains(y, eps)
-    return eps * float(np.sum(phi.eval(r)) + np.sum(phi.eval(2.0 * r)))
-
-
 def force_atomistic(y: Field, phi: PairPotential, eps: float) -> Field:
     """Atomistic force (per lattice spacing) on the free atoms -L+1..L-1.
 
@@ -79,38 +62,17 @@ def force_lqc(y: Field, phi: PairPotential, eps: float) -> Field:
     return Field((g[1:] - g[:-1]) / eps, -L + 1)
 
 
-def _atomistic_shells(K):
-    """Number of shells m = |j| on the atomistic law: sites |j| <= K.
-
-    The split rule of the force laws, read by force_qcf and
-    max_abs_force_qcf; the linearized operators read operators.strain_stencil.
-    """
-    return K + 1
-
-
-def force_qcf(y: Field, spec: DomainSpec, phi: PairPotential) -> Field:
-    """Region-dispatched force on -N+1..N-1.
-
-    Sites |j| <= K get the atomistic formula (all their neighbors lie in
-    the computational domain because K <= N-2), the rest the local one.
-    """
-    if y.half_width != spec.N:
-        raise ValueError(f"expected positions over -N..N with N={spec.N}")
-    fa = force_atomistic(y, phi, spec.eps)
-    fl = force_lqc(y, phi, spec.eps)
-    atomistic = np.abs(fa.indices()) < _atomistic_shells(spec.K)
-    return Field(np.where(atomistic, fa.values, fl.values), fa.lo)
-
-
 def max_abs_force_qcf(y: Field, ks: list[int], phi: PairPotential) -> np.ndarray:
-    """max_j |force_qcf(y, DomainSpec(N, K), phi)_j| for every split K in ks.
+    """max_j |f_j| of the coupled force f at y, for every split K in ks.
 
-    N is the half-width of y.  Each force law is evaluated once: sites j
-    and -j fold into the shell m = |j|, and since a split's atomistic
-    shells come first, a running maximum of the atomistic field from the
-    center out and one of the local field from the boundary in give each
-    K in O(1), O(N + len(ks)) in all.  Maxima are exact and propagate NaN
-    as np.max does, so every value equals the direct one bit for bit.
+    The coupled force takes the atomistic law on sites |j| <= K and the
+    local law on the other free atoms; N is the half-width of y.  Each
+    force law is evaluated once: sites j and -j fold into the shell
+    m = |j|, and since a split's atomistic shells come first, a running
+    maximum of the atomistic field from the center out and one of the
+    local field from the boundary in give each K in O(1), O(N + len(ks))
+    in all.  Maxima are exact and propagate NaN as np.max does, so every
+    value equals the direct one bit for bit.
     """
     n = y.half_width
     ks = np.asarray(ks, dtype=int)
@@ -125,5 +87,5 @@ def max_abs_force_qcf(y: Field, ks: list[int], phi: PairPotential) -> np.ndarray
 
     inner = np.maximum.accumulate(shells(fa))
     outer = np.maximum.accumulate(shells(fl)[::-1])[::-1]
-    s = _atomistic_shells(ks)
+    s = ks + 1  # shells m = 0..K take the atomistic law
     return np.maximum(inner[s - 1], outer[s])

@@ -142,24 +142,6 @@ class Field:
         return self.values[0] == 0.0 and self.values[-1] == 0.0
 
 
-def displacement(values, half_width: Optional[int] = None) -> Field:
-    """Field over sites -L..L; L inferred from the (odd) length if omitted."""
-    v = np.asarray(values, dtype=float)
-    if half_width is None:
-        if v.size % 2 == 0:
-            raise ValueError("cannot infer half-width from an even-length array")
-        half_width = (v.size - 1) // 2
-    if v.size != 2 * half_width + 1:
-        raise ValueError(f"expected {2 * half_width + 1} values, got {v.size}")
-    return Field(v, -half_width)
-
-
-def inner(f: Field, g: Field, eps: float) -> float:
-    """Weighted inner product eps * sum_j f_j g_j over a shared index range."""
-    f._check_range(g)
-    return eps * float(f.values @ g.values)
-
-
 def lp_norm(f, eps: float, p) -> float:
     """Weighted norm (eps * sum |v|^p)^(1/p); p = inf gives the max norm."""
     v = f.values if isinstance(f, Field) else np.asarray(f, dtype=float)
@@ -190,24 +172,6 @@ def summed_load(f: Field, eps: float) -> Field:
     g = np.zeros(len(f) - 1)
     g[:-1] = eps * np.cumsum(f.values[-2:0:-1])[::-1]
     return Field(g, f.lo + 1)
-
-
-def diff3(f: Field, eps: float) -> Field:
-    """Third backward difference, (v_j - 3v_{j-1} + 3v_{j-2} - v_{j-3})/eps^3."""
-    if len(f) < 4:
-        raise ValueError("need at least 4 values for a third difference")
-    v = f.values
-    d = (v[3:] - 3.0 * v[2:-1] + 3.0 * v[1:-2] - v[:-3]) / eps**3
-    return Field(d, f.lo + 3)
-
-
-def diff4_centered(f: Field, eps: float) -> Field:
-    """Centered fourth difference on interior sites lo+2..hi-2."""
-    if len(f) < 5:
-        raise ValueError("need at least 5 values for a fourth difference")
-    v = f.values
-    d = (v[4:] - 4.0 * v[3:-1] + 6.0 * v[2:-2] - 4.0 * v[1:-3] + v[:-4]) / eps**4
-    return Field(d, f.lo + 2)
 
 
 def uniform_positions(F: float, half_width: int, eps: float) -> Field:

@@ -24,19 +24,19 @@ arrays.  factor solves with that form and apply multiplies by it; the
 strain solves and the stability kernels read E there and build no
 matrix.  integer_entries lists B's nonzeros as small integers: scaled,
 they give E, and summed through D^T B D, they give every displacement
-operator as the conjugate of its strain operator.  Operator is only the output format, row-major
-(row, col, value) arrays, for dump-operator, eig-scan and the tests; both
-kinds are assembled without loops in O(N log N).
+operator as the conjugate of its strain operator.  Operator is only
+the output format, row-major (row, col, value) arrays, for
+dump-operator and eig-scan; both kinds are assembled without loops in
+O(N log N).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
-from .lattice import DomainSpec, Field, diff, diff3, inner
+from .lattice import DomainSpec
 from .potentials import Coefficients
 
 
@@ -90,16 +90,6 @@ class Operator:
         keys = self.row * self.shape[1] + self.col
         pos = int(np.searchsorted(keys, key))
         return float(self.value[pos]) if pos < keys.size and keys[pos] == key else 0.0
-
-    def apply(self, f: Field) -> Field:
-        if f.lo != self.col_lo or len(f) != self.shape[1]:
-            raise ValueError(
-                f"operator columns {self.col_lo}..{self.col_hi} do not match "
-                f"field range {f.lo}..{f.hi}"
-            )
-        # each row summed in column order, one entry at a time
-        out = np.bincount(self.row, self.value * f.values[self.col], minlength=self.shape[0])
-        return Field(out, self.row_lo)
 
     def toarray(self) -> np.ndarray:
         a = np.zeros(self.shape)
@@ -421,20 +411,6 @@ def assemble_lqcf(c: Coefficients, spec: DomainSpec) -> Operator:
     return _conjugate(spec.N, spec.eps, c.phiF, c.phi2F, spec.K)
 
 
-def assemble_l1(n: int, eps: float) -> Operator:
-    """Nearest-neighbor part: plain second difference on every free atom."""
-    return _conjugate(n, eps, 1.0)
-
-
-def assemble_l2(spec: DomainSpec) -> Operator:
-    """Next-nearest part of the coupled operator, the conjugate of B.
-
-    Wide second differences on |j| <= K, four times the narrow one on the
-    continuum rows; the coupled operator is phiF * L1 + phi2F * L2.
-    """
-    return _conjugate(spec.N, spec.eps, 0.0, 1.0, spec.K)
-
-
 def assemble_ea(c: Coefficients, m: int, eps: float) -> Operator:
     """Conjugate of the atomistic operator, on bonds -m+1..m.
 
@@ -453,40 +429,3 @@ def assemble_eqcf(c: Coefficients, spec: DomainSpec) -> Operator:
     through as few nonzeros as possible.  Every row has at most 4 nonzeros.
     """
     return _strain_operator(c, spec.N, spec.K)
-
-
-def pair_with_test(L: Operator, v: Field, w: Field, eps: float) -> float:
-    """<L v, w> where w vanishes on the rows L omits."""
-    return inner(L.apply(v), w.restrict(L.row_lo, L.row_hi), eps)
-
-
-def l2_decomposition(v: Field, w: Field, spec: DomainSpec) -> Tuple[float, float, float]:
-    """Split <L2 v, w> into a strain-pairing part plus two interface terms.
-
-    Returns (regular, left_interface, right_interface); the interface
-    terms are eps^2 * (third difference of v at bond -K+1) * w_{-K} and
-    minus the mirror expression at bond K+2.  Their sum reconstructs the
-    direct pairing for every v and every w vanishing at +-N.
-    """
-    n, k = spec.N, spec.K
-    eps = spec.eps
-    if v.half_width != n or w.half_width != n:
-        raise ValueError(f"fields must cover -N..N with N={n}")
-    if not w.is_homogeneous:
-        raise ValueError("test field must vanish at the boundary sites")
-    dv = diff(v, eps)
-    dw = diff(w, eps)
-    off = n - 1  # bond j at offset j + off
-    left = slice(0, -k + off + 1)           # bonds -N+1..-K
-    mid = np.arange(-k + 1 + off, k + off + 1)  # bonds -K+1..K
-    right = slice(k + 1 + off, 2 * n)       # bonds K+1..N
-    regular = 4.0 * eps * float(dv.values[left] @ dw.values[left])
-    regular += eps * float(
-        (dv.values[mid - 1] + 2.0 * dv.values[mid] + dv.values[mid + 1])
-        @ dw.values[mid]
-    )
-    regular += 4.0 * eps * float(dv.values[right] @ dw.values[right])
-    d3 = diff3(v, eps)
-    left_interface = eps**2 * d3.at(-k + 1) * w.at(-k)
-    right_interface = -(eps**2) * d3.at(k + 2) * w.at(k)
-    return regular, left_interface, right_interface

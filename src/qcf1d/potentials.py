@@ -76,7 +76,3 @@ class Coefficients:
     def from_potential(cls, phi: PairPotential, F: float) -> "Coefficients":
         return cls(float(phi.deriv2(F)), float(phi.deriv2(2.0 * F)))
 
-
-def is_admissible(phi: PairPotential, F: float) -> bool:
-    """Strains where the nearest bond stiffens and the next-nearest softens."""
-    return float(phi.deriv2(F)) > 0.0 and float(phi.deriv2(2.0 * F)) < 0.0

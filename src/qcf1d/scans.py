@@ -115,12 +115,9 @@ def patch_test_scan(
 
 def _coercivity_point(c: Coefficients, n: int, k: int) -> CoercivityScanRow:
     spec = DomainSpec(n, k)
-    r = rayleigh_min(c, spec)
-    witness = min(
-        quadratic_form(c, spec, unstable_candidate(spec, "+")),
-        quadratic_form(c, spec, unstable_candidate(spec, "-")),
-    )
-    return CoercivityScanRow(n, k, r, witness)
+    # the witness, a Rayleigh quotient, also bounds rayleigh_min's shift search
+    witness = min(quadratic_form(c, spec, unstable_candidate(spec, sign)) for sign in "+-")
+    return CoercivityScanRow(n, k, rayleigh_min(c, spec, witness), witness)
 
 
 def coercivity_scan(c: Coefficients, nk_pairs: Sequence[tuple]) -> list[CoercivityScanRow]:

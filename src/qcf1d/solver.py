@@ -29,7 +29,6 @@ terms of size 1/eps^2 down to eps^2.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -113,49 +112,6 @@ def solve_strain(
     return w
 
 
-def _displacements(w: np.ndarray, eps: float, bc_left: float, bc_right: float) -> Field:
-    """u = bc_left + eps * cumsum(w) on the sites around bonds w, ends set exactly."""
-    u = np.empty(w.size + 1)
-    u[0] = bc_left
-    u[1:] = bc_left + eps * np.cumsum(w)
-    u[-1] = bc_right
-    return Field(u, -(w.size // 2))
-
-
-def solve_atomistic(c: Coefficients, f: Field, eps: float) -> Field:
-    """Solve the linearized atomistic system with zero boundary values.
-
-    f holds samples over the full chain -M..M; its boundary entries pair
-    with constrained atoms and are ignored.
-    """
-    m = f.half_width
-    w = solve_strain(c, m, m - 1, summed_load(f, eps).values, 0.0, eps, "atomistic solve")
-    return _displacements(w, eps, 0.0, 0.0)
-
-
-def solve_qcf(
-    c: Coefficients, f: Field, spec: DomainSpec, bc_left: float, bc_right: float
-) -> Field:
-    """Solve the coupled system on -N..N with prescribed boundary values.
-
-    Outside the proven stability regime phiF + 8*phi2F > 0 the solve
-    still runs (instability studies need it) but warns.
-    """
-    n = spec.N
-    if f.half_width != n:
-        raise ValueError(f"load must cover -N..N with N={n}")
-    g = summed_load(f, spec.eps).values
-    w = solve_strain(c, n, spec.K, g, bc_right - bc_left, spec.eps, "coupled solve")
-    if not c.phiF + 8.0 * c.phi2F > 0.0:
-        warnings.warn(
-            f"phiF + 8*phi2F = {c.phiF + 8.0 * c.phi2F:.4g} <= 0: outside the "
-            "proven stability regime",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return _displacements(w, spec.eps, bc_left, bc_right)
-
-
 def truncation_error_stencil(w_a: Field, c: Coefficients, spec: DomainSpec) -> Field:
     """Residual of the reference solution in the coupled equations, from its strains.
 
@@ -167,7 +123,7 @@ def truncation_error_stencil(w_a: Field, c: Coefficients, spec: DomainSpec) -> F
     rounding of order 1e-16 * N^2, as on any route, but the suffix sums
     of dual_norm_star telescope to differences of the same D3, so there
     the rounding of each D3 cancels.  That of a separately computed
-    fourth difference (diff4_centered) would not.  O(N).
+    fourth difference would not.  O(N).
     """
     spec.require_reference(2)
     if w_a.lo != 1 - w_a.hi:

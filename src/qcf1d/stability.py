@@ -120,21 +120,19 @@ def _below_spectrum(solve, c: Coefficients) -> bool:
     return np.count_nonzero(eig < 0.0) == r // 2 + 1 and np.count_nonzero(eig > 0.0) == r // 2
 
 
-def _shift_below_spectrum(c: Coefficients, spec: DomainSpec) -> tuple:
+def _shift_below_spectrum(c: Coefficients, spec: DomainSpec, witness: float = np.inf) -> tuple:
     """(sigma, bordered solve of sym(Eqcf) - sigma) for the first certified sigma in -1, -2, -4, ...
 
     sigma is first taken low enough that sym(T) - sigma is strictly
     diagonally dominant, hence positive definite, and then until
     _below_spectrum certifies it.  A certified sigma also lies below the
-    Rayleigh quotient <E w, w> / <w, w> of every trial strain w, so the
-    shifts above that of the spike candidates' strains are skipped
-    without factoring them; the sigma found is the same.
+    Rayleigh quotient <E w, w> / <w, w> of every trial strain w, so given
+    such a quotient as witness, the shifts above it are skipped without
+    factoring them; the sigma found is the same.
     """
     s = strain_stencil(spec.N, spec.K)
     lower, diag, upper = s.tridiagonal(c, "sym")
-    bound = float(np.min(diag - np.abs(lower) - np.abs(upper)))
-    if spec.N - spec.K > 2:  # room for the candidates' ramp
-        bound = min(bound, *(quadratic_form(c, spec, unstable_candidate(spec, sign)) for sign in "+-"))
+    bound = min(float(np.min(diag - np.abs(lower) - np.abs(upper))), witness)
     sigma = -1.0
     while not sigma < bound:
         sigma *= 2.0
@@ -145,7 +143,7 @@ def _shift_below_spectrum(c: Coefficients, spec: DomainSpec) -> tuple:
         sigma *= 2.0
 
 
-def rayleigh_min(c: Coefficients, spec: DomainSpec) -> float:
+def rayleigh_min(c: Coefficients, spec: DomainSpec, witness: float = np.inf) -> float:
     """Minimum of <L v, v> over fields vanishing at +-N with ||Dv|| = 1.
 
     By the conjugate identity <L v, v> = <E Dv, Dv>, and since Dv ranges
@@ -155,10 +153,11 @@ def rayleigh_min(c: Coefficients, spec: DomainSpec) -> float:
     below the spectrum by an inertia count (_shift_below_spectrum).  It
     is returned as the Rayleigh quotient of the Lanczos vector, and the
     pair must pass a residual check scaled by ||E||_F >= ||sym(E)||_F
-    and ||I||_F.
+    and ||I||_F.  witness, a known value of the minimized quotient (the
+    spike candidates' in coercivity), only spares shift trials.
     """
     n = 2 * spec.N
-    _, solve = _shift_below_spectrum(c, spec)
+    _, solve = _shift_below_spectrum(c, spec, witness)
 
     def shift_invert(x):
         y = solve.solve(x - x.mean())[0]
@@ -239,29 +238,12 @@ def infsup_2(c: Coefficients, spec: DomainSpec) -> float:
     return float(1.0 / np.sqrt(lam))
 
 
-def interface_probe(c: Coefficients, spec: DomainSpec) -> Field:
-    """Mean-zero strain that the conjugate operator nearly annihilates.
-
-    Piecewise constant -1 / 0 / 1 with values -alpha and alpha at the two
-    bonds flanking the atomistic band, alpha chosen so the far-field rows
-    of the image cancel exactly.
-    """
-    if c.phi2F == 0.0:
-        raise ValueError("the probe needs phi2F != 0")
-    n, k = spec.N, spec.K
-    alpha = (c.phiF + 5.0 * c.phi2F) / (2.0 * c.phi2F)
-    xi = np.zeros(2 * n)
-    j = np.arange(-n + 1, n + 1)
-    xi[j <= -k - 1] = -1.0
-    xi[j == -k] = -alpha
-    xi[j == k + 1] = alpha
-    xi[j >= k + 2] = 1.0
-    return Field(xi, -n + 1)
-
-
 def infsup_p_upper(c: Coefficients, spec: DomainSpec, p: float) -> float:
-    """Upper bound ||E xi|| / ||xi|| in the p-norm at the interface probe.
+    """Upper bound ||E xi|| / ||xi|| in the p-norm at the interface probe xi.
 
+    xi is the mean-zero strain -1 on bonds j <= -K-1, -alpha at -K,
+    alpha at K+1 and 1 on j >= K+2, with alpha = (phiF + 5*phi2F) /
+    (2*phi2F) chosen so the far-field rows of E xi cancel exactly.
     Closed form: the image keeps exactly four nonzero entries (two per
     interface) while the probe itself has about 2(N-K) unit entries, so
     the quotient decays like N^(-1/p).

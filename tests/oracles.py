@@ -2,11 +2,13 @@
 
 Everything here recomputes quantities by a different route than the
 library: explicit bond loops for energies, finite differences for
-gradients and Jacobians, direct pairing maximization for the dual norm,
-dense row loops for the operators, dense eigen- and singular-value
-solves for the stability constants, dense LU for the linear solves, and
-direct operator products in exact rational arithmetic for the
-truncation error and the quadratic form.
+gradients and Jacobians, the site-by-site dispatch of the coupled force,
+direct pairing maximization for the dual norm, dense row loops for the
+operators, the summation-by-parts split of the next-nearest pairing,
+the explicit interface probe, dense eigen- and singular-value solves for
+the stability constants, dense LU for the linear solves, and direct
+operator products in exact rational arithmetic for the truncation error
+and the quadratic form.
 Keep these dumb and slow on purpose.
 """
 
@@ -15,8 +17,10 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from qcf1d.lattice import Field, diff, inner, lp_norm
+from qcf1d.chain import force_atomistic, force_lqc
+from qcf1d.lattice import Field, diff, lp_norm, summed_load
 from qcf1d.potentials import Coefficients
+from qcf1d.solver import solve_strain
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -63,6 +67,38 @@ def energy_lqc_loop(y, phi, eps):
     return total
 
 
+def force_qcf(y, spec, phi):
+    """Coupled force on -N+1..N-1, dispatched site by site: atomistic on |j| <= K, local elsewhere."""
+    if y.half_width != spec.N:
+        raise ValueError(f"expected positions over -N..N with N={spec.N}")
+    fa = force_atomistic(y, phi, spec.eps)
+    fl = force_lqc(y, phi, spec.eps)
+    return Field(np.where(np.abs(fa.indices()) <= spec.K, fa.values, fl.values), fa.lo)
+
+
+def diff3(f, eps):
+    """Third backward difference, (v_j - 3v_{j-1} + 3v_{j-2} - v_{j-3})/eps^3, on lo+3..hi."""
+    v = f.values
+    return Field((v[3:] - 3.0 * v[2:-1] + 3.0 * v[1:-2] - v[:-3]) / eps**3, f.lo + 3)
+
+
+def diff4_centered(f, eps):
+    """Centered fourth difference on interior sites lo+2..hi-2."""
+    v = f.values
+    return Field((v[4:] - 4.0 * v[3:-1] + 6.0 * v[2:-2] - 4.0 * v[1:-3] + v[:-4]) / eps**4, f.lo + 2)
+
+
+def displacement_solve(c, f, k, eps, bc=(0.0, 0.0)):
+    """u on -n..n with L u = f on the free atoms and u = bc at -+n, n the half-width of f.
+
+    L is La for k = n-1 and Lqcf for k = K: the strain solve of its
+    conjugate on the summed load, summed up from bc[0].
+    """
+    n = f.half_width
+    w = solve_strain(c, n, k, summed_load(f, eps).values, bc[1] - bc[0], eps)
+    return Field(np.concatenate(([bc[0]], bc[0] + eps * np.cumsum(w))), -n)
+
+
 def plateau_dual_norm(f, eps):
     """Exact dual-norm maximization over the extreme points of the ball.
 
@@ -79,7 +115,7 @@ def plateau_dual_norm(f, eps):
             w[a + n : b + 1 + n] = 1.0
             wf = Field(w, -n)
             nrm = lp_norm(diff(wf, eps), eps, 1)
-            best = max(best, abs(inner(wf, f, eps)) / nrm)
+            best = max(best, abs(eps * float(w @ f.values)) / nrm)
     return best
 
 
@@ -210,6 +246,58 @@ def l2_dense(spec):
             A[i, o] += 8.0 * s
             A[i, o + 1] += -4.0 * s
     return A
+
+
+def pair_dense(L, v, w, eps):
+    """<L v, w> for a dense displacement operator and w vanishing on the rows L omits."""
+    return eps * float((L @ v.values) @ w.values[1:-1])
+
+
+def l2_decomposition(v, w, spec):
+    """Split <L2 v, w> into a strain-pairing part plus two interface terms.
+
+    Returns (regular, left_interface, right_interface); the interface
+    terms are eps^2 * (third difference of v at bond -K+1) * w_{-K} and
+    minus the mirror expression at bond K+2.  Their sum reconstructs the
+    direct pairing for every v and every w vanishing at +-N.
+    """
+    n, k = spec.N, spec.K
+    eps = spec.eps
+    if v.half_width != n or w.half_width != n:
+        raise ValueError(f"fields must cover -N..N with N={n}")
+    if not w.is_homogeneous:
+        raise ValueError("test field must vanish at the boundary sites")
+    dv = diff(v, eps).values
+    dw = diff(w, eps).values
+    off = n - 1  # bond j at offset j + off
+    left = slice(0, -k + off + 1)  # bonds -N+1..-K
+    mid = np.arange(-k + 1 + off, k + off + 1)  # bonds -K+1..K
+    right = slice(k + 1 + off, 2 * n)  # bonds K+1..N
+    regular = 4.0 * eps * float(dv[left] @ dw[left])
+    regular += eps * float((dv[mid - 1] + 2.0 * dv[mid] + dv[mid + 1]) @ dw[mid])
+    regular += 4.0 * eps * float(dv[right] @ dw[right])
+    d3 = diff3(v, eps)
+    left_interface = eps**2 * d3.at(-k + 1) * w.at(-k)
+    right_interface = -(eps**2) * d3.at(k + 2) * w.at(k)
+    return regular, left_interface, right_interface
+
+
+def interface_probe(c, spec):
+    """Mean-zero strain that the conjugate coupled operator nearly annihilates.
+
+    Piecewise constant -1 / 0 / 1 with values -alpha and alpha at the two
+    bonds flanking the atomistic band, alpha chosen so the far-field rows
+    of the image cancel exactly; stability.infsup_p_upper is its closed form.
+    """
+    n, k = spec.N, spec.K
+    alpha = (c.phiF + 5.0 * c.phi2F) / (2.0 * c.phi2F)
+    xi = np.zeros(2 * n)
+    j = np.arange(-n + 1, n + 1)
+    xi[j <= -k - 1] = -1.0
+    xi[j == -k] = -alpha
+    xi[j == k + 1] = alpha
+    xi[j >= k + 2] = 1.0
+    return Field(xi, -n + 1)
 
 
 def ea_dense(c, m):

@@ -9,48 +9,40 @@ import time
 import numpy as np
 from numpy.testing import assert_allclose
 
-from qcf1d.chain import force_atomistic, force_lqc, force_qcf
-from qcf1d.lattice import (
-    DomainSpec,
-    Field,
-    diff,
-    diff4_centered,
-    inner,
-    lp_norm,
-    uniform_positions,
-)
+from qcf1d.chain import force_atomistic, force_lqc, max_abs_force_qcf
+from qcf1d.lattice import DomainSpec, Field, diff, lp_norm, uniform_positions
 from qcf1d.operators import (
     assemble_ea,
     assemble_eqcf,
-    assemble_l2,
     assemble_la,
     assemble_llqc,
     assemble_lqcf,
-    l2_decomposition,
-    pair_with_test,
     strain_stencil,
 )
 from qcf1d.potentials import Coefficients, lennard_jones
 from qcf1d.scans import loglog_slope
-from qcf1d.solver import (
-    error_report_detailed,
-    named_load,
-    sample_load,
-    solve_atomistic,
-    solve_qcf,
-    truncation_error_stencil,
-)
+from qcf1d.solver import error_report_detailed, named_load, sample_load, truncation_error_stencil
 from qcf1d.stability import (
     dual_norm_star,
     infsup_2,
     infsup_p_upper,
-    interface_probe,
     rayleigh_min,
     rdd_margin,
     unstable_candidate,
 )
 
-from oracles import fd_jacobian, sampled_dual_norm, truncation_error_dense
+from oracles import (
+    diff4_centered,
+    displacement_solve,
+    fd_jacobian,
+    force_qcf,
+    interface_probe,
+    l2_decomposition,
+    l2_dense,
+    pair_dense,
+    sampled_dual_norm,
+    truncation_error_dense,
+)
 
 LJ = lennard_jones()
 
@@ -64,15 +56,13 @@ def test_c01_patch_test():
     worst = 0.0
     for n in (16, 32, 64):
         eps = 1.0 / n
-        for k in range(2, n // 2 + 1):
-            spec = DomainSpec(n, k)
-            for F in (0.9, 0.95, 1.0, 1.05, 1.1):
-                y = uniform_positions(F, n, eps)
-                residual = float(np.max(np.abs(force_qcf(y, spec, LJ).values)))
-                scale = max(1.0, abs(LJ.deriv1(F)) + abs(LJ.deriv1(2 * F)))
-                tol = 1e-13 * scale / eps
-                assert residual <= tol, (F, n, k, residual, tol)
-                worst = max(worst, residual)
+        ks = list(range(2, n // 2 + 1))
+        for F in (0.9, 0.95, 1.0, 1.05, 1.1):
+            residuals = max_abs_force_qcf(uniform_positions(F, n, eps), ks, LJ)
+            scale = max(1.0, abs(LJ.deriv1(F)) + abs(LJ.deriv1(2 * F)))
+            tol = 1e-13 * scale / eps
+            assert np.all(residuals <= tol), (F, n, residuals, tol)
+            worst = max(worst, float(np.max(residuals)))
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
     report(1, "patch-test", f"max residual {worst:.2e}, {elapsed:.1f}s")
@@ -84,9 +74,10 @@ def test_c02_weak_form_identities():
     n = m = 32
     eps = 1.0 / 32
     spec = DomainSpec(n, 8)
+    c = Coefficients(1.0, -0.05)
     pairs = [
-        (assemble_ea(Coefficients(1.0, -0.05), m, eps), assemble_la(Coefficients(1.0, -0.05), m, eps)),
-        (assemble_eqcf(Coefficients(1.0, -0.05), spec), assemble_lqcf(Coefficients(1.0, -0.05), spec)),
+        (assemble_ea(c, m, eps).toarray(), assemble_la(c, m, eps).toarray()),
+        (assemble_eqcf(c, spec).toarray(), assemble_lqcf(c, spec).toarray()),
     ]
     worst = 0.0
     for E, L in pairs:
@@ -95,12 +86,12 @@ def test_c02_weak_form_identities():
             w_vals = rng.standard_normal(2 * n + 1)
             w_vals[0] = w_vals[-1] = 0.0
             w = Field(w_vals, -n)
-            dv, dw = diff(v, eps), diff(w, eps)
-            lhs = inner(E.apply(dv), dw, eps)
-            rhs = pair_with_test(L, v, w, eps)
+            dv, dw = diff(v, eps).values, diff(w, eps).values
+            lhs = eps * float((E @ dv) @ dw)
+            rhs = pair_dense(L, v, w, eps)
             scale = (
-                lp_norm(E.apply(dv), eps, 2) * lp_norm(dw, eps, 2)
-                + lp_norm(L.apply(v), eps, 2) * lp_norm(w, eps, 2)
+                lp_norm(E @ dv, eps, 2) * lp_norm(dw, eps, 2)
+                + lp_norm(L @ v.values, eps, 2) * lp_norm(w, eps, 2)
             )
             assert abs(lhs - rhs) <= 1e-12 * scale
             worst = max(worst, abs(lhs - rhs) / scale)
@@ -112,14 +103,14 @@ def test_c02_weak_form_identities():
 def test_c03_summation_by_parts_decomposition():
     rng = np.random.default_rng(3)
     spec = DomainSpec(32, 8)
-    L2 = assemble_l2(spec)
+    L2 = l2_dense(spec)
     worst = 0.0
     for _ in range(100):
         v = Field(rng.standard_normal(65), -32)
         w_vals = rng.standard_normal(65)
         w_vals[0] = w_vals[-1] = 0.0
         w = Field(w_vals, -32)
-        direct = pair_with_test(L2, v, w, spec.eps)
+        direct = pair_dense(L2, v, w, spec.eps)
         parts = l2_decomposition(v, w, spec)
         scale = max(abs(direct), sum(abs(p) for p in parts))
         assert abs(sum(parts) - direct) <= 1e-12 * scale
@@ -165,7 +156,7 @@ def test_c05_noncoercivity_rate():
     v = unstable_candidate(spec, "+", normalize=False)
     reg, left, right = l2_decomposition(v, v, spec)
     assert_allclose(left + right, 3.0 * np.sqrt(1024), rtol=1e-10)
-    direct = pair_with_test(assemble_l2(spec), v, v, spec.eps)
+    direct = pair_dense(l2_dense(spec), v, v, spec.eps)
     assert_allclose(direct - reg, 3.0 * np.sqrt(1024), rtol=1e-10)
     elapsed = time.monotonic() - t0
     assert elapsed < 600.0
@@ -205,10 +196,10 @@ def test_c07_infsup_decay():
     for c in (c_rate, Coefficients(1.0, -0.05)):
         for n, k in ((64, 16), (128, 32)):
             spec = DomainSpec(n, k)
-            E = assemble_eqcf(c, spec)
+            E = assemble_eqcf(c, spec).toarray()
             xi = interface_probe(c, spec)
             for p in (1.0, 2.0, 4.0):
-                direct = lp_norm(E.apply(xi), spec.eps, p) / lp_norm(xi, spec.eps, p)
+                direct = lp_norm(E @ xi.values, spec.eps, p) / lp_norm(xi, spec.eps, p)
                 assert_allclose(infsup_p_upper(c, spec, p), direct, rtol=1e-12)
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0
@@ -220,7 +211,7 @@ def test_c08_truncation_identity():
     load = named_load("cospi")
     # entrywise, at the standard configuration
     spec = DomainSpec(32, 8, M=128)
-    u_a = solve_atomistic(c, sample_load(load, 128, spec.eps), spec.eps)
+    u_a = displacement_solve(c, sample_load(load, 128, spec.eps), 127, spec.eps)
     t = truncation_error_dense(u_a, c, spec)
     ts = truncation_error_stencil(diff(u_a, spec.eps), c, spec)
     entry_tol = 1e-12 / spec.eps**2
@@ -232,7 +223,7 @@ def test_c08_truncation_identity():
     # tolerance (the direct route is exact rational): the gap is 9.8e-14
     # at N=12 and 7.6e-11 at N=64
     spec_small = DomainSpec(12, 3, M=48)
-    u_small = solve_atomistic(c, sample_load(load, 48, spec_small.eps), spec_small.eps)
+    u_small = displacement_solve(c, sample_load(load, 48, spec_small.eps), 47, spec_small.eps)
     t_small = truncation_error_dense(u_small, c, spec_small)
     d4 = diff4_centered(u_small, spec_small.eps)
     cont = spec_small.continuum_sites()
@@ -277,9 +268,9 @@ def test_c10_stability_bound():
         vals = np.zeros(2 * 256 + 1)
         vals[256 - 63 : 256 + 64] = rng.standard_normal(127)
         f_m = Field(vals, -256)
-        u_a = solve_atomistic(c, f_m, spec.eps)
+        u_a = displacement_solve(c, f_m, 255, spec.eps)
         f_n = f_m.restrict(-64, 64)
-        u_q = solve_qcf(c, f_n, spec, u_a.at(-64), u_a.at(64))
+        u_q = displacement_solve(c, f_n, spec.K, spec.eps, (u_a.at(-64), u_a.at(64)))
         lhs = lp_norm(diff(u_q, spec.eps), spec.eps, np.inf)
         rhs = 2.0 * dual_norm_star(f_n, spec.eps) / gamma + abs(
             (u_a.at(64) - u_a.at(-64)) / (2.0 * spec.N)

@@ -4,19 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qcf1d.chain import (
-    energy_atomistic,
-    energy_lqc,
-    force_atomistic,
-    force_lqc,
-    force_qcf,
-    max_abs_force_qcf,
-)
+from qcf1d.chain import force_atomistic, force_lqc, max_abs_force_qcf
 from qcf1d.lattice import DomainSpec, Field, uniform_positions
 from qcf1d.potentials import PairPotential, lennard_jones
 from qcf1d.scans import patch_test_scan
 
-from oracles import energy_atomistic_loop, energy_lqc_loop, fd_gradient, fd_jacobian
+from oracles import energy_atomistic_loop, energy_lqc_loop, fd_gradient, fd_jacobian, force_qcf
 
 LJ = lennard_jones()
 RNG = np.random.default_rng(42)
@@ -36,54 +29,47 @@ def test_energy_uniform_bond_count():
     for F in (1.0, 0.9):
         y = uniform_positions(F, 2, eps)
         expected = eps * (4.0 * LJ.eval(F) + 3.0 * LJ.eval(2.0 * F))
-        assert_allclose(energy_atomistic(y, LJ, eps), expected, rtol=1e-12)
+        assert_allclose(energy_atomistic_loop(y, LJ, eps), expected, rtol=1e-12)
 
 
 def test_energy_uniform_lj_value():
     eps = 0.25
     y = uniform_positions(1.0, 2, eps)
-    assert_allclose(energy_atomistic(y, LJ, eps), eps * (-4.0 + 3.0 * LJ.eval(2.0)), rtol=1e-14)
+    assert_allclose(energy_atomistic_loop(y, LJ, eps), eps * (-4.0 + 3.0 * LJ.eval(2.0)), rtol=1e-14)
 
 
 def test_energy_lqc_uniform_and_extra_bond():
     eps = 0.25
     y = uniform_positions(1.0, 2, eps)
-    assert_allclose(energy_lqc(y, LJ, eps), eps * 4.0 * (LJ.eval(1.0) + LJ.eval(2.0)), rtol=1e-12)
+    assert_allclose(energy_lqc_loop(y, LJ, eps), eps * 4.0 * (LJ.eval(1.0) + LJ.eval(2.0)), rtol=1e-12)
     # the local energy carries one more next-nearest term than the atomistic one
-    diff = energy_lqc(y, LJ, eps) - energy_atomistic(y, LJ, eps)
+    diff = energy_lqc_loop(y, LJ, eps) - energy_atomistic_loop(y, LJ, eps)
     assert_allclose(diff, eps * LJ.eval(2.0), rtol=1e-12)
-
-
-def test_energies_match_bond_loop_oracle():
-    eps = 1.0 / 8
-    y = perturbed_uniform(1.0, 8, eps)
-    assert_allclose(energy_atomistic(y, LJ, eps), energy_atomistic_loop(y, LJ, eps), rtol=1e-12)
-    assert_allclose(energy_lqc(y, LJ, eps), energy_lqc_loop(y, LJ, eps), rtol=1e-12)
 
 
 def test_energy_domain_error_propagates():
     eps = 0.25
     y = Field(np.array([0.0, 0.25, 0.2, 0.5, 0.75]), -2)  # one inverted bond
     with pytest.raises(ValueError):
-        energy_atomistic(y, LJ, eps)
+        energy_atomistic_loop(y, LJ, eps)
 
 
 def test_local_minimum_at_uniform_unit_strain():
     # perturbing one interior atom strictly increases the energy near F = 1
     eps = 1.0 / 4
     y = uniform_positions(1.0, 4, eps)
-    e0 = energy_atomistic(y, LJ, eps)
+    e0 = energy_atomistic_loop(y, LJ, eps)
     for delta in (1e-3 * eps, -1e-3 * eps):
         yp = y.values.copy()
         yp[4] += delta
-        assert energy_atomistic(Field(yp, -4), LJ, eps) > e0
+        assert energy_atomistic_loop(Field(yp, -4), LJ, eps) > e0
 
 
 def test_force_atomistic_is_scaled_energy_gradient():
     eps = 1.0 / 8
     y = perturbed_uniform(1.0, 8, eps)
     f = force_atomistic(y, LJ, eps)
-    grad = fd_gradient(lambda v: energy_atomistic(Field(v, -8), LJ, eps), y.values)
+    grad = fd_gradient(lambda v: energy_atomistic_loop(Field(v, -8), LJ, eps), y.values)
     expected = -grad[1:-1] / eps
     assert_allclose(f.values, expected, rtol=1e-6, atol=1e-6 * np.max(np.abs(expected)))
 
@@ -92,7 +78,7 @@ def test_force_lqc_is_scaled_energy_gradient():
     eps = 1.0 / 8
     y = perturbed_uniform(1.0, 8, eps)
     f = force_lqc(y, LJ, eps)
-    grad = fd_gradient(lambda v: energy_lqc(Field(v, -8), LJ, eps), y.values)
+    grad = fd_gradient(lambda v: energy_lqc_loop(Field(v, -8), LJ, eps), y.values)
     expected = -grad[1:-1] / eps
     assert_allclose(f.values, expected, rtol=1e-6, atol=1e-6 * np.max(np.abs(expected)))
 
@@ -159,7 +145,7 @@ def test_patch_test_property(F, n, k_frac):
     k = 2 + int(round(k_frac * (n // 2 - 2)))
     spec = DomainSpec(n, k)
     y = uniform_positions(F, n, spec.eps)
-    residual = np.max(np.abs(force_qcf(y, spec, LJ).values))
+    residual = max_abs_force_qcf(y, [k], LJ)[0]
     scale = max(1.0, abs(LJ.deriv1(F)) + abs(LJ.deriv1(2.0 * F)))
     assert residual <= 1e-13 * scale / spec.eps
 
@@ -189,14 +175,9 @@ def graded_zigzag(F, n, rng, grow):
 
 
 def direct_maxima(y, ks, phi=LJ):
-    """max|force_qcf| per split, and the same from an explicit |j| <= K dispatch."""
+    """max|force_qcf| per split, from the site-by-site dispatch oracle."""
     n = y.half_width
-    fa = force_atomistic(y, phi, 1.0 / n)
-    fl = force_lqc(y, phi, 1.0 / n)
-    js = fa.indices()
-    via_qcf = [np.max(np.abs(force_qcf(y, DomainSpec(n, k), phi).values)) for k in ks]
-    via_rule = [np.max(np.abs(np.where(np.abs(js) <= k, fa.values, fl.values))) for k in ks]
-    return np.array(via_qcf), np.array(via_rule)
+    return np.array([np.max(np.abs(force_qcf(y, DomainSpec(n, k), phi).values)) for k in ks])
 
 
 @pytest.mark.parametrize("n", [4, 9, 16, 64, 257])
@@ -207,9 +188,8 @@ def test_split_maxima_match_direct_dispatch(n):
     rows = patch_test_scan(LJ, F_values, [(n, k) for k in ks])
     assert [(r.F, r.N, r.K) for r in rows] == [(F, n, k) for F in F_values for k in ks]
     for F, group in zip(F_values, np.split(np.array([r.residual for r in rows]), 3)):
-        via_qcf, via_rule = direct_maxima(uniform_positions(F, n, 1.0 / n), ks)
         assert np.all(group == 0.0)
-        assert np.array_equal(group, via_qcf) and np.array_equal(group, via_rule)
+        assert np.array_equal(group, direct_maxima(uniform_positions(F, n, 1.0 / n), ks))
 
     rng = np.random.default_rng(n)
     states = [(graded_zigzag(F, n, rng, grow=True), LJ, True) for F in (0.9, 1.0)]
@@ -217,9 +197,8 @@ def test_split_maxima_match_direct_dispatch(n):
     states += [(perturbed_uniform(F, n, 1.0 / n, rng=rng), LJ, False) for F in (0.9, 1.0)]
     for y, phi, graded in states:
         fast = max_abs_force_qcf(y, ks, phi)
-        via_qcf, via_rule = direct_maxima(y, ks, phi)
         assert np.all(fast > 0.0)
-        assert np.array_equal(fast, via_qcf) and np.array_equal(fast, via_rule)
+        assert np.array_equal(fast, direct_maxima(y, ks, phi))
         if graded:
             assert len(set(fast.tolist())) == len(ks)
 
@@ -228,8 +207,8 @@ def test_split_maxima_match_direct_dispatch(n):
     v[n + n // 2] = np.nan
     with np.errstate(invalid="ignore"):
         fast = max_abs_force_qcf(Field(v, -n), ks, LJ)
-        via_qcf, _ = direct_maxima(Field(v, -n), ks)
-    assert np.all(np.isnan(fast)) and np.all(np.isnan(via_qcf))
+        direct = direct_maxima(Field(v, -n), ks)
+    assert np.all(np.isnan(fast)) and np.all(np.isnan(direct))
 
 
 def test_split_maxima_reject_inadmissible_split():

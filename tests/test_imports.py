@@ -2,7 +2,8 @@
 
 Every solve, eigen- and singular-value kernel runs on the bordered
 strain solve, and the sparse operators are numpy (row, col, value)
-arrays.  Only the dense test oracles use scipy.
+arrays.  Only the dense test oracles use scipy.  And every public
+function of the library is run by some subcommand.
 
 Each case runs a fresh interpreter, since this test session has long
 since imported scipy itself.
@@ -105,3 +106,41 @@ def test_no_subcommand_loads_numpy_random(tmp_path):
     # numpy imports numpy.random lazily; loading it costs every process
     # about 6 MB, and no table needs a random number
     assert fresh_run(EVERY_SUBCOMMAND, tmp_path) == {"codes": [0] * 6, "numpy.random": False}
+
+
+EVERY_FUNCTION = """
+import inspect, json, pkgutil, sys
+from importlib import import_module
+import qcf1d, qcf1d.cli
+out = sys.argv[1]
+public = {}  # code object -> name of each public function a qcf1d module defines
+for info in pkgutil.iter_modules(qcf1d.__path__):
+    module = import_module(f"qcf1d.{info.name}")
+    for name, obj in vars(module).items():
+        if inspect.isfunction(obj) and obj.__module__ == module.__name__ and not name.startswith("_"):
+            public[obj.__code__] = f"{info.name}.{name}"
+with open(f"{out}/run.cfg", "w") as fh:
+    fh.write("phiF=1\\nphi2F=-0.2\\nN-list=16,32\\n")
+coefficients = ["--phiF", "1", "--phi2F", "-0.2"]
+runs = [
+    ["patch-test", "--N-list", "16", "--K-all", "--F-list", "0.9,1.1"],
+    ["coercivity", *coefficients, "--N-list", "16,32"],
+    ["infsup", *coefficients, "--N-list", "16,32", "--p-list", "1,2,4", "--format", "json"],
+    ["convergence", "--phiF", "1", "--phi2F", "-0.05", "--N-list", "16,32", "--load", "cospi"],
+    ["eig-scan", *coefficients, "--N-list", "16,32"],
+    ["coercivity", "--config", f"{out}/run.cfg"],
+] + [["dump-operator", "--operator", op, "--N", "8", "--K", "2", *coefficients]
+     for op in sorted(qcf1d.scans.OPERATOR_BUILDERS)]
+called = set()
+sys.setprofile(lambda frame, event, arg: event == "call" and called.add(frame.f_code))
+codes = [qcf1d.cli.main(argv + ["--out", f"{out}/{i}.out"]) for i, argv in enumerate(runs)]
+sys.setprofile(None)
+print(json.dumps({"codes": codes, "never_called": sorted(public[c] for c in public.keys() - called)}))
+"""
+
+
+def test_every_library_function_runs_in_a_subcommand(tmp_path):
+    # src/ holds only what a subcommand runs; test-only oracles live in
+    # tests/oracles.py.  cli.entry is the console script around cli.main.
+    got = fresh_run(EVERY_FUNCTION, tmp_path)
+    assert got == {"codes": [0] * 11, "never_called": ["cli.entry"]}

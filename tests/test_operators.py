@@ -6,21 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_max_ulp
 
-from qcf1d.chain import force_atomistic, force_lqc, force_qcf
-from qcf1d.lattice import DomainSpec, Field, diff, inner, uniform_positions
+from qcf1d.chain import force_atomistic, force_lqc
+from qcf1d.lattice import DomainSpec, Field, diff, lp_norm, uniform_positions
 from qcf1d.operators import (
     Operator,
     _reduce,
     _substitute,
     assemble_ea,
     assemble_eqcf,
-    assemble_l1,
-    assemble_l2,
     assemble_la,
     assemble_llqc,
     assemble_lqcf,
-    l2_decomposition,
-    pair_with_test,
     strain_stencil,
 )
 from qcf1d.potentials import Coefficients, lennard_jones
@@ -31,10 +27,14 @@ from oracles import (
     ea_dense,
     eqcf_dense,
     fd_jacobian,
+    force_qcf,
+    interface_probe,
+    l2_decomposition,
     l2_dense,
     la_dense,
     llqc_dense,
     lqcf_dense,
+    pair_dense,
 )
 
 LJ = lennard_jones()
@@ -51,15 +51,11 @@ def random_pair(n, rng=RNG):
 
 
 def weak_form_gap(E, L, v, w, eps):
-    """Defect of <E Dv, Dw> = <L v, w> and its natural magnitude."""
-    dv, dw = diff(v, eps), diff(w, eps)
-    lhs = inner(E.apply(dv), dw, eps)
-    rhs = pair_with_test(L, v, w, eps)
-    from qcf1d.lattice import lp_norm
-
-    scale = lp_norm(E.apply(dv), eps, 2) * lp_norm(dw, eps, 2) + lp_norm(
-        L.apply(v), eps, 2
-    ) * lp_norm(w, eps, 2)
+    """Defect of <E Dv, Dw> = <L v, w> and its natural magnitude, for dense E and L."""
+    dv, dw = diff(v, eps).values, diff(w, eps).values
+    lhs = eps * float((E @ dv) @ dw)
+    rhs = pair_dense(L, v, w, eps)
+    scale = lp_norm(E @ dv, eps, 2) * lp_norm(dw, eps, 2) + lp_norm(L @ v.values, eps, 2) * lp_norm(w, eps, 2)
     return abs(lhs - rhs), scale
 
 
@@ -81,27 +77,24 @@ def test_la_stencils():
 def test_la_interior_rows_annihilate_affine():
     m = 8
     eps = 1.0 / 8
-    A = assemble_la(C, m, eps)
+    A = assemble_la(C, m, eps).toarray()
     j = np.arange(-m, m + 1)
-    v = Field(0.7 + 1.3 * j * eps, -m)
-    out = A.apply(v)
+    out = A @ (0.7 + 1.3 * j * eps)
     # interior rows only: the one-sided boundary stencil is a first
     # difference in the next-nearest direction and keeps a slope term
-    assert np.max(np.abs(out.values[1:-1])) <= 1e-10 / eps**2
-    const = Field(np.full(2 * m + 1, 0.7), -m)
-    assert np.max(np.abs(A.apply(const).values)) <= 1e-10 / eps**2
+    assert np.max(np.abs(out[1:-1])) <= 1e-10 / eps**2
+    assert np.max(np.abs(A @ np.full(2 * m + 1, 0.7))) <= 1e-10 / eps**2
 
 
 def test_llqc_stencil_readoff():
     n = 8
     eps = 1.0 / n
-    A = assemble_llqc(C, n, eps)
-    delta = Field(np.eye(2 * n + 1)[n], -n)
-    out = A.apply(delta)
-    assert_allclose(out.at(0), 2.0 * (C.phiF + 4.0 * C.phi2F) / eps**2)
-    assert_allclose(out.at(1), -(C.phiF + 4.0 * C.phi2F) / eps**2)
-    affine = Field(1.0 + 2.0 * np.arange(-n, n + 1) * eps, -n)
-    assert np.max(np.abs(A.apply(affine).values)) <= 1e-10 / eps**2
+    A = assemble_llqc(C, n, eps).toarray()
+    out = A @ np.eye(2 * n + 1)[n]  # row j at offset j + n - 1
+    assert_allclose(out[n - 1], 2.0 * (C.phiF + 4.0 * C.phi2F) / eps**2)
+    assert_allclose(out[n], -(C.phiF + 4.0 * C.phi2F) / eps**2)
+    affine = 1.0 + 2.0 * np.arange(-n, n + 1) * eps
+    assert np.max(np.abs(A @ affine)) <= 1e-10 / eps**2
 
 
 def test_lqcf_row_dispatch_is_exact():
@@ -119,21 +112,19 @@ def test_lqcf_row_dispatch_is_exact():
 
 def test_lqcf_affine_kernel():
     spec = DomainSpec(16, 4)
-    Lq = assemble_lqcf(C, spec)
+    Lq = assemble_lqcf(C, spec).toarray()
     j = np.arange(-16, 17)
-    v = Field(-0.3 + 0.9 * j * spec.eps, -16)
-    assert np.max(np.abs(Lq.apply(v).values)) <= 1e-10 / spec.eps**2
+    assert np.max(np.abs(Lq @ (-0.3 + 0.9 * j * spec.eps))) <= 1e-10 / spec.eps**2
 
 
 @settings(max_examples=30, deadline=None)
 @given(a=st.floats(-5, 5), b=st.floats(-5, 5))
 def test_lqcf_affine_kernel_property(a, b):
     spec = DomainSpec(8, 2)
-    Lq = assemble_lqcf(C, spec)
+    Lq = assemble_lqcf(C, spec).toarray()
     j = np.arange(-8, 9)
-    v = Field(a + b * j * spec.eps, -8)
     scale = max(1.0, abs(a) + abs(b))
-    assert np.max(np.abs(Lq.apply(v).values)) <= 1e-10 * scale / spec.eps**2
+    assert np.max(np.abs(Lq @ (a + b * j * spec.eps))) <= 1e-10 * scale / spec.eps**2
 
 
 def test_lqcf_is_not_symmetric():
@@ -145,8 +136,8 @@ def test_lqcf_is_not_symmetric():
 def test_lqcf_splits_into_l1_and_l2():
     spec = DomainSpec(12, 3)
     Lq = assemble_lqcf(C, spec).toarray()
-    L1 = assemble_l1(12, spec.eps).toarray()
-    L2 = assemble_l2(spec).toarray()
+    L1 = llqc_dense(Coefficients(1.0, 0.0), 12, spec.eps)
+    L2 = l2_dense(spec)
     assert_allclose(Lq, C.phiF * L1 + C.phi2F * L2, rtol=1e-14, atol=1e-9)
 
 
@@ -182,8 +173,8 @@ def test_ea_structure():
 def test_weak_form_identity_ea():
     m = 8
     eps = 1.0 / m
-    E = assemble_ea(C, m, eps)
-    L = assemble_la(C, m, eps)
+    E = assemble_ea(C, m, eps).toarray()
+    L = assemble_la(C, m, eps).toarray()
     for _ in range(20):
         v, w = random_pair(m)
         gap, scale = weak_form_gap(E, L, v, w, eps)
@@ -195,8 +186,8 @@ def test_weak_form_identity_eqcf_all_k(n):
     eps = 1.0 / n
     for k in range(2, n // 2 + 1):
         spec = DomainSpec(n, k)
-        E = assemble_eqcf(C, spec)
-        L = assemble_lqcf(C, spec)
+        E = assemble_eqcf(C, spec).toarray()
+        L = assemble_lqcf(C, spec).toarray()
         for _ in range(5):
             v, w = random_pair(n)
             gap, scale = weak_form_gap(E, L, v, w, eps)
@@ -208,10 +199,8 @@ def test_eqcf_image_of_interface_probe():
     # displayed piecewise values; with phiF = phi2F = 1, alpha = 3
     c = Coefficients(1.0, 1.0)
     spec = DomainSpec(8, 2)
-    from qcf1d.stability import interface_probe
-
     xi = interface_probe(c, spec)
-    out = assemble_eqcf(c, spec).apply(xi)
+    out = Field(assemble_eqcf(c, spec).toarray() @ xi.values, xi.lo)
     alpha = 3.0
     for j in range(-7, 9):
         if j <= -3:
@@ -280,10 +269,10 @@ def test_operators_linearize_their_force_fields(assemble, force_name):
 
 def test_l2_decomposition_reconstructs_direct_pairing():
     spec = DomainSpec(32, 8)
-    L2 = assemble_l2(spec)
+    L2 = l2_dense(spec)
     for _ in range(30):
         v, w = random_pair(32)
-        direct = pair_with_test(L2, v, w, spec.eps)
+        direct = pair_dense(L2, v, w, spec.eps)
         parts = l2_decomposition(v, w, spec)
         assert abs(sum(parts) - direct) <= 1e-12 * max(abs(direct), sum(abs(p) for p in parts), 1.0)
 
@@ -325,7 +314,6 @@ def test_operator_stores_sorted_summed_nonzero_triples():
     assert op.to_triples() == [(-1, -1, 0.5), (-1, 0, 3.0), (0, -2, 2.0)]
     assert op.at(0, -1) == 0.0 and op.at(-1, -1) == 0.5
     assert_allclose(op.toarray(), [[0.0, 0.5, 3.0], [2.0, 0.0, 0.0]])
-    assert_allclose(op.apply(Field(np.array([1.0, 2.0, 4.0]), -2)).values, [13.0, 2.0])
     with pytest.raises(IndexError):
         op.at(1, 0)
     with pytest.raises(ValueError, match="outside the shape"):
@@ -333,13 +321,7 @@ def test_operator_stores_sorted_summed_nonzero_triples():
     # no entries at all
     empty = Operator([], [], [], (2, 3), -1, -2)
     assert empty.to_triples() == [] and empty.at(0, 0) == 0.0
-    assert_allclose(empty.apply(Field(np.ones(3), -2)).values, [0.0, 0.0])
-
-
-def test_operator_apply_rejects_range_mismatch():
-    A = assemble_la(C, 4, 0.25)
-    with pytest.raises(ValueError):
-        A.apply(Field(np.zeros(7), -3))
+    assert np.array_equal(empty.toarray(), np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("n,k", DIFFERENTIAL_NK)
@@ -352,8 +334,6 @@ def test_sparse_assembly_matches_dense_oracles(phi2F, n, k):
         (assemble_la(c, n, eps), la_dense(c, n, eps)),
         (assemble_llqc(c, n, eps), llqc_dense(c, n, eps)),
         (assemble_lqcf(c, spec), lqcf_dense(c, spec)),
-        (assemble_l1(n, eps), llqc_dense(Coefficients(1.0, 0.0), n, eps)),
-        (assemble_l2(spec), l2_dense(spec)),
         (assemble_ea(c, n, eps), ea_dense(c, n)),
         (assemble_eqcf(c, spec), eqcf_dense(c, spec)),
     ]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qcf1d.potentials import Coefficients, is_admissible, lennard_jones
+from qcf1d.potentials import Coefficients, lennard_jones
 
 LJ = lennard_jones()
 
@@ -50,14 +50,14 @@ def test_vectorized_evaluation():
 
 @pytest.mark.parametrize("F", [0.9, 1.0, 1.05, 1.1])
 def test_admissible_strains_have_the_right_curvatures(F):
-    assert is_admissible(LJ, F)
+    # the nearest bond stiffens and the next-nearest softens
     assert LJ.deriv2(F) > 0.0
     assert LJ.deriv2(2.0 * F) < 0.0
 
 
 def test_inadmissible_strain():
     # nearest-neighbor curvature goes negative past r ~ 1.109
-    assert not is_admissible(LJ, 1.2)
+    assert not (LJ.deriv2(1.2) > 0.0 and LJ.deriv2(2.4) < 0.0)
 
 
 def test_coefficients_from_potential():

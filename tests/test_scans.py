@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qcf1d import scans, stability
 from qcf1d.lattice import DomainSpec
 from qcf1d.potentials import Coefficients
-from qcf1d.scans import PatchTestRow, _eig_point, loglog_slope, write_table
+from qcf1d.scans import PatchTestRow, _eig_point, coercivity_scan, loglog_slope, write_table
 
 from oracles import DIFFERENTIAL_PHI2F, lqcf_dense
 
@@ -32,6 +33,30 @@ def test_eig_point_matches_full_interior_block(phi2F, n, k):
     assert_allclose(row.min_real, ev.real.min(), rtol=1e-10)
     scale = np.abs(ev).max()  # rounding of an eigensolve is relative to the spectral radius
     assert abs(row.max_imag_abs - np.abs(ev.imag).max()) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("phi2F", [-0.2, 0.3])
+def test_coercivity_point_evaluates_each_candidate_once(phi2F, monkeypatch):
+    # the two spike candidates give the witness and, through it, the
+    # shift search of rayleigh_min, which finds the same shift without it
+    c = Coefficients(1.0, phi2F)
+    form = stability.quadratic_form
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return form(*args)
+
+    for module in (scans, stability):
+        monkeypatch.setattr(module, "quadratic_form", counted)
+    for n, k in ((64, 16), (257, 64), (1024, 256)):
+        spec = DomainSpec(n, k)
+        calls.clear()
+        [row] = coercivity_scan(c, [(n, k)])
+        assert calls == [spec, spec]
+        assert row.rayleigh_min == stability.rayleigh_min(c, spec)
+        sigma = stability._shift_below_spectrum(c, spec, row.witness_value)[0]
+        assert sigma == stability._shift_below_spectrum(c, spec)[0]
 
 
 def test_loglog_slope_matches_least_squares_fit():

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qcf1d.lattice import DomainSpec, Field, diff, diff4_centered, lp_norm
+from qcf1d.lattice import DomainSpec, Field, diff, lp_norm, summed_load
 from qcf1d import solver
 from qcf1d.potentials import Coefficients
 from qcf1d.solver import (
     error_report_detailed,
     named_load,
     sample_load,
-    solve_atomistic,
-    solve_qcf,
     solve_strain,
     truncation_error_stencil,
 )
@@ -19,6 +17,8 @@ from qcf1d.stability import dual_norm_star
 from oracles import (
     DIFFERENTIAL_NK,
     DIFFERENTIAL_PHI2F,
+    diff4_centered,
+    displacement_solve,
     ea_dense,
     eqcf_dense,
     la_dense,
@@ -33,29 +33,28 @@ RNG = np.random.default_rng(31)
 
 
 def test_zero_load_gives_zero_solution():
-    u = solve_atomistic(C, Field(np.zeros(65), -32), 1.0 / 8)
-    assert np.all(u.values == 0.0)
+    w = solve_strain(C, 32, 31, np.zeros(64), 0.0, 1.0 / 8)
+    assert np.all(w == 0.0)
 
 
 def test_atomistic_solve_residual():
     m = 64
     eps = 1.0 / 16
     f = Field(RNG.standard_normal(2 * m + 1), -m)
-    u = solve_atomistic(C, f, eps)
-    from qcf1d.operators import assemble_la
-
-    resid = assemble_la(C, m, eps).apply(u).values - f.values[1:-1]
+    u = displacement_solve(C, f, m - 1, eps)
+    resid = la_dense(C, m, eps) @ u.values - f.values[1:-1]
     assert np.max(np.abs(resid)) <= 1e-10 * np.max(np.abs(f.values))
-    assert u.at(-m) == 0.0 and u.at(m) == 0.0
+    assert u.at(-m) == 0.0 and abs(u.at(m)) <= 1e-13 * np.max(np.abs(u.values))
 
 
 def test_atomistic_solve_backward_stable_at_large_m():
     # ||A|| grows like M^2: at M=3072 the residual exceeds 1e-10 * max|b|,
     # yet the normwise backward error stays at rounding level
     eps = 1.0 / 768
-    u = solve_atomistic(C, sample_load(named_load("cospi"), 3072, eps), eps)
-    assert np.all(np.isfinite(u.values))
-    assert u.at(-3072) == 0.0 and u.at(3072) == 0.0
+    g = summed_load(sample_load(named_load("cospi"), 3072, eps), eps).values
+    w = solve_strain(C, 3072, 3071, g, 0.0, eps)
+    assert np.all(np.isfinite(w))
+    assert abs(eps * np.sum(w)) <= 1e-13 * np.max(np.abs(w))  # u(M) - u(-M) = 0
 
 
 def test_solve_gate_reports_dominance_margin(monkeypatch):
@@ -73,19 +72,18 @@ def test_solve_gate_reports_dominance_margin(monkeypatch):
 def test_nonfinite_solve_is_a_numerical_failure():
     # the summed load of finite samples overflows: that must surface as
     # RuntimeError (exit 1), not as the ValueError of a configuration error
-    f = Field(np.full(65, 1e308), -32)
-    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="not finite"):
-        solve_atomistic(C, f, 1.0 / 8)
-    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="not finite"):
-        solve_qcf(C, f, DomainSpec(32, 8), 0.0, 0.0)
+    with np.errstate(all="ignore"):
+        g = summed_load(Field(np.full(65, 1e308), -32), 1.0 / 8).values
+    for k in (31, 8):  # atomistic, coupled
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="not finite"):
+            solve_strain(C, 32, k, g, 0.0, 1.0 / 8)
 
 
-@pytest.mark.filterwarnings("ignore:phiF \\+ 8\\*phi2F")
 @pytest.mark.parametrize("n,k", DIFFERENTIAL_NK)
 @pytest.mark.parametrize("phi2F", DIFFERENTIAL_PHI2F)
 def test_banded_solve_matches_dense_oracle(phi2F, n, k):
     # the strain solve against a dense bordered solve of Ea and Eqcf, and
-    # both displacement wrappers against a dense LU of the interior block
+    # both displacements summed from it against a dense LU of the interior block
     c = Coefficients(1.0, phi2F)
     spec = DomainSpec(n, k)
     eps = spec.eps
@@ -98,13 +96,13 @@ def test_banded_solve_matches_dense_oracle(phi2F, n, k):
     f = Field(rng.standard_normal(2 * n + 1), -n)
     bc = rng.standard_normal(2)
     cases = (
-        (solve_atomistic(c, f, eps), la_dense(c, n, eps), (0.0, 0.0)),
-        (solve_qcf(c, f, spec, *bc), lqcf_dense(c, spec), bc),
+        (displacement_solve(c, f, n - 1, eps), la_dense(c, n, eps), (0.0, 0.0)),
+        (displacement_solve(c, f, k, eps, bc), lqcf_dense(c, spec), bc),
     )
     for u, L, (left, right) in cases:
         x_dense = solve_refined_dense(L[:, 1:-1], f.values[1:-1] - left * L[:, 0] - right * L[:, -1])
         assert np.max(np.abs(u.values[1:-1] - x_dense)) <= 1e-10 * np.max(np.abs(x_dense))
-        assert u.values[0] == left and u.values[-1] == right
+        assert u.values[0] == left and abs(u.values[-1] - right) <= 1e-10 * np.max(np.abs(x_dense))
 
 
 def test_atomistic_solve_reflection_symmetry():
@@ -112,13 +110,13 @@ def test_atomistic_solve_reflection_symmetry():
     eps = 1.0 / 8
     half = RNG.standard_normal(m + 1)
     vals = np.concatenate([half[:0:-1], half])  # even samples
-    u = solve_atomistic(C, Field(vals, -m), eps)
+    u = displacement_solve(C, Field(vals, -m), m - 1, eps)
     assert_allclose(u.values, u.values[::-1], atol=1e-12 * np.max(np.abs(u.values)))
 
 
 def test_atomistic_solve_needs_bulk_stability():
     with pytest.raises(ValueError):
-        solve_atomistic(Coefficients(1.0, -0.3), Field(np.zeros(17), -8), 0.125)
+        solve_strain(Coefficients(1.0, -0.3), 8, 7, np.zeros(16), 0.0, 0.125)
 
 
 @pytest.mark.parametrize("phi2F", [-0.25, -0.3])
@@ -126,49 +124,38 @@ def test_qcf_solve_needs_diagonal_dominance(phi2F):
     # phiF + 4*phi2F <= 0 leaves the tridiagonal part of Eqcf without
     # strict diagonal dominance, which cyclic reduction relies on
     with pytest.raises(ValueError, match="coupled solve needs phiF \\+ 4\\*phi2F > 0"):
-        solve_qcf(Coefficients(1.0, phi2F), Field(np.zeros(33), -16), DomainSpec(16, 4), 0.0, 0.0)
+        solve_strain(Coefficients(1.0, phi2F), 16, 4, np.zeros(32), 0.0, 1.0 / 16, "coupled solve")
 
 
 def test_qcf_solve_trivial_and_affine():
-    spec = DomainSpec(16, 4)
     zero = Field(np.zeros(33), -16)
-    u = solve_qcf(C, zero, spec, 0.0, 0.0)
+    u = displacement_solve(C, zero, 4, 1.0 / 16)
     assert np.all(u.values == 0.0)
     a = 0.37
-    u = solve_qcf(C, zero, spec, -a, a)
+    u = displacement_solve(C, zero, 4, 1.0 / 16, (-a, a))
     expected = a * np.arange(-16, 17) / 16.0
     assert_allclose(u.values, expected, rtol=1e-12, atol=1e-15)
-    assert u.at(-16) == -a and u.at(16) == a
 
 
 def test_qcf_solve_residual():
     spec = DomainSpec(32, 8)
     f = Field(RNG.standard_normal(65), -32)
-    u = solve_qcf(C, f, spec, 0.1, -0.2)
-    from qcf1d.operators import assemble_lqcf
-
-    resid = assemble_lqcf(C, spec).apply(u).values - f.values[1:-1]
+    u = displacement_solve(C, f, spec.K, spec.eps, (0.1, -0.2))
+    resid = lqcf_dense(C, spec) @ u.values - f.values[1:-1]
     assert np.max(np.abs(resid)) <= 1e-10 * np.max(np.abs(f.values))
-
-
-def test_qcf_solve_warns_outside_stability_regime():
-    spec = DomainSpec(16, 4)
-    with pytest.warns(RuntimeWarning, match="stability regime"):
-        solve_qcf(Coefficients(1.0, -0.2), Field(np.zeros(33), -16), spec, 0.0, 0.0)
 
 
 def test_qcf_strain_bound_random_loads():
     spec = DomainSpec(32, 8, M=128)
     gamma = C.phiF + 8.0 * C.phi2F
-    load_m = sample_load(named_load("cospi"), 128, spec.eps)
     for seed in range(5):
         rng = np.random.default_rng(seed)
         vals = np.zeros(2 * 128 + 1)
         vals[128 - 31 : 128 + 32] = rng.standard_normal(63)
         f_m = Field(vals, -128)
-        u_a = solve_atomistic(C, f_m, spec.eps)
+        u_a = displacement_solve(C, f_m, 127, spec.eps)
         f_n = f_m.restrict(-32, 32)
-        u_q = solve_qcf(C, f_n, spec, u_a.at(-32), u_a.at(32))
+        u_q = displacement_solve(C, f_n, spec.K, spec.eps, (u_a.at(-32), u_a.at(32)))
         lhs = lp_norm(diff(u_q, spec.eps), spec.eps, np.inf)
         rhs = 2.0 * dual_norm_star(f_n, spec.eps) / gamma + abs(
             (u_a.at(32) - u_a.at(-32)) / (2.0 * spec.N)
@@ -178,8 +165,7 @@ def test_qcf_strain_bound_random_loads():
 
 def make_reference(spec, load=None):
     load = load or named_load("cospi")
-    f_m = sample_load(load, spec.M, spec.eps)
-    return solve_atomistic(C, f_m, spec.eps)
+    return displacement_solve(C, sample_load(load, spec.M, spec.eps), spec.M - 1, spec.eps)
 
 
 def test_truncation_error_supported_on_continuum():
@@ -259,8 +245,8 @@ def test_error_report_inequalities_and_symmetry():
     assert rep.trunc_star <= 0.5 * lp_norm(t, spec.eps, 1) + 1e-15
     # even load -> even solutions and even error field
     f_m = sample_load(named_load("cospi"), 128, spec.eps)
-    u_a = solve_atomistic(C, f_m, spec.eps)
-    u_q = solve_qcf(C, f_m.restrict(-32, 32), spec, u_a.at(-32), u_a.at(32))
+    u_a = displacement_solve(C, f_m, 127, spec.eps)
+    u_q = displacement_solve(C, f_m.restrict(-32, 32), spec.K, spec.eps, (u_a.at(-32), u_a.at(32)))
     for u in (u_a, u_q):
         assert_allclose(u.values, u.values[::-1], atol=1e-11 * np.max(np.abs(u.values)))
     e = u_a.restrict(-32, 32) - u_q
