@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -115,13 +115,14 @@ class RunConfig:
         pairs = []
         for n in self.N_list:
             if self.K_all:
+                # every K in 2..N//2 is admissible once N >= 4
                 if n < 4:
                     raise ValueError(f"no admissible split K for N={n} (--K-all needs N >= 4)")
                 pairs.extend((n, k) for k in range(2, n // 2 + 1))
             else:
-                pairs.append((n, self.k_for(n)))
-        for n, k in pairs:
-            DomainSpec(n, k)  # validates the range, K included
+                k = self.k_for(n)
+                DomainSpec(n, k)  # validates the range, K included
+                pairs.append((n, k))
         return pairs
 
     def echo(self) -> dict:
@@ -211,8 +212,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-@dataclass(frozen=True, slots=True)
-class TripleRow:
+class TripleRow(NamedTuple):
     row: int
     col: int
     value: float

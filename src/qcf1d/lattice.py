@@ -46,16 +46,6 @@ class DomainSpec:
     def eps(self) -> float:
         return 1.0 / self.N
 
-    def interior_sites(self) -> np.ndarray:
-        return np.arange(-self.N + 1, self.N)
-
-    def atomistic_sites(self) -> np.ndarray:
-        return np.arange(-self.K, self.K + 1)
-
-    def continuum_sites(self) -> np.ndarray:
-        j = self.interior_sites()
-        return j[np.abs(j) > self.K]
-
     def extended_continuum_bonds(self) -> np.ndarray:
         """Bond indices {-N+2..-K+1} and {K+2..N+1}."""
         left = np.arange(-self.N + 2, -self.K + 2)

@@ -135,7 +135,9 @@ def _reduce(lower, diag, upper) -> tuple:
 def _substitute(reduction: tuple, rhs: np.ndarray) -> np.ndarray:
     """Solve for each row of rhs: down the reduced systems, then each even unknown by one division.
 
-    Each level's even rows are freed once the way back up has used them.
+    Each level's even rows are freed once the way back up has used them,
+    and the even unknowns are solved in place in the level's solution;
+    rhs itself is only read.
     """
     levels, last = reduction
     evens = []
@@ -146,11 +148,12 @@ def _substitute(reduction: tuple, rhs: np.ndarray) -> np.ndarray:
         rhs = rhs[:, 1::2] + left * rhs[:, 0:-1:2] + right * rhs[:, 2::2]
     x = rhs / last
     for size, a, b, c, _, _ in reversed(levels):
-        d = evens.pop()
-        padded = np.zeros((x.shape[0], b.size + 1))
-        padded[:, 1:-1] = x
         full = np.empty((x.shape[0], 2 * b.size - 1))
-        full[:, 0::2] = (d - a * padded[:, :-1] - c * padded[:, 1:]) / b
+        e = full[:, 0::2]
+        e[...] = evens.pop()
+        e[:, 1:] -= a[1:] * x
+        e[:, :-1] -= c[:-1] * x
+        e /= b
         full[:, 1::2] = x
         x = full[:, :size]
     return x

@@ -1,15 +1,14 @@
 """Parameter sweeps behind the CLI, plus table serialization.
 
 Each scan maps a list of domain sizes to rows of plain numbers, one
-sweep point after another in input order; rows are small frozen
-dataclasses so they serialize uniformly to CSV and JSON.
+sweep point after another in input order; rows are NamedTuples, so a
+row costs one tuple and serializes by position to CSV and by name to JSON.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -48,8 +47,7 @@ def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     return float(lx @ np.log(ys)) / sxx if sxx > 0.0 else float("nan")
 
 
-@dataclass(frozen=True, slots=True)
-class PatchTestRow:
+class PatchTestRow(NamedTuple):
     F: float
     N: int
     K: int
@@ -58,16 +56,14 @@ class PatchTestRow:
     passed: bool
 
 
-@dataclass(frozen=True, slots=True)
-class CoercivityScanRow:
+class CoercivityScanRow(NamedTuple):
     N: int
     K: int
     rayleigh_min: float
     witness_value: float
 
 
-@dataclass(frozen=True, slots=True)
-class InfSupScanRow:
+class InfSupScanRow(NamedTuple):
     N: int
     K: int
     p: float
@@ -75,8 +71,7 @@ class InfSupScanRow:
     value: float
 
 
-@dataclass(frozen=True, slots=True)
-class EigScanRow:
+class EigScanRow(NamedTuple):
     N: int
     K: int
     min_real: float
@@ -232,12 +227,12 @@ def write_table(
     rows: Sequence,
     extras: Optional[dict] = None,
 ) -> None:
-    """Write scan rows as CSV (with a config echo in # comments) or JSON.
+    """Write scan rows (NamedTuples of one type) as CSV, with a config echo in # comments, or JSON.
 
-    CSV goes to the file line by line, each row as it is formatted.
+    CSV is written a row at a time, so no table text is held at once.
     """
     extras = extras or {}
-    names = [f.name for f in fields(rows[0])] if rows else []
+    names = rows[0]._fields if rows else ()
     if fmt == "csv":
         with open(path, "w") as fh:
             fh.write(f"# qcf1d {command}\n")
@@ -246,13 +241,13 @@ def write_table(
                     fh.write(f"# {k}={_format_value(echo[k])}\n")
             fh.write(",".join(names) + "\n")
             for r in rows:
-                fh.write(",".join([_format_value(getattr(r, n)) for n in names]) + "\n")
+                fh.write(",".join(map(_format_value, r)) + "\n")
     elif fmt == "json":
         doc = {
             "command": command,
             "config": config,
             "extras": extras,
-            "rows": [{n: getattr(r, n) for n in names} for r in rows],
+            "rows": [r._asdict() for r in rows],
         }
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2, default=float)

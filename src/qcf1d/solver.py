@@ -29,8 +29,7 @@ terms of size 1/eps^2 down to eps^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -138,8 +137,7 @@ def truncation_error_stencil(w_a: Field, c: Coefficients, spec: DomainSpec) -> F
     return Field(t, -n)
 
 
-@dataclass(frozen=True, slots=True)
-class ErrorReport:
+class ErrorReport(NamedTuple):
     """One convergence-study run: measured errors next to the proved bounds."""
 
     N: int

@@ -8,7 +8,8 @@ operators, the summation-by-parts split of the next-nearest pairing,
 the explicit interface probe, dense eigen- and singular-value solves for
 the stability constants, dense LU for the linear solves, and direct
 operator products in exact rational arithmetic for the truncation error
-and the quadratic form.
+and the quadratic form.  The site sets of a domain (interior,
+atomistic, continuum) live here too, since only the tests index by them.
 Keep these dumb and slow on purpose.
 """
 
@@ -65,6 +66,22 @@ def energy_lqc_loop(y, phi, eps):
         r = (v[j] - v[j - 1]) / eps
         total += eps * float(phi.eval(r) + phi.eval(2.0 * r))
     return total
+
+
+def interior_sites(spec):
+    """Sites -N+1..N-1 of a DomainSpec."""
+    return np.arange(-spec.N + 1, spec.N)
+
+
+def atomistic_sites(spec):
+    """Sites -K..K of a DomainSpec."""
+    return np.arange(-spec.K, spec.K + 1)
+
+
+def continuum_sites(spec):
+    """Interior sites with |j| > K."""
+    j = interior_sites(spec)
+    return j[np.abs(j) > spec.K]
 
 
 def force_qcf(y, spec, phi):

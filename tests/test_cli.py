@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import json
 import warnings
 
@@ -8,6 +7,7 @@ import pytest
 
 from qcf1d import cli, scans
 from qcf1d.cli import main, read_config_file
+from qcf1d.lattice import DomainSpec
 from qcf1d.operators import Operator
 from qcf1d.scans import PatchTestRow
 
@@ -135,7 +135,7 @@ def test_convergence_checks_the_error_bound_up_to_the_rounding_floor(tmp_path, m
 
     def inflated(*args):
         rep, t, floor = real(*args)
-        return dataclasses.replace(rep, err_strain_inf=rep.bound_rhs + 2.0 * floor), t, floor
+        return rep._replace(err_strain_inf=rep.bound_rhs + 2.0 * floor), t, floor
 
     monkeypatch.setattr(scans, "error_report_detailed", inflated)
     assert run(argv) == 1
@@ -396,6 +396,39 @@ def test_patch_test_k_all_needs_n_at_least_4(tmp_path, capsys, monkeypatch, n_li
     assert run(["patch-test", "--N-list", n_list, "--K-all", "--out", out]) == 2
     assert "no admissible split K for N=3" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["patch-test", "coercivity"])
+@pytest.mark.parametrize("split,n_list,bad", [
+    (["--K", "9"], "16", "K=9, N=16"),  # K > N/2
+    (["--K", "1"], "16", "K=1, N=16"),  # K < 2
+    (["--K", "4"], "16,6", "K=4, N=6"),  # K > N/2 at one N of several
+    (["--K-ratio", "0.6"], "16", "K=10, N=16"),
+    (["--K-ratio", "0.25"], "16,3", "K=2, N=3"),  # 0.25 * 3 gives K=1, raised to 2
+])
+def test_split_out_of_range_exits_2_and_names_the_range(tmp_path, capsys, command, split, n_list, bad):
+    # --K-ratio never gives K < 2: the ratio's K is at least 2
+    coefficients = ["--phiF", "1", "--phi2F", "-0.2"] if command == "coercivity" else []
+    out = tmp_path / "x.csv"
+    assert run([command, *coefficients, "--N-list", n_list, *split, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"K out of range: need 2 <= K <= N/2, got {bad}" in err
+    assert not out.exists()
+
+
+def test_k_all_pairs_are_every_admissible_split():
+    n_list = [4, 5, 6, 7, 16, 17, 64]
+    cfg = cli.RunConfig(command="patch-test", N_list=n_list, K_all=True)
+    expected = []
+    for n in n_list:
+        for k in range(-1, n + 2):
+            try:
+                DomainSpec(n, k)
+            except ValueError:
+                continue
+            expected.append((n, k))
+    assert cfg.nk_pairs() == expected
+    assert cli.RunConfig(command="patch-test", N_list=[16], K_ratio=0.0).nk_pairs() == [(16, 2)]
 
 
 @pytest.mark.parametrize("via_file", [False, True])

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from qcf1d.lattice import DomainSpec, Field, diff, lp_norm, uniform_positions
 
-from oracles import diff3, diff4_centered
+from oracles import atomistic_sites, continuum_sites, diff3, diff4_centered
 
 
 def test_domain_spec_validation():
@@ -23,8 +23,8 @@ def test_domain_spec_validation():
 def test_domain_spec_regions():
     spec = DomainSpec(8, 2)
     assert spec.eps == 0.125
-    assert list(spec.atomistic_sites()) == [-2, -1, 0, 1, 2]
-    cont = list(spec.continuum_sites())
+    assert list(atomistic_sites(spec)) == [-2, -1, 0, 1, 2]
+    cont = list(continuum_sites(spec))
     assert cont == [-7, -6, -5, -4, -3, 3, 4, 5, 6, 7]
     bonds = list(spec.extended_continuum_bonds())
     assert bonds == [-6, -5, -4, -3, -2, -1, 4, 5, 6, 7, 8, 9]

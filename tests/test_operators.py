@@ -391,8 +391,10 @@ def test_frobenius_norm_matches_listed_entries(phiF, phi2F, n, k):
 
 def test_substitution_frees_even_rows_on_the_way_up():
     # 5 right-hand sides at n=2^16: freeing each level's even rows once
-    # the way back up has used them peaks at 4.0 times their bytes;
-    # keeping every level's even rows to the end peaks at 5.0
+    # the way back up has used them, and solving the even unknowns in
+    # place in the level's solution, peaks at 2.5 times their bytes; a
+    # zero-padded copy of each level's odd unknowns peaks at 4.0, and
+    # keeping every level's even rows to the end at 5.0
     n = 2**16
     rng = np.random.default_rng(3)
     lower, upper = rng.uniform(-1.0, 1.0, (2, n))
@@ -405,7 +407,24 @@ def test_substitution_frees_even_rows_on_the_way_up():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * rhs.nbytes, peak / rhs.nbytes
+    assert peak <= 3.0 * rhs.nbytes, peak / rhs.nbytes
+    tx = diag * x
+    tx[:, 1:] += lower[1:] * x[:, :-1]
+    tx[:, :-1] += upper[:-1] * x[:, 1:]
+    assert_allclose(tx, rhs, rtol=0, atol=1e-12 * np.max(np.abs(rhs)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 1001])
+def test_substitution_leaves_the_right_hand_sides_unchanged(n):
+    # at an odd size the first level's even rows are views of rhs itself,
+    # so the even unknowns must not be solved for in them
+    rng = np.random.default_rng(n)
+    lower, upper = rng.uniform(-1.0, 1.0, (2, n))
+    diag = 3.0 + rng.uniform(0.0, 1.0, n)
+    rhs = rng.standard_normal((3, n))
+    given = rhs.copy()
+    x = _substitute(_reduce(lower, diag, upper), rhs)
+    assert np.array_equal(rhs, given)
     tx = diag * x
     tx[:, 1:] += lower[1:] * x[:, :-1]
     tx[:, :-1] += upper[:-1] * x[:, 1:]

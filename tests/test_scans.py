@@ -1,11 +1,30 @@
+import gc
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from qcf1d import scans, stability
+from qcf1d.cli import TripleRow
 from qcf1d.lattice import DomainSpec
-from qcf1d.potentials import Coefficients
-from qcf1d.scans import PatchTestRow, _eig_point, coercivity_scan, loglog_slope, write_table
+from qcf1d.potentials import Coefficients, lennard_jones
+from qcf1d.scans import (
+    OPERATOR_BUILDERS,
+    CoercivityScanRow,
+    PatchTestRow,
+    _eig_point,
+    _format_value,
+    coercivity_scan,
+    convergence_scan_with_checks,
+    eig_scan,
+    infsup_scan,
+    loglog_slope,
+    patch_test_scan,
+    write_table,
+)
+from qcf1d.solver import ErrorReport, named_load
 
 from oracles import DIFFERENTIAL_PHI2F, lqcf_dense
 
@@ -90,3 +109,128 @@ def test_csv_table_bytes(tmp_path):
     )
     write_table(out, "csv", "eig-scan", {}, [])
     assert out.read_text() == "# qcf1d eig-scan\n\n"
+
+
+def csv_per_cell(command, config, rows, extras):
+    """A table's CSV text formatted cell by cell, row after row, by field name."""
+    names = rows[0]._fields if rows else ()
+    lines = [f"# qcf1d {command}"]
+    for echo in (config, extras):
+        lines += [f"# {k}={_format_value(echo[k])}" for k in sorted(echo)]
+    lines.append(",".join(names))
+    lines += [",".join(_format_value(getattr(r, n)) for n in names) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def json_per_row(command, config, rows, extras):
+    """A table's JSON text with each row's fields read by name."""
+    rows = [{n: getattr(r, n) for n in r._fields} for r in rows]
+    doc = {"command": command, "config": config, "extras": extras, "rows": rows}
+    return json.dumps(doc, indent=2, default=float) + "\n"
+
+
+def every_row_type():
+    c = Coefficients(1.0, -0.2)
+    return {
+        "patch-test": patch_test_scan(lennard_jones(), [0.9, 1.0], [(8, 2), (8, 3), (8, 4), (16, 2)]),
+        "coercivity": coercivity_scan(c, [(16, 4), (32, 8)]),
+        "infsup": infsup_scan(c, [(16, 4), (32, 8)], [1.0, 2.0, 4.0]),
+        "convergence": [rep for rep, _, _ in convergence_scan_with_checks(
+            Coefficients(1.0, -0.05), named_load("cospi"), [(16, 4), (32, 8)])],
+        "dump-operator": [TripleRow(*t) for t in OPERATOR_BUILDERS["Eqcf"](c, 8, 2).to_triples()],
+        "eig-scan": eig_scan(c, [(8, 2), (16, 4)]),
+    }
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_every_row_type_writes_as_cell_by_cell(tmp_path, fmt):
+    reference = csv_per_cell if fmt == "csv" else json_per_row
+    out = tmp_path / "t"
+    config, extras = {"N_list": [16, 32], "phiF": 1.0}, {"all_passed": True, "slope": -0.5}
+    for command, rows in every_row_type().items():
+        write_table(out, fmt, command, config, rows, extras)
+        assert out.read_text() == reference(command, config, rows, extras), command
+
+
+def test_float_columns_keep_every_bit_pattern_apart(tmp_path):
+    # -0.0 == 0.0 and True == 1 compare and hash alike, yet each keeps its own text
+    values = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -0.0, 0.0, 5e-324, 1.0]
+    rows = [PatchTestRow(v, 16, 2 + i, -v, 2e-13, i % 2 == 1) for i, v in enumerate(values)]
+    out = tmp_path / "t.csv"
+    write_table(out, "csv", "patch-test", {}, rows)
+    text = out.read_text()
+    assert text == csv_per_cell("patch-test", {}, rows, {})
+    assert [line.split(",")[0] for line in text.splitlines()[2:]] == [
+        "0.0", "-0.0", "nan", "inf", "-inf", "5e-324", "-0.0", "0.0", "5e-324", "1.0",
+    ]
+    assert [line.split(",")[5] for line in text.splitlines()[2:]] == ["0", "1"] * 5
+
+
+def test_int_columns_above_int64_and_mixed_columns(tmp_path):
+    big = 2**63 + 5
+    rows = [
+        CoercivityScanRow(big, 2, 1.0, 1),  # int above 2^63; an int among the floats
+        CoercivityScanRow(-big, True, 1.0, 2.5),  # a bool among the ints
+        CoercivityScanRow(big, 2, np.float64(0.5), (1, 2)),  # numpy and non-scalar values
+        CoercivityScanRow(2**64, 1, float("nan"), None),
+    ]
+    out = tmp_path / "t.csv"
+    write_table(out, "csv", "coercivity", {}, rows)
+    text = out.read_text()
+    assert text == csv_per_cell("coercivity", {}, rows, {})
+    assert [line.split(",")[:2] for line in text.splitlines()[2:]] == [
+        [str(big), "2"], [str(-big), "1"], [str(big), "2"], [str(2**64), "1"],
+    ]
+
+
+def test_convergence_json_bytes(tmp_path):
+    rows = [ErrorReport(16, 4, 64, 0.0625, 1.5e-05, 2.5e-05, -0.0, 3e-05),
+            ErrorReport(32, 8, 128, 0.03125, 3.75e-06, 6.25e-06, 1e-300, 7.5e-06)]
+    out = tmp_path / "c.json"
+    write_table(out, "json", "convergence", {"N_list": [16, 32], "load": "cospi"}, rows,
+                {"all_inequalities_hold": True, "slope_err_vs_eps": 2.0})
+    row_text = [
+        '{\n      "N": %d,\n      "K": %d,\n      "M": %d,\n      "eps": %s,\n'
+        '      "err_strain_inf": %s,\n      "bound_rhs": %s,\n      "trunc_star": %s,\n'
+        '      "trunc_bound": %s\n    }' % tuple(r) for r in rows
+    ]
+    assert out.read_text() == (
+        '{\n  "command": "convergence",\n  "config": {\n    "N_list": [\n      16,\n      32\n'
+        '    ],\n    "load": "cospi"\n  },\n  "extras": {\n    "all_inequalities_hold": true,\n'
+        '    "slope_err_vs_eps": 2.0\n  },\n  "rows": [\n    ' + ",\n    ".join(row_text) + "\n  ]\n}\n"
+    )
+
+
+def test_writing_a_large_table_barely_runs_the_garbage_collector(tmp_path):
+    # a writer that keeps one tracked object per row alive, e.g. columns
+    # gathered by zip(*rows), runs 14 collections for this table, and a
+    # full one once scipy is loaded
+    rows = [PatchTestRow(0.9 + 0.05 * (i % 5), 16 + i, 2 + i % 7, 0.0, 1e-13 * (i % 20), True)
+            for i in range(10**4)]
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        write_table(tmp_path / "t.csv", "csv", "patch-test", {}, rows)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(starts) <= 1, starts
+    assert (tmp_path / "t.csv").read_text() == csv_per_cell("patch-test", {}, rows, {})
+
+
+def test_writing_holds_no_table_text(tmp_path):
+    # 10^5 rows, about 4 MB of text: formatting all of them at once holds
+    # about 30 MB, and raises the CLI's peak RSS at N=131072 from 69 to 110 MB
+    rows = [PatchTestRow(0.9, 2**20, i, 1e-13 * i, 1e-12, True) for i in range(10**5)]
+    tracemalloc.start()
+    try:
+        write_table(tmp_path / "t.csv", "csv", "patch-test", {}, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, peak
