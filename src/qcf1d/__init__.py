@@ -31,7 +31,6 @@ from .stability import (
 from .solver import (
     ErrorReport,
     error_report_detailed,
-    named_load,
     sample_load,
     solve_strain,
     truncation_error_stencil,

@@ -33,7 +33,7 @@ from .scans import (
     patch_test_scan,
     write_table,
 )
-from .solver import LOADS, named_load
+from .solver import LOADS
 from .stability import infsup_p_upper
 
 POTENTIALS = {"lj": lennard_jones}
@@ -272,9 +272,7 @@ def cmd_infsup(cfg: RunConfig) -> tuple:
 def cmd_convergence(cfg: RunConfig) -> tuple:
     """coupled-vs-reference error study"""
     c = cfg.coefficients()
-    load = named_load(cfg.load)
-    pairs = cfg.nk_pairs()
-    checked = convergence_scan_with_checks(c, load, pairs, cfg.M_factor)
+    checked = convergence_scan_with_checks(c, LOADS[cfg.load], cfg.nk_pairs(), cfg.M_factor)
     rows = [rep for rep, _, _ in checked]
     ok = True
     for rep, half_t_l1, floor in checked:

@@ -6,8 +6,9 @@ that the computational domain {-N..N} maps to x in [-1, 1] via
 x_j = j*eps with eps = 1/N; a reference chain of half-width M > N uses
 the same spacing.
 
-Every field carries its index range.  Operations that combine two
-fields refuse mismatched ranges instead of truncating silently.
+Every field carries its index range.  No operation combines two
+fields, and restrict refuses a range the field does not cover instead
+of truncating silently.
 """
 
 from __future__ import annotations
@@ -52,14 +53,11 @@ class DomainSpec:
         right = np.arange(self.K + 2, self.N + 2)
         return np.concatenate([left, right])
 
-    def require_reference(self, min_margin: int = 2) -> int:
+    def require_reference(self) -> int:
         if self.M is None:
             raise ValueError("DomainSpec.M is required for this operation")
-        if self.M < self.N + min_margin:
-            raise ValueError(
-                f"reference half-width too small: need M >= N+{min_margin}, "
-                f"got M={self.M}, N={self.N}"
-            )
+        if self.M < self.N + 2:
+            raise ValueError(f"reference half-width too small: need M >= N+2, got M={self.M}, N={self.N}")
         return self.M
 
 
@@ -89,37 +87,12 @@ class Field:
     def __len__(self) -> int:
         return len(self.values)
 
-    def indices(self) -> np.ndarray:
-        return np.arange(self.lo, self.hi + 1)
-
-    def at(self, j: int) -> float:
-        if not self.lo <= j <= self.hi:
-            raise IndexError(f"index {j} outside field range {self.lo}..{self.hi}")
-        return float(self.values[j - self.lo])
-
     def restrict(self, lo: int, hi: int) -> "Field":
         if lo < self.lo or hi > self.hi or lo > hi:
             raise ValueError(
                 f"cannot restrict field over {self.lo}..{self.hi} to {lo}..{hi}"
             )
         return Field(self.values[lo - self.lo : hi - self.lo + 1], lo)
-
-    def same_range(self, other: "Field") -> bool:
-        return self.lo == other.lo and len(self) == len(other)
-
-    def _check_range(self, other: "Field"):
-        if not self.same_range(other):
-            raise ValueError(
-                f"index range mismatch: {self.lo}..{self.hi} vs {other.lo}..{other.hi}"
-            )
-
-    def __add__(self, other: "Field") -> "Field":
-        self._check_range(other)
-        return Field(self.values + other.values, self.lo)
-
-    def __sub__(self, other: "Field") -> "Field":
-        self._check_range(other)
-        return Field(self.values - other.values, self.lo)
 
     def __mul__(self, a: float) -> "Field":
         return Field(self.values * a, self.lo)

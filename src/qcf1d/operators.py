@@ -75,27 +75,6 @@ class Operator:
     def nnz(self) -> int:  # perfbench/tracer.py counts an assembly result without nnz as dense
         return self.value.size
 
-    @property
-    def row_hi(self) -> int:
-        return self.row_lo + self.shape[0] - 1
-
-    @property
-    def col_hi(self) -> int:
-        return self.col_lo + self.shape[1] - 1
-
-    def at(self, i: int, j: int) -> float:
-        if not (self.row_lo <= i <= self.row_hi and self.col_lo <= j <= self.col_hi):
-            raise IndexError(f"({i}, {j}) lies outside the operator's index ranges")
-        key = (i - self.row_lo) * self.shape[1] + (j - self.col_lo)
-        keys = self.row * self.shape[1] + self.col
-        pos = int(np.searchsorted(keys, key))
-        return float(self.value[pos]) if pos < keys.size and keys[pos] == key else 0.0
-
-    def toarray(self) -> np.ndarray:
-        a = np.zeros(self.shape)
-        a[self.row, self.col] = self.value
-        return a
-
     def to_triples(self):
         """(row, col, value) for every stored nonzero, row-major."""
         return [
@@ -414,7 +393,7 @@ def assemble_lqcf(c: Coefficients, spec: DomainSpec) -> Operator:
     return _conjugate(spec.N, spec.eps, c.phiF, c.phi2F, spec.K)
 
 
-def assemble_ea(c: Coefficients, m: int, eps: float) -> Operator:
+def assemble_ea(c: Coefficients, m: int) -> Operator:
     """Conjugate of the atomistic operator, on bonds -m+1..m.
 
     phiF on the diagonal plus phi2F times the symmetric [1,2,1] band whose

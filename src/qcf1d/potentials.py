@@ -23,7 +23,6 @@ class PairPotential:
     eval: Callable
     deriv1: Callable
     deriv2: Callable
-    name: str = ""
 
 
 def _lj_checked(r):
@@ -53,7 +52,7 @@ def lennard_jones() -> PairPotential:
 
     The minimum sits at r = 1 with value -1.  Evaluation at r <= 0 raises.
     """
-    return PairPotential(_lj_eval, _lj_deriv1, _lj_deriv2, name="lj")
+    return PairPotential(_lj_eval, _lj_deriv1, _lj_deriv2)
 
 
 @dataclass(frozen=True)

@@ -206,7 +206,7 @@ OPERATOR_BUILDERS = {
     "La": lambda c, n, k: assemble_la(c, n, 1.0 / n),
     "Llqc": lambda c, n, k: assemble_llqc(c, n, 1.0 / n),
     "Lqcf": lambda c, n, k: assemble_lqcf(c, DomainSpec(n, k)),
-    "Ea": lambda c, n, k: assemble_ea(c, n, 1.0 / n),
+    "Ea": lambda c, n, k: assemble_ea(c, n),
     "Eqcf": lambda c, n, k: assemble_eqcf(c, DomainSpec(n, k)),
 }
 
@@ -214,8 +214,6 @@ OPERATOR_BUILDERS = {
 def _format_value(v) -> str:
     if isinstance(v, bool):
         return str(int(v))
-    if isinstance(v, float):
-        return repr(v)
     return str(v)
 
 

@@ -49,13 +49,6 @@ LOADS = {
 }
 
 
-def named_load(name: str) -> Callable:
-    try:
-        return LOADS[name]
-    except KeyError:
-        raise ValueError(f"unknown load '{name}', choose from {sorted(LOADS)}")
-
-
 def sample_load(load: Callable, half_width: int, eps: float) -> Field:
     """The load sampled at x_j = j*eps on sites -half_width..half_width."""
     x = np.arange(-half_width, half_width + 1) * eps
@@ -124,7 +117,7 @@ def truncation_error_stencil(w_a: Field, c: Coefficients, spec: DomainSpec) -> F
     the rounding of each D3 cancels.  That of a separately computed
     fourth difference would not.  O(N).
     """
-    spec.require_reference(2)
+    spec.require_reference()
     if w_a.lo != 1 - w_a.hi:
         raise ValueError(f"strains must cover bonds -L+1..L, got {w_a.lo}..{w_a.hi}")
     n, k = spec.N, spec.K
@@ -167,7 +160,7 @@ def error_report_detailed(
     """
     if not c.phiF + 8.0 * c.phi2F > 0.0:
         raise ValueError("error report needs the stability regime phiF + 8*phi2F > 0")
-    m = spec.require_reference(2)
+    m = spec.require_reference()
     n = spec.N
     eps = spec.eps
     g = summed_load(sample_load(load, m, eps), eps)

@@ -90,7 +90,7 @@ def force_qcf(y, spec, phi):
         raise ValueError(f"expected positions over -N..N with N={spec.N}")
     fa = force_atomistic(y, phi, spec.eps)
     fl = force_lqc(y, phi, spec.eps)
-    return Field(np.where(np.abs(fa.indices()) <= spec.K, fa.values, fl.values), fa.lo)
+    return Field(np.where(np.abs(interior_sites(spec)) <= spec.K, fa.values, fl.values), fa.lo)
 
 
 def diff3(f, eps):
@@ -188,6 +188,13 @@ DIFFERENTIAL_NK = [(16, 2), (64, 32), (128, 2), (256, 63), (512, 128)]
 # Dense loop assemblers: one explicit loop over rows per operator, with
 # the same index conventions as qcf1d.operators (displacement operators
 # on rows -n+1..n-1 by columns -n..n, strain operators on bonds -n+1..n).
+
+
+def dense(op):
+    """The dense matrix of an Operator, rows and columns at offsets from row_lo and col_lo."""
+    a = np.zeros(op.shape)
+    a[op.row, op.col] = op.value
+    return a
 
 
 def la_dense(c, m, eps):
@@ -294,8 +301,8 @@ def l2_decomposition(v, w, spec):
     regular += eps * float((dv[mid - 1] + 2.0 * dv[mid] + dv[mid + 1]) @ dw[mid])
     regular += 4.0 * eps * float(dv[right] @ dw[right])
     d3 = diff3(v, eps)
-    left_interface = eps**2 * d3.at(-k + 1) * w.at(-k)
-    right_interface = -(eps**2) * d3.at(k + 2) * w.at(k)
+    left_interface = eps**2 * d3.values[-k + 1 - d3.lo] * w.values[-k + n]
+    right_interface = -(eps**2) * d3.values[k + 2 - d3.lo] * w.values[k + n]
     return regular, left_interface, right_interface
 
 
@@ -438,7 +445,7 @@ def truncation_error_dense(u_a, c, spec):
     rounded once per entry.  Needs M >= N+2 so the atomistic stencil at
     rows +-(N-1) stays inside the reference chain.
     """
-    spec.require_reference(2)
+    spec.require_reference()
     n, eps = spec.N, spec.eps
     if u_a.half_width < n + 2:
         raise ValueError("reference field too short for the stencils at +-(N-1)")

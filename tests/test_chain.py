@@ -9,7 +9,7 @@ from qcf1d.lattice import DomainSpec, Field, uniform_positions
 from qcf1d.potentials import PairPotential, lennard_jones
 from qcf1d.scans import patch_test_scan
 
-from oracles import energy_atomistic_loop, energy_lqc_loop, fd_gradient, fd_jacobian, force_qcf
+from oracles import energy_atomistic_loop, energy_lqc_loop, fd_gradient, fd_jacobian, force_qcf, interior_sites
 
 LJ = lennard_jones()
 RNG = np.random.default_rng(42)
@@ -93,8 +93,9 @@ def test_force_atomistic_uniform_interior_and_boundary():
     # at the last free atom only the left next-nearest pull survives the
     # boundary convention; substituting the uniform state into the force
     # formula (and the gradient oracle) gives -phi'(2F)/eps there
-    assert_allclose(f.at(7), -LJ.deriv1(2.0 * F) / eps, rtol=1e-10)
-    assert_allclose(f.at(-7), +LJ.deriv1(2.0 * F) / eps, rtol=1e-10)
+    assert (f.lo, f.hi) == (-7, 7)
+    assert_allclose(f.values[-1], -LJ.deriv1(2.0 * F) / eps, rtol=1e-10)
+    assert_allclose(f.values[0], +LJ.deriv1(2.0 * F) / eps, rtol=1e-10)
 
 
 def test_force_lqc_uniform_vanishes_everywhere():
@@ -111,7 +112,7 @@ def test_force_lqc_locality():
     yp[8 + 2] += 0.3 * eps  # j0 = 2
     f1 = force_lqc(Field(yp, -8), LJ, eps)
     changed = np.abs(f1.values - f0.values) > 0.0
-    js = f0.indices()
+    js = np.arange(f0.lo, f0.hi + 1)
     assert not np.any(changed & (np.abs(js - 2) > 1))
     assert np.all(changed[np.abs(js - 2) <= 1])
 
@@ -122,7 +123,7 @@ def test_force_qcf_dispatch_is_exact():
     fq = force_qcf(y, spec, LJ)
     fa = force_atomistic(y, LJ, spec.eps)
     fl = force_lqc(y, LJ, spec.eps)
-    js = fq.indices()
+    js = interior_sites(spec)
     assert np.array_equal(fq.values[np.abs(js) <= 4], fa.values[np.abs(js) <= 4])
     assert np.array_equal(fq.values[np.abs(js) > 4], fl.values[np.abs(js) > 4])
 
@@ -152,7 +153,7 @@ def test_patch_test_property(F, n, k_frac):
 
 # phi''(2F) > 0, unlike LJ near F = 1: a zigzag then moves the local field
 # more than the atomistic one
-QUARTIC = PairPotential(lambda r: r**4 / 12, lambda r: r**3 / 3, lambda r: r**2, name="quartic")
+QUARTIC = PairPotential(lambda r: r**4 / 12, lambda r: r**3 / 3, lambda r: r**2)
 
 
 def graded_zigzag(F, n, rng, grow):

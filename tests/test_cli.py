@@ -301,6 +301,20 @@ def test_config_file_bad_choice_exits_2(tmp_path, capsys, key, args):
     assert f"'{key}'" in capsys.readouterr().err
 
 
+def test_unknown_load_exits_2_naming_the_choices(tmp_path, capsys):
+    args = ["convergence", "--phiF", "1", "--phi2F", "-0.05", "--N-list", "16", "--out", tmp_path / "x.csv"]
+    with pytest.raises(SystemExit) as exc:
+        run([*args, "--load", "foo"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "foo" in err and all(name in err for name in ("const", "cospi", "zero"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("load = foo\n")
+    assert run([*args, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "'load'" in err and "const, cospi, zero" in err
+
+
 def test_config_file_bad_format_exits_before_sweep(tmp_path, monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("sweep ran")

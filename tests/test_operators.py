@@ -24,6 +24,7 @@ from qcf1d.potentials import Coefficients, lennard_jones
 from oracles import (
     DIFFERENTIAL_NK,
     DIFFERENTIAL_PHI2F,
+    dense,
     ea_dense,
     eqcf_dense,
     fd_jacobian,
@@ -63,21 +64,22 @@ def test_la_stencils():
     m = 6
     eps = 0.125
     A = assemble_la(C, m, eps)
-    assert (A.row_lo, A.row_hi, A.col_lo, A.col_hi) == (-5, 5, -6, 6)
+    assert (A.row_lo, A.col_lo, A.shape) == (-5, -6, (11, 13))
+    a = dense(A)  # row i at offset i + 5, column j at offset j + 6
     s = 1.0 / eps**2
-    assert_allclose(A.at(0, 0), (2 * C.phiF + 2 * C.phi2F) * s)
-    assert_allclose(A.at(0, 1), -C.phiF * s)
-    assert_allclose(A.at(0, 2), -C.phi2F * s)
+    assert_allclose(a[5, 6], (2 * C.phiF + 2 * C.phi2F) * s)
+    assert_allclose(a[5, 7], -C.phiF * s)
+    assert_allclose(a[5, 8], -C.phi2F * s)
     # first row: one-sided next-nearest stencil with 4 nonzeros
-    assert_allclose(A.at(-5, -5), (2 * C.phiF + C.phi2F) * s)
-    assert_allclose(A.at(-5, -3), -C.phi2F * s)
-    assert np.count_nonzero(A.toarray()[0]) == 4
+    assert_allclose(a[0, 1], (2 * C.phiF + C.phi2F) * s)
+    assert_allclose(a[0, 3], -C.phi2F * s)
+    assert np.count_nonzero(a[0]) == 4
 
 
 def test_la_interior_rows_annihilate_affine():
     m = 8
     eps = 1.0 / 8
-    A = assemble_la(C, m, eps).toarray()
+    A = dense(assemble_la(C, m, eps))
     j = np.arange(-m, m + 1)
     out = A @ (0.7 + 1.3 * j * eps)
     # interior rows only: the one-sided boundary stencil is a first
@@ -89,7 +91,7 @@ def test_la_interior_rows_annihilate_affine():
 def test_llqc_stencil_readoff():
     n = 8
     eps = 1.0 / n
-    A = assemble_llqc(C, n, eps).toarray()
+    A = dense(assemble_llqc(C, n, eps))
     out = A @ np.eye(2 * n + 1)[n]  # row j at offset j + n - 1
     assert_allclose(out[n - 1], 2.0 * (C.phiF + 4.0 * C.phi2F) / eps**2)
     assert_allclose(out[n], -(C.phiF + 4.0 * C.phi2F) / eps**2)
@@ -99,9 +101,9 @@ def test_llqc_stencil_readoff():
 
 def test_lqcf_row_dispatch_is_exact():
     spec = DomainSpec(16, 4)
-    Lq = assemble_lqcf(C, spec).toarray()
-    La = assemble_la(C, 16, spec.eps).toarray()
-    Ll = assemble_llqc(C, 16, spec.eps).toarray()
+    Lq = dense(assemble_lqcf(C, spec))
+    La = dense(assemble_la(C, 16, spec.eps))
+    Ll = dense(assemble_llqc(C, 16, spec.eps))
     for j in range(-15, 16):
         i = j + 15
         if abs(j) <= 4:
@@ -112,7 +114,7 @@ def test_lqcf_row_dispatch_is_exact():
 
 def test_lqcf_affine_kernel():
     spec = DomainSpec(16, 4)
-    Lq = assemble_lqcf(C, spec).toarray()
+    Lq = dense(assemble_lqcf(C, spec))
     j = np.arange(-16, 17)
     assert np.max(np.abs(Lq @ (-0.3 + 0.9 * j * spec.eps))) <= 1e-10 / spec.eps**2
 
@@ -121,7 +123,7 @@ def test_lqcf_affine_kernel():
 @given(a=st.floats(-5, 5), b=st.floats(-5, 5))
 def test_lqcf_affine_kernel_property(a, b):
     spec = DomainSpec(8, 2)
-    Lq = assemble_lqcf(C, spec).toarray()
+    Lq = dense(assemble_lqcf(C, spec))
     j = np.arange(-8, 9)
     scale = max(1.0, abs(a) + abs(b))
     assert np.max(np.abs(Lq @ (a + b * j * spec.eps))) <= 1e-10 * scale / spec.eps**2
@@ -129,13 +131,13 @@ def test_lqcf_affine_kernel_property(a, b):
 
 def test_lqcf_is_not_symmetric():
     spec = DomainSpec(16, 4)
-    Li = assemble_lqcf(C, spec).toarray()[:, 1:-1]
+    Li = dense(assemble_lqcf(C, spec))[:, 1:-1]
     assert np.max(np.abs(Li - Li.T)) > 1e-3 * np.max(np.abs(Li))
 
 
 def test_lqcf_splits_into_l1_and_l2():
     spec = DomainSpec(12, 3)
-    Lq = assemble_lqcf(C, spec).toarray()
+    Lq = dense(assemble_lqcf(C, spec))
     L1 = llqc_dense(Coefficients(1.0, 0.0), 12, spec.eps)
     L2 = l2_dense(spec)
     assert_allclose(Lq, C.phiF * L1 + C.phi2F * L2, rtol=1e-14, atol=1e-9)
@@ -147,34 +149,34 @@ def test_bandwidth_and_sparsity():
     for i, j, _ in Lq.to_triples():
         assert abs(i - j) <= 2
     Eq = assemble_eqcf(C, spec)
-    counts = (Eq.toarray() != 0.0).sum(axis=1)
+    counts = (dense(Eq) != 0.0).sum(axis=1)
     assert counts.max() <= 4
     # atomistic band rows are symmetric tridiagonal
     off = 15  # bond j at offset j + off
-    band = Eq.toarray()[-4 + off : 5 + off + 1, :]
+    band = dense(Eq)[-4 + off : 5 + off + 1, :]
     for local, i in enumerate(range(-4 + off, 5 + off + 1)):
         row = band[local]
         nz = np.nonzero(row)[0]
         assert set(nz) <= {i - 1, i, i + 1}
-    sub = Eq.toarray()[-4 + off : 5 + off + 1, -4 + off : 5 + off + 1]
+    sub = dense(Eq)[-4 + off : 5 + off + 1, -4 + off : 5 + off + 1]
     assert np.array_equal(sub, sub.T)
 
 
 def test_ea_structure():
     m = 5
-    E = assemble_ea(C, m, 0.2)
-    B = (E.toarray() - C.phiF * np.eye(2 * m)) / C.phi2F
+    E = assemble_ea(C, m)
+    B = (dense(E) - C.phiF * np.eye(2 * m)) / C.phi2F
     assert_allclose(B[0], [1, 1, 0, 0, 0, 0, 0, 0, 0, 0], atol=1e-14)
     assert_allclose(B[1], [1, 2, 1, 0, 0, 0, 0, 0, 0, 0], atol=1e-14)
     assert_allclose(B[-1], [0, 0, 0, 0, 0, 0, 0, 0, 1, 1], atol=1e-14)
-    assert np.array_equal(E.toarray(), E.toarray().T)
+    assert np.array_equal(dense(E), dense(E).T)
 
 
 def test_weak_form_identity_ea():
     m = 8
     eps = 1.0 / m
-    E = assemble_ea(C, m, eps).toarray()
-    L = assemble_la(C, m, eps).toarray()
+    E = dense(assemble_ea(C, m))
+    L = dense(assemble_la(C, m, eps))
     for _ in range(20):
         v, w = random_pair(m)
         gap, scale = weak_form_gap(E, L, v, w, eps)
@@ -186,8 +188,8 @@ def test_weak_form_identity_eqcf_all_k(n):
     eps = 1.0 / n
     for k in range(2, n // 2 + 1):
         spec = DomainSpec(n, k)
-        E = assemble_eqcf(C, spec).toarray()
-        L = assemble_lqcf(C, spec).toarray()
+        E = dense(assemble_eqcf(C, spec))
+        L = dense(assemble_lqcf(C, spec))
         for _ in range(5):
             v, w = random_pair(n)
             gap, scale = weak_form_gap(E, L, v, w, eps)
@@ -200,7 +202,7 @@ def test_eqcf_image_of_interface_probe():
     c = Coefficients(1.0, 1.0)
     spec = DomainSpec(8, 2)
     xi = interface_probe(c, spec)
-    out = Field(assemble_eqcf(c, spec).toarray() @ xi.values, xi.lo)
+    out = Field(dense(assemble_eqcf(c, spec)) @ xi.values, xi.lo)
     alpha = 3.0
     for j in range(-7, 9):
         if j <= -3:
@@ -217,22 +219,16 @@ def test_eqcf_image_of_interface_probe():
             expected = alpha * c.phiF + c.phi2F * (1.0 + 2.0 * alpha)
         else:
             expected = c.phiF + c.phi2F * (5.0 - 2.0 * alpha)
-        assert_allclose(out.at(j), expected, atol=1e-13)
+        assert_allclose(out.values[j - out.lo], expected, atol=1e-13)
 
 
 def test_eqcf_interface_row_entries():
     c = Coefficients(1.0, 1.0)
     spec = DomainSpec(8, 2)
-    E = assemble_eqcf(c, spec)
-    k = 2
-    assert_allclose(
-        [E.at(k + 2, k), E.at(k + 2, k + 1), E.at(k + 2, k + 2)],
-        [c.phi2F, -2.0 * c.phi2F, c.phiF + 5.0 * c.phi2F],
-    )
-    assert_allclose(
-        [E.at(-k - 1, -k - 1), E.at(-k - 1, -k), E.at(-k - 1, -k + 1)],
-        [c.phiF + 5.0 * c.phi2F, -2.0 * c.phi2F, c.phi2F],
-    )
+    E = dense(assemble_eqcf(c, spec))
+    k, off = 2, 7  # bond j at offset j + N - 1
+    assert_allclose(E[k + 2 + off, k + off : k + 3 + off], [c.phi2F, -2.0 * c.phi2F, c.phiF + 5.0 * c.phi2F])
+    assert_allclose(E[-k - 1 + off, -k - 1 + off : -k + 2 + off], [c.phiF + 5.0 * c.phi2F, -2.0 * c.phi2F, c.phi2F])
 
 
 def jacobian_of(force, n, eps, f=1.05):
@@ -260,7 +256,7 @@ def test_operators_linearize_their_force_fields(assemble, force_name):
         "qcf": lambda y: force_qcf(y, spec, LJ),
     }
     J = jacobian_of(forces[force_name], n, eps, F)
-    L = assemble(c, n, eps, spec).toarray()
+    L = dense(assemble(c, n, eps, spec))
     # linearizing the equilibrium equations gives L = -dF/dy exactly
     scaled = eps**2 * L
     gap = np.max(np.abs(scaled - (-(eps**2) * J)))
@@ -312,16 +308,13 @@ def test_operator_stores_sorted_summed_nonzero_triples():
     # unsorted input with a duplicate (0, 1) and an entry that cancels to zero
     op = Operator([1, 0, 0, 1, 0], [0, 1, 2, 1, 1], [2.0, 1.0, 3.0, 0.0, -0.5], (2, 3), -1, -2)
     assert op.to_triples() == [(-1, -1, 0.5), (-1, 0, 3.0), (0, -2, 2.0)]
-    assert op.at(0, -1) == 0.0 and op.at(-1, -1) == 0.5
-    assert_allclose(op.toarray(), [[0.0, 0.5, 3.0], [2.0, 0.0, 0.0]])
-    with pytest.raises(IndexError):
-        op.at(1, 0)
+    assert_allclose(dense(op), [[0.0, 0.5, 3.0], [2.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="outside the shape"):
         Operator([2], [0], [1.0], (2, 3), 0, 0)
     # no entries at all
     empty = Operator([], [], [], (2, 3), -1, -2)
-    assert empty.to_triples() == [] and empty.at(0, 0) == 0.0
-    assert np.array_equal(empty.toarray(), np.zeros((2, 3)))
+    assert empty.to_triples() == []
+    assert np.array_equal(dense(empty), np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("n,k", DIFFERENTIAL_NK)
@@ -334,14 +327,14 @@ def test_sparse_assembly_matches_dense_oracles(phi2F, n, k):
         (assemble_la(c, n, eps), la_dense(c, n, eps)),
         (assemble_llqc(c, n, eps), llqc_dense(c, n, eps)),
         (assemble_lqcf(c, spec), lqcf_dense(c, spec)),
-        (assemble_ea(c, n, eps), ea_dense(c, n)),
+        (assemble_ea(c, n), ea_dense(c, n)),
         (assemble_eqcf(c, spec), eqcf_dense(c, spec)),
     ]
-    for op, dense in cases:
-        assert op.shape == dense.shape
-        assert_array_max_ulp(op.toarray(), dense, maxulp=1)
+    for op, expected in cases:
+        assert op.shape == expected.shape
+        assert_array_max_ulp(dense(op), expected, maxulp=1)
         # stored pattern = nonzero pattern, read row-major
-        rows, cols = np.nonzero(dense)
+        rows, cols = np.nonzero(expected)
         triples = op.to_triples()
         assert [(i, j) for i, j, _ in triples] == [
             (int(r) + op.row_lo, int(c_) + op.col_lo) for r, c_ in zip(rows, cols)
@@ -354,9 +347,9 @@ def test_strain_stencil_bands_match_dense_oracles(phi2F, n, k):
     # the factors the strain solver reads: T' + L^T R is E, E^T or sym(E)
     c = Coefficients(1.0, phi2F)
     w = np.random.default_rng(n + k).standard_normal(2 * n)
-    for band, dense in ((n - 1, ea_dense(c, n)), (k, eqcf_dense(c, DomainSpec(n, k)))):
+    for band, expected in ((n - 1, ea_dense(c, n)), (k, eqcf_dense(c, DomainSpec(n, k)))):
         s = strain_stencil(n, band)
-        for form, dense_form in (("E", dense), ("E^T", dense.T), ("sym", 0.5 * (dense + dense.T))):
+        for form, dense_form in (("E", expected), ("E^T", expected.T), ("sym", 0.5 * (expected + expected.T))):
             (lower, diag, upper), left, right = s.split(c, form)
             assert lower[0] == upper[-1] == 0.0
             assert left.shape == right.shape and left.shape[1] == 2 * n
@@ -371,10 +364,10 @@ def test_strain_stencil_bands_match_dense_oracles(phi2F, n, k):
         row, col, value = s.entries(c)
         assert np.array_equal(row[:2 * n], np.arange(2 * n)) and np.array_equal(col[:2 * n], np.arange(2 * n))
         assert np.unique(row * 2 * n + col).size == row.size
-        E = np.zeros_like(dense)
+        E = np.zeros_like(expected)
         E[row, col] = value
-        assert np.array_equal(E, dense)
-        assert_allclose(np.linalg.norm(value), np.linalg.norm(dense), rtol=1e-14)
+        assert np.array_equal(E, expected)
+        assert_allclose(np.linalg.norm(value), np.linalg.norm(expected), rtol=1e-14)
 
 
 @pytest.mark.parametrize("phiF", [1.0, 0.3])

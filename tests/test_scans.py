@@ -24,7 +24,7 @@ from qcf1d.scans import (
     patch_test_scan,
     write_table,
 )
-from qcf1d.solver import ErrorReport, named_load
+from qcf1d.solver import LOADS, ErrorReport
 
 from oracles import DIFFERENTIAL_PHI2F, lqcf_dense
 
@@ -136,7 +136,7 @@ def every_row_type():
         "coercivity": coercivity_scan(c, [(16, 4), (32, 8)]),
         "infsup": infsup_scan(c, [(16, 4), (32, 8)], [1.0, 2.0, 4.0]),
         "convergence": [rep for rep, _, _ in convergence_scan_with_checks(
-            Coefficients(1.0, -0.05), named_load("cospi"), [(16, 4), (32, 8)])],
+            Coefficients(1.0, -0.05), LOADS["cospi"], [(16, 4), (32, 8)])],
         "dump-operator": [TripleRow(*t) for t in OPERATOR_BUILDERS["Eqcf"](c, 8, 2).to_triples()],
         "eig-scan": eig_scan(c, [(8, 2), (16, 4)]),
     }

@@ -6,8 +6,8 @@ from qcf1d.lattice import DomainSpec, Field, diff, lp_norm, summed_load
 from qcf1d import solver
 from qcf1d.potentials import Coefficients
 from qcf1d.solver import (
+    LOADS,
     error_report_detailed,
-    named_load,
     sample_load,
     solve_strain,
     truncation_error_stencil,
@@ -45,14 +45,14 @@ def test_atomistic_solve_residual():
     u = displacement_solve(C, f, m - 1, eps)
     resid = la_dense(C, m, eps) @ u.values - f.values[1:-1]
     assert np.max(np.abs(resid)) <= 1e-10 * np.max(np.abs(f.values))
-    assert u.at(-m) == 0.0 and abs(u.at(m)) <= 1e-13 * np.max(np.abs(u.values))
+    assert u.values[0] == 0.0 and abs(u.values[-1]) <= 1e-13 * np.max(np.abs(u.values))
 
 
 def test_atomistic_solve_backward_stable_at_large_m():
     # ||A|| grows like M^2: at M=3072 the residual exceeds 1e-10 * max|b|,
     # yet the normwise backward error stays at rounding level
     eps = 1.0 / 768
-    g = summed_load(sample_load(named_load("cospi"), 3072, eps), eps).values
+    g = summed_load(sample_load(LOADS["cospi"], 3072, eps), eps).values
     w = solve_strain(C, 3072, 3071, g, 0.0, eps)
     assert np.all(np.isfinite(w))
     assert abs(eps * np.sum(w)) <= 1e-13 * np.max(np.abs(w))  # u(M) - u(-M) = 0
@@ -156,16 +156,15 @@ def test_qcf_strain_bound_random_loads():
         f_m = Field(vals, -128)
         u_a = displacement_solve(C, f_m, 127, spec.eps)
         f_n = f_m.restrict(-32, 32)
-        u_q = displacement_solve(C, f_n, spec.K, spec.eps, (u_a.at(-32), u_a.at(32)))
+        bc = u_a.values[[-32 + 128, 32 + 128]]
+        u_q = displacement_solve(C, f_n, spec.K, spec.eps, bc)
         lhs = lp_norm(diff(u_q, spec.eps), spec.eps, np.inf)
-        rhs = 2.0 * dual_norm_star(f_n, spec.eps) / gamma + abs(
-            (u_a.at(32) - u_a.at(-32)) / (2.0 * spec.N)
-        )
+        rhs = 2.0 * dual_norm_star(f_n, spec.eps) / gamma + abs((bc[1] - bc[0]) / (2.0 * spec.N))
         assert lhs <= rhs
 
 
 def make_reference(spec, load=None):
-    load = load or named_load("cospi")
+    load = load or LOADS["cospi"]
     return displacement_solve(C, sample_load(load, spec.M, spec.eps), spec.M - 1, spec.eps)
 
 
@@ -173,11 +172,11 @@ def test_truncation_error_supported_on_continuum():
     spec = DomainSpec(32, 8, M=128)
     u_a = make_reference(spec)
     t = truncation_error_dense(u_a, C, spec)
-    js = t.indices()
+    js = np.arange(t.lo, t.hi + 1)
     # the two operators share their rows on the atomistic band, so the
     # residual vanishes there
     assert np.max(np.abs(t.values[np.abs(js) <= 8])) <= 1e-12 / spec.eps**2
-    assert t.at(-32) == 0.0 and t.at(32) == 0.0
+    assert (t.lo, t.hi) == (-32, 32) and t.values[0] == 0.0 and t.values[-1] == 0.0
     assert np.max(np.abs(t.values)) > 1e3 * np.max(np.abs(t.values[np.abs(js) <= 8]))
 
 
@@ -228,7 +227,7 @@ def test_trunc_star_holds_its_bound_at_large_n():
     # 3.66e-10 at N=32768, and a ratio of 1.29 between the first two sizes;
     # a separately rounded fourth difference fails at N=131072 (7.8e-11
     # against 2.5e-11)
-    load = named_load("cospi")
+    load = LOADS["cospi"]
     reports = [
         error_report_detailed(C, load, DomainSpec(n, n // 4, M=4 * n))[0]
         for n in (16384, 32768, 131072)
@@ -240,24 +239,24 @@ def test_trunc_star_holds_its_bound_at_large_n():
 
 def test_error_report_inequalities_and_symmetry():
     spec = DomainSpec(32, 8, M=128)
-    rep, t, _ = error_report_detailed(C, named_load("cospi"), spec)
+    rep, t, _ = error_report_detailed(C, LOADS["cospi"], spec)
     assert rep.err_strain_inf <= rep.bound_rhs
     assert rep.trunc_star <= rep.trunc_bound
     assert rep.trunc_star <= 0.5 * lp_norm(t, spec.eps, 1) + 1e-15
     # even load -> even solutions and even error field
-    f_m = sample_load(named_load("cospi"), 128, spec.eps)
+    f_m = sample_load(LOADS["cospi"], 128, spec.eps)
     u_a = displacement_solve(C, f_m, 127, spec.eps)
-    u_q = displacement_solve(C, f_m.restrict(-32, 32), spec.K, spec.eps, (u_a.at(-32), u_a.at(32)))
+    u_q = displacement_solve(C, f_m.restrict(-32, 32), spec.K, spec.eps, u_a.values[[-32 + 128, 32 + 128]])
     for u in (u_a, u_q):
         assert_allclose(u.values, u.values[::-1], atol=1e-11 * np.max(np.abs(u.values)))
-    e = u_a.restrict(-32, 32) - u_q
-    assert_allclose(e.values, e.values[::-1], atol=1e-9 * max(np.max(np.abs(e.values)), 1e-30))
+    e = u_a.restrict(-32, 32).values - u_q.values
+    assert_allclose(e, e[::-1], atol=1e-9 * max(np.max(np.abs(e)), 1e-30))
 
 
 def test_error_report_requires_stability_regime():
     spec = DomainSpec(16, 4, M=64)
     with pytest.raises(ValueError, match="stability regime"):
-        error_report_detailed(Coefficients(1.0, -0.2), named_load("cospi"), spec)
+        error_report_detailed(Coefficients(1.0, -0.2), LOADS["cospi"], spec)
 
 
 def test_constant_load_hits_rounding_floor():
@@ -265,17 +264,15 @@ def test_constant_load_hits_rounding_floor():
     # the computational window, so the fourth differences vanish and the
     # coupled solve reproduces it to rounding
     spec = DomainSpec(32, 8, M=128)
-    rep, _, _ = error_report_detailed(C, named_load("const"), spec)
+    rep, _, _ = error_report_detailed(C, LOADS["const"], spec)
     assert rep.err_strain_inf <= 1e-9
     assert rep.trunc_star <= 1e-9
 
 
 def test_sample_load():
-    load = named_load("cospi")
+    load = LOADS["cospi"]
     s = sample_load(load, 8, 0.125)
     assert (s.lo, s.hi) == (-8, 8)
     j = np.arange(-8, 9)
     assert np.array_equal(s.values, load(j * 0.125))
-    assert np.all(sample_load(named_load("zero"), 8, 0.125).values == 0.0)
-    with pytest.raises(ValueError, match="unknown load"):
-        named_load("nope")
+    assert np.all(sample_load(LOADS["zero"], 8, 0.125).values == 0.0)

@@ -25,6 +25,7 @@ from qcf1d.stability import (
 from oracles import (
     DIFFERENTIAL_NK,
     DIFFERENTIAL_PHI2F,
+    dense,
     ea_dense,
     eqcf_dense,
     infsup_2_dense,
@@ -76,8 +77,8 @@ def test_candidate_normalization_and_support():
     assert_allclose(lp_norm(diff(v, spec.eps), spec.eps, 2), 1.0, rtol=1e-12)
     # constant on the plateau through the left interface
     raw = unstable_candidate(spec, "+", normalize=False)
-    assert np.all(raw.values[np.abs(raw.indices()) <= 8 + 2] >= 1.0)
-    assert raw.at(-32) == 0.0 and raw.at(32) == 0.0
+    assert raw.lo == -32 and np.all(raw.values[np.abs(np.arange(-32, 33)) <= 8 + 2] >= 1.0)
+    assert raw.values[0] == 0.0 and raw.values[-1] == 0.0
 
 
 def test_candidate_interface_identity():
@@ -144,7 +145,7 @@ def test_infsup_2_below_upper_bound():
 
 def test_infsup_p_upper_matches_direct_computation():
     spec = DomainSpec(64, 16)
-    E = assemble_eqcf(C, spec).toarray()
+    E = dense(assemble_eqcf(C, spec))
     xi = interface_probe(C, spec)
     for p in (1.0, 2.0, 4.0):
         direct = lp_norm(E @ xi.values, spec.eps, p) / lp_norm(xi, spec.eps, p)
@@ -246,7 +247,7 @@ def test_certified_bound_never_beaten_by_candidates():
     rng = np.random.default_rng(23)
     for n in (8, 16, 32):
         for k in range(2, n // 2 + 1):
-            E = assemble_eqcf(C, DomainSpec(n, k)).toarray()
+            E = dense(assemble_eqcf(C, DomainSpec(n, k)))
             X = rng.standard_normal((300, 2 * n))
             X = np.vstack([X, interface_probe(C, DomainSpec(n, k)).values])
             X -= X.mean(axis=1, keepdims=True)
