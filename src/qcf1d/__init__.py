@@ -6,7 +6,7 @@ linearized operators, their stability across norm pairings, and the
 second-order convergence of the coupled solution to the reference one.
 """
 
-from .lattice import DomainSpec, Field, diff, lp_norm, summed_load, uniform_positions
+from .lattice import DomainSpec, diff, lp_norm, summed_load, uniform_positions
 from .potentials import Coefficients, PairPotential, lennard_jones
 from .chain import force_atomistic, force_lqc, max_abs_force_qcf
 from .operators import (

@@ -21,52 +21,48 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import DomainSpec, Field
+from .lattice import DomainSpec
 from .potentials import PairPotential
 
 
-def _nn_strains(y: Field, eps: float) -> np.ndarray:
+def _nn_strains(y: np.ndarray, eps: float) -> np.ndarray:
     """Bond strains (y_j - y_{j-1})/eps for bonds -L+1..L."""
-    return np.diff(y.values) / eps
+    return np.diff(y) / eps
 
 
-def _nnn_strains(y: Field, eps: float) -> np.ndarray:
+def _nnn_strains(y: np.ndarray, eps: float) -> np.ndarray:
     """Strains (y_j - y_{j-2})/eps of next-nearest pairs ending at -L+2..L."""
-    v = y.values
-    return (v[2:] - v[:-2]) / eps
+    return (y[2:] - y[:-2]) / eps
 
 
-def force_atomistic(y: Field, phi: PairPotential, eps: float) -> Field:
+def force_atomistic(y: np.ndarray, phi: PairPotential, eps: float) -> np.ndarray:
     """Atomistic force (per lattice spacing) on the free atoms -L+1..L-1.
 
     The next-nearest terms that would reach atoms -L-1 or L+1 are taken to
     be zero, which makes the field exactly minus the scaled energy
     gradient on the 2L+1 chain.
     """
-    L = y.half_width
     d1 = phi.deriv1(_nn_strains(y, eps))
     d2 = phi.deriv1(_nnn_strains(y, eps))
     zero = np.zeros(1)
     d2_right = np.concatenate([d2[1:], zero])
     d2_left = np.concatenate([zero, d2[:-1]])
     # grouping like terms lets equal neighbor contributions cancel exactly
-    f = ((d1[1:] - d1[:-1]) + (d2_right - d2_left)) / eps
-    return Field(f, -L + 1)
+    return ((d1[1:] - d1[:-1]) + (d2_right - d2_left)) / eps
 
 
-def force_lqc(y: Field, phi: PairPotential, eps: float) -> Field:
+def force_lqc(y: np.ndarray, phi: PairPotential, eps: float) -> np.ndarray:
     """Local QC force (per lattice spacing) on the free atoms -L+1..L-1."""
-    L = y.half_width
     r = _nn_strains(y, eps)
     g = phi.deriv1(r) + 2.0 * phi.deriv1(2.0 * r)
-    return Field((g[1:] - g[:-1]) / eps, -L + 1)
+    return (g[1:] - g[:-1]) / eps
 
 
-def max_abs_force_qcf(y: Field, ks: list[int], phi: PairPotential) -> np.ndarray:
+def max_abs_force_qcf(y: np.ndarray, ks: list[int], phi: PairPotential) -> np.ndarray:
     """max_j |f_j| of the coupled force f at y, for every split K in ks.
 
     The coupled force takes the atomistic law on sites |j| <= K and the
-    local law on the other free atoms; N is the half-width of y.  Each
+    local law on the other free atoms; y holds the sites -N..N.  Each
     force law is evaluated once: sites j and -j fold into the shell
     m = |j|, and since a split's atomistic shells come first, a running
     maximum of the atomistic field from the center out and one of the
@@ -74,12 +70,12 @@ def max_abs_force_qcf(y: Field, ks: list[int], phi: PairPotential) -> np.ndarray
     in all.  Maxima are exact and propagate NaN as np.max does, so every
     value equals the direct one bit for bit.
     """
-    n = y.half_width
+    n = len(y) // 2
     ks = np.asarray(ks, dtype=int)
     DomainSpec(n, int(ks.min()))  # admissible splits form a range: check both ends
     eps = DomainSpec(n, int(ks.max())).eps
-    fa = force_atomistic(y, phi, eps).values
-    fl = force_lqc(y, phi, eps).values
+    fa = force_atomistic(y, phi, eps)
+    fl = force_lqc(y, phi, eps)
 
     def shells(f):  # max |f_j| over j = m and j = -m, for m = 0..N-1
         a = np.abs(f)

@@ -107,6 +107,8 @@ class RunConfig:
         if self.K is not None:
             return self.K
         ratio = 0.25 if self.K_ratio is None else self.K_ratio
+        if not np.isfinite(ratio):
+            raise ValueError(f"--K-ratio must be finite, got {ratio}")
         return max(2, int(round(ratio * n)))
 
     def nk_pairs(self) -> list[tuple]:

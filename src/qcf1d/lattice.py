@@ -1,4 +1,4 @@
-"""Lattice fields and difference operators for a 1D chain.
+"""Lattice arrays and difference operators for a 1D chain.
 
 Displacements live on lattice sites j = -L..L, strains on bonds
 j = -L+1..L (bond j connects sites j-1 and j).  The chain is scaled so
@@ -6,9 +6,12 @@ that the computational domain {-N..N} maps to x in [-1, 1] via
 x_j = j*eps with eps = 1/N; a reference chain of half-width M > N uses
 the same spacing.
 
-Every field carries its index range.  No operation combines two
-fields, and restrict refuses a range the field does not cover instead
-of truncating silently.
+Every lattice quantity is a plain 1-D numpy array under one offset rule:
+on a chain of half-width L, site j sits at offset j+L and bond j at
+offset j+L-1.  An array of 2L+1 sites or 2L bonds thus carries L in its
+length, and the forces on the free atoms -L+1..L-1 form a site array of
+half-width L-1.  diff labels each difference by its right end, so it
+maps sites to bonds and shifts the first label by one per application.
 """
 
 from __future__ import annotations
@@ -61,53 +64,9 @@ class DomainSpec:
         return self.M
 
 
-@dataclass(frozen=True)
-class Field:
-    """Real values on a contiguous range of signed indices lo..lo+len-1."""
-
-    values: np.ndarray
-    lo: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("Field values must be a nonempty 1-D array")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.values) - 1
-
-    @property
-    def half_width(self) -> int:
-        if self.lo != -self.hi:
-            raise ValueError(f"field over {self.lo}..{self.hi} is not centered")
-        return self.hi
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def restrict(self, lo: int, hi: int) -> "Field":
-        if lo < self.lo or hi > self.hi or lo > hi:
-            raise ValueError(
-                f"cannot restrict field over {self.lo}..{self.hi} to {lo}..{hi}"
-            )
-        return Field(self.values[lo - self.lo : hi - self.lo + 1], lo)
-
-    def __mul__(self, a: float) -> "Field":
-        return Field(self.values * a, self.lo)
-
-    __rmul__ = __mul__
-
-    @property
-    def is_homogeneous(self) -> bool:
-        """True if the boundary values are exactly zero (membership in V0)."""
-        return self.values[0] == 0.0 and self.values[-1] == 0.0
-
-
 def lp_norm(f, eps: float, p) -> float:
     """Weighted norm (eps * sum |v|^p)^(1/p); p = inf gives the max norm."""
-    v = f.values if isinstance(f, Field) else np.asarray(f, dtype=float)
+    v = np.asarray(f, dtype=float)
     if p == np.inf:
         return float(np.max(np.abs(v))) if v.size else 0.0
     p = float(p)
@@ -116,28 +75,28 @@ def lp_norm(f, eps: float, p) -> float:
     return float((eps * np.sum(np.abs(v) ** p)) ** (1.0 / p))
 
 
-def diff(f: Field, eps: float) -> Field:
-    """Backward difference (Dv)_j = (v_j - v_{j-1})/eps on bonds lo+1..hi."""
-    if len(f) < 2:
+def diff(v: np.ndarray, eps: float) -> np.ndarray:
+    """Backward difference (Dv)_j = (v_j - v_{j-1})/eps: sites to bonds."""
+    if len(v) < 2:
         raise ValueError("need at least 2 values to difference")
-    return Field(np.diff(f.values) / eps, f.lo + 1)
+    return np.diff(v) / eps
 
 
-def summed_load(f: Field, eps: float) -> Field:
-    """Weighted suffix sums g_i = eps * sum_{j=i}^{hi-1} f_j on bonds lo+1..hi.
+def summed_load(f: np.ndarray, eps: float) -> np.ndarray:
+    """Weighted suffix sums g_i = eps * sum_{j=i}^{L-1} f_j: sites -L..L to bonds.
 
-    g_hi = 0.  For every w vanishing at lo and hi, <f, w> = <g, Dw>: the
+    g_L = 0.  For every w vanishing at -L and L, <f, w> = <g, Dw>: the
     load paired with a field equals g paired with its strain.  The end
-    samples f_lo and f_hi never enter.
+    samples f_{-L} and f_L never enter.
     """
     if len(f) < 2:
         raise ValueError("need at least 2 values for a summed load")
     g = np.zeros(len(f) - 1)
-    g[:-1] = eps * np.cumsum(f.values[-2:0:-1])[::-1]
-    return Field(g, f.lo + 1)
+    g[:-1] = eps * np.cumsum(f[-2:0:-1])[::-1]
+    return g
 
 
-def uniform_positions(F: float, half_width: int, eps: float) -> Field:
+def uniform_positions(F: float, half_width: int, eps: float) -> np.ndarray:
     """Positions y_j = j*b of the uniformly strained chain, b = F*eps snapped.
 
     The bond length b is first rounded to a float with enough trailing
@@ -153,8 +112,8 @@ def uniform_positions(F: float, half_width: int, eps: float) -> Field:
     j = np.arange(-half_width, half_width + 1, dtype=float)
     b = F * eps
     if b == 0.0:
-        return Field(F * (j * eps), -half_width)
+        return F * (j * eps)
     drop = int(np.ceil(np.log2(half_width + 1))) + 1
     quantum = 2.0 ** (np.floor(np.log2(abs(b))) - (52 - drop))
     b_snapped = np.round(b / quantum) * quantum
-    return Field(j * b_snapped, -half_width)
+    return j * b_snapped

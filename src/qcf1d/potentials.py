@@ -59,15 +59,18 @@ def lennard_jones() -> PairPotential:
 class Coefficients:
     """Spring constants phiF = phi''(F) and phi2F = phi''(2F).
 
-    phiF must be positive.  phi2F may be zero (pure nearest-neighbor
-    model); operations that need phi2F != 0 or a sign condition check it
-    themselves.
+    Both must be finite, and phiF positive.  phi2F may be zero (pure
+    nearest-neighbor model); operations that need phi2F != 0 or a sign
+    condition check it themselves.
     """
 
     phiF: float
     phi2F: float
 
     def __post_init__(self):
+        for name in ("phiF", "phi2F"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.phiF > 0.0:
             raise ValueError(f"phiF must be positive, got {self.phiF}")
 

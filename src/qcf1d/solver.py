@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .lattice import DomainSpec, Field, diff, lp_norm, summed_load
+from .lattice import DomainSpec, diff, lp_norm, summed_load
 from .operators import strain_stencil
 from .potentials import Coefficients
 from .stability import dual_norm_star
@@ -49,13 +49,13 @@ LOADS = {
 }
 
 
-def sample_load(load: Callable, half_width: int, eps: float) -> Field:
+def sample_load(load: Callable, half_width: int, eps: float) -> np.ndarray:
     """The load sampled at x_j = j*eps on sites -half_width..half_width."""
     x = np.arange(-half_width, half_width + 1) * eps
     v = np.asarray(load(x), dtype=float)
     if v.shape != x.shape:
         raise ValueError("load function must map samples elementwise")
-    return Field(v, -half_width)
+    return v
 
 
 def solve_strain(
@@ -104,30 +104,32 @@ def solve_strain(
     return w
 
 
-def truncation_error_stencil(w_a: Field, c: Coefficients, spec: DomainSpec) -> Field:
-    """Residual of the reference solution in the coupled equations, from its strains.
+def truncation_error_stencil(w_a: np.ndarray, c: Coefficients, spec: DomainSpec) -> np.ndarray:
+    """Residual of the reference solution in the coupled equations, on sites -N..N.
 
-    w_a holds the reference strains on bonds -M+1..M.  On the continuum
-    sites the residual is eps^2 * phi2F * D4_j, taken here as
-    eps * phi2F * (D3_{j+2} - D3_{j+1}) from one array of third
-    differences D3 of the displacement, the second differences of w_a;
-    zero on the atomistic sites and at the boundary.  Each entry carries
+    w_a holds the reference strains on bonds -L+1..L for any L >= N+2,
+    L read from its length.  On the continuum sites the residual is
+    eps^2 * phi2F * D4_j, taken here as eps * phi2F * (D3_{j+2} -
+    D3_{j+1}) from one array of third differences D3 of the
+    displacement, the second differences of w_a; zero on the atomistic
+    sites and at the boundary.  Each entry carries
     rounding of order 1e-16 * N^2, as on any route, but the suffix sums
     of dual_norm_star telescope to differences of the same D3, so there
     the rounding of each D3 cancels.  That of a separately computed
     fourth difference would not.  O(N).
     """
-    spec.require_reference()
-    if w_a.lo != 1 - w_a.hi:
-        raise ValueError(f"strains must cover bonds -L+1..L, got {w_a.lo}..{w_a.hi}")
     n, k = spec.N, spec.K
-    d3 = diff(diff(w_a, spec.eps), spec.eps)
+    if len(w_a) % 2:
+        raise ValueError(f"strains must cover bonds -L+1..L, got {len(w_a)} values")
+    if len(w_a) < 2 * n + 4:
+        raise ValueError(f"reference half-width too small: need L >= N+2, got L={len(w_a) // 2}, N={n}")
+    d3 = diff(diff(w_a, spec.eps), spec.eps)  # D3_j at offset j + L - 3
     j = np.arange(-n, n + 1)
     cont = (np.abs(j) > k) & (np.abs(j) <= n - 1)
-    jc = j[cont] - d3.lo
+    jc = j[cont] + len(w_a) // 2 - 3
     t = np.zeros(2 * n + 1)
-    t[cont] = spec.eps * c.phi2F * (d3.values[jc + 2] - d3.values[jc + 1])
-    return Field(t, -n)
+    t[cont] = spec.eps * c.phi2F * (d3[jc + 2] - d3[jc + 1])
+    return t
 
 
 class ErrorReport(NamedTuple):
@@ -145,7 +147,7 @@ class ErrorReport(NamedTuple):
 
 def error_report_detailed(
     c: Coefficients, load: Callable, spec: DomainSpec
-) -> tuple[ErrorReport, Field, float]:
+) -> tuple[ErrorReport, np.ndarray, float]:
     """Run the reference and coupled solves; return (ErrorReport, truncation error t, floor).
 
     Both solves are strain solves on the reference's summed load: on
@@ -164,13 +166,12 @@ def error_report_detailed(
     n = spec.N
     eps = spec.eps
     g = summed_load(sample_load(load, m, eps), eps)
-    w_a = Field(solve_strain(c, m, m - 1, g.values, 0.0, eps, "atomistic solve"), g.lo)
-    w_an = w_a.restrict(-n + 1, n).values
-    w_q = solve_strain(c, n, spec.K, g.restrict(-n + 1, n).values, eps * float(np.sum(w_an)),
-                       eps, "coupled solve")
-    d3 = diff(diff(w_a, eps), eps)
-    cbonds = spec.extended_continuum_bonds()
-    d3_max = float(np.max(np.abs(d3.values[cbonds - d3.lo])))
+    w_a = solve_strain(c, m, m - 1, g, 0.0, eps, "atomistic solve")
+    inner = slice(m - n, m + n)  # bonds -N+1..N
+    w_an = w_a[inner]
+    w_q = solve_strain(c, n, spec.K, g[inner], eps * float(np.sum(w_an)), eps, "coupled solve")
+    d3 = diff(diff(w_a, eps), eps)  # D3_j at offset j + M - 3
+    d3_max = float(np.max(np.abs(d3[spec.extended_continuum_bonds() + m - 3])))
     t = truncation_error_stencil(w_a, c, spec)
     gamma = c.phiF + 8.0 * c.phi2F
     report = ErrorReport(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import DomainSpec, Field, diff, lp_norm, summed_load
+from .lattice import DomainSpec, diff, lp_norm, summed_load
 from .operators import StrainStencil, strain_stencil
 from .potentials import Coefficients
 
@@ -88,11 +88,11 @@ def _lanczos_max(op, n: int, what: str) -> tuple:
     )
 
 
-def quadratic_form(c: Coefficients, spec: DomainSpec, v: Field) -> float:
-    """<L v, v> = <E Dv, Dv> (the conjugate identity) for a field vanishing at +-N."""
-    if not v.is_homogeneous:
+def quadratic_form(c: Coefficients, spec: DomainSpec, v: np.ndarray) -> float:
+    """<L v, v> = <E Dv, Dv> (the conjugate identity) for a field vanishing exactly at +-N."""
+    if not (v[0] == 0.0 and v[-1] == 0.0):
         raise ValueError("quadratic form is defined on fields vanishing at +-N")
-    dv = diff(v, spec.eps).values
+    dv = diff(v, spec.eps)
     return spec.eps * float(dv @ strain_stencil(spec.N, spec.K).apply(c, dv))
 
 
@@ -176,14 +176,14 @@ def rayleigh_min(c: Coefficients, spec: DomainSpec, witness: float = np.inf) -> 
     return lam
 
 
-def unstable_candidate(spec: DomainSpec, sign: str = "-", normalize: bool = True) -> Field:
-    """Explicit low-energy candidate: plateau plus one sqrt(eps) spike.
+def unstable_candidate(spec: DomainSpec, sign: str = "-") -> np.ndarray:
+    """Explicit low-energy candidate: plateau plus one sqrt(eps) spike, scaled to ||Dv|| = 1.
 
-    The field is 1 on -K-2..K+2, ramps linearly to 0 at +-N, and carries a
-    spike of height +-sqrt(eps) at site K+1.  Its strain stays bounded
-    while the interface term of the quadratic form grows like sqrt(N),
-    which is what makes the form indefinite for large N.  With
-    normalize=True the field is rescaled to ||Dv|| = 1.
+    Before scaling, the field is 1 on -K-2..K+2, ramps linearly to 0 at
+    +-N, and carries a spike of height +-sqrt(eps) at site K+1.  Its
+    strain stays bounded while the interface term of the quadratic form
+    grows like sqrt(N), which is what makes the form indefinite for
+    large N.
     """
     n, k = spec.N, spec.K
     if n - k - 2 < 1:
@@ -193,12 +193,8 @@ def unstable_candidate(spec: DomainSpec, sign: str = "-", normalize: bool = True
     j = np.arange(-n, n + 1)
     ramp = n - np.abs(j)
     v = np.where(np.abs(j) <= k + 2, 1.0, ramp / (n - k - 2.0))
-    v = v.astype(float)
     v[(k + 1) + n] += (1.0 if sign == "+" else -1.0) * np.sqrt(spec.eps)
-    f = Field(v, -n)
-    if normalize:
-        f = f * (1.0 / lp_norm(diff(f, spec.eps), spec.eps, 2))
-    return f
+    return v * (1.0 / lp_norm(diff(v, spec.eps), spec.eps, 2))
 
 
 def rdd_margin(c: Coefficients, stencil: StrainStencil) -> float:
@@ -264,14 +260,14 @@ def infsup_p_upper(c: Coefficients, spec: DomainSpec, p: float) -> float:
     return (num_p / den_p) ** (1.0 / p)
 
 
-def dual_norm_star(f: Field, eps: float) -> float:
+def dual_norm_star(f: np.ndarray, eps: float) -> float:
     """Dual norm of a load: sup <f, w> over w in V0 with ||Dw||_1 = 1.
 
     Closed form: half the oscillation of the weighted suffix sums
     g_i = eps * sum_{j=i}^{N-1} f_j (with g_N = 0).  The boundary samples
     f_{+-N} never pair with an admissible w and are ignored.
     """
-    if f.half_width < 1:
+    if len(f) < 3:
         raise ValueError("field too short")
-    g = summed_load(f, eps).values
+    g = summed_load(f, eps)
     return 0.5 * float(g.max() - g.min())

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from qcf1d.chain import force_atomistic, force_lqc
-from qcf1d.lattice import Field, diff, lp_norm, summed_load
+from qcf1d.lattice import diff, lp_norm, summed_load
 from qcf1d.potentials import Coefficients
 from qcf1d.solver import solve_strain
 
@@ -48,9 +48,8 @@ def fd_jacobian(F, x, h=1e-6):
     return np.column_stack(cols)
 
 
-def energy_atomistic_loop(y, phi, eps):
+def energy_atomistic_loop(v, phi, eps):
     """Brute-force bond loop over both neighbor ranges."""
-    v = y.values
     total = 0.0
     for j in range(1, len(v)):
         total += eps * float(phi.eval((v[j] - v[j - 1]) / eps))
@@ -59,8 +58,7 @@ def energy_atomistic_loop(y, phi, eps):
     return total
 
 
-def energy_lqc_loop(y, phi, eps):
-    v = y.values
+def energy_lqc_loop(v, phi, eps):
     total = 0.0
     for j in range(1, len(v)):
         r = (v[j] - v[j - 1]) / eps
@@ -86,23 +84,21 @@ def continuum_sites(spec):
 
 def force_qcf(y, spec, phi):
     """Coupled force on -N+1..N-1, dispatched site by site: atomistic on |j| <= K, local elsewhere."""
-    if y.half_width != spec.N:
+    if len(y) != 2 * spec.N + 1:
         raise ValueError(f"expected positions over -N..N with N={spec.N}")
     fa = force_atomistic(y, phi, spec.eps)
     fl = force_lqc(y, phi, spec.eps)
-    return Field(np.where(np.abs(interior_sites(spec)) <= spec.K, fa.values, fl.values), fa.lo)
+    return np.where(np.abs(interior_sites(spec)) <= spec.K, fa, fl)
 
 
-def diff3(f, eps):
-    """Third backward difference, (v_j - 3v_{j-1} + 3v_{j-2} - v_{j-3})/eps^3, on lo+3..hi."""
-    v = f.values
-    return Field((v[3:] - 3.0 * v[2:-1] + 3.0 * v[1:-2] - v[:-3]) / eps**3, f.lo + 3)
+def diff3(v, eps):
+    """Third backward difference, (v_j - 3v_{j-1} + 3v_{j-2} - v_{j-3})/eps^3, on j = -L+3..L."""
+    return (v[3:] - 3.0 * v[2:-1] + 3.0 * v[1:-2] - v[:-3]) / eps**3
 
 
-def diff4_centered(f, eps):
-    """Centered fourth difference on interior sites lo+2..hi-2."""
-    v = f.values
-    return Field((v[4:] - 4.0 * v[3:-1] + 6.0 * v[2:-2] - 4.0 * v[1:-3] + v[:-4]) / eps**4, f.lo + 2)
+def diff4_centered(v, eps):
+    """Centered fourth difference on interior sites -L+2..L-2."""
+    return (v[4:] - 4.0 * v[3:-1] + 6.0 * v[2:-2] - 4.0 * v[1:-3] + v[:-4]) / eps**4
 
 
 def displacement_solve(c, f, k, eps, bc=(0.0, 0.0)):
@@ -111,9 +107,9 @@ def displacement_solve(c, f, k, eps, bc=(0.0, 0.0)):
     L is La for k = n-1 and Lqcf for k = K: the strain solve of its
     conjugate on the summed load, summed up from bc[0].
     """
-    n = f.half_width
-    w = solve_strain(c, n, k, summed_load(f, eps).values, bc[1] - bc[0], eps)
-    return Field(np.concatenate(([bc[0]], bc[0] + eps * np.cumsum(w))), -n)
+    n = len(f) // 2
+    w = solve_strain(c, n, k, summed_load(f, eps), bc[1] - bc[0], eps)
+    return np.concatenate(([bc[0]], bc[0] + eps * np.cumsum(w)))
 
 
 def plateau_dual_norm(f, eps):
@@ -124,15 +120,14 @@ def plateau_dual_norm(f, eps):
     points; enumerating all of them and pairing directly against f gives
     the supremum.
     """
-    n = f.half_width
+    n = len(f) // 2
     best = 0.0
     for a in range(-n + 1, n):
         for b in range(a, n):
             w = np.zeros(2 * n + 1)
             w[a + n : b + 1 + n] = 1.0
-            wf = Field(w, -n)
-            nrm = lp_norm(diff(wf, eps), eps, 1)
-            best = max(best, abs(eps * float(w @ f.values)) / nrm)
+            nrm = lp_norm(diff(w, eps), eps, 1)
+            best = max(best, abs(eps * float(w @ f)) / nrm)
     return best
 
 
@@ -143,7 +138,7 @@ def sampled_dual_norm(f, eps, n_samples, rng):
     ball), the rest Gaussian noise and Brownian bridges.  Every draw is a
     feasible candidate, so the result can only undershoot the dual norm.
     """
-    n = f.half_width
+    n = len(f) // 2
     best = 0.0
     n_plateau = n_samples // 2
     n_noise = (n_samples - n_plateau) // 2
@@ -153,7 +148,7 @@ def sampled_dual_norm(f, eps, n_samples, rng):
     b = rng.integers(-n + 1, n, size=n_plateau)
     lo = np.minimum(a, b) + n
     hi = np.maximum(a, b) + n
-    prefix = np.concatenate([[0.0], np.cumsum(f.values)])
+    prefix = np.concatenate([[0.0], np.cumsum(f)])
     # <f, plateau>/||D plateau||_1 evaluated directly: height 1, norm 2
     vals = eps * (prefix[hi + 1] - prefix[lo]) / 2.0
     best = max(best, float(np.max(np.abs(vals))))
@@ -175,7 +170,7 @@ def sampled_dual_norm(f, eps, n_samples, rng):
                 W[:, -1] = 0.0
             dW = np.diff(W, axis=1) / eps
             norms = eps * np.abs(dW).sum(axis=1)
-            pairings = eps * (W @ f.values)
+            pairings = eps * (W @ f)
             best = max(best, float(np.max(np.abs(pairings) / norms)))
     return best
 
@@ -274,7 +269,7 @@ def l2_dense(spec):
 
 def pair_dense(L, v, w, eps):
     """<L v, w> for a dense displacement operator and w vanishing on the rows L omits."""
-    return eps * float((L @ v.values) @ w.values[1:-1])
+    return eps * float((L @ v) @ w[1:-1])
 
 
 def l2_decomposition(v, w, spec):
@@ -287,12 +282,12 @@ def l2_decomposition(v, w, spec):
     """
     n, k = spec.N, spec.K
     eps = spec.eps
-    if v.half_width != n or w.half_width != n:
+    if len(v) != 2 * n + 1 or len(w) != 2 * n + 1:
         raise ValueError(f"fields must cover -N..N with N={n}")
-    if not w.is_homogeneous:
+    if not (w[0] == 0.0 and w[-1] == 0.0):
         raise ValueError("test field must vanish at the boundary sites")
-    dv = diff(v, eps).values
-    dw = diff(w, eps).values
+    dv = diff(v, eps)
+    dw = diff(w, eps)
     off = n - 1  # bond j at offset j + off
     left = slice(0, -k + off + 1)  # bonds -N+1..-K
     mid = np.arange(-k + 1 + off, k + off + 1)  # bonds -K+1..K
@@ -300,9 +295,9 @@ def l2_decomposition(v, w, spec):
     regular = 4.0 * eps * float(dv[left] @ dw[left])
     regular += eps * float((dv[mid - 1] + 2.0 * dv[mid] + dv[mid + 1]) @ dw[mid])
     regular += 4.0 * eps * float(dv[right] @ dw[right])
-    d3 = diff3(v, eps)
-    left_interface = eps**2 * d3.values[-k + 1 - d3.lo] * w.values[-k + n]
-    right_interface = -(eps**2) * d3.values[k + 2 - d3.lo] * w.values[k + n]
+    d3 = diff3(v, eps)  # j at offset j + n - 3
+    left_interface = eps**2 * d3[-k + 1 + n - 3] * w[-k + n]
+    right_interface = -(eps**2) * d3[k + 2 + n - 3] * w[k + n]
     return regular, left_interface, right_interface
 
 
@@ -321,7 +316,7 @@ def interface_probe(c, spec):
     xi[j == -k] = -alpha
     xi[j == k + 1] = alpha
     xi[j >= k + 2] = 1.0
-    return Field(xi, -n + 1)
+    return xi
 
 
 def ea_dense(c, m):
@@ -378,7 +373,7 @@ def quadratic_form_exact(c, spec, v):
     the coefficients taken exactly.
     """
     n, k = spec.N, spec.K
-    u = [Fraction(x) for x in v.values]  # site j at j + n
+    u = [Fraction(x) for x in v]  # site j at j + n
     phiF, phi2F = Fraction(c.phiF), Fraction(c.phi2F)
     total = Fraction(0)
     for o in range(1, 2 * n):
@@ -447,17 +442,18 @@ def truncation_error_dense(u_a, c, spec):
     """
     spec.require_reference()
     n, eps = spec.N, spec.eps
-    if u_a.half_width < n + 2:
+    m = len(u_a) // 2  # site j at j + m
+    if m < n + 2:
         raise ValueError("reference field too short for the stencils at +-(N-1)")
-    u = [Fraction(v) for v in u_a.values]
+    u = [Fraction(v) for v in u_a]
     phiF, phi2F = Fraction(c.phiF), Fraction(c.phi2F)
     L1 = np.rint(llqc_dense(Coefficients(1.0, 0.0), n, eps) * eps**2).astype(int)
     L2 = np.rint(l2_dense(spec) * eps**2).astype(int)
     t = np.zeros(2 * n + 1)
     for i, j in enumerate(range(-n + 1, n)):
-        lq = sum((phiF * int(L1[i, q]) + phi2F * int(L2[i, q])) * u[q - n - u_a.lo]
+        lq = sum((phiF * int(L1[i, q]) + phi2F * int(L2[i, q])) * u[q - n + m]
                  for q in np.flatnonzero(L1[i] | L2[i]))
-        s = j - u_a.lo
+        s = j + m
         la = phiF * (2 * u[s] - u[s - 1] - u[s + 1]) + phi2F * (2 * u[s] - u[s - 2] - u[s + 2])
         t[i + 1] = float((lq - la) / Fraction(eps) ** 2)
-    return Field(t, -n)
+    return t

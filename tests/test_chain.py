@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qcf1d.chain import force_atomistic, force_lqc, max_abs_force_qcf
-from qcf1d.lattice import DomainSpec, Field, uniform_positions
+from qcf1d.lattice import DomainSpec, uniform_positions
 from qcf1d.potentials import PairPotential, lennard_jones
 from qcf1d.scans import patch_test_scan
 
@@ -20,7 +20,7 @@ def perturbed_uniform(F, half_width, eps, scale=0.1, rng=RNG):
     y = uniform_positions(F, half_width, eps)
     p = rng.standard_normal(2 * half_width + 1)
     p *= scale * eps / np.max(np.abs(p))
-    return Field(y.values + p, -half_width)
+    return y + p
 
 
 def test_energy_uniform_bond_count():
@@ -49,7 +49,7 @@ def test_energy_lqc_uniform_and_extra_bond():
 
 def test_energy_domain_error_propagates():
     eps = 0.25
-    y = Field(np.array([0.0, 0.25, 0.2, 0.5, 0.75]), -2)  # one inverted bond
+    y = np.array([0.0, 0.25, 0.2, 0.5, 0.75])  # one inverted bond
     with pytest.raises(ValueError):
         energy_atomistic_loop(y, LJ, eps)
 
@@ -60,27 +60,27 @@ def test_local_minimum_at_uniform_unit_strain():
     y = uniform_positions(1.0, 4, eps)
     e0 = energy_atomistic_loop(y, LJ, eps)
     for delta in (1e-3 * eps, -1e-3 * eps):
-        yp = y.values.copy()
+        yp = y.copy()
         yp[4] += delta
-        assert energy_atomistic_loop(Field(yp, -4), LJ, eps) > e0
+        assert energy_atomistic_loop(yp, LJ, eps) > e0
 
 
 def test_force_atomistic_is_scaled_energy_gradient():
     eps = 1.0 / 8
     y = perturbed_uniform(1.0, 8, eps)
     f = force_atomistic(y, LJ, eps)
-    grad = fd_gradient(lambda v: energy_atomistic_loop(Field(v, -8), LJ, eps), y.values)
+    grad = fd_gradient(lambda v: energy_atomistic_loop(v, LJ, eps), y)
     expected = -grad[1:-1] / eps
-    assert_allclose(f.values, expected, rtol=1e-6, atol=1e-6 * np.max(np.abs(expected)))
+    assert_allclose(f, expected, rtol=1e-6, atol=1e-6 * np.max(np.abs(expected)))
 
 
 def test_force_lqc_is_scaled_energy_gradient():
     eps = 1.0 / 8
     y = perturbed_uniform(1.0, 8, eps)
     f = force_lqc(y, LJ, eps)
-    grad = fd_gradient(lambda v: energy_lqc_loop(Field(v, -8), LJ, eps), y.values)
+    grad = fd_gradient(lambda v: energy_lqc_loop(v, LJ, eps), y)
     expected = -grad[1:-1] / eps
-    assert_allclose(f.values, expected, rtol=1e-6, atol=1e-6 * np.max(np.abs(expected)))
+    assert_allclose(f, expected, rtol=1e-6, atol=1e-6 * np.max(np.abs(expected)))
 
 
 def test_force_atomistic_uniform_interior_and_boundary():
@@ -88,31 +88,31 @@ def test_force_atomistic_uniform_interior_and_boundary():
     F = 0.95
     y = uniform_positions(F, 8, eps)
     f = force_atomistic(y, LJ, eps)
-    interior = f.values[1:-1]
+    interior = f[1:-1]
     assert np.max(np.abs(interior)) <= 1e-10 / eps
     # at the last free atom only the left next-nearest pull survives the
     # boundary convention; substituting the uniform state into the force
     # formula (and the gradient oracle) gives -phi'(2F)/eps there
-    assert (f.lo, f.hi) == (-7, 7)
-    assert_allclose(f.values[-1], -LJ.deriv1(2.0 * F) / eps, rtol=1e-10)
-    assert_allclose(f.values[0], +LJ.deriv1(2.0 * F) / eps, rtol=1e-10)
+    assert len(f) == 15  # free atoms -7..7
+    assert_allclose(f[-1], -LJ.deriv1(2.0 * F) / eps, rtol=1e-10)
+    assert_allclose(f[0], +LJ.deriv1(2.0 * F) / eps, rtol=1e-10)
 
 
 def test_force_lqc_uniform_vanishes_everywhere():
     eps = 1.0 / 8
     y = uniform_positions(1.05, 8, eps)
-    assert np.max(np.abs(force_lqc(y, LJ, eps).values)) <= 1e-12 / eps
+    assert np.max(np.abs(force_lqc(y, LJ, eps))) <= 1e-12 / eps
 
 
 def test_force_lqc_locality():
     eps = 1.0 / 8
     y = uniform_positions(1.0, 8, eps)
     f0 = force_lqc(y, LJ, eps)
-    yp = y.values.copy()
+    yp = y.copy()
     yp[8 + 2] += 0.3 * eps  # j0 = 2
-    f1 = force_lqc(Field(yp, -8), LJ, eps)
-    changed = np.abs(f1.values - f0.values) > 0.0
-    js = np.arange(f0.lo, f0.hi + 1)
+    f1 = force_lqc(yp, LJ, eps)
+    changed = np.abs(f1 - f0) > 0.0
+    js = np.arange(-7, 8)
     assert not np.any(changed & (np.abs(js - 2) > 1))
     assert np.all(changed[np.abs(js - 2) <= 1])
 
@@ -124,8 +124,8 @@ def test_force_qcf_dispatch_is_exact():
     fa = force_atomistic(y, LJ, spec.eps)
     fl = force_lqc(y, LJ, spec.eps)
     js = interior_sites(spec)
-    assert np.array_equal(fq.values[np.abs(js) <= 4], fa.values[np.abs(js) <= 4])
-    assert np.array_equal(fq.values[np.abs(js) > 4], fl.values[np.abs(js) > 4])
+    assert np.array_equal(fq[np.abs(js) <= 4], fa[np.abs(js) <= 4])
+    assert np.array_equal(fq[np.abs(js) > 4], fl[np.abs(js) > 4])
 
 
 def test_force_qcf_rejects_wrong_domain():
@@ -172,13 +172,13 @@ def graded_zigzag(F, n, rng, grow):
     amp = (amp if grow else amp[::-1])[m]
     amp[m > n // 2 + 2] = 0.0
     y = uniform_positions(F, n, eps)
-    return Field(y.values + 0.01 * eps * amp * (-1.0) ** j, -n)
+    return y + 0.01 * eps * amp * (-1.0) ** j
 
 
 def direct_maxima(y, ks, phi=LJ):
     """max|force_qcf| per split, from the site-by-site dispatch oracle."""
-    n = y.half_width
-    return np.array([np.max(np.abs(force_qcf(y, DomainSpec(n, k), phi).values)) for k in ks])
+    n = len(y) // 2
+    return np.array([np.max(np.abs(force_qcf(y, DomainSpec(n, k), phi))) for k in ks])
 
 
 @pytest.mark.parametrize("n", [4, 9, 16, 64, 257])
@@ -204,11 +204,11 @@ def test_split_maxima_match_direct_dispatch(n):
             assert len(set(fast.tolist())) == len(ks)
 
     # a NaN anywhere reaches every split's maximum, as np.max propagates it
-    v = states[0][0].values.copy()
+    v = states[0][0].copy()
     v[n + n // 2] = np.nan
     with np.errstate(invalid="ignore"):
-        fast = max_abs_force_qcf(Field(v, -n), ks, LJ)
-        direct = direct_maxima(Field(v, -n), ks)
+        fast = max_abs_force_qcf(v, ks, LJ)
+        direct = direct_maxima(v, ks)
     assert np.all(np.isnan(fast)) and np.all(np.isnan(direct))
 
 
@@ -225,14 +225,14 @@ def test_translation_invariance(shift):
     spec = DomainSpec(16, 4)
     eps = spec.eps
     y = perturbed_uniform(1.0, 16, eps, rng=np.random.default_rng(11))
-    ys = Field(y.values + shift, -16)
+    ys = y + shift
     for force in (
         lambda z: force_atomistic(z, LJ, eps),
         lambda z: force_lqc(z, LJ, eps),
         lambda z: force_qcf(z, spec, LJ),
     ):
-        a = force(y).values
-        b = force(ys).values
+        a = force(y)
+        b = force(ys)
         # shifting perturbs the strains by eps^-1 rounding of the inputs,
         # so invariance can only hold relative to the force magnitude
         assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
@@ -246,7 +246,7 @@ def test_force_qcf_jacobian_is_asymmetric():
     y = uniform_positions(1.0, n, eps)
     for k in range(2, n // 2 + 1):
         spec = DomainSpec(n, k)
-        J = fd_jacobian(lambda v: force_qcf(Field(v, -n), spec, LJ).values, y.values)
+        J = fd_jacobian(lambda v: force_qcf(v, spec, LJ), y)
         Ji = J[:, 1:-1]
         asym = np.max(np.abs(Ji - Ji.T))
         assert asym > 1e-3 * np.max(np.abs(Ji))
@@ -256,6 +256,6 @@ def test_force_atomistic_jacobian_is_symmetric():
     n = 12
     eps = 1.0 / n
     y = uniform_positions(1.0, n, eps)
-    J = fd_jacobian(lambda v: force_atomistic(Field(v, -n), LJ, eps).values, y.values)
+    J = fd_jacobian(lambda v: force_atomistic(v, LJ, eps), y)
     Ji = J[:, 1:-1]
     assert np.max(np.abs(Ji - Ji.T)) <= 1e-5 * np.max(np.abs(Ji))

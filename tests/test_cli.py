@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,15 @@ from qcf1d.scans import PatchTestRow
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def run_process(argv, timeout=60):
+    """Run the CLI in a fresh interpreter on this checkout; a hang fails the timeout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, "-m", "qcf1d.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def read_rows(path):
@@ -503,3 +516,43 @@ def test_infsup_outside_dominance_exits_2(tmp_path, capsys):
     assert code == 2
     assert "infsup_2 needs phiF + 4*phi2F > 0 (diagonal dominance of T), got -0.2" in capsys.readouterr().err
     assert not (tmp_path / "i.csv").exists()
+
+
+def coefficient_command(command, coefficients, out):
+    size = ["--operator", "La", "--N", "8"] if command == "dump-operator" else ["--N-list", "16"]
+    return [command, *coefficients, *size, "--out", out]
+
+
+@pytest.mark.parametrize("command", cli.COEFFICIENT_COMMANDS)
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_phi2F_exits_2(tmp_path, command, value):
+    # in a fresh process: coercivity's shift search once doubled sigma
+    # forever here, as sigma < nan never holds
+    out = tmp_path / "x.csv"
+    proc = run_process(coefficient_command(command, ["--phiF", "1", "--phi2F", value], out))
+    assert proc.returncode == 2, proc.stderr
+    assert f"phi2F must be finite, got {value}" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", cli.COEFFICIENT_COMMANDS)
+@pytest.mark.parametrize("coefficients", [["--phiF", "inf", "--phi2F", "0.1"], ["--F", "1e-30"]])
+def test_infinite_phiF_exits_2(tmp_path, capsys, command, coefficients):
+    out = tmp_path / "x.csv"
+    with np.errstate(over="ignore"):  # phi''(1e-30) overflows to inf
+        assert run(coefficient_command(command, coefficients, out)) == 2
+    assert "phiF must be finite, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ratio", ["inf", "nan"])
+@pytest.mark.parametrize("args", [
+    ["coercivity", "--phiF", "1", "--phi2F", "-0.2", "--N-list", "16"],
+    ["patch-test", "--N-list", "16"],
+    ["dump-operator", "--operator", "La", "--N", "8", "--phiF", "1", "--phi2F", "0.1"],
+])
+def test_nonfinite_k_ratio_exits_2_naming_the_flag(tmp_path, capsys, args, ratio):
+    out = tmp_path / "x.csv"
+    assert run([*args, "--K-ratio", ratio, "--out", out]) == 2
+    assert f"--K-ratio must be finite, got {ratio}" in capsys.readouterr().err
+    assert not out.exists()

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qcf1d.lattice import DomainSpec, Field, diff, lp_norm, uniform_positions
+from qcf1d.lattice import DomainSpec, diff, lp_norm, uniform_positions
 
 from oracles import atomistic_sites, continuum_sites, diff3, diff4_centered
 
@@ -30,20 +30,8 @@ def test_domain_spec_regions():
     assert bonds == [-6, -5, -4, -3, -2, -1, 4, 5, 6, 7, 8, 9]
 
 
-def test_field_ranges_are_enforced():
-    f = Field(np.arange(5.0), -2)
-    assert f.hi == 2
-    with pytest.raises(ValueError):
-        f.restrict(-2, 4)
-
-
-def test_homogeneous_membership_is_exact():
-    assert Field(np.array([0.0, 1.0, 0.0]), -1).is_homogeneous
-    assert not Field(np.array([1e-300, 1.0, 0.0]), -1).is_homogeneous
-
-
 def test_lp_norms():
-    f = Field(np.array([3.0, -4.0]), 0)
+    f = np.array([3.0, -4.0])
     assert lp_norm(f, 0.5, 1) == 3.5
     assert lp_norm(f, 0.5, np.inf) == 4.0
     assert_allclose(lp_norm(f, 0.5, 2), np.sqrt(0.5 * 25.0))
@@ -53,11 +41,11 @@ def test_lp_norms():
 
 def test_diff_of_constant_and_affine():
     eps = 0.25
-    const = Field(np.full(9, 2.5), -4)
-    assert np.all(diff(const, eps).values == 0.0)
+    const = np.full(9, 2.5)
+    assert np.all(diff(const, eps) == 0.0)
     j = np.arange(-4, 5)
-    affine = Field(1.0 + 2.0 * j * eps, -4)
-    assert_allclose(diff(affine, eps).values, 2.0, rtol=1e-13)
+    affine = 1.0 + 2.0 * j * eps
+    assert_allclose(diff(affine, eps), 2.0, rtol=1e-13)
 
 
 @settings(max_examples=40, deadline=None)
@@ -67,29 +55,29 @@ def test_diff_telescopes_to_zero_mean_for_homogeneous_fields(vals):
     v[0] = 0.0
     v[-1] = 0.0
     eps = 1.0 / len(v)
-    d = diff(Field(v, 0), eps)
-    assert abs(eps * d.values.sum()) <= 1e-12 * max(1.0, np.abs(d.values).sum() * eps)
+    d = diff(v, eps)
+    assert abs(eps * d.sum()) <= 1e-12 * max(1.0, np.abs(d).sum() * eps)
 
 
 def test_diff3_and_diff4_on_polynomials():
     n = 8
     eps = 1.0 / n
     x = np.arange(-n, n + 1) * eps
-    cubic = Field(x**3, -n)
+    cubic = x**3
     d3 = diff3(cubic, eps)
-    assert_allclose(d3.values, 6.0, rtol=1e-10)
-    assert d3.lo == -n + 3 and d3.hi == n
+    assert_allclose(d3, 6.0, rtol=1e-10)
+    assert len(d3) == 2 * n - 2  # j = -n+3..n
     d4 = diff4_centered(cubic, eps)
-    assert np.max(np.abs(d4.values)) <= 1e-9
-    assert d4.lo == -n + 2 and d4.hi == n - 2
-    quartic = Field(x**4, -n)
-    assert_allclose(diff4_centered(quartic, eps).values, 24.0, rtol=1e-9)
+    assert np.max(np.abs(d4)) <= 1e-9
+    assert len(d4) == 2 * n - 3  # j = -n+2..n-2
+    quartic = x**4
+    assert_allclose(diff4_centered(quartic, eps), 24.0, rtol=1e-9)
 
 
 def test_uniform_positions_snap_makes_bonds_exact():
     eps = 1.0 / 48
     y = uniform_positions(0.9, 48, eps)
-    bonds = np.diff(y.values)
+    bonds = np.diff(y)
     assert np.all(bonds == bonds[0])
     assert_allclose(bonds[0] / eps, 0.9, rtol=1e-12)
-    assert_allclose(y.values, 0.9 * np.arange(-48, 49) * eps, rtol=1e-12, atol=1e-14)
+    assert_allclose(y, 0.9 * np.arange(-48, 49) * eps, rtol=1e-12, atol=1e-14)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_max_ulp
 
 from qcf1d.chain import force_atomistic, force_lqc
-from qcf1d.lattice import DomainSpec, Field, diff, lp_norm, uniform_positions
+from qcf1d.lattice import DomainSpec, diff, lp_norm, uniform_positions
 from qcf1d.operators import (
     Operator,
     _reduce,
@@ -44,19 +44,19 @@ RNG = np.random.default_rng(7)
 
 
 def random_pair(n, rng=RNG):
-    v = Field(rng.standard_normal(2 * n + 1), -n)
-    w_vals = rng.standard_normal(2 * n + 1)
-    w_vals[0] = 0.0
-    w_vals[-1] = 0.0
-    return v, Field(w_vals, -n)
+    v = rng.standard_normal(2 * n + 1)
+    w = rng.standard_normal(2 * n + 1)
+    w[0] = 0.0
+    w[-1] = 0.0
+    return v, w
 
 
 def weak_form_gap(E, L, v, w, eps):
     """Defect of <E Dv, Dw> = <L v, w> and its natural magnitude, for dense E and L."""
-    dv, dw = diff(v, eps).values, diff(w, eps).values
+    dv, dw = diff(v, eps), diff(w, eps)
     lhs = eps * float((E @ dv) @ dw)
     rhs = pair_dense(L, v, w, eps)
-    scale = lp_norm(E @ dv, eps, 2) * lp_norm(dw, eps, 2) + lp_norm(L @ v.values, eps, 2) * lp_norm(w, eps, 2)
+    scale = lp_norm(E @ dv, eps, 2) * lp_norm(dw, eps, 2) + lp_norm(L @ v, eps, 2) * lp_norm(w, eps, 2)
     return abs(lhs - rhs), scale
 
 
@@ -202,7 +202,7 @@ def test_eqcf_image_of_interface_probe():
     c = Coefficients(1.0, 1.0)
     spec = DomainSpec(8, 2)
     xi = interface_probe(c, spec)
-    out = Field(dense(assemble_eqcf(c, spec)) @ xi.values, xi.lo)
+    out = dense(assemble_eqcf(c, spec)) @ xi
     alpha = 3.0
     for j in range(-7, 9):
         if j <= -3:
@@ -219,7 +219,7 @@ def test_eqcf_image_of_interface_probe():
             expected = alpha * c.phiF + c.phi2F * (1.0 + 2.0 * alpha)
         else:
             expected = c.phiF + c.phi2F * (5.0 - 2.0 * alpha)
-        assert_allclose(out.values[j - out.lo], expected, atol=1e-13)
+        assert_allclose(out[j + 7], expected, atol=1e-13)  # bond j at offset j + N - 1
 
 
 def test_eqcf_interface_row_entries():
@@ -233,7 +233,7 @@ def test_eqcf_interface_row_entries():
 
 def jacobian_of(force, n, eps, f=1.05):
     y = uniform_positions(f, n, eps)
-    return fd_jacobian(lambda v: force(Field(v, -n)).values, y.values)
+    return fd_jacobian(force, y)
 
 
 @pytest.mark.parametrize(
@@ -276,10 +276,10 @@ def test_l2_decomposition_reconstructs_direct_pairing():
 def test_l2_decomposition_affine_trial():
     spec = DomainSpec(16, 4)
     j = np.arange(-16, 17)
-    v = Field(0.4 - 1.1 * j * spec.eps, -16)
+    v = 0.4 - 1.1 * j * spec.eps
     _, w = random_pair(16)
     reg, li, ri = l2_decomposition(v, w, spec)
-    dw_scale = np.abs(np.diff(w.values)).sum() / spec.eps
+    dw_scale = np.abs(np.diff(w)).sum() / spec.eps
     assert abs(li) <= 1e-12 * dw_scale
     assert abs(ri) <= 1e-12 * dw_scale
     assert abs(reg) <= 1e-11 * dw_scale
@@ -288,10 +288,10 @@ def test_l2_decomposition_affine_trial():
 def test_l2_decomposition_interface_terms_vanish_away_from_interface():
     spec = DomainSpec(16, 4)
     v, w = random_pair(16)
-    w_vals = w.values.copy()
+    w_vals = w.copy()
     w_vals[4 + 16] = 0.0
     w_vals[-4 + 16] = 0.0
-    _, li, ri = l2_decomposition(v, Field(w_vals, -16), spec)
+    _, li, ri = l2_decomposition(v, w_vals, spec)
     assert li == 0.0
     assert ri == 0.0
 
@@ -299,7 +299,7 @@ def test_l2_decomposition_interface_terms_vanish_away_from_interface():
 def test_l2_decomposition_requires_homogeneous_test_field():
     spec = DomainSpec(8, 2)
     v, _ = random_pair(8)
-    bad = Field(np.ones(17), -8)
+    bad = np.ones(17)
     with pytest.raises(ValueError):
         l2_decomposition(v, bad, spec)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qcf1d.lattice import DomainSpec, Field, diff, lp_norm, summed_load
+from qcf1d.lattice import DomainSpec, diff, lp_norm, summed_load
 from qcf1d import solver
 from qcf1d.potentials import Coefficients
 from qcf1d.solver import (
@@ -41,18 +41,18 @@ def test_zero_load_gives_zero_solution():
 def test_atomistic_solve_residual():
     m = 64
     eps = 1.0 / 16
-    f = Field(RNG.standard_normal(2 * m + 1), -m)
+    f = RNG.standard_normal(2 * m + 1)
     u = displacement_solve(C, f, m - 1, eps)
-    resid = la_dense(C, m, eps) @ u.values - f.values[1:-1]
-    assert np.max(np.abs(resid)) <= 1e-10 * np.max(np.abs(f.values))
-    assert u.values[0] == 0.0 and abs(u.values[-1]) <= 1e-13 * np.max(np.abs(u.values))
+    resid = la_dense(C, m, eps) @ u - f[1:-1]
+    assert np.max(np.abs(resid)) <= 1e-10 * np.max(np.abs(f))
+    assert u[0] == 0.0 and abs(u[-1]) <= 1e-13 * np.max(np.abs(u))
 
 
 def test_atomistic_solve_backward_stable_at_large_m():
     # ||A|| grows like M^2: at M=3072 the residual exceeds 1e-10 * max|b|,
     # yet the normwise backward error stays at rounding level
     eps = 1.0 / 768
-    g = summed_load(sample_load(LOADS["cospi"], 3072, eps), eps).values
+    g = summed_load(sample_load(LOADS["cospi"], 3072, eps), eps)
     w = solve_strain(C, 3072, 3071, g, 0.0, eps)
     assert np.all(np.isfinite(w))
     assert abs(eps * np.sum(w)) <= 1e-13 * np.max(np.abs(w))  # u(M) - u(-M) = 0
@@ -74,7 +74,7 @@ def test_nonfinite_solve_is_a_numerical_failure():
     # the summed load of finite samples overflows: that must surface as
     # RuntimeError (exit 1), not as the ValueError of a configuration error
     with np.errstate(all="ignore"):
-        g = summed_load(Field(np.full(65, 1e308), -32), 1.0 / 8).values
+        g = summed_load(np.full(65, 1e308), 1.0 / 8)
     for k in (31, 8):  # atomistic, coupled
         with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="not finite"):
             solve_strain(C, 32, k, g, 0.0, 1.0 / 8)
@@ -94,16 +94,16 @@ def test_banded_solve_matches_dense_oracle(phi2F, n, k):
         w = solve_strain(c, n, band, g, delta_u, eps)
         w_dense = solve_bordered_dense(E, g, delta_u, eps)
         assert np.max(np.abs(w - w_dense)) <= 1e-12 * np.max(np.abs(w_dense))
-    f = Field(rng.standard_normal(2 * n + 1), -n)
+    f = rng.standard_normal(2 * n + 1)
     bc = rng.standard_normal(2)
     cases = (
         (displacement_solve(c, f, n - 1, eps), la_dense(c, n, eps), (0.0, 0.0)),
         (displacement_solve(c, f, k, eps, bc), lqcf_dense(c, spec), bc),
     )
     for u, L, (left, right) in cases:
-        x_dense = solve_refined_dense(L[:, 1:-1], f.values[1:-1] - left * L[:, 0] - right * L[:, -1])
-        assert np.max(np.abs(u.values[1:-1] - x_dense)) <= 1e-10 * np.max(np.abs(x_dense))
-        assert u.values[0] == left and abs(u.values[-1] - right) <= 1e-10 * np.max(np.abs(x_dense))
+        x_dense = solve_refined_dense(L[:, 1:-1], f[1:-1] - left * L[:, 0] - right * L[:, -1])
+        assert np.max(np.abs(u[1:-1] - x_dense)) <= 1e-10 * np.max(np.abs(x_dense))
+        assert u[0] == left and abs(u[-1] - right) <= 1e-10 * np.max(np.abs(x_dense))
 
 
 def test_atomistic_solve_reflection_symmetry():
@@ -111,8 +111,8 @@ def test_atomistic_solve_reflection_symmetry():
     eps = 1.0 / 8
     half = RNG.standard_normal(m + 1)
     vals = np.concatenate([half[:0:-1], half])  # even samples
-    u = displacement_solve(C, Field(vals, -m), m - 1, eps)
-    assert_allclose(u.values, u.values[::-1], atol=1e-12 * np.max(np.abs(u.values)))
+    u = displacement_solve(C, vals, m - 1, eps)
+    assert_allclose(u, u[::-1], atol=1e-12 * np.max(np.abs(u)))
 
 
 def test_atomistic_solve_needs_bulk_stability():
@@ -129,21 +129,21 @@ def test_qcf_solve_needs_diagonal_dominance(phi2F):
 
 
 def test_qcf_solve_trivial_and_affine():
-    zero = Field(np.zeros(33), -16)
+    zero = np.zeros(33)
     u = displacement_solve(C, zero, 4, 1.0 / 16)
-    assert np.all(u.values == 0.0)
+    assert np.all(u == 0.0)
     a = 0.37
     u = displacement_solve(C, zero, 4, 1.0 / 16, (-a, a))
     expected = a * np.arange(-16, 17) / 16.0
-    assert_allclose(u.values, expected, rtol=1e-12, atol=1e-15)
+    assert_allclose(u, expected, rtol=1e-12, atol=1e-15)
 
 
 def test_qcf_solve_residual():
     spec = DomainSpec(32, 8)
-    f = Field(RNG.standard_normal(65), -32)
+    f = RNG.standard_normal(65)
     u = displacement_solve(C, f, spec.K, spec.eps, (0.1, -0.2))
-    resid = lqcf_dense(C, spec) @ u.values - f.values[1:-1]
-    assert np.max(np.abs(resid)) <= 1e-10 * np.max(np.abs(f.values))
+    resid = lqcf_dense(C, spec) @ u - f[1:-1]
+    assert np.max(np.abs(resid)) <= 1e-10 * np.max(np.abs(f))
 
 
 def test_qcf_strain_bound_random_loads():
@@ -151,12 +151,11 @@ def test_qcf_strain_bound_random_loads():
     gamma = C.phiF + 8.0 * C.phi2F
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        vals = np.zeros(2 * 128 + 1)
-        vals[128 - 31 : 128 + 32] = rng.standard_normal(63)
-        f_m = Field(vals, -128)
+        f_m = np.zeros(2 * 128 + 1)
+        f_m[128 - 31 : 128 + 32] = rng.standard_normal(63)
         u_a = displacement_solve(C, f_m, 127, spec.eps)
-        f_n = f_m.restrict(-32, 32)
-        bc = u_a.values[[-32 + 128, 32 + 128]]
+        f_n = f_m[128 - 32 : 128 + 33]
+        bc = u_a[[-32 + 128, 32 + 128]]
         u_q = displacement_solve(C, f_n, spec.K, spec.eps, bc)
         lhs = lp_norm(diff(u_q, spec.eps), spec.eps, np.inf)
         rhs = 2.0 * dual_norm_star(f_n, spec.eps) / gamma + abs((bc[1] - bc[0]) / (2.0 * spec.N))
@@ -172,12 +171,12 @@ def test_truncation_error_supported_on_continuum():
     spec = DomainSpec(32, 8, M=128)
     u_a = make_reference(spec)
     t = truncation_error_dense(u_a, C, spec)
-    js = np.arange(t.lo, t.hi + 1)
+    js = np.arange(-32, 33)
     # the two operators share their rows on the atomistic band, so the
     # residual vanishes there
-    assert np.max(np.abs(t.values[np.abs(js) <= 8])) <= 1e-12 / spec.eps**2
-    assert (t.lo, t.hi) == (-32, 32) and t.values[0] == 0.0 and t.values[-1] == 0.0
-    assert np.max(np.abs(t.values)) > 1e3 * np.max(np.abs(t.values[np.abs(js) <= 8]))
+    assert np.max(np.abs(t[np.abs(js) <= 8])) <= 1e-12 / spec.eps**2
+    assert len(t) == 65 and t[0] == 0.0 and t[-1] == 0.0
+    assert np.max(np.abs(t)) > 1e3 * np.max(np.abs(t[np.abs(js) <= 8]))
 
 
 def test_truncation_error_matches_stencil_route():
@@ -188,7 +187,7 @@ def test_truncation_error_matches_stencil_route():
         u_a = make_reference(spec)
         t = truncation_error_dense(u_a, C, spec)
         ts = truncation_error_stencil(diff(u_a, spec.eps), C, spec)
-        assert np.max(np.abs(t.values - ts.values)) <= 1e-12 / spec.eps**2, n
+        assert np.max(np.abs(t - ts)) <= 1e-12 / spec.eps**2, n
         assert_allclose(dual_norm_star(ts, spec.eps), dual_norm_star(t, spec.eps), rtol=1e-6)
 
 
@@ -202,24 +201,41 @@ def test_truncation_norm_identity():
     cont = continuum_sites(spec)
     for p in (1, 2, np.inf):
         lhs = lp_norm(t, spec.eps, p)
-        rhs = spec.eps**2 * abs(C.phi2F) * lp_norm(d4.values[cont - d4.lo], spec.eps, p)
+        rhs = spec.eps**2 * abs(C.phi2F) * lp_norm(d4[cont + spec.M - 2], spec.eps, p)
         assert_allclose(lhs, rhs, rtol=1e-12)
 
 
 def test_truncation_vanishes_on_cubic_fields():
     spec = DomainSpec(16, 4, M=64)
     x = np.arange(-64, 65) * spec.eps
-    cubic = Field(1.0 + x - 0.5 * x**2 + 0.25 * x**3, -64)
+    cubic = 1.0 + x - 0.5 * x**2 + 0.25 * x**3
     stencil = truncation_error_stencil(diff(cubic, spec.eps), C, spec)
     for name, t in (("dense", truncation_error_dense(cubic, C, spec)), ("stencil", stencil)):
-        assert np.max(np.abs(t.values)) <= 1e-12 / spec.eps**2, name
+        assert np.max(np.abs(t)) <= 1e-12 / spec.eps**2, name
+
+
+def test_truncation_offset_comes_from_the_strains_length():
+    # the reference strains of half-width M and the same strains sliced to
+    # half-width N+2 give the same residual, bit for bit
+    spec = DomainSpec(32, 8, M=128)
+    w_a = diff(make_reference(spec), spec.eps)  # bond j at offset j + M - 1
+    sliced = w_a[spec.M - spec.N - 2 : spec.M + spec.N + 2]  # bonds -N-1..N+2
+    assert len(sliced) == 2 * (spec.N + 2)
+    full = truncation_error_stencil(w_a, C, spec)
+    assert np.max(np.abs(full)) > 0.0
+    assert np.array_equal(truncation_error_stencil(sliced, C, spec), full)
+    with pytest.raises(ValueError, match="reference half-width"):
+        truncation_error_stencil(sliced[1:-1], C, spec)
+    with pytest.raises(ValueError, match="bonds"):
+        truncation_error_stencil(sliced[1:], C, spec)
 
 
 def test_truncation_needs_reference_margin():
     spec = DomainSpec(32, 8, M=33)
-    for route in (truncation_error_dense, truncation_error_stencil):
+    u = np.zeros(67)  # sites -33..33
+    for route, field in ((truncation_error_dense, u), (truncation_error_stencil, diff(u, spec.eps))):
         with pytest.raises(ValueError, match="reference half-width"):
-            route(Field(np.zeros(67), -33), C, spec)
+            route(field, C, spec)
 
 
 def test_trunc_star_holds_its_bound_at_large_n():
@@ -246,10 +262,11 @@ def test_error_report_inequalities_and_symmetry():
     # even load -> even solutions and even error field
     f_m = sample_load(LOADS["cospi"], 128, spec.eps)
     u_a = displacement_solve(C, f_m, 127, spec.eps)
-    u_q = displacement_solve(C, f_m.restrict(-32, 32), spec.K, spec.eps, u_a.values[[-32 + 128, 32 + 128]])
+    window = slice(128 - 32, 128 + 33)  # sites -32..32
+    u_q = displacement_solve(C, f_m[window], spec.K, spec.eps, u_a[[-32 + 128, 32 + 128]])
     for u in (u_a, u_q):
-        assert_allclose(u.values, u.values[::-1], atol=1e-11 * np.max(np.abs(u.values)))
-    e = u_a.restrict(-32, 32).values - u_q.values
+        assert_allclose(u, u[::-1], atol=1e-11 * np.max(np.abs(u)))
+    e = u_a[window] - u_q
     assert_allclose(e, e[::-1], atol=1e-9 * max(np.max(np.abs(e)), 1e-30))
 
 
@@ -272,7 +289,7 @@ def test_constant_load_hits_rounding_floor():
 def test_sample_load():
     load = LOADS["cospi"]
     s = sample_load(load, 8, 0.125)
-    assert (s.lo, s.hi) == (-8, 8)
+    assert len(s) == 17
     j = np.arange(-8, 9)
-    assert np.array_equal(s.values, load(j * 0.125))
-    assert np.all(sample_load(LOADS["zero"], 8, 0.125).values == 0.0)
+    assert np.array_equal(s, load(j * 0.125))
+    assert np.all(sample_load(LOADS["zero"], 8, 0.125) == 0.0)

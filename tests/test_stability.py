@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qcf1d import stability
-from qcf1d.lattice import DomainSpec, Field, diff, lp_norm
+from qcf1d.lattice import DomainSpec, diff, lp_norm
 from qcf1d.operators import assemble_eqcf, strain_stencil
 from qcf1d.potentials import Coefficients
 from qcf1d.stability import (
@@ -73,20 +73,33 @@ def test_witness_matches_exact_quadratic_form(sign, n):
 def test_candidate_normalization_and_support():
     spec = DomainSpec(32, 8)
     v = unstable_candidate(spec, "+")
-    assert v.is_homogeneous
+    assert len(v) == 65 and v[0] == 0.0 and v[-1] == 0.0
     assert_allclose(lp_norm(diff(v, spec.eps), spec.eps, 2), 1.0, rtol=1e-12)
-    # constant on the plateau through the left interface
-    raw = unstable_candidate(spec, "+", normalize=False)
-    assert raw.lo == -32 and np.all(raw.values[np.abs(np.arange(-32, 33)) <= 8 + 2] >= 1.0)
-    assert raw.values[0] == 0.0 and raw.values[-1] == 0.0
+    # constant on the plateau through the left interface: every plateau
+    # entry is the same float, so dividing by the one at site 0 gives 1.0
+    raw = v / v[32]
+    assert np.all(raw[np.abs(np.arange(-32, 33)) <= 8 + 2] >= 1.0)
+
+
+def test_quadratic_form_membership_is_exact():
+    c, spec = Coefficients(1.0, -0.2), DomainSpec(8, 2)
+    v = np.zeros(17)
+    v[1:-1] = 1.0
+    assert_allclose(quadratic_form(c, spec, v), quadratic_form_exact(c, spec, v), rtol=1e-14)
+    for end in (0, -1):
+        near = v.copy()
+        near[end] = 1e-300
+        with pytest.raises(ValueError, match="vanishing"):
+            quadratic_form(c, spec, near)
 
 
 def test_candidate_interface_identity():
-    # before rescaling, the interface part of the next-nearest pairing is
+    # at plateau value 1, the interface part of the next-nearest pairing is
     # exactly 3*sqrt(N) for the '+' spike, and the left interface is silent
     for n in (64, 256, 1024):
         spec = DomainSpec(n, n // 4)
-        v = unstable_candidate(spec, "+", normalize=False)
+        v = unstable_candidate(spec, "+")
+        v = v / v[n]  # site 0
         reg, left, right = l2_decomposition(v, v, spec)
         assert left == 0.0
         assert_allclose(left + right, 3.0 * np.sqrt(n), rtol=1e-10)
@@ -148,14 +161,14 @@ def test_infsup_p_upper_matches_direct_computation():
     E = dense(assemble_eqcf(C, spec))
     xi = interface_probe(C, spec)
     for p in (1.0, 2.0, 4.0):
-        direct = lp_norm(E @ xi.values, spec.eps, p) / lp_norm(xi, spec.eps, p)
+        direct = lp_norm(E @ xi, spec.eps, p) / lp_norm(xi, spec.eps, p)
         assert_allclose(infsup_p_upper(C, spec, p), direct, rtol=1e-12)
 
 
 def test_interface_probe_is_mean_zero():
     xi = interface_probe(C, DomainSpec(32, 8))
-    assert abs(xi.values.sum()) <= 1e-12
-    assert xi.lo == -31 and xi.hi == 32
+    assert abs(xi.sum()) <= 1e-12
+    assert len(xi) == 64  # bonds -31..32
 
 
 def test_probe_weight_example():
@@ -193,23 +206,22 @@ def test_infsup_p_upper_rejects_bad_input():
 
 
 def test_dual_norm_star_zero():
-    assert dual_norm_star(Field(np.zeros(17), -8), 0.125) == 0.0
+    assert dual_norm_star(np.zeros(17), 0.125) == 0.0
 
 
 def test_dual_norm_star_matches_plateau_enumeration():
     n = 16
     eps = 1.0 / n
     for _ in range(5):
-        f = Field(RNG.standard_normal(2 * n + 1), -n)
+        f = RNG.standard_normal(2 * n + 1)
         assert_allclose(dual_norm_star(f, eps), plateau_dual_norm(f, eps), rtol=1e-12)
 
 
 def test_dual_norm_star_impulse():
     n = 16
     eps = 1.0 / n
-    vals = np.zeros(2 * n + 1)
-    vals[n] = 1.0 / eps
-    f = Field(vals, -n)
+    f = np.zeros(2 * n + 1)
+    f[n] = 1.0 / eps
     closed = dual_norm_star(f, eps)
     assert closed == 0.5
     assert_allclose(plateau_dual_norm(f, eps), 0.5, rtol=1e-14)
@@ -223,7 +235,7 @@ def test_dual_norm_star_dominates_every_sample():
     eps = 1.0 / n
     for seed in range(3):
         rng = np.random.default_rng(seed)
-        f = Field(rng.standard_normal(2 * n + 1), -n)
+        f = rng.standard_normal(2 * n + 1)
         sampled = sampled_dual_norm(f, eps, 5_000, rng)
         assert sampled <= dual_norm_star(f, eps) + 1e-12
 
@@ -235,8 +247,8 @@ def test_dual_norm_star_below_half_l1(vals):
         vals = vals + [0.0]
     n = (len(vals) - 1) // 2
     eps = 1.0 / max(n, 1)
-    f = Field(np.asarray(vals), -n)
-    lim = 0.5 * lp_norm(Field(f.values[1:-1], -n + 1), eps, 1)
+    f = np.asarray(vals)
+    lim = 0.5 * lp_norm(f[1:-1], eps, 1)
     assert dual_norm_star(f, eps) <= lim + 1e-12 * max(1.0, lim)
 
 
@@ -249,7 +261,7 @@ def test_certified_bound_never_beaten_by_candidates():
         for k in range(2, n // 2 + 1):
             E = dense(assemble_eqcf(C, DomainSpec(n, k)))
             X = rng.standard_normal((300, 2 * n))
-            X = np.vstack([X, interface_probe(C, DomainSpec(n, k)).values])
+            X = np.vstack([X, interface_probe(C, DomainSpec(n, k))])
             X -= X.mean(axis=1, keepdims=True)
             X /= np.abs(X).max(axis=1, keepdims=True)
             img = X @ E.T
