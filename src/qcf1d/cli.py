@@ -292,8 +292,8 @@ def cmd_dump_operator(cfg: RunConfig) -> tuple:
     """write (row,col,value) triples"""
     if not cfg.operator:
         raise ValueError("need --operator")
-    if cfg.N is None:
-        raise ValueError("need --N for dump-operator")
+    if cfg.N is None or cfg.N < 1:
+        raise ValueError(f"need --N for dump-operator, a positive size, got {cfg.N}")
     op = OPERATOR_BUILDERS[cfg.operator](cfg.coefficients(), cfg.N, cfg.k_for(cfg.N))
     rows = [TripleRow(*t) for t in op.to_triples()]
     return rows, {}, True

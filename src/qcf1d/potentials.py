@@ -32,16 +32,20 @@ def _lj_checked(r):
     return r
 
 
+# a tiny r overflows to inf (or nan) silently: callers check the values are finite
+@np.errstate(over="ignore", invalid="ignore")
 def _lj_eval(r):
     s = _lj_checked(r) ** -6
     return s * s - 2.0 * s
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _lj_deriv1(r):
     r = _lj_checked(r)
     return -12.0 * r**-13 + 12.0 * r**-7
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _lj_deriv2(r):
     r = _lj_checked(r)
     return 156.0 * r**-14 - 84.0 * r**-8

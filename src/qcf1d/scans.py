@@ -82,8 +82,11 @@ class EigScanRow(NamedTuple):
 def _patch_point(phi: PairPotential, F: float, n: int, ks: Sequence[int]) -> list[PatchTestRow]:
     eps = DomainSpec(n, ks[0]).eps
     y = uniform_positions(F, n, eps)
+    slopes = float(phi.deriv1(F)), float(phi.deriv1(2.0 * F))
+    if not np.all(np.isfinite(slopes)):
+        raise ValueError(f"phi'(F) and phi'(2F) must be finite, got {slopes} at F={F}")
     residuals = max_abs_force_qcf(y, ks, phi).tolist()
-    scale = max(1.0, abs(float(phi.deriv1(F))) + abs(float(phi.deriv1(2.0 * F))))
+    scale = max(1.0, abs(slopes[0]) + abs(slopes[1]))
     tol = PATCH_TEST_TOL * scale / eps
     return [PatchTestRow(F, n, k, r, tol, r <= tol) for k, r in zip(ks, residuals)]
 
@@ -110,9 +113,8 @@ def patch_test_scan(
 
 def _coercivity_point(c: Coefficients, n: int, k: int) -> CoercivityScanRow:
     spec = DomainSpec(n, k)
-    # the witness, a Rayleigh quotient, also bounds rayleigh_min's shift search
     witness = min(quadratic_form(c, spec, unstable_candidate(spec, sign)) for sign in "+-")
-    return CoercivityScanRow(n, k, rayleigh_min(c, spec, witness), witness)
+    return CoercivityScanRow(n, k, rayleigh_min(c, spec), witness)
 
 
 def coercivity_scan(c: Coefficients, nk_pairs: Sequence[tuple]) -> list[CoercivityScanRow]:

@@ -9,7 +9,8 @@ constant decays like N^(-1/p), and the quadratic form itself takes values
 as low as -const * sqrt(N): both effects come from the interface columns
 of the conjugate operator and are reproduced here by explicit
 constructions.  Every kernel reads that operator, E, from the bands of
-operators.StrainStencil and assembles no matrix.
+operators.StrainStencil and assembles no matrix; the minimum of the form
+is found about one shift below Weyl's lower bound on the spectrum.
 """
 
 from __future__ import annotations
@@ -120,51 +121,44 @@ def _below_spectrum(solve, c: Coefficients) -> bool:
     return np.count_nonzero(eig < 0.0) == r // 2 + 1 and np.count_nonzero(eig > 0.0) == r // 2
 
 
-def _shift_below_spectrum(c: Coefficients, spec: DomainSpec, witness: float = np.inf) -> tuple:
-    """(sigma, bordered solve of sym(Eqcf) - sigma) for the first certified sigma in -1, -2, -4, ...
+def _spectrum_floor(c: Coefficients, stencil: StrainStencil) -> float:
+    """Weyl's lower bound on the spectrum of sym(E) = T' + L^T R (Horn and Johnson, Thm 4.3.1).
 
-    sigma is first taken low enough that sym(T) - sigma is strictly
-    diagonally dominant, hence positive definite, and then until
-    _below_spectrum certifies it.  A certified sigma also lies below the
-    Rayleigh quotient <E w, w> / <w, w> of every trial strain w, so given
-    such a quotient as witness, the shifts above it are skipped without
-    factoring them; the sigma found is the same.
+    The Gershgorin bound of the tridiagonal T' plus the smallest
+    eigenvalue of L^T R, which has a zero one and shares its others with
+    the r x r matrix R L^T.  Any sigma below it leaves T' - sigma
+    strictly diagonally dominant.
     """
-    s = strain_stencil(spec.N, spec.K)
-    lower, diag, upper = s.tridiagonal(c, "sym")
-    bound = min(float(np.min(diag - np.abs(lower) - np.abs(upper))), witness)
-    sigma = -1.0
-    while not sigma < bound:
-        sigma *= 2.0
-    while True:
-        solve = s.factor(c, "sym", shift=sigma)
-        if _below_spectrum(solve, c):
-            return sigma, solve
-        sigma *= 2.0
+    (lower, diag, upper), left, right = stencil.split(c, "sym")
+    low_rank = np.linalg.eigvals(right @ left.T).real  # empty with phi2F = 0
+    return float(np.min(diag - np.abs(lower) - np.abs(upper)) + np.min(low_rank, initial=0.0))
 
 
-def rayleigh_min(c: Coefficients, spec: DomainSpec, witness: float = np.inf) -> float:
+def rayleigh_min(c: Coefficients, spec: DomainSpec) -> float:
     """Minimum of <L v, v> over fields vanishing at +-N with ||Dv|| = 1.
 
     By the conjugate identity <L v, v> = <E Dv, Dv>, and since Dv ranges
     over all mean-zero strains, this is the smallest eigenvalue of
     sym(E) on mean-zero strains, E = Eqcf.  Shift-invert Lanczos finds
-    it from the bordered solve of sym(E) - sigma, with sigma certified
-    below the spectrum by an inertia count (_shift_below_spectrum).  It
-    is returned as the Rayleigh quotient of the Lanczos vector, and the
-    pair must pass a residual check scaled by ||E||_F >= ||sym(E)||_F
-    and ||I||_F.  witness, a known value of the minimized quotient (the
-    spike candidates' in coercivity), only spares shift trials.
+    it from one bordered solve of sym(E) - sigma, sigma a fixed relative
+    gap below _spectrum_floor; a failed inertia check of that sigma
+    (_below_spectrum) raises RuntimeError.  The Rayleigh quotient of the
+    Lanczos vector is returned, and the pair must pass a residual check
+    scaled by ||E||_F >= ||sym(E)||_F and ||I||_F.
     """
     n = 2 * spec.N
-    _, solve = _shift_below_spectrum(c, spec, witness)
+    s = strain_stencil(spec.N, spec.K)
+    floor = _spectrum_floor(c, s)
+    sigma = floor - 1e-3 * max(1.0, abs(floor))
+    solve = s.factor(c, "sym", shift=sigma)
+    if not _below_spectrum(solve, c):
+        raise RuntimeError(f"rayleigh_min: inertia check failed, shift {sigma:.6g} is not below the spectrum")
 
     def shift_invert(x):
         y = solve.solve(x - x.mean())[0]
         return y - y.mean()
 
     _, x = _lanczos_max(shift_invert, n, "rayleigh_min")
-    s = strain_stencil(spec.N, spec.K)
     hx = s.apply(c, x, "sym")
     lam = float(x @ hx / (x @ x))
     resid = np.linalg.norm(hx - hx.mean() - lam * x)

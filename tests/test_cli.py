@@ -6,10 +6,9 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from qcf1d import cli, scans
+from qcf1d import cli, scans, stability
 from qcf1d.cli import main, read_config_file
 from qcf1d.lattice import DomainSpec
 from qcf1d.operators import Operator
@@ -526,8 +525,8 @@ def coefficient_command(command, coefficients, out):
 @pytest.mark.parametrize("command", cli.COEFFICIENT_COMMANDS)
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_nonfinite_phi2F_exits_2(tmp_path, command, value):
-    # in a fresh process: coercivity's shift search once doubled sigma
-    # forever here, as sigma < nan never holds
+    # in a fresh process, so that a hang fails the timeout: a loop that
+    # waits for a comparison with nan to hold never ends
     out = tmp_path / "x.csv"
     proc = run_process(coefficient_command(command, ["--phiF", "1", "--phi2F", value], out))
     assert proc.returncode == 2, proc.stderr
@@ -539,9 +538,43 @@ def test_nonfinite_phi2F_exits_2(tmp_path, command, value):
 @pytest.mark.parametrize("coefficients", [["--phiF", "inf", "--phi2F", "0.1"], ["--F", "1e-30"]])
 def test_infinite_phiF_exits_2(tmp_path, capsys, command, coefficients):
     out = tmp_path / "x.csv"
-    with np.errstate(over="ignore"):  # phi''(1e-30) overflows to inf
-        assert run(coefficient_command(command, coefficients, out)) == 2
+    assert run(coefficient_command(command, coefficients, out)) == 2
     assert "phiF must be finite, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,message", [
+    ("coercivity", "phiF must be finite, got inf"),
+    ("patch-test", "phi'(F) and phi'(2F) must be finite, got (-inf, -inf) at F=1e-30"),
+])
+def test_overflowing_strain_exits_2_without_warnings(tmp_path, command, message):
+    # phi'(1e-30) and phi''(1e-30) overflow to inf: a configuration error,
+    # reported once by the CLI, with no numpy warning before it
+    out = tmp_path / "x.csv"
+    proc = run_process([command, "--F", "1e-30", "--N-list", "16", "--out", out])
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("operator", sorted(scans.OPERATOR_BUILDERS))
+@pytest.mark.parametrize("n", [0, -2])
+def test_dump_operator_nonpositive_n_exits_2_naming_the_flag(tmp_path, capsys, operator, n):
+    out = tmp_path / "x.csv"
+    assert run(["dump-operator", "--operator", operator, "--N", n,
+                "--phiF", "1", "--phi2F", "0.1", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"need --N for dump-operator, a positive size, got {n}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_coercivity_failed_shift_check_exits_1_naming_the_shift(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(stability, "_below_spectrum", lambda solve, c: False)
+    out = tmp_path / "x.csv"
+    assert run(["coercivity", "--phiF", "1", "--phi2F", "-0.2", "--N-list", "16", "--out", out]) == 1
+    assert "inertia check failed, shift -" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qcf1d import scans, stability
+from qcf1d import operators, scans, stability
 from qcf1d.cli import TripleRow
 from qcf1d.lattice import DomainSpec
 from qcf1d.potentials import Coefficients, lennard_jones
@@ -56,26 +56,32 @@ def test_eig_point_matches_full_interior_block(phi2F, n, k):
 
 @pytest.mark.parametrize("phi2F", [-0.2, 0.3])
 def test_coercivity_point_evaluates_each_candidate_once(phi2F, monkeypatch):
-    # the two spike candidates give the witness and, through it, the
-    # shift search of rayleigh_min, which finds the same shift without it
+    # the two spike candidates give the witness; rayleigh_min factors
+    # sym(E) - sigma once, at the shift below the Weyl floor
     c = Coefficients(1.0, phi2F)
     form = stability.quadratic_form
-    calls = []
+    calls, solves = [], []
 
     def counted(*args):
         calls.append(args[1])
         return form(*args)
 
+    class CountedSolve(operators.BorderedSolve):
+        def __init__(self, *args, **kwargs):
+            solves.append(args)
+            super().__init__(*args, **kwargs)
+
     for module in (scans, stability):
         monkeypatch.setattr(module, "quadratic_form", counted)
+    monkeypatch.setattr(operators, "BorderedSolve", CountedSolve)
     for n, k in ((64, 16), (257, 64), (1024, 256)):
         spec = DomainSpec(n, k)
         calls.clear()
+        solves.clear()
         [row] = coercivity_scan(c, [(n, k)])
         assert calls == [spec, spec]
+        assert len(solves) == 1
         assert row.rayleigh_min == stability.rayleigh_min(c, spec)
-        sigma = stability._shift_below_spectrum(c, spec, row.witness_value)[0]
-        assert sigma == stability._shift_below_spectrum(c, spec)[0]
 
 
 def test_loglog_slope_matches_least_squares_fit():

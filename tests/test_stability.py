@@ -11,7 +11,7 @@ from qcf1d.potentials import Coefficients
 from qcf1d.stability import (
     _below_spectrum,
     _lanczos_max,
-    _shift_below_spectrum,
+    _spectrum_floor,
     _start_vector,
     dual_norm_star,
     infsup_2,
@@ -321,8 +321,10 @@ def test_sparse_kernels_match_dense_oracles(phi2F, n, k):
     spec = DomainSpec(n, k)
     dense = rayleigh_min_dense(c, spec)
     assert_allclose(rayleigh_min(c, spec), dense, rtol=1e-9)
-    sigma, _ = _shift_below_spectrum(c, spec)
-    assert sigma < dense
+    # up to the dense oracle's rounding, which grows like N^2, the condition
+    # number of its strain Gram matrix: at phi2F = 0 the floor is exactly
+    # phiF, and the oracle returns it low by 6e-17 * N^2 at most on this grid
+    assert _spectrum_floor(c, strain_stencil(n, k)) <= dense + 1e-15 * n**2 * max(1.0, abs(dense))
     assert_allclose(infsup_2(c, spec), infsup_2_dense(eqcf_dense(c, spec)), rtol=1e-9)
     for band, dense in ((k, eqcf_dense(c, spec)), (n - 1, ea_dense(c, n))):
         assert rdd_margin(c, strain_stencil(n, band)) == rdd_margin_dense(dense)
@@ -375,6 +377,12 @@ def test_inertia_certificate_matches_dense_eigenvalues(phi2F, n, k):
             assert _below_spectrum(s.factor(c, "sym", shift=sigma), c) == (sigma < dense), sigma
             checked += 1
     assert checked >= 2
+
+
+def test_failed_inertia_check_is_a_numerical_failure(monkeypatch):
+    monkeypatch.setattr(stability, "_below_spectrum", lambda solve, c: False)
+    with pytest.raises(RuntimeError, match=r"inertia check failed, shift -[0-9.]+ is not below the spectrum"):
+        rayleigh_min(Coefficients(1.0, -0.2), DomainSpec(64, 16))
 
 
 @pytest.mark.parametrize("kernel", [rayleigh_min, infsup_2])
