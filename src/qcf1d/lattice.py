@@ -31,7 +31,7 @@ class DomainSpec:
        the remaining interior sites the local one.  Admissible range is
        2 <= K <= N/2.
     M: reference half-width of the fully resolved chain (only needed for
-       reference solves and truncation errors; must exceed N).
+       reference solves and truncation errors; at least N+2).
     """
 
     N: int
@@ -43,8 +43,8 @@ class DomainSpec:
             raise ValueError(
                 f"K out of range: need 2 <= K <= N/2, got K={self.K}, N={self.N}"
             )
-        if self.M is not None and self.M <= self.N:
-            raise ValueError(f"M must exceed N, got M={self.M}, N={self.N}")
+        if self.M is not None and self.M < self.N + 2:
+            raise ValueError(f"M must exceed N+1, got M={self.M}, N={self.N}")
 
     @property
     def eps(self) -> float:
@@ -59,8 +59,6 @@ class DomainSpec:
     def require_reference(self) -> int:
         if self.M is None:
             raise ValueError("DomainSpec.M is required for this operation")
-        if self.M < self.N + 2:
-            raise ValueError(f"reference half-width too small: need M >= N+2, got M={self.M}, N={self.N}")
         return self.M
 
 

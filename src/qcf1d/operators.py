@@ -20,10 +20,11 @@ columns, the fingerprint of the coupling being non-conservative.
 Every operator has one source, the bands of StrainStencil.  split
 writes E, E^T or sym(E) in one form T' + L^T R: a tridiagonal T' plus
 one rank-one term per interface, or two for sym(E), with L and R plain
-arrays.  factor solves with that form and apply multiplies by it; the
-strain solves and the stability kernels read E there and build no
-matrix.  integer_entries lists B's nonzeros as small integers: scaled,
-they give E, and summed through D^T B D, they give every displacement
+arrays.  It is the one form of E the kernels read: each splits once
+and passes the split to multiply, frobenius_norm and BorderedSolve
+(factor builds one for E or E^T), so no kernel builds a matrix.
+integer_entries lists B's nonzeros as small integers: scaled, they
+give E, and summed through D^T B D, they give every displacement
 operator as the conjugate of its strain operator.  Operator is only
 the output format, row-major (row, col, value) arrays, for
 dump-operator and eig-scan; both kinds are assembled without loops in
@@ -138,7 +139,7 @@ def _substitute(reduction: tuple, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _multiply(tridiagonal: tuple, left: np.ndarray, right: np.ndarray, w: np.ndarray) -> np.ndarray:
+def multiply(tridiagonal: tuple, left: np.ndarray, right: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(T + L^T R) w, with T given by its (lower, diag, upper) bands."""
     lower, diag, upper = tridiagonal
     out = diag * w
@@ -147,12 +148,26 @@ def _multiply(tridiagonal: tuple, left: np.ndarray, right: np.ndarray, w: np.nda
     return out + (right @ w) @ left
 
 
+def frobenius_norm(tridiagonal: tuple, left: np.ndarray, right: np.ndarray) -> float:
+    """||T + L^T R||_F in O(rN), with no entry listed.
+
+    Its square is ||T||_F^2 + sum((L L^T) * (R R^T)) + 2 <T, L^T R>,
+    the cross term read on T's three bands only.
+    """
+    lower, diag, upper = tridiagonal
+    cross = (np.einsum("i,ki,ki->", diag, left, right)
+             + np.einsum("i,ki,ki->", lower[1:], left[:, 1:], right[:, :-1])
+             + np.einsum("i,ki,ki->", upper[:-1], left[:, :-1], right[:, 1:]))
+    low_rank = np.sum((left @ left.T) * (right @ right.T))
+    return float(np.sqrt(sum(float(v @ v) for v in tridiagonal) + low_rank + 2.0 * cross))
+
+
 class BorderedSolve:
     """Solves (T + L^T R) x = b + const * 1 with weight * sum(x) = d, for many b.
 
     T is tridiagonal and strictly diagonally dominant by rows or by
-    columns; L and R are (r, size) arrays, kept with T's bands for apply
-    and for the callers' norm bounds.  Factoring reduces T once and
+    columns; L and R are (r, size) arrays, kept with T's bands for the
+    callers' residuals and norm bounds.  Factoring reduces T once and
     substitutes the columns T^{-1} [1, L^T] and their Gram matrix; then
     x = T^{-1} b + [T^{-1} 1, T^{-1} L^T] u, and u = (const, -R x) comes
     from an (r+1)^2 capacitance system (Sherman-Morrison-Woodbury form).
@@ -185,10 +200,6 @@ class BorderedSolve:
             raise RuntimeError(f"{self.what}: bordered system is singular") from exc
         return y + self.columns @ u, float(u[0])
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """(T + L^T R) x."""
-        return _multiply(self.tridiagonal, self.left, self.right, x)
-
 
 @dataclass(frozen=True)
 class StrainStencil:
@@ -208,11 +219,15 @@ class StrainStencil:
     diag: np.ndarray
     interfaces: tuple
 
-    def tridiagonal(self, c: Coefficients, form: str = "E") -> tuple:
-        """(lower, diag, upper) of T' in E, E^T or sym(E) = T' + L^T R; lower[0] = upper[-1] = 0.
+    def split(self, c: Coefficients, form: str = "E") -> tuple:
+        """((lower, diag, upper), L, R) of E, E^T or sym(E) = T' + L^T R; lower[0] = upper[-1] = 0.
 
-        T is strictly row diagonally dominant, and T^T strictly column
-        dominant, when phiF > 0 and phiF + 4*phi2F > 0.
+        T' is strictly row diagonally dominant for E, and strictly
+        column dominant for E^T, when phiF > 0 and phiF + 4*phi2F > 0.
+        U = [far; kink] stacks the far-field masks over the [1, -2, 1]
+        kinks.  E is (L, R) = (phi2F * far, kink), E^T swaps far and
+        kink, and sym(E) is L = C U, R = U with C = (phi2F / 2) times the
+        block swap.  With phi2F = 0 there are no low-rank terms.
         """
         b = c.phi2F * self.band
         below, above = b[1:], b[:-1]  # T[i+1, i] and T[i, i+1]
@@ -222,17 +237,7 @@ class StrainStencil:
             below = above = 0.5 * (below + above)
         elif form != "E":
             raise ValueError(f"unknown form {form!r}")
-        return np.append(0.0, below), c.phiF + c.phi2F * self.diag, np.append(above, 0.0)
-
-    def split(self, c: Coefficients, form: str = "E") -> tuple:
-        """((lower, diag, upper), L, R) of E, E^T or sym(E) = T' + L^T R, T' from tridiagonal.
-
-        U = [far; kink] stacks the far-field masks over the [1, -2, 1]
-        kinks.  E is (L, R) = (phi2F * far, kink), E^T swaps far and
-        kink, and sym(E) is L = C U, R = U with C = (phi2F / 2) times the
-        block swap.  With phi2F = 0 there are no low-rank terms.
-        """
-        tridiagonal = self.tridiagonal(c, form)
+        tridiagonal = np.append(0.0, below), c.phiF + c.phi2F * self.diag, np.append(above, 0.0)
         terms = self.interfaces if c.phi2F != 0.0 else ()
         # zeros leaves unwritten pages unallocated, so the kink rows of u hold little memory
         u = np.zeros((2 * len(terms), self.diag.size))
@@ -250,28 +255,6 @@ class StrainStencil:
         left = np.vstack((kink, far))
         left *= 0.5 * c.phi2F  # in place: one full copy fewer at the peak of rayleigh_min
         return tridiagonal, left, u
-
-    def apply(self, c: Coefficients, w: np.ndarray, form: str = "E") -> np.ndarray:
-        """E w, E^T w (form "E^T") or sym(E) w ("sym") for strains w at offsets 0..2n-1."""
-        return _multiply(*self.split(c, form), w)
-
-    def frobenius_norm(self, c: Coefficients) -> float:
-        """||E||_F, summed from the bands and the interface counts, with no entry listed.
-
-        Off the diagonal, B holds band[i] toward each neighbor of a band
-        row and each kink coefficient on every far row but the one whose
-        diagonal it meets (integer_entries).
-        """
-        d = c.phiF + c.phi2F * self.diag
-        below, above = self.band[1:], self.band[:-1]
-        total = float(d @ d) + c.phi2F**2 * float(below @ below + above @ above)
-        for far, col in self.interfaces:
-            n_far = np.count_nonzero(far)
-            for j, coef in enumerate((1.0, -2.0, 1.0), start=col):
-                if far[j]:
-                    total += (d[j] + c.phi2F * coef) ** 2 - d[j] ** 2
-                total += (n_far - far[j]) * (c.phi2F * coef) ** 2
-        return float(np.sqrt(total))
 
     def integer_entries(self) -> tuple:
         """(row, col, b) of B at offsets 0..2n-1: one entry per position, diagonal first.
@@ -305,20 +288,18 @@ class StrainStencil:
         value[:self.diag.size] += c.phiF
         return row, col, value
 
-    def factor(self, c: Coefficients, form: str = "E", shift: float = 0.0, weight: float = 1.0,
+    def factor(self, c: Coefficients, form: str = "E", weight: float = 1.0,
                what: str = "strain solve") -> BorderedSolve:
-        """The bordered solve of E (form "E"), E^T ("E^T") or sym(E) - shift ("sym"), from split.
+        """The bordered solve of E (form "E") or E^T ("E^T"), from split.
 
-        Forms "E" and "E^T" raise ValueError unless phiF + 4*phi2F > 0; for
-        "sym" the caller makes sym(T) - shift strictly diagonally dominant.
+        Raises ValueError unless phiF + 4*phi2F > 0.
         """
-        if form != "sym" and not c.phiF + 4.0 * c.phi2F > 0.0:
+        if not c.phiF + 4.0 * c.phi2F > 0.0:
             raise ValueError(
                 f"{what} needs phiF + 4*phi2F > 0 (diagonal dominance of T), "
                 f"got {c.phiF + 4.0 * c.phi2F:.6g}"
             )
-        (lower, diag, upper), left, right = self.split(c, form)
-        return BorderedSolve((lower, diag - shift, upper), left, right, weight, what)
+        return BorderedSolve(*self.split(c, form), weight, what)
 
 
 def strain_stencil(n: int, k: int) -> StrainStencil:

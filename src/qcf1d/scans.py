@@ -219,6 +219,13 @@ def _format_value(v) -> str:
     return str(v)
 
 
+def _strict_json(v):
+    """v with each non-finite float as the text of its CSV cell: JSON has no inf or nan."""
+    if isinstance(v, (dict, list, tuple)):
+        return {k: _strict_json(x) for k, x in v.items()} if isinstance(v, dict) else [_strict_json(x) for x in v]
+    return _format_value(v) if isinstance(v, float) and not np.isfinite(v) else v
+
+
 def write_table(
     path: str,
     fmt: str,
@@ -230,6 +237,7 @@ def write_table(
     """Write scan rows (NamedTuples of one type) as CSV, with a config echo in # comments, or JSON.
 
     CSV is written a row at a time, so no table text is held at once.
+    JSON is strict (RFC 8259): a non-finite float is its CSV text, "inf", "-inf" or "nan".
     """
     extras = extras or {}
     names = rows[0]._fields if rows else ()
@@ -250,7 +258,7 @@ def write_table(
             "rows": [r._asdict() for r in rows],
         }
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, default=float)
+            json.dump(_strict_json(doc), fh, indent=2, default=float, allow_nan=False)
             fh.write("\n")
     else:
         raise ValueError(f"unknown format '{fmt}'")

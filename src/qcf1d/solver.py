@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .lattice import DomainSpec, diff, lp_norm, summed_load
-from .operators import strain_stencil
+from .operators import multiply, strain_stencil
 from .potentials import Coefficients
 from .stability import dual_norm_star
 
@@ -87,9 +87,9 @@ def solve_strain(
     w, const = solve.solve(g, delta_u)
     if not np.all(np.isfinite(w)):
         raise RuntimeError(f"{what}: solution is not finite")
-    resid = max(float(np.max(np.abs(solve.apply(w) - g - const))),
-                abs(eps * float(np.sum(w)) - delta_u))
     (lower, diag, upper), left, right = solve.tridiagonal, solve.left, solve.right
+    resid = max(float(np.max(np.abs(multiply((lower, diag, upper), left, right, w) - g - const))),
+                abs(eps * float(np.sum(w)) - delta_u))
     off = np.abs(lower) + np.abs(upper)
     row_norms = np.abs(diag) + off + np.abs(left).T @ np.abs(right).sum(axis=1)
     a_norm = max(float(np.max(row_norms)) + 1.0, 2.0 * n * eps)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lattice import DomainSpec, diff, lp_norm, summed_load
-from .operators import StrainStencil, strain_stencil
+from .operators import BorderedSolve, StrainStencil, frobenius_norm, multiply, strain_stencil
 from .potentials import Coefficients
 
 EIG_TOL = 1e-10
@@ -94,7 +94,7 @@ def quadratic_form(c: Coefficients, spec: DomainSpec, v: np.ndarray) -> float:
     if not (v[0] == 0.0 and v[-1] == 0.0):
         raise ValueError("quadratic form is defined on fields vanishing at +-N")
     dv = diff(v, spec.eps)
-    return spec.eps * float(dv @ strain_stencil(spec.N, spec.K).apply(c, dv))
+    return spec.eps * float(dv @ multiply(*strain_stencil(spec.N, spec.K).split(c), dv))
 
 
 def _below_spectrum(solve, c: Coefficients) -> bool:
@@ -121,15 +121,15 @@ def _below_spectrum(solve, c: Coefficients) -> bool:
     return np.count_nonzero(eig < 0.0) == r // 2 + 1 and np.count_nonzero(eig > 0.0) == r // 2
 
 
-def _spectrum_floor(c: Coefficients, stencil: StrainStencil) -> float:
-    """Weyl's lower bound on the spectrum of sym(E) = T' + L^T R (Horn and Johnson, Thm 4.3.1).
+def _spectrum_floor(tridiagonal: tuple, left: np.ndarray, right: np.ndarray) -> float:
+    """Weyl's lower bound on the spectrum of T' + L^T R (Horn and Johnson, Thm 4.3.1).
 
     The Gershgorin bound of the tridiagonal T' plus the smallest
     eigenvalue of L^T R, which has a zero one and shares its others with
     the r x r matrix R L^T.  Any sigma below it leaves T' - sigma
     strictly diagonally dominant.
     """
-    (lower, diag, upper), left, right = stencil.split(c, "sym")
+    lower, diag, upper = tridiagonal
     low_rank = np.linalg.eigvals(right @ left.T).real  # empty with phi2F = 0
     return float(np.min(diag - np.abs(lower) - np.abs(upper)) + np.min(low_rank, initial=0.0))
 
@@ -139,18 +139,18 @@ def rayleigh_min(c: Coefficients, spec: DomainSpec) -> float:
 
     By the conjugate identity <L v, v> = <E Dv, Dv>, and since Dv ranges
     over all mean-zero strains, this is the smallest eigenvalue of
-    sym(E) on mean-zero strains, E = Eqcf.  Shift-invert Lanczos finds
-    it from one bordered solve of sym(E) - sigma, sigma a fixed relative
-    gap below _spectrum_floor; a failed inertia check of that sigma
-    (_below_spectrum) raises RuntimeError.  The Rayleigh quotient of the
-    Lanczos vector is returned, and the pair must pass a residual check
-    scaled by ||E||_F >= ||sym(E)||_F and ||I||_F.
+    sym(E) on mean-zero strains, E = Eqcf.  All below reads one split of
+    sym(E) = T' + L^T R.  Shift-invert Lanczos solves with its shifted
+    bands sym(E) - sigma, sigma a fixed gap below _spectrum_floor; a
+    failed inertia check of sigma (_below_spectrum) raises RuntimeError.
+    The Lanczos vector's Rayleigh quotient is returned, and the pair must
+    pass a residual check on the unshifted bands, scaled by ||sym(E)||_F + |lam| ||I||_F.
     """
     n = 2 * spec.N
-    s = strain_stencil(spec.N, spec.K)
-    floor = _spectrum_floor(c, s)
+    (lower, diag, upper), left, right = strain_stencil(spec.N, spec.K).split(c, "sym")
+    floor = _spectrum_floor((lower, diag, upper), left, right)
     sigma = floor - 1e-3 * max(1.0, abs(floor))
-    solve = s.factor(c, "sym", shift=sigma)
+    solve = BorderedSolve((lower, diag - sigma, upper), left, right)
     if not _below_spectrum(solve, c):
         raise RuntimeError(f"rayleigh_min: inertia check failed, shift {sigma:.6g} is not below the spectrum")
 
@@ -159,10 +159,10 @@ def rayleigh_min(c: Coefficients, spec: DomainSpec) -> float:
         return y - y.mean()
 
     _, x = _lanczos_max(shift_invert, n, "rayleigh_min")
-    hx = s.apply(c, x, "sym")
+    hx = multiply((lower, diag, upper), left, right, x)
     lam = float(x @ hx / (x @ x))
     resid = np.linalg.norm(hx - hx.mean() - lam * x)
-    scale = (s.frobenius_norm(c) + abs(lam) * np.sqrt(n)) * np.linalg.norm(x)
+    scale = (frobenius_norm((lower, diag, upper), left, right) + abs(lam) * np.sqrt(n)) * np.linalg.norm(x)
     if scale > 0 and resid > EIG_TOL * scale:
         raise RuntimeError(
             f"eigensolve residual {resid:.3e} exceeds {EIG_TOL:.1e} * {scale:.3e}"

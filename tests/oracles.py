@@ -394,13 +394,16 @@ def rdd_margin_dense(A):
 
 
 def rayleigh_min_dense(c, spec):
-    """Smallest eigenvalue of the symmetrized interior block against the
-    strain Gram matrix, by a dense generalized symmetric eigensolve."""
-    n, eps = spec.N, spec.eps
-    Li = lqcf_dense(c, spec)[:, 1:-1]
-    A = eps * 0.5 * (Li + Li.T)
-    B = (2.0 * np.eye(2 * n - 1) - np.eye(2 * n - 1, k=1) - np.eye(2 * n - 1, k=-1)) / eps
-    return float(scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=(0, 0))[0])
+    """Smallest eigenvalue of sym(Eqcf) compressed to the mean-zero strains, densely.
+
+    Q^T sym(E) Q, with Q an orthonormal basis of the mean-zero strains,
+    is conditioned like sym(E) itself; the generalized problem of the
+    interior block of Lqcf against the strain Gram matrix D^T D / eps is
+    not, as that Gram matrix's condition number grows like N^2.
+    """
+    E = eqcf_dense(c, spec)
+    Q = scipy.linalg.null_space(np.ones((1, E.shape[0])))
+    return float(np.linalg.eigvalsh(Q.T @ (0.5 * (E + E.T)) @ Q)[0])
 
 
 def infsup_2_dense(M):

@@ -200,6 +200,22 @@ def test_infsup_table(tmp_path):
     assert all(abs(v - 0.3) <= 1e-14 for v in lower)
 
 
+@pytest.mark.parametrize("n_list,slope", [("16,32", float), ("16,16", str)])
+def test_json_is_strict(tmp_path, n_list, slope):
+    # JSON has no inf or nan: the lower bound's p = inf, and the slope over
+    # one N (nan), are written as the text of their CSV cells
+    out = tmp_path / "infsup.json"
+    assert run(["infsup", "--phiF", "1", "--phi2F", "-0.2", "--N-list", n_list,
+                "--format", "json", "--out", out]) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    assert {r["p"] for r in doc["rows"] if r["kind"] == "lower_bound"} == {"inf"}
+    assert type(doc["extras"]["slope_exact_p2"]) is slope
+
+
 def test_dump_operator_triples(tmp_path):
     out = tmp_path / "eqcf.csv"
     code = run(["dump-operator", "--operator", "Eqcf", "--N", "8", "--K", "2",

@@ -16,8 +16,10 @@ def test_domain_spec_validation():
         DomainSpec(16, 9)
     with pytest.raises(ValueError, match="K out of range"):
         DomainSpec(16, 1)
-    with pytest.raises(ValueError, match="M must exceed N"):
-        DomainSpec(16, 4, M=16)
+    DomainSpec(16, 4, M=18)
+    for m in (16, 17):  # the reference stencils need M >= N+2
+        with pytest.raises(ValueError, match="M must exceed N"):
+            DomainSpec(16, 4, M=m)
 
 
 def test_domain_spec_regions():

@@ -17,6 +17,8 @@ from qcf1d.operators import (
     assemble_la,
     assemble_llqc,
     assemble_lqcf,
+    frobenius_norm,
+    multiply,
     strain_stencil,
 )
 from qcf1d.potentials import Coefficients, lennard_jones
@@ -356,10 +358,12 @@ def test_strain_stencil_bands_match_dense_oracles(phi2F, n, k):
             assert (left.shape[0] == 0) == (phi2F == 0.0 or not s.interfaces)  # phi2F = 0: no low-rank rows
             E = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1) + left.T @ right
             assert_allclose(E, dense_form, rtol=0, atol=1e-15)
-            assert_allclose(s.apply(c, w, form), dense_form @ w, rtol=0, atol=1e-14 * np.max(np.abs(w)))
-            if form != "sym":  # the factor multiplies by the T' + L^T R it solves with
-                assert_allclose(s.factor(c, form).apply(w), dense_form @ w, rtol=0,
-                                atol=1e-14 * np.max(np.abs(w)))
+            assert_allclose(multiply((lower, diag, upper), left, right, w), dense_form @ w, rtol=0,
+                            atol=1e-14 * np.max(np.abs(w)))
+            if form != "sym":  # the factor keeps the T' + L^T R it solves with
+                solve = s.factor(c, form)
+                assert_allclose(multiply(solve.tridiagonal, solve.left, solve.right, w), dense_form @ w,
+                                rtol=0, atol=1e-14 * np.max(np.abs(w)))
         # entries: one per position, diagonal first, exactly the oracle's values
         row, col, value = s.entries(c)
         assert np.array_equal(row[:2 * n], np.arange(2 * n)) and np.array_equal(col[:2 * n], np.arange(2 * n))
@@ -374,12 +378,14 @@ def test_strain_stencil_bands_match_dense_oracles(phi2F, n, k):
 @pytest.mark.parametrize("phi2F", DIFFERENTIAL_PHI2F + [-1.7])
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (8, 4), (16, 7)] + DIFFERENTIAL_NK)
 def test_frobenius_norm_matches_listed_entries(phiF, phi2F, n, k):
-    # from the bands and interface counts alone, for the coupled stencil
-    # and the atomistic one (k = n-1: no interface); a far field one row
-    # wide (n=4, k=2) meets the kink on its diagonal only
+    # from the split alone, for E, E^T and sym(E) of the coupled stencil and
+    # the atomistic one (k = n-1: no interface); a far field one row wide
+    # (n=4, k=2) meets the kink on its diagonal only
     c = Coefficients(phiF, phi2F)
-    for s in (strain_stencil(n, k), strain_stencil(n, n - 1)):
-        assert_allclose(s.frobenius_norm(c), np.linalg.norm(s.entries(c)[2]), rtol=1e-12)
+    for band, E in ((k, eqcf_dense(c, DomainSpec(n, k))), (n - 1, ea_dense(c, n))):
+        s = strain_stencil(n, band)
+        for form, expected in (("E", E), ("E^T", E.T), ("sym", 0.5 * (E + E.T))):
+            assert_allclose(frobenius_norm(*s.split(c, form)), np.linalg.norm(expected), rtol=1e-12)
 
 
 def test_substitution_frees_even_rows_on_the_way_up():

@@ -73,7 +73,7 @@ def test_coercivity_point_evaluates_each_candidate_once(phi2F, monkeypatch):
 
     for module in (scans, stability):
         monkeypatch.setattr(module, "quadratic_form", counted)
-    monkeypatch.setattr(operators, "BorderedSolve", CountedSolve)
+    monkeypatch.setattr(stability, "BorderedSolve", CountedSolve)
     for n, k in ((64, 16), (257, 64), (1024, 256)):
         spec = DomainSpec(n, k)
         calls.clear()
@@ -82,6 +82,21 @@ def test_coercivity_point_evaluates_each_candidate_once(phi2F, monkeypatch):
         assert calls == [spec, spec]
         assert len(solves) == 1
         assert row.rayleigh_min == stability.rayleigh_min(c, spec)
+
+
+@pytest.mark.parametrize("phi2F", [-0.2, 0.0, 0.3])
+def test_coercivity_point_splits_sym_e_once(phi2F, monkeypatch):
+    # rayleigh_min's Weyl floor, factor, residual and norm read one split
+    split = operators.StrainStencil.split
+    forms = []
+
+    def counted(self, c, form="E"):
+        forms.append(form)
+        return split(self, c, form)
+
+    monkeypatch.setattr(operators.StrainStencil, "split", counted)
+    coercivity_scan(Coefficients(1.0, phi2F), [(64, 16)])
+    assert sorted(forms) == ["E", "E", "sym"]  # one E per spike candidate
 
 
 def test_loglog_slope_matches_least_squares_fit():
@@ -129,10 +144,13 @@ def csv_per_cell(command, config, rows, extras):
 
 
 def json_per_row(command, config, rows, extras):
-    """A table's JSON text with each row's fields read by name."""
-    rows = [{n: getattr(r, n) for n in r._fields} for r in rows]
+    """A table's JSON text with each row's fields read by name, a non-finite float as its CSV text."""
+    def strict(v):
+        return _format_value(v) if isinstance(v, float) and not np.isfinite(v) else v
+
+    rows = [{n: strict(getattr(r, n)) for n in r._fields} for r in rows]
     doc = {"command": command, "config": config, "extras": extras, "rows": rows}
-    return json.dumps(doc, indent=2, default=float) + "\n"
+    return json.dumps(doc, indent=2, default=float, allow_nan=False) + "\n"
 
 
 def every_row_type():

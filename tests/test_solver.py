@@ -231,10 +231,12 @@ def test_truncation_offset_comes_from_the_strains_length():
 
 
 def test_truncation_needs_reference_margin():
-    spec = DomainSpec(32, 8, M=33)
-    u = np.zeros(67)  # sites -33..33
+    # each route reads the reference half-width from its field; DomainSpec
+    # itself rejects M = N+1 (test_lattice)
+    spec = DomainSpec(32, 8, M=34)
+    u = np.zeros(67)  # sites -33..33: half-width N+1
     for route, field in ((truncation_error_dense, u), (truncation_error_stencil, diff(u, spec.eps))):
-        with pytest.raises(ValueError, match="reference half-width"):
+        with pytest.raises(ValueError, match="reference (half-width|field) too"):
             route(field, C, spec)
 
 

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from qcf1d import stability
 from qcf1d.lattice import DomainSpec, diff, lp_norm
-from qcf1d.operators import assemble_eqcf, strain_stencil
+from qcf1d.operators import BorderedSolve, assemble_eqcf, strain_stencil
 from qcf1d.potentials import Coefficients
 from qcf1d.stability import (
     _below_spectrum,
@@ -320,11 +320,10 @@ def test_sparse_kernels_match_dense_oracles(phi2F, n, k):
     c = Coefficients(1.0, phi2F)
     spec = DomainSpec(n, k)
     dense = rayleigh_min_dense(c, spec)
-    assert_allclose(rayleigh_min(c, spec), dense, rtol=1e-9)
-    # up to the dense oracle's rounding, which grows like N^2, the condition
-    # number of its strain Gram matrix: at phi2F = 0 the floor is exactly
-    # phiF, and the oracle returns it low by 6e-17 * N^2 at most on this grid
-    assert _spectrum_floor(c, strain_stencil(n, k)) <= dense + 1e-15 * n**2 * max(1.0, abs(dense))
+    assert_allclose(rayleigh_min(c, spec), dense, rtol=1e-12)
+    # up to the dense eigensolve's rounding: at phi2F = 0 the floor is
+    # exactly phiF, and the oracle returns it low by 1.1e-14 at most here
+    assert _spectrum_floor(*strain_stencil(n, k).split(c, "sym")) <= dense + 1e-12 * max(1.0, abs(dense))
     assert_allclose(infsup_2(c, spec), infsup_2_dense(eqcf_dense(c, spec)), rtol=1e-9)
     for band, dense in ((k, eqcf_dense(c, spec)), (n - 1, ea_dense(c, n))):
         assert rdd_margin(c, strain_stencil(n, band)) == rdd_margin_dense(dense)
@@ -335,7 +334,7 @@ def test_rayleigh_min_where_t_alone_is_not_dominant(n, k):
     # phiF + 4*phi2F = -0.6: only the shift makes sym(T) - sigma dominant
     c = Coefficients(1.0, -0.4)
     spec = DomainSpec(n, k)
-    assert_allclose(rayleigh_min(c, spec), rayleigh_min_dense(c, spec), rtol=1e-9)
+    assert_allclose(rayleigh_min(c, spec), rayleigh_min_dense(c, spec), rtol=1e-12)
 
 
 @pytest.mark.parametrize("n,k", DIFFERENTIAL_NK)
@@ -368,13 +367,13 @@ def test_inertia_certificate_matches_dense_eigenvalues(phi2F, n, k):
     c = Coefficients(1.0, phi2F)
     spec = DomainSpec(n, k)
     dense = rayleigh_min_dense(c, spec)
-    s = strain_stencil(n, k)
-    lower, diag, upper = s.split(c, "sym")[0]
+    (lower, diag, upper), left, right = strain_stencil(n, k).split(c, "sym")
     dominant_below = np.min(diag - np.abs(lower) - np.abs(upper))
     checked = 0
     for sigma in dense + np.array([-1.0, -1e-3, 1e-3, 0.5]) * max(1.0, abs(dense)):
         if sigma < dominant_below:
-            assert _below_spectrum(s.factor(c, "sym", shift=sigma), c) == (sigma < dense), sigma
+            solve = BorderedSolve((lower, diag - sigma, upper), left, right)
+            assert _below_spectrum(solve, c) == (sigma < dense), sigma
             checked += 1
     assert checked >= 2
 
