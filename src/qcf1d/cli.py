@@ -24,11 +24,11 @@ from .lattice import DomainSpec
 from .potentials import Coefficients, lennard_jones
 from .scans import (
     OPERATOR_BUILDERS,
-    coercivity_scan,
+    coercivity_point,
     coercivity_slope,
-    convergence_scan_with_checks,
-    eig_scan,
-    infsup_scan,
+    convergence_point,
+    eig_point,
+    infsup_point,
     loglog_slope,
     patch_test_scan,
     write_table,
@@ -39,6 +39,8 @@ from .stability import infsup_p_upper
 POTENTIALS = {"lj": lennard_jones}
 # the subcommands that read spring constants through RunConfig.coefficients
 COEFFICIENT_COMMANDS = ("coercivity", "infsup", "convergence", "dump-operator", "eig-scan")
+# pairs of options that each set the same quantity, so a run takes at most one of a pair
+CONTRADICTIONS = (("K", "K_all"), ("K", "K_ratio"), ("F", "phiF"), ("F", "phi2F"))
 
 
 def _int_list(s: str) -> list[int]:
@@ -208,6 +210,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for f in options(args.command):
         if getattr(args, f.name) is not None:
             merged[f.name] = getattr(args, f.name)
+    given = {name for name, value in merged.items() if value is not False}
+    for a, b in CONTRADICTIONS:
+        if a in given and b in given:
+            raise ValueError(f"--{a} contradicts --{b.replace('_', '-')}: give one of them")
     cfg = RunConfig(command=args.command, **merged)
     if not cfg.out:
         raise ValueError("missing output path (--out)")
@@ -242,7 +248,7 @@ def cmd_patch_test(cfg: RunConfig) -> tuple:
 def cmd_coercivity(cfg: RunConfig) -> tuple:
     """scan the minimum of the quadratic form"""
     c = cfg.coefficients()
-    rows = coercivity_scan(c, cfg.nk_pairs())
+    rows = [coercivity_point(c, n, k) for n, k in cfg.nk_pairs()]
     slope = coercivity_slope(rows)
     extras = {} if slope is None else {"slope_abs_rayleigh_vs_N": slope}
     # feasibility of the witness is the one proved relation in this scan
@@ -255,7 +261,7 @@ def cmd_infsup(cfg: RunConfig) -> tuple:
     c = cfg.coefficients()
     if not cfg.p_list:
         raise ValueError("need at least one exponent in --p-list")
-    rows = infsup_scan(c, cfg.nk_pairs(), cfg.p_list)
+    rows = [row for n, k in cfg.nk_pairs() for row in infsup_point(c, cfg.p_list, n, k)]
     extras = {}
     by_kind = {}
     for r in rows:
@@ -274,7 +280,7 @@ def cmd_infsup(cfg: RunConfig) -> tuple:
 def cmd_convergence(cfg: RunConfig) -> tuple:
     """coupled-vs-reference error study"""
     c = cfg.coefficients()
-    checked = convergence_scan_with_checks(c, LOADS[cfg.load], cfg.nk_pairs(), cfg.M_factor)
+    checked = [convergence_point(c, LOADS[cfg.load], cfg.M_factor, n, k) for n, k in cfg.nk_pairs()]
     rows = [rep for rep, _, _ in checked]
     ok = True
     for rep, half_t_l1, floor in checked:
@@ -301,7 +307,8 @@ def cmd_dump_operator(cfg: RunConfig) -> tuple:
 
 def cmd_eig_scan(cfg: RunConfig) -> tuple:
     """exploratory eigenvalue-sign scan"""
-    rows = eig_scan(cfg.coefficients(), cfg.nk_pairs())
+    c = cfg.coefficients()
+    rows = [eig_point(c, n, k) for n, k in cfg.nk_pairs()]
     return rows, {}, True
 
 
@@ -331,10 +338,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RuntimeError as exc:  # solver/eigensolver failures
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def entry():  # console-script wrapper
-    sys.exit(main())
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
-"""Parameter sweeps behind the CLI, plus table serialization.
+"""Sweep points behind the CLI, plus table serialization.
 
-Each scan maps a list of domain sizes to rows of plain numbers, one
-sweep point after another in input order; rows are NamedTuples, so a
-row costs one tuple and serializes by position to CSV and by name to JSON.
+Each *_point function maps one domain size and split to rows of plain
+numbers, and the CLI runs them in input order; patch_test_scan groups
+its points by N.  Rows are NamedTuples, so a row costs one tuple and
+serializes by position to CSV and by name to JSON.
 """
 
 from __future__ import annotations
@@ -111,15 +112,11 @@ def patch_test_scan(
     return [row for F in F_values for n, ks in runs for row in _patch_point(phi, F, n, ks)]
 
 
-def _coercivity_point(c: Coefficients, n: int, k: int) -> CoercivityScanRow:
+def coercivity_point(c: Coefficients, n: int, k: int) -> CoercivityScanRow:
+    """The Rayleigh minimum next to the value at the explicit spike candidate."""
     spec = DomainSpec(n, k)
     witness = min(quadratic_form(c, spec, unstable_candidate(spec, sign)) for sign in "+-")
     return CoercivityScanRow(n, k, rayleigh_min(c, spec), witness)
-
-
-def coercivity_scan(c: Coefficients, nk_pairs: Sequence[tuple]) -> list[CoercivityScanRow]:
-    """Rayleigh minima next to the value at the explicit spike candidate."""
-    return [_coercivity_point(c, n, k) for n, k in nk_pairs]
 
 
 def coercivity_slope(rows: Sequence[CoercivityScanRow]) -> Optional[float]:
@@ -130,7 +127,8 @@ def coercivity_slope(rows: Sequence[CoercivityScanRow]) -> Optional[float]:
     return loglog_slope([r.N for r in neg], [abs(r.rayleigh_min) for r in neg])
 
 
-def _infsup_point(c: Coefficients, ps: Sequence[float], n: int, k: int) -> list[InfSupScanRow]:
+def infsup_point(c: Coefficients, ps: Sequence[float], n: int, k: int) -> list[InfSupScanRow]:
+    """Certified lower bound, exact 2-norm value, and probe upper bounds."""
     spec = DomainSpec(n, k)
     rows = [
         InfSupScanRow(n, k, np.inf, "lower_bound", 0.5 * rdd_margin(c, strain_stencil(n, k))),
@@ -141,32 +139,14 @@ def _infsup_point(c: Coefficients, ps: Sequence[float], n: int, k: int) -> list[
     return rows
 
 
-def infsup_scan(
-    c: Coefficients,
-    nk_pairs: Sequence[tuple],
-    ps: Sequence[float],
-) -> list[InfSupScanRow]:
-    """Certified lower bound, exact 2-norm value, and probe upper bounds."""
-    return [row for n, k in nk_pairs for row in _infsup_point(c, ps, n, k)]
-
-
-def _convergence_point(c: Coefficients, load: Callable, m_factor: int, n: int, k: int):
+def convergence_point(c: Coefficients, load: Callable, m_factor: int, n: int, k: int) -> tuple:
+    """(ErrorReport, half 1-norm of the truncation error, rounding floor)."""
     spec = DomainSpec(n, k, M=m_factor * n)
     report, t, floor = error_report_detailed(c, load, spec)
     return report, 0.5 * lp_norm(t, spec.eps, 1), floor
 
 
-def convergence_scan_with_checks(
-    c: Coefficients,
-    load: Callable,
-    nk_pairs: Sequence[tuple],
-    m_factor: int = 4,
-) -> list[tuple]:
-    """(ErrorReport, half 1-norm of the truncation error, rounding floor) per sweep point."""
-    return [_convergence_point(c, load, m_factor, n, k) for n, k in nk_pairs]
-
-
-def _eig_point(c: Coefficients, n: int, k: int) -> EigScanRow:
+def eig_point(c: Coefficients, n: int, k: int) -> EigScanRow:
     """Eigenvalues of the interior block of Lqcf (atoms -N+1..N-1), from two half-size blocks.
 
     Lqcf commutes exactly with the reflection j -> -j, so the interior
@@ -196,11 +176,6 @@ def _eig_point(c: Coefficients, n: int, k: int) -> EigScanRow:
         float(np.abs(ev.imag).max()),
         int(np.sum(ev.real <= 0.0)),
     )
-
-
-def eig_scan(c: Coefficients, nk_pairs: Sequence[tuple]) -> list[EigScanRow]:
-    """Exploratory eigenvalue-sign scan of the (nonsymmetric) coupled operator."""
-    return [_eig_point(c, n, k) for n, k in nk_pairs]
 
 
 # dump-operator's builders from (c, N, K); only the coupled operators read K, and check its range

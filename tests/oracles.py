@@ -8,8 +8,10 @@ operators, the summation-by-parts split of the next-nearest pairing,
 the explicit interface probe, dense eigen- and singular-value solves for
 the stability constants, dense LU for the linear solves, and direct
 operator products in exact rational arithmetic for the truncation error
-and the quadratic form.  The site sets of a domain (interior,
-atomistic, continuum) live here too, since only the tests index by them.
+and the quadratic form.  The forces of the energy-based coupling (QCE),
+which has ghost forces, serve the negative controls.  The site sets of
+a domain (interior, atomistic, continuum) live here too, since only the
+tests index by them.
 Keep these dumb and slow on purpose.
 """
 
@@ -64,6 +66,42 @@ def energy_lqc_loop(v, phi, eps):
         r = (v[j] - v[j - 1]) / eps
         total += eps * float(phi.eval(r) + phi.eval(2.0 * r))
     return total
+
+
+def qce_bonds(spec):
+    """(lo, hi, a) of each term eps/2 * phi(a * (y_hi - y_lo) / eps) of the QCE energy on -N..N.
+
+    The energy-based coupling sums site energies, each half of every bond
+    at its site: the nearest and next-nearest bonds (a = 1) on the
+    atomistic sites |j| <= K, and phi(r) + phi(2r) of each nearest bond r
+    (a = 1, 2) on the others, the Cauchy-Born ones.  lo and hi are
+    offsets into positions over -N..N.
+    """
+    n, terms = spec.N, []
+    for i in range(2 * n + 1):
+        reach = ((1, 1), (2, 1)) if abs(i - n) <= spec.K else ((1, 1), (1, 2))
+        for d, a in reach:
+            terms += [(lo, lo + d, a) for lo in (i - d, i) if lo >= 0 and lo + d <= 2 * n]
+    return terms
+
+
+def energy_qce_loop(y, spec, phi):
+    return sum(0.5 * spec.eps * float(phi.eval(a * (y[hi] - y[lo]) / spec.eps))
+               for lo, hi, a in qce_bonds(spec))
+
+
+def force_qce(y, spec, phi):
+    """Minus the gradient of energy_qce_loop on -N+1..N-1, per lattice spacing as force_atomistic is.
+
+    Unlike the coupled force, it has ghost forces: at a uniform state it
+    is phi'(2F) / (2 eps) in size next to each interface.
+    """
+    grad = np.zeros(len(y))
+    for lo, hi, a in qce_bonds(spec):
+        g = 0.5 * a * float(phi.deriv1(a * (y[hi] - y[lo]) / spec.eps))
+        grad[hi] += g
+        grad[lo] -= g
+    return -grad[1:-1] / spec.eps
 
 
 def interior_sites(spec):

@@ -422,6 +422,33 @@ def test_infsup_checks_p2_bound_without_p2_row(tmp_path, monkeypatch):
     assert run(argv) == 0
 
 
+@pytest.mark.parametrize("argv,flags", [
+    (["patch-test", "--N-list", "16", "--K", "3", "--K-all"], "--K contradicts --K-all"),
+    (["coercivity", "--phiF", "1", "--phi2F", "-0.2", "--N-list", "16", "--K", "4", "--K-ratio", "0.5"],
+     "--K contradicts --K-ratio"),
+    (["coercivity", "--F", "1.0", "--phiF", "2", "--N-list", "16"], "--F contradicts --phiF"),
+    (["infsup", "--F", "1.0", "--phi2F", "-0.2", "--N-list", "16"], "--F contradicts --phi2F"),
+])
+def test_contradicting_flags_exit_2_naming_both(tmp_path, capsys, argv, flags):
+    # each pair sets one quantity, and the table would echo the flag the run ignored
+    out = tmp_path / "x.csv"
+    assert run([*argv, "--out", out]) == 2
+    assert flags in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_contradiction_between_config_file_and_flag_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("phiF = 2\nphi2F = -0.2\n")
+    out = tmp_path / "x.csv"
+    assert run(["coercivity", "--config", cfg, "--F", "1.0", "--N-list", "16", "--out", out]) == 2
+    assert "--F contradicts --phiF" in capsys.readouterr().err
+    assert not out.exists()
+    # K_all = no sets nothing, so it leaves --K free
+    cfg.write_text("K_all = no\n")
+    assert run(["patch-test", "--config", cfg, "--N-list", "16", "--K", "3", "--out", out]) == 0
+
+
 def test_coefficients_required(tmp_path, capsys):
     code = run(["coercivity", "--N-list", "16", "--out", tmp_path / "x.csv"])
     assert code == 2
@@ -497,7 +524,7 @@ def test_infsup_empty_p_list_exits_2(tmp_path, capsys, monkeypatch, via_file):
     def no_sweep(*args, **kwargs):
         raise AssertionError("sweep ran")
 
-    monkeypatch.setattr(cli, "infsup_scan", no_sweep)
+    monkeypatch.setattr(cli, "infsup_point", no_sweep)
     out = tmp_path / "x.csv"
     argv = ["infsup", "--phiF", "1", "--phi2F", "-0.2", "--N-list", "16,32", "--out", out]
     if via_file:

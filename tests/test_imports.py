@@ -16,6 +16,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import qcf1d
 
 SRC = str(Path(qcf1d.__file__).resolve().parents[1])
@@ -29,6 +31,20 @@ def fresh_run(code: str, *args) -> dict:
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+LOADED = """
+import json, sys
+from importlib import import_module
+import_module(sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "qcf1d")))
+"""
+
+
+@pytest.mark.parametrize("module", ["lattice", "potentials"])
+def test_importing_one_module_loads_no_other(module):
+    # the package re-exports nothing, so each module loads only what it imports
+    assert fresh_run(LOADED, f"qcf1d.{module}") == ["qcf1d", f"qcf1d.{module}"]
 
 
 PATCH_TEST = """
@@ -152,8 +168,7 @@ print(json.dumps({"codes": codes, "never_called": sorted(public[c] for c in publ
 
 def test_every_library_function_runs_in_a_subcommand(tmp_path):
     # src/ holds only what a subcommand runs; test-only oracles live in
-    # tests/oracles.py.  cli.entry is the console script around cli.main.
-    # Operator.nnz stays for perfbench/tracer.py, which counts an assembly
-    # result without nnz as a dense matrix.
+    # tests/oracles.py.  Operator.nnz stays for perfbench/tracer.py, which
+    # counts an assembly result without nnz as a dense matrix.
     got = fresh_run(EVERY_FUNCTION, tmp_path)
-    assert got == {"codes": [0] * 12, "never_called": ["cli.entry", "operators.Operator.nnz"]}
+    assert got == {"codes": [0] * 12, "never_called": ["operators.Operator.nnz"]}

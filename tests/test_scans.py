@@ -14,12 +14,11 @@ from qcf1d.scans import (
     OPERATOR_BUILDERS,
     CoercivityScanRow,
     PatchTestRow,
-    _eig_point,
     _format_value,
-    coercivity_scan,
-    convergence_scan_with_checks,
-    eig_scan,
-    infsup_scan,
+    coercivity_point,
+    convergence_point,
+    eig_point,
+    infsup_point,
     loglog_slope,
     patch_test_scan,
     write_table,
@@ -46,7 +45,7 @@ def test_eig_point_matches_full_interior_block(phi2F, n, k):
     flip = np.eye(2 * n - 1)[::-1]
     assert np.array_equal(interior @ flip, flip @ interior)  # the symmetry the blocks rest on
     ev = np.linalg.eigvals(interior)
-    row = _eig_point(c, n, k)
+    row = eig_point(c, n, k)
     assert (row.N, row.K) == (n, k)
     assert row.n_nonpositive == np.sum(ev.real <= 0.0)
     assert_allclose(row.min_real, ev.real.min(), rtol=1e-10)
@@ -78,7 +77,7 @@ def test_coercivity_point_evaluates_each_candidate_once(phi2F, monkeypatch):
         spec = DomainSpec(n, k)
         calls.clear()
         solves.clear()
-        [row] = coercivity_scan(c, [(n, k)])
+        row = coercivity_point(c, n, k)
         assert calls == [spec, spec]
         assert len(solves) == 1
         assert row.rayleigh_min == stability.rayleigh_min(c, spec)
@@ -95,7 +94,7 @@ def test_coercivity_point_splits_sym_e_once(phi2F, monkeypatch):
         return split(self, c, form)
 
     monkeypatch.setattr(operators.StrainStencil, "split", counted)
-    coercivity_scan(Coefficients(1.0, phi2F), [(64, 16)])
+    coercivity_point(Coefficients(1.0, phi2F), 64, 16)
     assert sorted(forms) == ["E", "E", "sym"]  # one E per spike candidate
 
 
@@ -157,12 +156,12 @@ def every_row_type():
     c = Coefficients(1.0, -0.2)
     return {
         "patch-test": patch_test_scan(lennard_jones(), [0.9, 1.0], [(8, 2), (8, 3), (8, 4), (16, 2)]),
-        "coercivity": coercivity_scan(c, [(16, 4), (32, 8)]),
-        "infsup": infsup_scan(c, [(16, 4), (32, 8)], [1.0, 2.0, 4.0]),
-        "convergence": [rep for rep, _, _ in convergence_scan_with_checks(
-            Coefficients(1.0, -0.05), LOADS["cospi"], [(16, 4), (32, 8)])],
+        "coercivity": [coercivity_point(c, n, k) for n, k in [(16, 4), (32, 8)]],
+        "infsup": [row for n, k in [(16, 4), (32, 8)] for row in infsup_point(c, [1.0, 2.0, 4.0], n, k)],
+        "convergence": [convergence_point(Coefficients(1.0, -0.05), LOADS["cospi"], 4, n, k)[0]
+                        for n, k in [(16, 4), (32, 8)]],
         "dump-operator": [TripleRow(*t) for t in OPERATOR_BUILDERS["Eqcf"](c, 8, 2).to_triples()],
-        "eig-scan": eig_scan(c, [(8, 2), (16, 4)]),
+        "eig-scan": [eig_point(c, n, k) for n, k in [(8, 2), (16, 4)]],
     }
 
 
