@@ -40,7 +40,8 @@ POTENTIALS = {"lj": lennard_jones}
 # the subcommands that read spring constants through RunConfig.coefficients
 COEFFICIENT_COMMANDS = ("coercivity", "infsup", "convergence", "dump-operator", "eig-scan")
 # pairs of options that each set the same quantity, so a run takes at most one of a pair
-CONTRADICTIONS = (("K", "K_all"), ("K", "K_ratio"), ("F", "phiF"), ("F", "phi2F"))
+CONTRADICTIONS = (("K", "K_all"), ("K", "K_ratio"), ("K_ratio", "K_all"), ("F", "phiF"), ("F", "phi2F"),
+                  ("F", "F_list"))
 
 
 def _int_list(s: str) -> list[int]:
@@ -213,7 +214,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     given = {name for name, value in merged.items() if value is not False}
     for a, b in CONTRADICTIONS:
         if a in given and b in given:
-            raise ValueError(f"--{a} contradicts --{b.replace('_', '-')}: give one of them")
+            a, b = (name.replace("_", "-") for name in (a, b))
+            raise ValueError(f"--{a} contradicts --{b}: give one of them")
     cfg = RunConfig(command=args.command, **merged)
     if not cfg.out:
         raise ValueError("missing output path (--out)")
@@ -300,8 +302,10 @@ def cmd_dump_operator(cfg: RunConfig) -> tuple:
         raise ValueError("need --operator")
     if cfg.N is None or cfg.N < 1:
         raise ValueError(f"need --N for dump-operator, a positive size, got {cfg.N}")
-    op = OPERATOR_BUILDERS[cfg.operator](cfg.coefficients(), cfg.N, cfg.k_for(cfg.N))
-    rows = [TripleRow(*t) for t in op.to_triples()]
+    row, col, value = OPERATOR_BUILDERS[cfg.operator](cfg.coefficients(), cfg.N, cfg.k_for(cfg.N))
+    order = np.lexsort((col, row))  # row-major
+    order = order[value[order] != 0.0]  # an entry that cancels is an exact zero, and is not written
+    rows = [TripleRow(*t) for t in zip(row[order].tolist(), col[order].tolist(), value[order].tolist())]
     return rows, {}, True
 
 

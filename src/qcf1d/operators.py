@@ -24,11 +24,11 @@ arrays.  It is the one form of E the kernels read: each splits once
 and passes the split to multiply, frobenius_norm and BorderedSolve
 (factor builds one for E or E^T), so no kernel builds a matrix.
 integer_entries lists B's nonzeros as small integers: scaled, they
-give E, and summed through D^T B D, they give every displacement
-operator as the conjugate of its strain operator.  Operator is only
-the output format, row-major (row, col, value) arrays, for
-dump-operator and eig-scan; both kinds are assembled without loops in
-O(N log N).
+give E (entries), and summed through D^T B D, they give every
+displacement operator as the conjugate of its strain operator
+(conjugate_entries).  Both are (row, col, value) arrays with one entry
+per position, for dump-operator and eig-scan, assembled without loops
+in O(N log N).
 """
 
 from __future__ import annotations
@@ -37,51 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import DomainSpec
 from .potentials import Coefficients
-
-
-@dataclass(frozen=True)
-class Operator:
-    """Sparse matrix with explicit signed index ranges for rows and columns.
-
-    Stored as (row, col, value) arrays of offsets from row_lo and col_lo,
-    row-major, without duplicates or explicit zeros.
-    """
-
-    row: np.ndarray
-    col: np.ndarray
-    value: np.ndarray
-    shape: tuple
-    row_lo: int
-    col_lo: int
-
-    def __post_init__(self):
-        """Sort the entries row-major, sum duplicates and drop zeros."""
-        shape = tuple(self.shape)
-        row, col = np.asarray(self.row, dtype=np.int64), np.asarray(self.col, dtype=np.int64)
-        value = np.asarray(self.value, dtype=float)
-        if row.size and (min(row.min(), col.min()) < 0 or row.max() >= shape[0] or col.max() >= shape[1]):
-            raise ValueError(f"an entry lies outside the shape {shape}")
-        key = row * shape[1] + col
-        order = np.argsort(key, kind="stable")
-        row, col, value, key = row[order], col[order], value[order], key[order]
-        first = np.flatnonzero(np.diff(key, prepend=-1))  # -1 precedes every key; no keys, no entries
-        row, col, value = row[first], col[first], np.add.reduceat(value, first)
-        keep = value != 0.0
-        for name, v in (("shape", shape), ("row", row[keep]), ("col", col[keep]), ("value", value[keep])):
-            object.__setattr__(self, name, v)
-
-    @property
-    def nnz(self) -> int:  # perfbench/tracer.py counts an assembly result without nnz as dense
-        return self.value.size
-
-    def to_triples(self):
-        """(row, col, value) for every stored nonzero, row-major."""
-        return [
-            (int(r) + self.row_lo, int(c) + self.col_lo, float(v))
-            for r, c, v in zip(self.row, self.col, self.value)
-        ]
 
 
 def _reduce(lower, diag, upper) -> tuple:
@@ -288,6 +244,33 @@ class StrainStencil:
         value[:self.diag.size] += c.phiF
         return row, col, value
 
+    def conjugate_entries(self, eps: float, identity: float, next_nearest: float = 0.0) -> tuple:
+        """(row, col, value) of the displacement operator conjugate to identity * I + next_nearest * B.
+
+        Rows are the free atoms -n+1..n-1 and columns every atom -n..n,
+        row-major, one entry per position.  Row j is
+        ((E Dv)_j - (E Dv)_{j+1}) / eps, so an entry of E at bond offsets
+        (r, c) lands in rows r-1, r and columns c, c+1.  The integer
+        entries of D^T D and D^T B D are summed before the scaling, so
+        entries that cancel are exact zeros.  The springs are scalars,
+        not Coefficients: the local operator is (phiF + 4*phi2F, 0) on the
+        atomistic stencil, which Coefficients rejects when phiF + 4*phi2F <= 0.
+        """
+        nb = self.diag.size
+        if nb < 4:
+            raise ValueError("half-width must be at least 2")
+        row, col, b = self.integer_entries()
+        a = (row == col).astype(float)  # the entries of I
+        rows = np.concatenate([row, row, row - 1, row - 1])
+        cols = np.concatenate([col + 1, col, col + 1, col])
+        sign = np.repeat([1.0, -1.0, -1.0, 1.0], row.size)
+        keep = (rows >= 0) & (rows < nb - 1)
+        key, index = np.unique((rows * (nb + 1) + cols)[keep], return_inverse=True)
+        a, b = (np.bincount(index, (sign * np.tile(x, 4))[keep]) for x in (a, b))
+        value = (identity * a + next_nearest * b) / eps**2
+        n = nb // 2
+        return key // (nb + 1) - n + 1, key % (nb + 1) - n, value
+
     def factor(self, c: Coefficients, form: str = "E", weight: float = 1.0,
                what: str = "strain solve") -> BorderedSolve:
         """The bordered solve of E (form "E") or E^T ("E^T"), from split.
@@ -317,78 +300,3 @@ def strain_stencil(n: int, k: int) -> StrainStencil:
     diag[[0, -1]] -= band[[0, -1]]  # a band row at a chain end has one neighbor
     sides = ((j < -k, -k - 1), (j > k + 1, k))
     return StrainStencil(band, diag, tuple((rows, col + n - 1) for rows, col in sides if rows.any()))
-
-
-def _strain_operator(c: Coefficients, n: int, k: int) -> Operator:
-    """phiF * I + phi2F * B on bonds -n+1..n, B from strain_stencil(n, k)."""
-    return Operator(*strain_stencil(n, k).entries(c), (2 * n, 2 * n), -n + 1, -n + 1)
-
-
-def _conjugate(n: int, eps: float, identity: float, next_nearest: float = 0.0, k=None) -> Operator:
-    """Displacement operator conjugate to E = identity * I + next_nearest * B.
-
-    B comes from strain_stencil(n, k), by default with k = n-1.  Row j
-    (free atoms -n+1..n-1, columns -n..n) is ((E Dv)_j - (E Dv)_{j+1}) / eps,
-    so an entry of E at bond offsets (r, c) lands in rows r-1, r and
-    columns c, c+1.  The integer entries of D^T D and D^T B D are summed
-    before the scaling, so entries that cancel are exact zeros.
-    """
-    nb = 2 * n
-    row, col, b = strain_stencil(n, n - 1 if k is None else k).integer_entries()
-    a = (row == col).astype(float)  # the entries of I
-    rows = np.concatenate([row, row, row - 1, row - 1])
-    cols = np.concatenate([col + 1, col, col + 1, col])
-    sign = np.repeat([1.0, -1.0, -1.0, 1.0], row.size)
-    keep = (rows >= 0) & (rows < nb - 1)
-    key, index = np.unique((rows * (nb + 1) + cols)[keep], return_inverse=True)
-    a, b = (np.bincount(index, (sign * np.tile(x, 4))[keep]) for x in (a, b))
-    value = (identity * a + next_nearest * b) / eps**2
-    return Operator(key // (nb + 1), key % (nb + 1), value, (nb - 1, nb + 1), -n + 1, -n)
-
-
-def assemble_la(c: Coefficients, m: int, eps: float) -> Operator:
-    """Linearized atomistic operator: rows -m+1..m-1, columns -m..m; the conjugate of Ea.
-
-    Interior rows carry both second-difference stencils; the first and
-    last row lose the out-of-range half of the next-nearest stencil.
-    """
-    if m < 2:
-        raise ValueError("half-width must be at least 2")
-    return _conjugate(m, eps, c.phiF, c.phi2F, m - 1)
-
-
-def assemble_llqc(c: Coefficients, n: int, eps: float) -> Operator:
-    """Linearized local operator: one tridiagonal stencil, rows -n+1..n-1."""
-    if n < 2:
-        raise ValueError("half-width must be at least 2")
-    return _conjugate(n, eps, c.phiF + 4.0 * c.phi2F)
-
-
-def assemble_lqcf(c: Coefficients, spec: DomainSpec) -> Operator:
-    """Coupled operator: atomistic rows on |j| <= K, local rows elsewhere; the conjugate of Eqcf.
-
-    Rows cover the free atoms -N+1..N-1 only; the zero extension to +-N
-    is realized by omitting those rows, which pair to zero against any
-    field vanishing at the boundary.
-    """
-    return _conjugate(spec.N, spec.eps, c.phiF, c.phi2F, spec.K)
-
-
-def assemble_ea(c: Coefficients, m: int) -> Operator:
-    """Conjugate of the atomistic operator, on bonds -m+1..m.
-
-    phiF on the diagonal plus phi2F times the symmetric [1,2,1] band whose
-    corner rows degenerate to [1,1].
-    """
-    return _strain_operator(c, m, m - 1)
-
-
-def assemble_eqcf(c: Coefficients, spec: DomainSpec) -> Operator:
-    """Conjugate of the coupled operator, on bonds -N+1..N.
-
-    The atomistic band -K..K+1 keeps the symmetric tridiagonal rows; the
-    interface rows -K-1 and K+2 and every far-field row pick up entries in
-    the three interface columns, connecting each strain to the boundary
-    through as few nonzeros as possible.  Every row has at most 4 nonzeros.
-    """
-    return _strain_operator(c, spec.N, spec.K)

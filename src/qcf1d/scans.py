@@ -15,7 +15,7 @@ import numpy as np
 
 from .chain import max_abs_force_qcf
 from .lattice import DomainSpec, lp_norm, uniform_positions
-from .operators import assemble_ea, assemble_eqcf, assemble_la, assemble_llqc, assemble_lqcf, strain_stencil
+from .operators import strain_stencil
 from .potentials import Coefficients, PairPotential
 from .solver import error_report_detailed
 from .stability import (
@@ -158,14 +158,13 @@ def eig_point(c: Coefficients, n: int, k: int) -> EigScanRow:
     of the interior block for a quarter of the flops and memory of its
     dense eigensolve.
     """
-    op = assemble_lqcf(c, DomainSpec(n, k))
-    row, col = op.row - (n - 1), op.col - n  # atoms
+    row, col, value = strain_stencil(n, DomainSpec(n, k).K).conjugate_entries(1.0 / n, c.phiF, c.phi2F)
     m = np.abs(col)
     even = (row >= 0) & (m < n)
     odd = (row >= 1) & (m >= 1) & (m < n)
     blocks = (
-        np.bincount(row[even] * n + m[even], op.value[even], minlength=n * n).reshape(n, n),
-        np.bincount((row[odd] - 1) * (n - 1) + m[odd] - 1, np.sign(col[odd]) * op.value[odd],
+        np.bincount(row[even] * n + m[even], value[even], minlength=n * n).reshape(n, n),
+        np.bincount((row[odd] - 1) * (n - 1) + m[odd] - 1, np.sign(col[odd]) * value[odd],
                     minlength=(n - 1) ** 2).reshape(n - 1, n - 1),
     )
     ev = np.concatenate([np.linalg.eigvals(b) for b in blocks])
@@ -178,13 +177,20 @@ def eig_point(c: Coefficients, n: int, k: int) -> EigScanRow:
     )
 
 
-# dump-operator's builders from (c, N, K); only the coupled operators read K, and check its range
+def _strain_entries(c: Coefficients, n: int, k: int) -> tuple:
+    """(row, col, value) of E on bonds -n+1..n, B from strain_stencil(n, k)."""
+    row, col, value = strain_stencil(n, k).entries(c)
+    return row - n + 1, col - n + 1, value
+
+
+# dump-operator's (row, col, value) from (c, N, K), indexed by atom or bond; only
+# the coupled operators read K, and DomainSpec checks its range before the stencil
 OPERATOR_BUILDERS = {
-    "La": lambda c, n, k: assemble_la(c, n, 1.0 / n),
-    "Llqc": lambda c, n, k: assemble_llqc(c, n, 1.0 / n),
-    "Lqcf": lambda c, n, k: assemble_lqcf(c, DomainSpec(n, k)),
-    "Ea": lambda c, n, k: assemble_ea(c, n),
-    "Eqcf": lambda c, n, k: assemble_eqcf(c, DomainSpec(n, k)),
+    "La": lambda c, n, k: strain_stencil(n, n - 1).conjugate_entries(1.0 / n, c.phiF, c.phi2F),
+    "Llqc": lambda c, n, k: strain_stencil(n, n - 1).conjugate_entries(1.0 / n, c.phiF + 4.0 * c.phi2F),
+    "Lqcf": lambda c, n, k: strain_stencil(n, DomainSpec(n, k).K).conjugate_entries(1.0 / n, c.phiF, c.phi2F),
+    "Ea": lambda c, n, k: _strain_entries(c, n, n - 1),
+    "Eqcf": lambda c, n, k: _strain_entries(c, n, DomainSpec(n, k).K),
 }
 
 

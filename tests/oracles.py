@@ -23,6 +23,7 @@ import scipy.linalg
 from qcf1d.chain import force_atomistic, force_lqc
 from qcf1d.lattice import diff, lp_norm, summed_load
 from qcf1d.potentials import Coefficients
+from qcf1d.scans import OPERATOR_BUILDERS
 from qcf1d.solver import solve_strain
 
 
@@ -223,11 +224,36 @@ DIFFERENTIAL_NK = [(16, 2), (64, 32), (128, 2), (256, 63), (512, 128)]
 # on rows -n+1..n-1 by columns -n..n, strain operators on bonds -n+1..n).
 
 
-def dense(op):
-    """The dense matrix of an Operator, rows and columns at offsets from row_lo and col_lo."""
-    a = np.zeros(op.shape)
-    a[op.row, op.col] = op.value
+def dense(entries, rows, cols):
+    """The dense matrix of (row, col, value) entries on the index ranges rows and cols.
+
+    Raises ValueError on an index outside the ranges, where numpy would
+    silently wrap a negative offset, and on a position listed twice.
+    """
+    row, col, value = entries
+    r, k = np.asarray(row, dtype=np.int64) - rows.start, np.asarray(col, dtype=np.int64) - cols.start
+    if np.any((r < 0) | (r >= len(rows)) | (k < 0) | (k >= len(cols))):
+        raise ValueError(f"an entry lies outside rows {rows} by columns {cols}")
+    if np.unique(r * len(cols) + k).size != r.size:
+        raise ValueError("a position is listed twice")
+    a = np.zeros((len(rows), len(cols)))
+    a[r, k] = value
     return a
+
+
+def index_ranges(name, n):
+    """(rows, columns) of dump-operator's operator name at half-width n.
+
+    A strain operator maps bonds -n+1..n to bonds, a displacement
+    operator every atom -n..n to the free atoms -n+1..n-1.
+    """
+    bonds = range(-n + 1, n + 1)
+    return (bonds, bonds) if name in ("Ea", "Eqcf") else (range(-n + 1, n), range(-n, n + 1))
+
+
+def operator_dense(name, c, n, k=None):
+    """The dense matrix of OPERATOR_BUILDERS[name] at eps = 1/n; k is read by Lqcf and Eqcf only."""
+    return dense(OPERATOR_BUILDERS[name](c, n, k), *index_ranges(name, n))
 
 
 def la_dense(c, m, eps):

@@ -11,14 +11,7 @@ from numpy.testing import assert_allclose
 
 from qcf1d.chain import force_atomistic, force_lqc, max_abs_force_qcf
 from qcf1d.lattice import DomainSpec, diff, lp_norm, uniform_positions
-from qcf1d.operators import (
-    assemble_ea,
-    assemble_eqcf,
-    assemble_la,
-    assemble_llqc,
-    assemble_lqcf,
-    strain_stencil,
-)
+from qcf1d.operators import strain_stencil
 from qcf1d.potentials import Coefficients, lennard_jones
 from qcf1d.scans import loglog_slope
 from qcf1d.solver import LOADS, error_report_detailed, sample_load, truncation_error_stencil
@@ -33,7 +26,6 @@ from qcf1d.stability import (
 
 from oracles import (
     continuum_sites,
-    dense,
     diff4_centered,
     displacement_solve,
     fd_jacobian,
@@ -41,6 +33,7 @@ from oracles import (
     interface_probe,
     l2_decomposition,
     l2_dense,
+    operator_dense,
     pair_dense,
     sampled_dual_norm,
     truncation_error_dense,
@@ -78,8 +71,8 @@ def test_c02_weak_form_identities():
     spec = DomainSpec(n, 8)
     c = Coefficients(1.0, -0.05)
     pairs = [
-        (dense(assemble_ea(c, m)), dense(assemble_la(c, m, eps))),
-        (dense(assemble_eqcf(c, spec)), dense(assemble_lqcf(c, spec))),
+        (operator_dense("Ea", c, m), operator_dense("La", c, m)),
+        (operator_dense("Eqcf", c, n, spec.K), operator_dense("Lqcf", c, n, spec.K)),
     ]
     worst = 0.0
     for E, L in pairs:
@@ -126,14 +119,14 @@ def test_c04_jacobian_consistency():
     c = Coefficients.from_potential(LJ, F)
     y = uniform_positions(F, m, eps)
     cases = {
-        "atomistic": (assemble_la(c, m, eps), lambda v: force_atomistic(v, LJ, eps)),
-        "local": (assemble_llqc(c, n, eps), lambda v: force_lqc(v, LJ, eps)),
-        "coupled": (assemble_lqcf(c, spec), lambda v: force_qcf(v, spec, LJ)),
+        "atomistic": (operator_dense("La", c, m), lambda v: force_atomistic(v, LJ, eps)),
+        "local": (operator_dense("Llqc", c, n), lambda v: force_lqc(v, LJ, eps)),
+        "coupled": (operator_dense("Lqcf", c, n, spec.K), lambda v: force_qcf(v, spec, LJ)),
     }
     worst = 0.0
     for name, (L, force) in cases.items():
         J = fd_jacobian(force, y)
-        scaled_L = eps**2 * dense(L)
+        scaled_L = eps**2 * L
         gap = np.max(np.abs(scaled_L + eps**2 * J))  # L = -dF/dy
         rel = gap / np.max(np.abs(scaled_L))
         assert rel <= 1e-6, name
@@ -197,7 +190,7 @@ def test_c07_infsup_decay():
     for c in (c_rate, Coefficients(1.0, -0.05)):
         for n, k in ((64, 16), (128, 32)):
             spec = DomainSpec(n, k)
-            E = dense(assemble_eqcf(c, spec))
+            E = operator_dense("Eqcf", c, n, k)
             xi = interface_probe(c, spec)
             for p in (1.0, 2.0, 4.0):
                 direct = lp_norm(E @ xi, spec.eps, p) / lp_norm(xi, spec.eps, p)

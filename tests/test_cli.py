@@ -11,7 +11,7 @@ import pytest
 from qcf1d import cli, scans, stability
 from qcf1d.cli import main, read_config_file
 from qcf1d.lattice import DomainSpec
-from qcf1d.operators import Operator
+from qcf1d.operators import StrainStencil
 from qcf1d.scans import PatchTestRow
 
 
@@ -176,15 +176,23 @@ def test_coercivity_nearest_neighbor_skips_fit(tmp_path):
 
 
 def test_stability_commands_assemble_no_matrix(tmp_path, monkeypatch):
-    # coercivity and infsup read Eqcf from the bands of its strain stencil
-    def no_assembly(self):
+    # coercivity and infsup read Eqcf from the bands of its strain stencil,
+    # convergence solves on it, and patch-test evaluates forces: none lists
+    # the entries of a displacement operator
+    def no_assembly(*args, **kwargs):
         raise RuntimeError("a matrix was assembled")
 
-    monkeypatch.setattr(Operator, "__post_init__", no_assembly)
-    for argv in (["coercivity", "--N-list", "16,32"],
-                 ["infsup", "--N-list", "16,32", "--p-list", "1,2"]):
+    monkeypatch.setattr(StrainStencil, "conjugate_entries", no_assembly)
+    springs = ["--phiF", "1", "--phi2F", "-0.2"]
+    for argv, code in ((["coercivity", *springs, "--N-list", "16,32"], 0),
+                       (["infsup", *springs, "--N-list", "16,32", "--p-list", "1,2"], 0),
+                       (["convergence", "--phiF", "1", "--phi2F", "-0.05", "--N-list", "16,32"], 0),
+                       (["patch-test", "--N-list", "16,32"], 0),
+                       # the control: these two do list them
+                       (["eig-scan", *springs, "--N-list", "16"], 1),
+                       (["dump-operator", *springs, "--operator", "Lqcf", "--N", "8"], 1)):
         out = tmp_path / f"{argv[0]}.csv"
-        assert run([*argv, "--phiF", "1", "--phi2F", "-0.2", "--K-ratio", "0.25", "--out", out]) == 0
+        assert run([*argv, "--K-ratio", "0.25", "--out", out]) == code, argv[0]
 
 
 def test_infsup_table(tmp_path):
@@ -254,6 +262,38 @@ def test_dump_operator_reads_k_only_for_coupled_operators(tmp_path, operator, si
     assert len({r["row"] for r in rows}) == n_rows
     coupled = "Lqcf" if operator == "La" else "Eqcf"
     assert run(["dump-operator", "--operator", coupled, *size, *springs]) == 2
+
+
+@pytest.mark.parametrize("operator,n,code,message", [
+    ("La", 1, 2, "half-width must be at least 2"),
+    ("Llqc", 1, 2, "half-width must be at least 2"),
+    ("Ea", 1, 0, None),
+    ("Lqcf", 2, 2, "K=2, N=2"),
+    ("Eqcf", 2, 2, "K=2, N=2"),
+])
+def test_dump_operator_smallest_sizes(tmp_path, capsys, operator, n, code, message):
+    # a displacement operator needs half-width 2, Ea is 2 x 2 at N=1, and
+    # N=2 leaves a coupled operator no split K
+    out = tmp_path / "x.csv"
+    assert run(["dump-operator", "--operator", operator, "--N", n, "--phiF", "1", "--phi2F", "0.1",
+                "--out", out]) == code
+    if message:
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert len(read_rows(out)[2]) == 4
+
+
+def test_dump_operator_llqc_with_no_local_spring_is_empty(tmp_path):
+    # phiF + 4*phi2F = 0 zeroes every entry of Llqc, and the springs
+    # themselves are no configuration error: the table is its config echo
+    # and an empty header, since no row names the columns
+    out = tmp_path / "x.csv"
+    assert run(["dump-operator", "--operator", "Llqc", "--N", "8", "--phiF", "1", "--phi2F", "-0.25",
+                "--out", out]) == 0
+    comments, header, rows = read_rows(out)
+    assert "# operator=Llqc" in comments
+    assert (header, rows) == ([""], [])
 
 
 def test_dump_operator_la_row_sums(tmp_path):
@@ -428,6 +468,8 @@ def test_infsup_checks_p2_bound_without_p2_row(tmp_path, monkeypatch):
      "--K contradicts --K-ratio"),
     (["coercivity", "--F", "1.0", "--phiF", "2", "--N-list", "16"], "--F contradicts --phiF"),
     (["infsup", "--F", "1.0", "--phi2F", "-0.2", "--N-list", "16"], "--F contradicts --phi2F"),
+    (["patch-test", "--N-list", "16", "--K-ratio", "0.5", "--K-all"], "--K-ratio contradicts --K-all"),
+    (["patch-test", "--N-list", "16", "--K", "4", "--F", "1.3", "--F-list", "0.9"], "--F contradicts --F-list"),
 ])
 def test_contradicting_flags_exit_2_naming_both(tmp_path, capsys, argv, flags):
     # each pair sets one quantity, and the table would echo the flag the run ignored

@@ -168,7 +168,6 @@ print(json.dumps({"codes": codes, "never_called": sorted(public[c] for c in publ
 
 def test_every_library_function_runs_in_a_subcommand(tmp_path):
     # src/ holds only what a subcommand runs; test-only oracles live in
-    # tests/oracles.py.  Operator.nnz stays for perfbench/tracer.py, which
-    # counts an assembly result without nnz as a dense matrix.
+    # tests/oracles.py
     got = fresh_run(EVERY_FUNCTION, tmp_path)
-    assert got == {"codes": [0] * 12, "never_called": ["operators.Operator.nnz"]}
+    assert got == {"codes": [0] * 12, "never_called": []}

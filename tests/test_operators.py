@@ -8,19 +8,9 @@ from numpy.testing import assert_allclose, assert_array_max_ulp
 
 from qcf1d.chain import force_atomistic, force_lqc
 from qcf1d.lattice import DomainSpec, diff, lp_norm, uniform_positions
-from qcf1d.operators import (
-    Operator,
-    _reduce,
-    _substitute,
-    assemble_ea,
-    assemble_eqcf,
-    assemble_la,
-    assemble_llqc,
-    assemble_lqcf,
-    frobenius_norm,
-    multiply,
-    strain_stencil,
-)
+from qcf1d.cli import RunConfig, cmd_dump_operator
+from qcf1d.operators import _reduce, _substitute, frobenius_norm, multiply, strain_stencil
+from qcf1d.scans import OPERATOR_BUILDERS
 from qcf1d.potentials import Coefficients, lennard_jones
 
 from oracles import (
@@ -31,12 +21,14 @@ from oracles import (
     eqcf_dense,
     fd_jacobian,
     force_qcf,
+    index_ranges,
     interface_probe,
     l2_decomposition,
     l2_dense,
     la_dense,
     llqc_dense,
     lqcf_dense,
+    operator_dense,
     pair_dense,
 )
 
@@ -65,9 +57,9 @@ def weak_form_gap(E, L, v, w, eps):
 def test_la_stencils():
     m = 6
     eps = 0.125
-    A = assemble_la(C, m, eps)
-    assert (A.row_lo, A.col_lo, A.shape) == (-5, -6, (11, 13))
-    a = dense(A)  # row i at offset i + 5, column j at offset j + 6
+    row, col, value = strain_stencil(m, m - 1).conjugate_entries(eps, C.phiF, C.phi2F)
+    assert (row.min(), row.max(), col.min(), col.max()) == (-5, 5, -6, 6)
+    a = dense((row, col, value), *index_ranges("La", m))  # row i at offset i + 5, column j at offset j + 6
     s = 1.0 / eps**2
     assert_allclose(a[5, 6], (2 * C.phiF + 2 * C.phi2F) * s)
     assert_allclose(a[5, 7], -C.phiF * s)
@@ -81,7 +73,7 @@ def test_la_stencils():
 def test_la_interior_rows_annihilate_affine():
     m = 8
     eps = 1.0 / 8
-    A = dense(assemble_la(C, m, eps))
+    A = operator_dense("La", C, m)
     j = np.arange(-m, m + 1)
     out = A @ (0.7 + 1.3 * j * eps)
     # interior rows only: the one-sided boundary stencil is a first
@@ -93,7 +85,7 @@ def test_la_interior_rows_annihilate_affine():
 def test_llqc_stencil_readoff():
     n = 8
     eps = 1.0 / n
-    A = dense(assemble_llqc(C, n, eps))
+    A = operator_dense("Llqc", C, n)
     out = A @ np.eye(2 * n + 1)[n]  # row j at offset j + n - 1
     assert_allclose(out[n - 1], 2.0 * (C.phiF + 4.0 * C.phi2F) / eps**2)
     assert_allclose(out[n], -(C.phiF + 4.0 * C.phi2F) / eps**2)
@@ -103,9 +95,9 @@ def test_llqc_stencil_readoff():
 
 def test_lqcf_row_dispatch_is_exact():
     spec = DomainSpec(16, 4)
-    Lq = dense(assemble_lqcf(C, spec))
-    La = dense(assemble_la(C, 16, spec.eps))
-    Ll = dense(assemble_llqc(C, 16, spec.eps))
+    Lq = operator_dense("Lqcf", C, spec.N, spec.K)
+    La = operator_dense("La", C, 16)
+    Ll = operator_dense("Llqc", C, 16)
     for j in range(-15, 16):
         i = j + 15
         if abs(j) <= 4:
@@ -116,7 +108,7 @@ def test_lqcf_row_dispatch_is_exact():
 
 def test_lqcf_affine_kernel():
     spec = DomainSpec(16, 4)
-    Lq = dense(assemble_lqcf(C, spec))
+    Lq = operator_dense("Lqcf", C, spec.N, spec.K)
     j = np.arange(-16, 17)
     assert np.max(np.abs(Lq @ (-0.3 + 0.9 * j * spec.eps))) <= 1e-10 / spec.eps**2
 
@@ -125,7 +117,7 @@ def test_lqcf_affine_kernel():
 @given(a=st.floats(-5, 5), b=st.floats(-5, 5))
 def test_lqcf_affine_kernel_property(a, b):
     spec = DomainSpec(8, 2)
-    Lq = dense(assemble_lqcf(C, spec))
+    Lq = operator_dense("Lqcf", C, spec.N, spec.K)
     j = np.arange(-8, 9)
     scale = max(1.0, abs(a) + abs(b))
     assert np.max(np.abs(Lq @ (a + b * j * spec.eps))) <= 1e-10 * scale / spec.eps**2
@@ -133,13 +125,13 @@ def test_lqcf_affine_kernel_property(a, b):
 
 def test_lqcf_is_not_symmetric():
     spec = DomainSpec(16, 4)
-    Li = dense(assemble_lqcf(C, spec))[:, 1:-1]
+    Li = operator_dense("Lqcf", C, spec.N, spec.K)[:, 1:-1]
     assert np.max(np.abs(Li - Li.T)) > 1e-3 * np.max(np.abs(Li))
 
 
 def test_lqcf_splits_into_l1_and_l2():
     spec = DomainSpec(12, 3)
-    Lq = dense(assemble_lqcf(C, spec))
+    Lq = operator_dense("Lqcf", C, spec.N, spec.K)
     L1 = llqc_dense(Coefficients(1.0, 0.0), 12, spec.eps)
     L2 = l2_dense(spec)
     assert_allclose(Lq, C.phiF * L1 + C.phi2F * L2, rtol=1e-14, atol=1e-9)
@@ -147,38 +139,37 @@ def test_lqcf_splits_into_l1_and_l2():
 
 def test_bandwidth_and_sparsity():
     spec = DomainSpec(16, 4)
-    Lq = assemble_lqcf(C, spec)
-    for i, j, _ in Lq.to_triples():
-        assert abs(i - j) <= 2
-    Eq = assemble_eqcf(C, spec)
-    counts = (dense(Eq) != 0.0).sum(axis=1)
+    row, col, _ = dumped("Lqcf", C, spec.N, spec.K)
+    assert np.max(np.abs(row - col)) <= 2
+    Eq = operator_dense("Eqcf", C, spec.N, spec.K)
+    counts = (Eq != 0.0).sum(axis=1)
     assert counts.max() <= 4
     # atomistic band rows are symmetric tridiagonal
     off = 15  # bond j at offset j + off
-    band = dense(Eq)[-4 + off : 5 + off + 1, :]
+    band = Eq[-4 + off : 5 + off + 1, :]
     for local, i in enumerate(range(-4 + off, 5 + off + 1)):
         row = band[local]
         nz = np.nonzero(row)[0]
         assert set(nz) <= {i - 1, i, i + 1}
-    sub = dense(Eq)[-4 + off : 5 + off + 1, -4 + off : 5 + off + 1]
+    sub = Eq[-4 + off : 5 + off + 1, -4 + off : 5 + off + 1]
     assert np.array_equal(sub, sub.T)
 
 
 def test_ea_structure():
     m = 5
-    E = assemble_ea(C, m)
-    B = (dense(E) - C.phiF * np.eye(2 * m)) / C.phi2F
+    E = operator_dense("Ea", C, m)
+    B = (E - C.phiF * np.eye(2 * m)) / C.phi2F
     assert_allclose(B[0], [1, 1, 0, 0, 0, 0, 0, 0, 0, 0], atol=1e-14)
     assert_allclose(B[1], [1, 2, 1, 0, 0, 0, 0, 0, 0, 0], atol=1e-14)
     assert_allclose(B[-1], [0, 0, 0, 0, 0, 0, 0, 0, 1, 1], atol=1e-14)
-    assert np.array_equal(dense(E), dense(E).T)
+    assert np.array_equal(E, E.T)
 
 
 def test_weak_form_identity_ea():
     m = 8
     eps = 1.0 / m
-    E = dense(assemble_ea(C, m))
-    L = dense(assemble_la(C, m, eps))
+    E = operator_dense("Ea", C, m)
+    L = operator_dense("La", C, m)
     for _ in range(20):
         v, w = random_pair(m)
         gap, scale = weak_form_gap(E, L, v, w, eps)
@@ -190,8 +181,8 @@ def test_weak_form_identity_eqcf_all_k(n):
     eps = 1.0 / n
     for k in range(2, n // 2 + 1):
         spec = DomainSpec(n, k)
-        E = dense(assemble_eqcf(C, spec))
-        L = dense(assemble_lqcf(C, spec))
+        E = operator_dense("Eqcf", C, spec.N, spec.K)
+        L = operator_dense("Lqcf", C, spec.N, spec.K)
         for _ in range(5):
             v, w = random_pair(n)
             gap, scale = weak_form_gap(E, L, v, w, eps)
@@ -204,7 +195,7 @@ def test_eqcf_image_of_interface_probe():
     c = Coefficients(1.0, 1.0)
     spec = DomainSpec(8, 2)
     xi = interface_probe(c, spec)
-    out = dense(assemble_eqcf(c, spec)) @ xi
+    out = operator_dense("Eqcf", c, spec.N, spec.K) @ xi
     alpha = 3.0
     for j in range(-7, 9):
         if j <= -3:
@@ -227,7 +218,7 @@ def test_eqcf_image_of_interface_probe():
 def test_eqcf_interface_row_entries():
     c = Coefficients(1.0, 1.0)
     spec = DomainSpec(8, 2)
-    E = dense(assemble_eqcf(c, spec))
+    E = operator_dense("Eqcf", c, spec.N, spec.K)
     k, off = 2, 7  # bond j at offset j + N - 1
     assert_allclose(E[k + 2 + off, k + off : k + 3 + off], [c.phi2F, -2.0 * c.phi2F, c.phiF + 5.0 * c.phi2F])
     assert_allclose(E[-k - 1 + off, -k - 1 + off : -k + 2 + off], [c.phiF + 5.0 * c.phi2F, -2.0 * c.phi2F, c.phi2F])
@@ -241,9 +232,9 @@ def jacobian_of(force, n, eps, f=1.05):
 @pytest.mark.parametrize(
     "assemble,force_name",
     [
-        (lambda c, n, eps, spec: assemble_la(c, n, eps), "atomistic"),
-        (lambda c, n, eps, spec: assemble_llqc(c, n, eps), "lqc"),
-        (lambda c, n, eps, spec: assemble_lqcf(c, spec), "qcf"),
+        (lambda c, n, k: operator_dense("La", c, n), "atomistic"),
+        (lambda c, n, k: operator_dense("Llqc", c, n), "lqc"),
+        (lambda c, n, k: operator_dense("Lqcf", c, n, k), "qcf"),
     ],
 )
 def test_operators_linearize_their_force_fields(assemble, force_name):
@@ -258,7 +249,7 @@ def test_operators_linearize_their_force_fields(assemble, force_name):
         "qcf": lambda y: force_qcf(y, spec, LJ),
     }
     J = jacobian_of(forces[force_name], n, eps, F)
-    L = dense(assemble(c, n, eps, spec))
+    L = assemble(c, n, spec.K)
     # linearizing the equilibrium equations gives L = -dF/dy exactly
     scaled = eps**2 * L
     gap = np.max(np.abs(scaled - (-(eps**2) * J)))
@@ -306,17 +297,42 @@ def test_l2_decomposition_requires_homogeneous_test_field():
         l2_decomposition(v, bad, spec)
 
 
-def test_operator_stores_sorted_summed_nonzero_triples():
-    # unsorted input with a duplicate (0, 1) and an entry that cancels to zero
-    op = Operator([1, 0, 0, 1, 0], [0, 1, 2, 1, 1], [2.0, 1.0, 3.0, 0.0, -0.5], (2, 3), -1, -2)
-    assert op.to_triples() == [(-1, -1, 0.5), (-1, 0, 3.0), (0, -2, 2.0)]
-    assert_allclose(dense(op), [[0.0, 0.5, 3.0], [2.0, 0.0, 0.0]])
-    with pytest.raises(ValueError, match="outside the shape"):
-        Operator([2], [0], [1.0], (2, 3), 0, 0)
-    # no entries at all
-    empty = Operator([], [], [], (2, 3), -1, -2)
-    assert empty.to_triples() == []
-    assert np.array_equal(dense(empty), np.zeros((2, 3)))
+def dumped(name, c, n, k):
+    """The rows dump-operator writes for operator name, as (row, col, value) arrays."""
+    rows, _, _ = cmd_dump_operator(RunConfig("dump-operator", operator=name, N=n, K=k, phiF=c.phiF, phi2F=c.phi2F))
+    return (np.array([r.row for r in rows], dtype=np.int64), np.array([r.col for r in rows], dtype=np.int64),
+            np.array([r.value for r in rows], dtype=float))
+
+
+def test_dense_oracle_rejects_entries_outside_its_ranges():
+    rows, cols = range(-1, 1), range(-2, 1)
+    assert_allclose(dense(([-1, 0], [0, -2], [0.5, 2.0]), rows, cols), [[0.0, 0.0, 0.5], [2.0, 0.0, 0.0]])
+    assert np.array_equal(dense(([], [], []), rows, cols), np.zeros((2, 3)))
+    # a negative offset would wrap to the last row or column in numpy
+    for row, col in (([1], [0]), ([-2], [0]), ([0], [1]), ([0], [-3])):
+        with pytest.raises(ValueError, match="outside"):
+            dense((row, col, [1.0]), rows, cols)
+    with pytest.raises(ValueError, match="twice"):
+        dense(([0, 0], [-1, -1], [1.0, 2.0]), rows, cols)
+
+
+def test_every_dump_is_row_major_without_duplicates_or_zeros():
+    # the builders list one entry per position, exact zeros included: every
+    # next-nearest entry at phi2F = 0, the interface diagonal phiF + 5*phi2F
+    # of E at phi2F = -0.2, and all of Llqc at phiF + 4*phi2F = 0
+    for name in sorted(OPERATOR_BUILDERS):
+        for phiF, phi2F in [(1.0, 0.0), (1.0, -0.2), (1.0, -0.25), (2.5, 0.3)]:
+            for n, k in [(4, 2), (8, 2), (16, 7)]:
+                case = (name, phiF, phi2F, n, k)
+                c = Coefficients(phiF, phi2F)
+                row, col, value = dumped(name, c, n, k)
+                rows, cols = index_ranges(name, n)
+                key = (row - rows.start) * len(cols) + (col - cols.start)
+                assert np.all(np.diff(key) > 0), case  # row-major, each position once
+                assert np.all(value != 0.0), case
+                listed = OPERATOR_BUILDERS[name](c, n, k)[2]
+                assert row.size == np.count_nonzero(listed), case
+                assert row.size < listed.size or phi2F != 0.0, case
 
 
 @pytest.mark.parametrize("n,k", DIFFERENTIAL_NK)
@@ -325,22 +341,22 @@ def test_sparse_assembly_matches_dense_oracles(phi2F, n, k):
     c = Coefficients(1.0, phi2F)
     spec = DomainSpec(n, k)
     eps = spec.eps
-    cases = [
-        (assemble_la(c, n, eps), la_dense(c, n, eps)),
-        (assemble_llqc(c, n, eps), llqc_dense(c, n, eps)),
-        (assemble_lqcf(c, spec), lqcf_dense(c, spec)),
-        (assemble_ea(c, n), ea_dense(c, n)),
-        (assemble_eqcf(c, spec), eqcf_dense(c, spec)),
-    ]
-    for op, expected in cases:
-        assert op.shape == expected.shape
-        assert_array_max_ulp(dense(op), expected, maxulp=1)
+    oracles = {
+        "La": la_dense(c, n, eps),
+        "Llqc": llqc_dense(c, n, eps),
+        "Lqcf": lqcf_dense(c, spec),
+        "Ea": ea_dense(c, n),
+        "Eqcf": eqcf_dense(c, spec),
+    }
+    for name, expected in oracles.items():
+        row, col, value = dumped(name, c, n, k)
+        rows, cols = index_ranges(name, n)
+        got = dense((row, col, value), rows, cols)
+        assert got.shape == expected.shape
+        assert_array_max_ulp(got, expected, maxulp=1)
         # stored pattern = nonzero pattern, read row-major
-        rows, cols = np.nonzero(expected)
-        triples = op.to_triples()
-        assert [(i, j) for i, j, _ in triples] == [
-            (int(r) + op.row_lo, int(c_) + op.col_lo) for r, c_ in zip(rows, cols)
-        ]
+        nz_rows, nz_cols = np.nonzero(expected)
+        assert np.array_equal(row, nz_rows + rows.start) and np.array_equal(col, nz_cols + cols.start)
 
 
 @pytest.mark.parametrize("n,k", DIFFERENTIAL_NK)

@@ -7,11 +7,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcf1d import operators, scans, stability
-from qcf1d.cli import TripleRow
+from qcf1d.cli import RunConfig, cmd_dump_operator
 from qcf1d.lattice import DomainSpec
 from qcf1d.potentials import Coefficients, lennard_jones
 from qcf1d.scans import (
-    OPERATOR_BUILDERS,
     CoercivityScanRow,
     PatchTestRow,
     _format_value,
@@ -160,7 +159,8 @@ def every_row_type():
         "infsup": [row for n, k in [(16, 4), (32, 8)] for row in infsup_point(c, [1.0, 2.0, 4.0], n, k)],
         "convergence": [convergence_point(Coefficients(1.0, -0.05), LOADS["cospi"], 4, n, k)[0]
                         for n, k in [(16, 4), (32, 8)]],
-        "dump-operator": [TripleRow(*t) for t in OPERATOR_BUILDERS["Eqcf"](c, 8, 2).to_triples()],
+        "dump-operator": cmd_dump_operator(RunConfig("dump-operator", operator="Eqcf", N=8, K=2, phiF=1.0,
+                                                     phi2F=-0.2))[0],
         "eig-scan": [eig_point(c, n, k) for n, k in [(8, 2), (16, 4)]],
     }
 

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from qcf1d import stability
 from qcf1d.lattice import DomainSpec, diff, lp_norm
-from qcf1d.operators import BorderedSolve, assemble_eqcf, strain_stencil
+from qcf1d.operators import BorderedSolve, strain_stencil
 from qcf1d.potentials import Coefficients
 from qcf1d.stability import (
     _below_spectrum,
@@ -25,13 +25,13 @@ from qcf1d.stability import (
 from oracles import (
     DIFFERENTIAL_NK,
     DIFFERENTIAL_PHI2F,
-    dense,
     ea_dense,
     eqcf_dense,
     infsup_2_dense,
     interface_probe,
     l2_decomposition,
     l2_dense,
+    operator_dense,
     pair_dense,
     plateau_dual_norm,
     quadratic_form_exact,
@@ -158,7 +158,7 @@ def test_infsup_2_below_upper_bound():
 
 def test_infsup_p_upper_matches_direct_computation():
     spec = DomainSpec(64, 16)
-    E = dense(assemble_eqcf(C, spec))
+    E = operator_dense("Eqcf", C, spec.N, spec.K)
     xi = interface_probe(C, spec)
     for p in (1.0, 2.0, 4.0):
         direct = lp_norm(E @ xi, spec.eps, p) / lp_norm(xi, spec.eps, p)
@@ -259,7 +259,7 @@ def test_certified_bound_never_beaten_by_candidates():
     rng = np.random.default_rng(23)
     for n in (8, 16, 32):
         for k in range(2, n // 2 + 1):
-            E = dense(assemble_eqcf(C, DomainSpec(n, k)))
+            E = operator_dense("Eqcf", C, n, k)
             X = rng.standard_normal((300, 2 * n))
             X = np.vstack([X, interface_probe(C, DomainSpec(n, k))])
             X -= X.mean(axis=1, keepdims=True)
