@@ -9,6 +9,12 @@ Each option is declared once, as a RunConfig field; the flags, the
 config-file keys and the echo are all derived from those fields.  Flags
 can also be given in a flat key=value config file (--config); explicit
 flags override file values.
+
+A process started as `python -m qcf1d.cli` freezes its heap once main
+returns, so the interpreter's shutdown collections skip the objects
+that importing numpy and qcf1d left; main itself leaves the heap alone
+for in-process callers.  The stability and solver kernels load only in
+the subcommands that run them.
 """
 
 from __future__ import annotations
@@ -20,10 +26,14 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .lattice import DomainSpec
+from .lattice import LOADS, DomainSpec
 from .potentials import Coefficients, lennard_jones
 from .scans import (
     OPERATOR_BUILDERS,
+    CoercivityScanRow,
+    EigScanRow,
+    InfSupScanRow,
+    PatchTestRow,
     coercivity_point,
     coercivity_slope,
     convergence_point,
@@ -33,8 +43,6 @@ from .scans import (
     patch_test_scan,
     write_table,
 )
-from .solver import LOADS
-from .stability import infsup_p_upper
 
 POTENTIALS = {"lj": lennard_jones}
 # the subcommands that read spring constants through RunConfig.coefficients
@@ -244,7 +252,7 @@ def cmd_patch_test(cfg: RunConfig) -> tuple:
         "points_checked": len(rows),
         "all_passed": ok,
     }
-    return rows, extras, ok
+    return PatchTestRow, rows, extras, ok
 
 
 def cmd_coercivity(cfg: RunConfig) -> tuple:
@@ -255,11 +263,13 @@ def cmd_coercivity(cfg: RunConfig) -> tuple:
     extras = {} if slope is None else {"slope_abs_rayleigh_vs_N": slope}
     # feasibility of the witness is the one proved relation in this scan
     ok = all(r.rayleigh_min <= r.witness_value + 1e-9 * max(1.0, abs(r.witness_value)) for r in rows)
-    return rows, extras, ok
+    return CoercivityScanRow, rows, extras, ok
 
 
 def cmd_infsup(cfg: RunConfig) -> tuple:
     """inf-sup bounds and exact 2-norm values"""
+    from .stability import infsup_p_upper
+
     c = cfg.coefficients()
     if not cfg.p_list:
         raise ValueError("need at least one exponent in --p-list")
@@ -276,11 +286,13 @@ def cmd_infsup(cfg: RunConfig) -> tuple:
     # every exact value against the p=2 probe bound, whether or not --p-list writes it
     ok = all(r.value <= infsup_p_upper(c, DomainSpec(r.N, r.K), 2.0) + 1e-12
              for r in rows if r.kind == "exact")
-    return rows, extras, ok
+    return InfSupScanRow, rows, extras, ok
 
 
 def cmd_convergence(cfg: RunConfig) -> tuple:
     """coupled-vs-reference error study"""
+    from .solver import ErrorReport
+
     c = cfg.coefficients()
     checked = [convergence_point(c, LOADS[cfg.load], cfg.M_factor, n, k) for n, k in cfg.nk_pairs()]
     rows = [rep for rep, _, _ in checked]
@@ -293,7 +305,7 @@ def cmd_convergence(cfg: RunConfig) -> tuple:
     errs = [r.err_strain_inf for r in rows]
     if len(rows) >= 2 and all(e > 0 for e in errs):
         extras["slope_err_vs_eps"] = loglog_slope([r.eps for r in rows], errs)
-    return rows, extras, ok
+    return ErrorReport, rows, extras, ok
 
 
 def cmd_dump_operator(cfg: RunConfig) -> tuple:
@@ -306,17 +318,18 @@ def cmd_dump_operator(cfg: RunConfig) -> tuple:
     order = np.lexsort((col, row))  # row-major
     order = order[value[order] != 0.0]  # an entry that cancels is an exact zero, and is not written
     rows = [TripleRow(*t) for t in zip(row[order].tolist(), col[order].tolist(), value[order].tolist())]
-    return rows, {}, True
+    return TripleRow, rows, {}, True
 
 
 def cmd_eig_scan(cfg: RunConfig) -> tuple:
     """exploratory eigenvalue-sign scan"""
     c = cfg.coefficients()
     rows = [eig_point(c, n, k) for n, k in cfg.nk_pairs()]
-    return rows, {}, True
+    return EigScanRow, rows, {}, True
 
 
-# each run returns (rows, extras, ok); main writes the table and maps ok to the exit status
+# each run returns (row type, rows, extras, ok); main writes the table, headed by the
+# row type's fields even when it has no rows, and maps ok to the exit status
 COMMANDS = {
     "patch-test": cmd_patch_test,
     "coercivity": cmd_coercivity,
@@ -332,8 +345,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        rows, extras, ok = COMMANDS[cfg.command](cfg)
-        write_table(cfg.out, cfg.format, cfg.command, cfg.echo(), rows, extras)
+        row_type, rows, extras, ok = COMMANDS[cfg.command](cfg)
+        write_table(cfg.out, cfg.format, cfg.command, cfg.echo(), rows, extras, row_type._fields)
         return 0 if ok else 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -345,4 +358,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    import gc
+
+    status = main()
+    # here, not in main, so in-process callers keep their heap; and not os._exit,
+    # which would skip the stdio flushes and the atexit handlers
+    gc.freeze()
+    sys.exit(status)

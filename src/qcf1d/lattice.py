@@ -12,6 +12,10 @@ offset j+L-1.  An array of 2L+1 sites or 2L bonds thus carries L in its
 length, and the forces on the free atoms -L+1..L-1 form a site array of
 half-width L-1.  diff labels each difference by its right end, so it
 maps sites to bonds and shifts the first label by one per application.
+
+LOADS names the body forces of the convergence study, each a numpy
+function of x = j*eps.  They live here, next to the scaling, so the CLI
+can list them without importing the solver.
 """
 
 from __future__ import annotations
@@ -20,6 +24,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+LOADS = {
+    "cospi": lambda x: np.cos(np.pi * x),
+    "const": np.ones_like,
+    "zero": np.zeros_like,
+}
 
 
 @dataclass(frozen=True)

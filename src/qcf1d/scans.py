@@ -4,11 +4,15 @@ Each *_point function maps one domain size and split to rows of plain
 numbers, and the CLI runs them in input order; patch_test_scan groups
 its points by N.  Rows are NamedTuples, so a row costs one tuple and
 serializes by position to CSV and by name to JSON.
+
+The coercivity, inf-sup and convergence points import their kernels
+from stability and solver in their bodies, so a process that runs only
+patch-test or dump-operator never loads those modules.
 """
 
 from __future__ import annotations
 
-import json
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -17,15 +21,6 @@ from .chain import max_abs_force_qcf
 from .lattice import DomainSpec, lp_norm, uniform_positions
 from .operators import strain_stencil
 from .potentials import Coefficients, PairPotential
-from .solver import error_report_detailed
-from .stability import (
-    infsup_2,
-    infsup_p_upper,
-    quadratic_form,
-    rayleigh_min,
-    rdd_margin,
-    unstable_candidate,
-)
 
 PATCH_TEST_TOL = 1e-13
 
@@ -114,6 +109,8 @@ def patch_test_scan(
 
 def coercivity_point(c: Coefficients, n: int, k: int) -> CoercivityScanRow:
     """The Rayleigh minimum next to the value at the explicit spike candidate."""
+    from .stability import quadratic_form, rayleigh_min, unstable_candidate
+
     spec = DomainSpec(n, k)
     witness = min(quadratic_form(c, spec, unstable_candidate(spec, sign)) for sign in "+-")
     return CoercivityScanRow(n, k, rayleigh_min(c, spec), witness)
@@ -129,6 +126,8 @@ def coercivity_slope(rows: Sequence[CoercivityScanRow]) -> Optional[float]:
 
 def infsup_point(c: Coefficients, ps: Sequence[float], n: int, k: int) -> list[InfSupScanRow]:
     """Certified lower bound, exact 2-norm value, and probe upper bounds."""
+    from .stability import infsup_2, infsup_p_upper, rdd_margin
+
     spec = DomainSpec(n, k)
     rows = [
         InfSupScanRow(n, k, np.inf, "lower_bound", 0.5 * rdd_margin(c, strain_stencil(n, k))),
@@ -141,6 +140,8 @@ def infsup_point(c: Coefficients, ps: Sequence[float], n: int, k: int) -> list[I
 
 def convergence_point(c: Coefficients, load: Callable, m_factor: int, n: int, k: int) -> tuple:
     """(ErrorReport, half 1-norm of the truncation error, rounding floor)."""
+    from .solver import error_report_detailed
+
     spec = DomainSpec(n, k, M=m_factor * n)
     report, t, floor = error_report_detailed(c, load, spec)
     return report, 0.5 * lp_norm(t, spec.eps, 1), floor
@@ -200,6 +201,26 @@ def _format_value(v) -> str:
     return str(v)
 
 
+# the %-conversion of each exact cell type whose text equals _format_value's
+CONVERSIONS = {float: "%r", int: "%d", bool: "%d", str: "%s"}
+
+
+def _row_format(rows: Sequence) -> Optional[str]:
+    """One %-format line for every row, or None unless each column's cells share one type in CONVERSIONS.
+
+    Types are compared exactly: a bool in an int column, an int in a
+    float column or a numpy scalar anywhere leaves the table to
+    _format_value, cell by cell.
+    """
+    types = [type(v) for v in rows[0]]
+    if not all(t in CONVERSIONS for t in types):
+        return None
+    for i, t in enumerate(types):
+        if set(map(type, map(itemgetter(i), rows))) != {t}:
+            return None
+    return ",".join(CONVERSIONS[t] for t in types) + "\n"
+
+
 def _strict_json(v):
     """v with each non-finite float as the text of its CSV cell: JSON has no inf or nan."""
     if isinstance(v, (dict, list, tuple)):
@@ -214,14 +235,17 @@ def write_table(
     config: dict,
     rows: Sequence,
     extras: Optional[dict] = None,
+    fields: Sequence[str] = (),
 ) -> None:
     """Write scan rows (NamedTuples of one type) as CSV, with a config echo in # comments, or JSON.
 
-    CSV is written a row at a time, so no table text is held at once.
+    The CSV header names the rows' fields, or fields when there are no
+    rows.  CSV is written a row at a time, so no table text is held at
+    once, each row through one format string when _row_format finds one.
     JSON is strict (RFC 8259): a non-finite float is its CSV text, "inf", "-inf" or "nan".
     """
     extras = extras or {}
-    names = rows[0]._fields if rows else ()
+    names = rows[0]._fields if rows else fields
     if fmt == "csv":
         with open(path, "w") as fh:
             fh.write(f"# qcf1d {command}\n")
@@ -229,9 +253,16 @@ def write_table(
                 for k in sorted(echo):
                     fh.write(f"# {k}={_format_value(echo[k])}\n")
             fh.write(",".join(names) + "\n")
-            for r in rows:
-                fh.write(",".join(map(_format_value, r)) + "\n")
+            line = _row_format(rows) if rows else None
+            if line:
+                for r in rows:
+                    fh.write(line % r)
+            else:
+                for r in rows:
+                    fh.write(",".join(map(_format_value, r)) + "\n")
     elif fmt == "json":
+        import json
+
         doc = {
             "command": command,
             "config": config,

@@ -41,14 +41,6 @@ from .stability import dual_norm_star
 BACKWARD_ERROR_TOL = 1e-13
 
 
-# each load is a numpy function of x = j*eps
-LOADS = {
-    "cospi": lambda x: np.cos(np.pi * x),
-    "const": np.ones_like,
-    "zero": np.zeros_like,
-}
-
-
 def sample_load(load: Callable, half_width: int, eps: float) -> np.ndarray:
     """The load sampled at x_j = j*eps on sites -half_width..half_width."""
     x = np.arange(-half_width, half_width + 1) * eps

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qcf1d import cli, scans, stability
+from qcf1d import cli, scans, solver, stability
 from qcf1d.cli import main, read_config_file
 from qcf1d.lattice import DomainSpec
 from qcf1d.operators import StrainStencil
@@ -143,13 +143,13 @@ def test_convergence_checks_the_error_bound_up_to_the_rounding_floor(tmp_path, m
     # with phi2F = 0 the bound is 0 and the error is the solves' rounding residue
     argv = ["convergence", "--phiF", "1", "--phi2F", "0", "--N-list", "16,32,64", "--out", tmp_path / "c.csv"]
     assert run(argv) == 0
-    real = scans.error_report_detailed
+    real = solver.error_report_detailed
 
     def inflated(*args):
         rep, t, floor = real(*args)
         return rep._replace(err_strain_inf=rep.bound_rhs + 2.0 * floor), t, floor
 
-    monkeypatch.setattr(scans, "error_report_detailed", inflated)
+    monkeypatch.setattr(solver, "error_report_detailed", inflated)
     assert run(argv) == 1
 
 
@@ -287,13 +287,13 @@ def test_dump_operator_smallest_sizes(tmp_path, capsys, operator, n, code, messa
 def test_dump_operator_llqc_with_no_local_spring_is_empty(tmp_path):
     # phiF + 4*phi2F = 0 zeroes every entry of Llqc, and the springs
     # themselves are no configuration error: the table is its config echo
-    # and an empty header, since no row names the columns
+    # and the header of the row type
     out = tmp_path / "x.csv"
     assert run(["dump-operator", "--operator", "Llqc", "--N", "8", "--phiF", "1", "--phi2F", "-0.25",
                 "--out", out]) == 0
     comments, header, rows = read_rows(out)
     assert "# operator=Llqc" in comments
-    assert (header, rows) == ([""], [])
+    assert (header, rows) == (["row", "col", "value"], [])
 
 
 def test_dump_operator_la_row_sums(tmp_path):
@@ -446,19 +446,19 @@ def test_abbreviated_flag_exits_2(tmp_path):
 def test_infsup_checks_p2_bound_without_p2_row(tmp_path, monkeypatch):
     # the exact 2-norm value is checked against the p=2 probe bound even
     # when --p-list writes no p=2 row
-    upper = cli.infsup_p_upper
+    upper = stability.infsup_p_upper
 
     def zero_at_p2(c, spec, p):
         return 0.0 if p == 2 else upper(c, spec, p)
 
-    monkeypatch.setattr(cli, "infsup_p_upper", zero_at_p2)
+    monkeypatch.setattr(stability, "infsup_p_upper", zero_at_p2)
     out = tmp_path / "infsup.csv"
     argv = ["infsup", "--phiF", "1", "--phi2F", "-0.05", "--N-list", "16,32",
             "--p-list", "1", "--out", out]
     assert run(argv) == 1
     _, _, rows = read_rows(out)
     assert {r["p"] for r in rows if r["kind"] == "upper_bound"} == {"1.0"}
-    monkeypatch.setattr(cli, "infsup_p_upper", upper)
+    monkeypatch.setattr(stability, "infsup_p_upper", upper)
     assert run(argv) == 0
 
 

@@ -6,6 +6,10 @@ arrays.  Only the dense test oracles use scipy.  And every public
 function of the library, and every method of its public classes, is
 run by some subcommand.
 
+Nor does a subcommand load a kernel it does not run: patch-test and
+dump-operator never load the solver or stability modules, and
+`python -m qcf1d.cli` freezes its heap before it exits.
+
 Each case runs a fresh interpreter, since this test session has long
 since imported scipy itself.
 """
@@ -171,3 +175,54 @@ def test_every_library_function_runs_in_a_subcommand(tmp_path):
     # tests/oracles.py
     got = fresh_run(EVERY_FUNCTION, tmp_path)
     assert got == {"codes": [0] * 12, "never_called": []}
+
+
+FOOTPRINT = """
+import sys
+import qcf1d.cli
+kernels = ("qcf1d.solver", "qcf1d.stability")
+loaded = {"import": sorted(m for m in (*kernels, "json", "numpy") if m in sys.modules)}
+runs = [
+    ["patch-test", "--N-list", "16", "--K-all"],
+    ["dump-operator", "--operator", "Lqcf", "--N", "8", "--K", "2", "--phiF", "1", "--phi2F", "1"],
+    ["convergence", "--phiF", "1", "--phi2F", "-0.05", "--N-list", "16,32"],
+]
+for argv in runs:
+    code = qcf1d.cli.main(argv + ["--out", f"{sys.argv[1]}/{argv[0]}.csv"])
+    loaded[argv[0]] = [code, sorted(m for m in kernels if m in sys.modules)]
+import json
+print(json.dumps(loaded))
+"""
+
+
+def test_a_subcommand_loads_only_the_kernels_it_runs(tmp_path):
+    # patch-test and dump-operator run no stability or solver kernel, so a
+    # process running them never loads those modules; convergence is the control
+    assert fresh_run(FOOTPRINT, tmp_path) == {
+        "import": ["numpy"],
+        "patch-test": [0, []],
+        "dump-operator": [0, []],
+        "convergence": [0, ["qcf1d.solver", "qcf1d.stability"]],
+    }
+
+
+AS_MAIN = """
+import gc, json, runpy, sys
+sys.argv = ["qcf1d", *sys.argv[1:]]
+code = None
+try:
+    runpy.run_module("qcf1d.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "frozen": gc.get_freeze_count() > 0}))
+"""
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["patch-test", "--N-list", "16", "--K-all"], 0),
+    (["patch-test", "--N-list", "16", "--K", "3", "--K-all"], 2),  # a configuration error
+])
+def test_the_module_entry_freezes_the_heap_before_exit(tmp_path, argv, code):
+    # the interpreter's shutdown collections then skip the import heap
+    got = fresh_run(AS_MAIN, *argv, "--out", tmp_path / "p.csv")
+    assert got == {"code": code, "frozen": True}

@@ -299,7 +299,7 @@ def test_l2_decomposition_requires_homogeneous_test_field():
 
 def dumped(name, c, n, k):
     """The rows dump-operator writes for operator name, as (row, col, value) arrays."""
-    rows, _, _ = cmd_dump_operator(RunConfig("dump-operator", operator=name, N=n, K=k, phiF=c.phiF, phi2F=c.phi2F))
+    _, rows, _, _ = cmd_dump_operator(RunConfig("dump-operator", operator=name, N=n, K=k, phiF=c.phiF, phi2F=c.phi2F))
     return (np.array([r.row for r in rows], dtype=np.int64), np.array([r.col for r in rows], dtype=np.int64),
             np.array([r.value for r in rows], dtype=float))
 

@@ -1,19 +1,21 @@
 import gc
 import json
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qcf1d import operators, scans, stability
+from qcf1d import operators, stability
 from qcf1d.cli import RunConfig, cmd_dump_operator
-from qcf1d.lattice import DomainSpec
+from qcf1d.lattice import LOADS, DomainSpec
 from qcf1d.potentials import Coefficients, lennard_jones
 from qcf1d.scans import (
     CoercivityScanRow,
     PatchTestRow,
     _format_value,
+    _row_format,
     coercivity_point,
     convergence_point,
     eig_point,
@@ -22,7 +24,7 @@ from qcf1d.scans import (
     patch_test_scan,
     write_table,
 )
-from qcf1d.solver import LOADS, ErrorReport
+from qcf1d.solver import ErrorReport
 
 from oracles import DIFFERENTIAL_PHI2F, lqcf_dense
 
@@ -69,8 +71,7 @@ def test_coercivity_point_evaluates_each_candidate_once(phi2F, monkeypatch):
             solves.append(args)
             super().__init__(*args, **kwargs)
 
-    for module in (scans, stability):
-        monkeypatch.setattr(module, "quadratic_form", counted)
+    monkeypatch.setattr(stability, "quadratic_form", counted)
     monkeypatch.setattr(stability, "BorderedSolve", CountedSolve)
     for n, k in ((64, 16), (257, 64), (1024, 256)):
         spec = DomainSpec(n, k)
@@ -160,7 +161,7 @@ def every_row_type():
         "convergence": [convergence_point(Coefficients(1.0, -0.05), LOADS["cospi"], 4, n, k)[0]
                         for n, k in [(16, 4), (32, 8)]],
         "dump-operator": cmd_dump_operator(RunConfig("dump-operator", operator="Eqcf", N=8, K=2, phiF=1.0,
-                                                     phi2F=-0.2))[0],
+                                                     phi2F=-0.2))[1],
         "eig-scan": [eig_point(c, n, k) for n, k in [(8, 2), (16, 4)]],
     }
 
@@ -187,6 +188,28 @@ def test_float_columns_keep_every_bit_pattern_apart(tmp_path):
         "0.0", "-0.0", "nan", "inf", "-inf", "5e-324", "-0.0", "0.0", "5e-324", "1.0",
     ]
     assert [line.split(",")[5] for line in text.splitlines()[2:]] == ["0", "1"] * 5
+
+
+class Cells(NamedTuple):
+    x: float
+    n: int
+    flag: bool
+    name: str
+
+
+def test_single_typed_columns_write_as_cell_by_cell(tmp_path):
+    # one exact type per column: the whole table goes through one format string
+    floats = [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e16, 0.1 + 0.2, 0.0]
+    rows = [Cells(x, 2**64 - 3 * i, i % 3 == 0, f"r{i}") for i, x in enumerate(floats)]
+    assert _row_format(rows) == "%r,%d,%d,%s\n"
+    out = tmp_path / "t.csv"
+    write_table(out, "csv", "patch-test", {}, rows)
+    text = out.read_text()
+    assert text == csv_per_cell("patch-test", {}, rows, {})
+    assert [line.split(",")[0] for line in text.splitlines()[2:]] == [
+        "-0.0", "nan", "inf", "-inf", "5e-324", "1e+16", "0.30000000000000004", "0.0",
+    ]
+    assert text.splitlines()[2] == f"-0.0,{2**64},1,r0"
 
 
 def test_int_columns_above_int64_and_mixed_columns(tmp_path):

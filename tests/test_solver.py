@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qcf1d.lattice import DomainSpec, diff, lp_norm, summed_load
+from qcf1d.lattice import LOADS, DomainSpec, diff, lp_norm, summed_load
 from qcf1d import solver
 from qcf1d.potentials import Coefficients
 from qcf1d.solver import (
-    LOADS,
     error_report_detailed,
     sample_load,
     solve_strain,
