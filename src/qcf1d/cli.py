@@ -33,9 +33,9 @@ from .scans import (
     CoercivityScanRow,
     EigScanRow,
     InfSupScanRow,
-    PatchTestRow,
     coercivity_point,
     coercivity_slope,
+    columns,
     convergence_point,
     eig_point,
     infsup_point,
@@ -120,23 +120,29 @@ class RunConfig:
         ratio = 0.25 if self.K_ratio is None else self.K_ratio
         if not np.isfinite(ratio):
             raise ValueError(f"--K-ratio must be finite, got {ratio}")
+        if ratio <= 0:
+            raise ValueError(f"--K-ratio must be positive, got {ratio}")
         return max(2, int(round(ratio * n)))
 
-    def nk_pairs(self) -> list[tuple]:
+    def splits(self) -> list[tuple]:
+        """(N, the splits K run at N) for each N of --N-list, in order; --K-all's splits are a range."""
         if not self.N_list:
             raise ValueError("need --N-list")
-        pairs = []
+        runs = []
         for n in self.N_list:
             if self.K_all:
                 # every K in 2..N//2 is admissible once N >= 4
                 if n < 4:
                     raise ValueError(f"no admissible split K for N={n} (--K-all needs N >= 4)")
-                pairs.extend((n, k) for k in range(2, n // 2 + 1))
+                runs.append((n, range(2, n // 2 + 1)))
             else:
                 k = self.k_for(n)
                 DomainSpec(n, k)  # validates the range, K included
-                pairs.append((n, k))
-        return pairs
+                runs.append((n, [k]))
+        return runs
+
+    def nk_pairs(self) -> list[tuple]:
+        return [(n, k) for n, ks in self.splits() for k in ks]
 
     def echo(self) -> dict:
         d = {"command": self.command}
@@ -242,17 +248,16 @@ def cmd_patch_test(cfg: RunConfig) -> tuple:
     if cfg.F_list == []:
         raise ValueError("need at least one strain in --F-list")
     F_values = cfg.F_list or ([cfg.F] if cfg.F is not None else [0.9, 1.0, 1.1])
-    rows = patch_test_scan(phi, F_values, cfg.nk_pairs())
-    ok = all(r.passed for r in rows)
+    table = patch_test_scan(phi, F_values, cfg.splits())
+    ok = bool(np.all(table.passed))
     # np.max, not max: a NaN residual must show in the extras wherever it sits
-    residuals = np.array([r.residual for r in rows])
     extras = {
-        "max_residual": float(np.max(residuals)),
-        "worst_residual_over_tol": float(np.max(residuals / [r.tolerance for r in rows])),
-        "points_checked": len(rows),
+        "max_residual": float(np.max(table.residual)),
+        "worst_residual_over_tol": float(np.max(table.residual / table.tolerance)),
+        "points_checked": len(table.residual),
         "all_passed": ok,
     }
-    return PatchTestRow, rows, extras, ok
+    return table, extras, ok
 
 
 def cmd_coercivity(cfg: RunConfig) -> tuple:
@@ -263,7 +268,7 @@ def cmd_coercivity(cfg: RunConfig) -> tuple:
     extras = {} if slope is None else {"slope_abs_rayleigh_vs_N": slope}
     # feasibility of the witness is the one proved relation in this scan
     ok = all(r.rayleigh_min <= r.witness_value + 1e-9 * max(1.0, abs(r.witness_value)) for r in rows)
-    return CoercivityScanRow, rows, extras, ok
+    return columns(CoercivityScanRow, rows), extras, ok
 
 
 def cmd_infsup(cfg: RunConfig) -> tuple:
@@ -286,7 +291,7 @@ def cmd_infsup(cfg: RunConfig) -> tuple:
     # every exact value against the p=2 probe bound, whether or not --p-list writes it
     ok = all(r.value <= infsup_p_upper(c, DomainSpec(r.N, r.K), 2.0) + 1e-12
              for r in rows if r.kind == "exact")
-    return InfSupScanRow, rows, extras, ok
+    return columns(InfSupScanRow, rows), extras, ok
 
 
 def cmd_convergence(cfg: RunConfig) -> tuple:
@@ -305,7 +310,7 @@ def cmd_convergence(cfg: RunConfig) -> tuple:
     errs = [r.err_strain_inf for r in rows]
     if len(rows) >= 2 and all(e > 0 for e in errs):
         extras["slope_err_vs_eps"] = loglog_slope([r.eps for r in rows], errs)
-    return ErrorReport, rows, extras, ok
+    return columns(ErrorReport, rows), extras, ok
 
 
 def cmd_dump_operator(cfg: RunConfig) -> tuple:
@@ -317,19 +322,16 @@ def cmd_dump_operator(cfg: RunConfig) -> tuple:
     row, col, value = OPERATOR_BUILDERS[cfg.operator](cfg.coefficients(), cfg.N, cfg.k_for(cfg.N))
     order = np.lexsort((col, row))  # row-major
     order = order[value[order] != 0.0]  # an entry that cancels is an exact zero, and is not written
-    rows = [TripleRow(*t) for t in zip(row[order].tolist(), col[order].tolist(), value[order].tolist())]
-    return TripleRow, rows, {}, True
+    return TripleRow(row[order], col[order], value[order]), {}, True
 
 
 def cmd_eig_scan(cfg: RunConfig) -> tuple:
     """exploratory eigenvalue-sign scan"""
     c = cfg.coefficients()
-    rows = [eig_point(c, n, k) for n, k in cfg.nk_pairs()]
-    return EigScanRow, rows, {}, True
+    return columns(EigScanRow, [eig_point(c, n, k) for n, k in cfg.nk_pairs()]), {}, True
 
 
-# each run returns (row type, rows, extras, ok); main writes the table, headed by the
-# row type's fields even when it has no rows, and maps ok to the exit status
+# each run returns (table, extras, ok); main writes the table and maps ok to the exit status
 COMMANDS = {
     "patch-test": cmd_patch_test,
     "coercivity": cmd_coercivity,
@@ -345,8 +347,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        row_type, rows, extras, ok = COMMANDS[cfg.command](cfg)
-        write_table(cfg.out, cfg.format, cfg.command, cfg.echo(), rows, extras, row_type._fields)
+        table, extras, ok = COMMANDS[cfg.command](cfg)
+        write_table(cfg.out, cfg.format, cfg.command, cfg.echo(), table, extras)
         return 0 if ok else 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,12 @@
 """Sweep points behind the CLI, plus table serialization.
 
 Each *_point function maps one domain size and split to rows of plain
-numbers, and the CLI runs them in input order; patch_test_scan groups
-its points by N.  Rows are NamedTuples, so a row costs one tuple and
-serializes by position to CSV and by name to JSON.
+numbers, and the CLI runs them in input order; a patch-test point takes
+every split of its size at once.  A table is a NamedTuple whose fields
+are equal-length columns, numpy arrays or lists: patch-test and
+dump-operator keep the arrays their kernels return, and the short scans
+turn their rows into lists with columns().  write_table formats each
+distinct value of an array column once per chunk of rows.
 
 The coercivity, inf-sup and convergence points import their kernels
 from stability and solver in their bodies, so a process that runs only
@@ -12,7 +15,6 @@ patch-test or dump-operator never loads those modules.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -75,36 +77,34 @@ class EigScanRow(NamedTuple):
     n_nonpositive: int
 
 
-def _patch_point(phi: PairPotential, F: float, n: int, ks: Sequence[int]) -> list[PatchTestRow]:
+def _patch_point(phi: PairPotential, F: float, n: int, ks: Sequence[int]) -> PatchTestRow:
+    """The patch-test table of one strain and size, a row per split in ks."""
     eps = DomainSpec(n, ks[0]).eps
     y = uniform_positions(F, n, eps)
     slopes = float(phi.deriv1(F)), float(phi.deriv1(2.0 * F))
     if not np.all(np.isfinite(slopes)):
         raise ValueError(f"phi'(F) and phi'(2F) must be finite, got {slopes} at F={F}")
-    residuals = max_abs_force_qcf(y, ks, phi).tolist()
+    k = np.asarray(ks)
+    residual = max_abs_force_qcf(y, k, phi)
     scale = max(1.0, abs(slopes[0]) + abs(slopes[1]))
     tol = PATCH_TEST_TOL * scale / eps
-    return [PatchTestRow(F, n, k, r, tol, r <= tol) for k, r in zip(ks, residuals)]
+    return PatchTestRow(np.full(k.size, F), np.full(k.size, n), k, residual, np.full(k.size, tol), residual <= tol)
 
 
-def patch_test_scan(
-    phi: PairPotential,
-    F_values: Sequence[float],
-    nk_pairs: Sequence[tuple],
-) -> list[PatchTestRow]:
-    """Ghost-force residuals of the coupled force at uniform states.
+def patch_test_scan(phi: PairPotential, F_values: Sequence[float], splits: Sequence[tuple]) -> PatchTestRow:
+    """Ghost-force residuals of the coupled force at uniform states, as one table of arrays.
 
-    One sweep point per F and run of consecutive pairs with the same N,
-    which evaluates the forces once for all of its splits K; the rows
-    keep the order F, then nk_pairs.
+    One sweep point per F and (N, splits K at N) in splits, which
+    evaluates the forces once for all of its splits; the rows keep the
+    order F, then splits.  Neither F_values nor splits may be empty.
     """
-    runs = []  # (N, [K, ...])
-    for n, k in nk_pairs:
-        if runs and runs[-1][0] == n:
-            runs[-1][1].append(k)
-        else:
-            runs.append((n, [k]))
-    return [row for F in F_values for n, ks in runs for row in _patch_point(phi, F, n, ks)]
+    points = [_patch_point(phi, F, n, ks) for F in F_values for n, ks in splits]
+    return PatchTestRow._make(map(np.concatenate, zip(*points)))
+
+
+def columns(row_type, rows: Sequence) -> NamedTuple:
+    """Rows of row_type as one table: a row_type whose fields are lists, the columns."""
+    return row_type._make([r[i] for r in rows] for i in range(len(row_type._fields)))
 
 
 def coercivity_point(c: Coefficients, n: int, k: int) -> CoercivityScanRow:
@@ -201,24 +201,21 @@ def _format_value(v) -> str:
     return str(v)
 
 
-# the %-conversion of each exact cell type whose text equals _format_value's
-CONVERSIONS = {float: "%r", int: "%d", bool: "%d", str: "%s"}
+# rows per chunk of CSV text: the writer holds one chunk's text at a time
+CHUNK_ROWS = 4096
 
 
-def _row_format(rows: Sequence) -> Optional[str]:
-    """One %-format line for every row, or None unless each column's cells share one type in CONVERSIONS.
+def _cells(column, end: str) -> Sequence[str]:
+    """The text of each cell of a column, each followed by end.
 
-    Types are compared exactly: a bool in an int column, an int in a
-    float column or a numpy scalar anywhere leaves the table to
-    _format_value, cell by cell.
+    An array's cells are the values tolist() gives, and each distinct bit
+    pattern is formatted once, so -0.0 and 0.0 keep their own text; a
+    list is formatted cell by cell.
     """
-    types = [type(v) for v in rows[0]]
-    if not all(t in CONVERSIONS for t in types):
-        return None
-    for i, t in enumerate(types):
-        if set(map(type, map(itemgetter(i), rows))) != {t}:
-            return None
-    return ",".join(CONVERSIONS[t] for t in types) + "\n"
+    if isinstance(column, np.ndarray):
+        bits, where = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+        return np.array([_format_value(v) + end for v in bits.view(column.dtype).tolist()], dtype=object)[where]
+    return [_format_value(v) + end for v in column]
 
 
 def _strict_json(v):
@@ -233,41 +230,38 @@ def write_table(
     fmt: str,
     command: str,
     config: dict,
-    rows: Sequence,
+    table: NamedTuple,
     extras: Optional[dict] = None,
-    fields: Sequence[str] = (),
 ) -> None:
-    """Write scan rows (NamedTuples of one type) as CSV, with a config echo in # comments, or JSON.
+    """Write a table (a NamedTuple of equal-length columns) as CSV, with a config echo in # comments, or JSON.
 
-    The CSV header names the rows' fields, or fields when there are no
-    rows.  CSV is written a row at a time, so no table text is held at
-    once, each row through one format string when _row_format finds one.
+    The CSV header names the table's fields, with or without rows.  CSV
+    is written CHUNK_ROWS rows at a time, so no table text is held at
+    once: each column of a chunk becomes its cells' texts (see _cells),
+    and each line joins one text of every column.
     JSON is strict (RFC 8259): a non-finite float is its CSV text, "inf", "-inf" or "nan".
     """
     extras = extras or {}
-    names = rows[0]._fields if rows else fields
     if fmt == "csv":
+        ends = [""] * (len(table) - 1) + ["\n"]
         with open(path, "w") as fh:
             fh.write(f"# qcf1d {command}\n")
             for echo in (config, extras):
                 for k in sorted(echo):
                     fh.write(f"# {k}={_format_value(echo[k])}\n")
-            fh.write(",".join(names) + "\n")
-            line = _row_format(rows) if rows else None
-            if line:
-                for r in rows:
-                    fh.write(line % r)
-            else:
-                for r in rows:
-                    fh.write(",".join(map(_format_value, r)) + "\n")
+            fh.write(",".join(table._fields) + "\n")
+            for start in range(0, len(table[0]), CHUNK_ROWS):
+                texts = [_cells(c[start:start + CHUNK_ROWS], end) for c, end in zip(table, ends)]
+                fh.writelines(map(",".join, zip(*texts)))
     elif fmt == "json":
         import json
 
+        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in table]
         doc = {
             "command": command,
             "config": config,
             "extras": extras,
-            "rows": [r._asdict() for r in rows],
+            "rows": [dict(zip(table._fields, r)) for r in zip(*cells)],
         }
         with open(path, "w") as fh:
             json.dump(_strict_json(doc), fh, indent=2, default=float, allow_nan=False)

@@ -186,9 +186,9 @@ def test_split_maxima_match_direct_dispatch(n):
     # every admissible K, the edges K=2 and K=n//2 included, compared with ==
     ks = list(range(2, n // 2 + 1))
     F_values = [0.9, 1.0, 1.1]
-    rows = patch_test_scan(LJ, F_values, [(n, k) for k in ks])
-    assert [(r.F, r.N, r.K) for r in rows] == [(F, n, k) for F in F_values for k in ks]
-    for F, group in zip(F_values, np.split(np.array([r.residual for r in rows]), 3)):
+    table = patch_test_scan(LJ, F_values, [(n, ks)])
+    assert list(zip(table.F.tolist(), table.N.tolist(), table.K.tolist())) == [(F, n, k) for F in F_values for k in ks]
+    for F, group in zip(F_values, np.split(table.residual, 3)):
         assert np.all(group == 0.0)
         assert np.array_equal(group, direct_maxima(uniform_positions(F, n, 1.0 / n), ks))
 

@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qcf1d import cli, scans, solver, stability
@@ -19,13 +20,17 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
-def run_process(argv, timeout=60):
-    """Run the CLI in a fresh interpreter on this checkout; a hang fails the timeout."""
+def checkout_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def run_process(argv, timeout=60):
+    """Run the CLI in a fresh interpreter on this checkout; a hang fails the timeout."""
     return subprocess.run([sys.executable, "-m", "qcf1d.cli", *map(str, argv)],
-                          capture_output=True, text=True, env=env, timeout=timeout)
+                          capture_output=True, text=True, env=checkout_env(), timeout=timeout)
 
 
 def read_rows(path):
@@ -92,10 +97,10 @@ def test_patch_test_nonfinite_strain_exits_2(tmp_path, capsys, F):
 
 def test_patch_test_extras_propagate_nan(tmp_path, monkeypatch):
     # wherever a NaN residual sits among the rows, the extras report it
-    def scan_with_nan(phi, F_values, nk_pairs):
-        return [PatchTestRow(1.0, 16, 2, 0.0, 1e-11, True),
-                PatchTestRow(1.0, 16, 3, float("nan"), 1e-11, False),
-                PatchTestRow(1.0, 16, 4, 0.0, 1e-11, True)]
+    def scan_with_nan(phi, F_values, splits):
+        return PatchTestRow(np.full(3, 1.0), np.full(3, 16), np.array([2, 3, 4]),
+                            np.array([0.0, float("nan"), 0.0]), np.full(3, 1e-11),
+                            np.array([True, False, True]))
 
     monkeypatch.setattr(cli, "patch_test_scan", scan_with_nan)
     out = tmp_path / "x.csv"
@@ -539,7 +544,10 @@ def test_k_all_pairs_are_every_admissible_split():
                 continue
             expected.append((n, k))
     assert cfg.nk_pairs() == expected
-    assert cli.RunConfig(command="patch-test", N_list=[16], K_ratio=0.0).nk_pairs() == [(16, 2)]
+    # a small positive ratio is raised to K=2; a ratio <= 0 gives no split at all
+    assert cli.RunConfig(command="patch-test", N_list=[16], K_ratio=0.01).nk_pairs() == [(16, 2)]
+    with pytest.raises(ValueError, match="--K-ratio must be positive, got 0.0"):
+        cli.RunConfig(command="patch-test", N_list=[16], K_ratio=0.0).nk_pairs()
 
 
 @pytest.mark.parametrize("via_file", [False, True])
@@ -674,3 +682,49 @@ def test_nonfinite_k_ratio_exits_2_naming_the_flag(tmp_path, capsys, args, ratio
     assert run([*args, "--K-ratio", ratio, "--out", out]) == 2
     assert f"--K-ratio must be finite, got {ratio}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("via_file", [False, True])
+@pytest.mark.parametrize("ratio", ["-3", "0", "-0.0"])
+@pytest.mark.parametrize("args", [
+    ["coercivity", "--phiF", "1", "--phi2F", "-0.2", "--N-list", "64"],
+    ["patch-test", "--N-list", "16"],
+    ["dump-operator", "--operator", "Lqcf", "--N", "8", "--phiF", "1", "--phi2F", "0.1"],
+])
+def test_nonpositive_k_ratio_exits_2_naming_the_flag(tmp_path, capsys, args, ratio, via_file):
+    # a ratio <= 0 names no split: it is not raised to K=2
+    out = tmp_path / "x.csv"
+    if via_file:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"K_ratio = {ratio}\n")
+        argv = [*args, "--config", cfg]
+    else:
+        argv = [*args, "--K-ratio", ratio]
+    assert run([*argv, "--out", out]) == 2
+    assert f"--K-ratio must be positive, got {float(ratio)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+GC_COUNT = """
+import gc, json, sys
+from qcf1d.cli import main
+starts = []
+gc.collect()
+gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info["generation"]))
+code = main(["patch-test", "--N-list", "2048", "--K-all", "--F-list", "0.9,0.95,1.0,1.05,1.1",
+             "--out", sys.argv[1]])
+print(json.dumps({"code": code, "starts": starts}))
+"""
+
+
+def test_patch_test_makes_no_object_per_row(tmp_path):
+    # 5115 rows: a tuple per split or per row runs the collector 9 times
+    # or more; the one collection left is building the argument parser
+    out = tmp_path / "p.csv"
+    proc = subprocess.run([sys.executable, "-c", GC_COUNT, str(out)], capture_output=True, text=True,
+                          env=checkout_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["code"] == 0
+    assert len(got["starts"]) <= 1, got["starts"]
+    assert "# points_checked=5115" in out.read_text()
