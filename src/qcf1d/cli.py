@@ -7,10 +7,10 @@ status: 0 when every proved inequality and tolerance in the run holds,
 
 Each option is declared once, as a RunConfig field; the flags, the
 config-file keys and the echo are all derived from those fields.  Flags
-can also be given in a flat key=value config file (--config); explicit
-flags override file values.
+can also be given in a config file (--config): a flat key=value file, or
+a CSV table, whose echo re-runs it; explicit flags override file values.
 
-A process started as `python -m qcf1d.cli` freezes its heap once main
+A `qcf1d` or `python -m qcf1d.cli` process freezes its heap once main
 returns, so the interpreter's shutdown collections skip the objects
 that importing numpy and qcf1d left; main itself leaves the heap alone
 for in-process callers.  The stability and solver kernels load only in
@@ -52,12 +52,18 @@ CONTRADICTIONS = (("K", "K_all"), ("K", "K_ratio"), ("K_ratio", "K_all"), ("F", 
                   ("F", "F_list"))
 
 
+def _items(s: str) -> list[str]:
+    """The items of a comma list, bare (16,32) or as a table's echo writes it ([16, 32])."""
+    bracketed = s.startswith("[") and s.endswith("]")
+    return [tok for tok in (s[1:-1] if bracketed else s).split(",") if tok != ""]
+
+
 def _int_list(s: str) -> list[int]:
-    return [int(tok) for tok in s.split(",") if tok != ""]
+    return [int(tok) for tok in _items(s)]
 
 
 def _float_list(s: str) -> list[float]:
-    return [float(tok) for tok in s.split(",") if tok != ""]
+    return [float(tok) for tok in _items(s)]
 
 
 def _bool(s: str) -> bool:
@@ -172,17 +178,26 @@ def _parse(f, text: str):
 
 
 def read_config_file(path: str, command: Optional[str] = None) -> dict:
-    """Flat key=value file; # starts a comment.
+    """Flat key=value file; # starts a comment.  Or a CSV table, whose first line is `# qcf1d <command>`.
 
     Keys are option names (dashes or underscores).  Values go through the
     same parser and choices as the flags, and with a command only the
-    options of that subcommand are accepted.
+    options of that subcommand are accepted.  A table of the command is
+    read up to its CSV header, skipping the echo's keys that name no option.
     """
     known = {f.name: f for f in options(command)}
+    table = None
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            if lineno == 1 and raw.startswith("# qcf1d "):
+                table = raw[len("# qcf1d "):].strip()
+                if command is not None and table != command:
+                    raise ValueError(f"{path}:1: a table of {table}, not of {command}")
+                continue
+            if table is not None and not raw.startswith("#"):
+                break  # the table's CSV header: its echo is over
+            line = (raw.split("#", 1)[0] if table is None else raw[1:]).strip()
             if not line:
                 continue
             if "=" not in line:
@@ -190,6 +205,8 @@ def read_config_file(path: str, command: Optional[str] = None) -> dict:
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
             if key not in known:
+                if table is not None and key not in {f.name for f in options()}:
+                    continue  # the echo's command, or one of its extras
                 scope = f" for {command}" if command else ""
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}{scope}")
             try:
@@ -209,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for command, run in COMMANDS.items():
         sub = subs.add_parser(command, help=run.__doc__, allow_abbrev=False)
-        sub.add_argument("--config", help="flat key=value config file; flags override it")
+        sub.add_argument("--config", help="flat key=value file, or a qcf1d CSV table; flags override it")
         for f in options(command):
             flag = "--" + f.name.replace("_", "-")
             if f.metadata["parse"] is _bool:
@@ -359,7 +376,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def _entry() -> None:  # the console script's and `python -m qcf1d.cli`'s
     import gc
 
     status = main()
@@ -367,3 +384,7 @@ if __name__ == "__main__":
     # which would skip the stdio flushes and the atexit handlers
     gc.freeze()
     sys.exit(status)
+
+
+if __name__ == "__main__":
+    _entry()

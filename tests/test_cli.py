@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -407,6 +408,97 @@ def test_config_file_keys_are_scoped_per_subcommand(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "'K_all'" in err and "coercivity" in err
+
+
+RESULTS = Path(__file__).resolve().parents[1] / "results"
+# exact arithmetic: a residual of zero and an operator of small integers
+EXACT_TABLES = ("patch_test.csv", "eqcf_n8_k2.csv")
+
+
+def table_command(table):
+    return table.read_text().split("\n", 1)[0].removeprefix("# qcf1d ")
+
+
+def cells(line):
+    return line.split("=", 1) if line.startswith("#") else line.split(",")
+
+
+def same_cell(a, b, abs_tol):
+    """Equal texts, or numbers within 1e-9 relative: a float may move in its last digits on another BLAS."""
+    if a == b:
+        return True
+    try:
+        return math.isclose(float(a), float(b), rel_tol=1e-9, abs_tol=abs_tol)
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize("table", sorted(RESULTS.glob("*.csv")), ids=lambda table: table.name)
+def test_a_committed_table_reruns_from_its_own_header(tmp_path, table):
+    # --out always, so the test never rewrites results/
+    out = tmp_path / table.name
+    assert run([table_command(table), "--config", table, "--out", out]) == 0
+    want, got = ([line for line in path.read_text().splitlines() if not line.startswith("# out=")]
+                 for path in (table, out))
+    assert f"# out={out}" in out.read_text()
+    if table.name in EXACT_TABLES:
+        assert got == want
+        return
+    assert len(got) == len(want)
+    header = cells(next(line for line in want if not line.startswith("#")))
+    # eig-scan's max_imag_abs is a rounding-level imaginary part: an absolute tolerance
+    row_tols = [1e-9 if name == "max_imag_abs" else 0.0 for name in header]
+    for w, g in zip(want, got):
+        tols = [0.0] * len(cells(w)) if w.startswith("#") else row_tols
+        assert len(cells(w)) == len(cells(g)) == len(tols), (w, g)
+        assert all(map(same_cell, cells(w), cells(g), tols)), (w, g)
+
+
+def test_a_table_given_to_another_subcommand_exits_2_naming_both(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    table.write_text((RESULTS / "coercivity.csv").read_text())
+    out = tmp_path / "x.csv"
+    assert run(["infsup", "--config", table, "--out", out]) == 2
+    assert f"{table}:1: a table of coercivity, not of infsup" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("# K_all=1", "unknown key 'K_all' for coercivity"),  # an option of patch-test only
+    ("# N_list=[256, x]", "bad value for 'N_list'"),
+    ("# phiF=one", "bad value for 'phiF'"),
+    ("# potential=morse", "bad value for 'potential'"),
+    ("# phiF", "expected key=value"),
+])
+def test_a_bad_table_header_line_exits_2_naming_it(tmp_path, capsys, line, message):
+    first, rest = (RESULTS / "coercivity.csv").read_text().split("\n", 1)
+    table = tmp_path / "t.csv"
+    table.write_text(f"{first}\n{line}\n{rest}")
+    assert run(["coercivity", "--config", table, "--out", tmp_path / "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert f"{table}:2: {message}" in err
+
+
+SMALL_RUNS = {
+    "patch-test": ["--N-list", "16", "--K-all"],
+    "coercivity": ["--phiF", "1", "--phi2F", "-0.2", "--N-list", "16,32"],
+    "infsup": ["--phiF", "1", "--phi2F", "-0.2", "--N-list", "16,32"],
+    "convergence": ["--phiF", "1", "--phi2F", "-0.05", "--N-list", "16,32"],
+    "dump-operator": ["--operator", "Eqcf", "--N", "8", "--K", "2", "--phiF", "1", "--phi2F", "1"],
+    "eig-scan": ["--phiF", "1", "--phi2F", "-0.2", "--N-list", "16,32"],
+}
+
+
+def test_no_extra_is_named_as_an_option(tmp_path):
+    # a table's echo is read back skipping the keys that name no option, so
+    # an extra named as an option would be read as that option
+    names = {f.name for f in cli.options()}
+    assert set(SMALL_RUNS) == set(cli.COMMANDS)
+    for command, args in SMALL_RUNS.items():
+        out = tmp_path / f"{command}.json"
+        assert run([command, *args, "--format", "json", "--out", out]) == 0
+        extras = json.loads(out.read_text())["extras"]
+        assert not set(extras) & names, command
 
 
 COMMON_OPTIONS = {

@@ -7,8 +7,8 @@ function of the library, and every method of its public classes, is
 run by some subcommand.
 
 Nor does a subcommand load a kernel it does not run: patch-test and
-dump-operator never load the solver or stability modules, and
-`python -m qcf1d.cli` freezes its heap before it exits.
+dump-operator never load the solver or stability modules, and both
+`qcf1d` and `python -m qcf1d.cli` freeze the heap before they exit.
 
 Each case runs a fresh interpreter, since this test session has long
 since imported scipy itself.
@@ -16,6 +16,7 @@ since imported scipy itself.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -226,3 +227,26 @@ def test_the_module_entry_freezes_the_heap_before_exit(tmp_path, argv, code):
     # the interpreter's shutdown collections then skip the import heap
     got = fresh_run(AS_MAIN, *argv, "--out", tmp_path / "p.csv")
     assert got == {"code": code, "frozen": True}
+
+
+AS_CONSOLE_SCRIPT = """
+import gc, json, sys
+from importlib import import_module
+module, name = sys.argv[1].split(":")
+sys.argv = ["qcf1d", *sys.argv[2:]]
+code = None
+try:
+    getattr(import_module(module), name)()
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "frozen": gc.get_freeze_count() > 0}))
+"""
+
+
+def test_the_console_script_freezes_the_heap_before_exit(tmp_path):
+    # the qcf1d command runs pyproject.toml's target, so it pays no more at exit than python -m
+    pyproject = (Path(SRC).parent / "pyproject.toml").read_text()
+    (target,) = re.findall(r'^qcf1d = "(.+)"$', pyproject, re.M)
+    got = fresh_run(AS_CONSOLE_SCRIPT, target, "patch-test", "--N-list", "16", "--K-all",
+                    "--out", tmp_path / "p.csv")
+    assert got == {"code": 0, "frozen": True}
