@@ -21,13 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import DomainSpec
+from .lattice import DomainSpec, diff
 from .potentials import PairPotential
-
-
-def _nn_strains(y: np.ndarray, eps: float) -> np.ndarray:
-    """Bond strains (y_j - y_{j-1})/eps for bonds -L+1..L."""
-    return np.diff(y) / eps
 
 
 def _nnn_strains(y: np.ndarray, eps: float) -> np.ndarray:
@@ -42,7 +37,7 @@ def force_atomistic(y: np.ndarray, phi: PairPotential, eps: float) -> np.ndarray
     be zero, which makes the field exactly minus the scaled energy
     gradient on the 2L+1 chain.
     """
-    d1 = phi.deriv1(_nn_strains(y, eps))
+    d1 = phi.deriv1(diff(y, eps))
     d2 = phi.deriv1(_nnn_strains(y, eps))
     zero = np.zeros(1)
     d2_right = np.concatenate([d2[1:], zero])
@@ -53,7 +48,7 @@ def force_atomistic(y: np.ndarray, phi: PairPotential, eps: float) -> np.ndarray
 
 def force_lqc(y: np.ndarray, phi: PairPotential, eps: float) -> np.ndarray:
     """Local QC force (per lattice spacing) on the free atoms -L+1..L-1."""
-    r = _nn_strains(y, eps)
+    r = diff(y, eps)
     g = phi.deriv1(r) + 2.0 * phi.deriv1(2.0 * r)
     return (g[1:] - g[:-1]) / eps
 

@@ -1,21 +1,21 @@
-"""Assembly of the linearized chain operators and their strain-space twins.
+"""The linearized chain operators, in strain form.
 
 Linearizing the three force laws about the uniformly strained state gives
-operators acting on displacements:
+operators L acting on displacements:
 
   * atomistic: second differences of both neighbor ranges, with one-sided
     next-nearest stencils on the first and last free atom;
   * local: a single tridiagonal stencil with spring constant
     phiF + 4*phi2F;
-  * coupled: atomistic rows on |j| <= K, local rows elsewhere, extended by
-    zero to the boundary sites so pairings against fields vanishing at
-    +-N are well defined.
+  * coupled: atomistic rows on |j| <= K, local rows elsewhere.
 
-Each displacement operator has a conjugate acting on strains that puts it
-in divergence form: <E Dv, Dw> = <L v, w> for all test fields w vanishing
-at the boundary.  The conjugate of the coupled operator is not banded:
-interface and far-field rows carry three extra entries in the interface
-columns, the fingerprint of the coupling being non-conservative.
+Each is the conjugate of an operator E acting on strains, which puts it
+in divergence form: <E Dv, Dw> = <L v, w> for all test fields w
+vanishing at the boundary, so row j of L is
+((E Dv)_j - (E Dv)_{j+1}) / eps.  Only the strain operators are built
+here.  The coupled E is not banded: interface and far-field rows carry
+three extra entries in the interface columns, the fingerprint of the
+coupling being non-conservative.
 
 Every operator has one source, the bands of StrainStencil.  split
 writes E, E^T or sym(E) in one form T' + L^T R: a tridiagonal T' plus
@@ -23,12 +23,10 @@ one rank-one term per interface, or two for sym(E), with L and R plain
 arrays.  It is the one form of E the kernels read: each splits once
 and passes the split to multiply, frobenius_norm and BorderedSolve
 (factor builds one for E or E^T), so no kernel builds a matrix.
-integer_entries lists B's nonzeros as small integers: scaled, they
-give E (entries), and summed through D^T B D, they give every
-displacement operator as the conjugate of its strain operator
-(conjugate_entries).  Both are (row, col, value) arrays with one entry
-per position, for dump-operator and eig-scan, assembled without loops
-in O(N log N).
+integer_entries lists B's nonzeros as small integers, for eig-scan,
+and entries scales them to E, for dump-operator and the inf-sup lower
+bound: (row, col, value) arrays with one entry per position, assembled
+without loops in O(N).
 """
 
 from __future__ import annotations
@@ -243,33 +241,6 @@ class StrainStencil:
         value = c.phi2F * b
         value[:self.diag.size] += c.phiF
         return row, col, value
-
-    def conjugate_entries(self, eps: float, identity: float, next_nearest: float = 0.0) -> tuple:
-        """(row, col, value) of the displacement operator conjugate to identity * I + next_nearest * B.
-
-        Rows are the free atoms -n+1..n-1 and columns every atom -n..n,
-        row-major, one entry per position.  Row j is
-        ((E Dv)_j - (E Dv)_{j+1}) / eps, so an entry of E at bond offsets
-        (r, c) lands in rows r-1, r and columns c, c+1.  The integer
-        entries of D^T D and D^T B D are summed before the scaling, so
-        entries that cancel are exact zeros.  The springs are scalars,
-        not Coefficients: the local operator is (phiF + 4*phi2F, 0) on the
-        atomistic stencil, which Coefficients rejects when phiF + 4*phi2F <= 0.
-        """
-        nb = self.diag.size
-        if nb < 4:
-            raise ValueError("half-width must be at least 2")
-        row, col, b = self.integer_entries()
-        a = (row == col).astype(float)  # the entries of I
-        rows = np.concatenate([row, row, row - 1, row - 1])
-        cols = np.concatenate([col + 1, col, col + 1, col])
-        sign = np.repeat([1.0, -1.0, -1.0, 1.0], row.size)
-        keep = (rows >= 0) & (rows < nb - 1)
-        key, index = np.unique((rows * (nb + 1) + cols)[keep], return_inverse=True)
-        a, b = (np.bincount(index, (sign * np.tile(x, 4))[keep]) for x in (a, b))
-        value = (identity * a + next_nearest * b) / eps**2
-        n = nb // 2
-        return key // (nb + 1) - n + 1, key % (nb + 1) - n, value
 
     def factor(self, c: Coefficients, form: str = "E", weight: float = 1.0,
                what: str = "strain solve") -> BorderedSolve:

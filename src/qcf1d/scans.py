@@ -150,25 +150,30 @@ def convergence_point(c: Coefficients, load: Callable, m_factor: int, n: int, k:
 def eig_point(c: Coefficients, n: int, k: int) -> EigScanRow:
     """Eigenvalues of the interior block of Lqcf (atoms -N+1..N-1), from two half-size blocks.
 
-    Lqcf commutes exactly with the reflection j -> -j, so the interior
-    block splits into its action on even fields (v_{-m} = v_m: columns m
-    and -m summed, rows j >= 0, N x N) and on odd ones (v_{-m} = -v_m:
-    their difference, rows j >= 1, (N-1) x (N-1)).  Each block is
-    similar, by a diagonal scaling, to a diagonal block of Q^T L Q with Q
-    the orthonormal even/odd basis, so together they carry the spectrum
-    of the interior block for a quarter of the flops and memory of its
-    dense eigensolve.
+    Row j of Lqcf is ((E Dv)_j - (E Dv)_{j+1}) / eps with E = phiF * I +
+    phi2F * B, so its rows j >= 0 are the second differences, across
+    rows and columns, of I and B on bonds 0..N: small integers,
+    differenced before the scaling.  Lqcf commutes exactly with the
+    reflection j -> -j, so the interior block splits into its action on
+    even fields (v_{-m} = v_m: columns m and -m summed, rows j >= 0,
+    N x N) and on odd ones (v_{-m} = -v_m: their difference, rows
+    j >= 1, (N-1) x (N-1)).  Each block is similar, by a diagonal
+    scaling, to a diagonal block of Q^T L Q with Q the orthonormal
+    even/odd basis, so together they carry the spectrum of the interior
+    block for a quarter of the flops and memory of its dense eigensolve.
     """
-    row, col, value = strain_stencil(n, DomainSpec(n, k).K).conjugate_entries(1.0 / n, c.phiF, c.phi2F)
-    m = np.abs(col)
-    even = (row >= 0) & (m < n)
-    odd = (row >= 1) & (m >= 1) & (m < n)
-    blocks = (
-        np.bincount(row[even] * n + m[even], value[even], minlength=n * n).reshape(n, n),
-        np.bincount((row[odd] - 1) * (n - 1) + m[odd] - 1, np.sign(col[odd]) * value[odd],
-                    minlength=(n - 1) ** 2).reshape(n - 1, n - 1),
-    )
-    ev = np.concatenate([np.linalg.eigvals(b) for b in blocks])
+    row, col, entry = strain_stencil(n, DomainSpec(n, k).K).integer_entries()
+    ints = np.zeros((2, n + 1, 2 * n), dtype=np.int8)  # I and B on bonds 0..N (offsets N-1..2N-1)
+    ints[0, np.arange(n + 1), np.arange(n - 1, 2 * n)] = 1
+    half = row >= n - 1
+    ints[1, row[half] - n + 1, col[half]] = entry[half]
+    a, b = np.diff(np.diff(ints, axis=1), axis=2)  # rows j = 0..N-1, columns atoms -N+1..N-1
+    rows = (c.phiF * a + c.phi2F * b) / (1.0 / n) ** 2
+    even = rows[:, n - 1:].copy()  # columns m = 0..N-1
+    even[:, 1:] += rows[:, n - 2::-1]  # columns -m = -1..-N+1
+    odd = rows[1:, n:] - rows[1:, n - 2::-1]
+    del ints, a, b, rows  # freed before the eigensolves
+    ev = np.concatenate([np.linalg.eigvals(even), np.linalg.eigvals(odd)])
     return EigScanRow(
         n,
         k,
@@ -184,12 +189,9 @@ def _strain_entries(c: Coefficients, n: int, k: int) -> tuple:
     return row - n + 1, col - n + 1, value
 
 
-# dump-operator's (row, col, value) from (c, N, K), indexed by atom or bond; only
-# the coupled operators read K, and DomainSpec checks its range before the stencil
+# dump-operator's (row, col, value) from (c, N, K), indexed by bond; only Eqcf
+# reads K, and DomainSpec checks its range before the stencil
 OPERATOR_BUILDERS = {
-    "La": lambda c, n, k: strain_stencil(n, n - 1).conjugate_entries(1.0 / n, c.phiF, c.phi2F),
-    "Llqc": lambda c, n, k: strain_stencil(n, n - 1).conjugate_entries(1.0 / n, c.phiF + 4.0 * c.phi2F),
-    "Lqcf": lambda c, n, k: strain_stencil(n, DomainSpec(n, k).K).conjugate_entries(1.0 / n, c.phiF, c.phi2F),
     "Ea": lambda c, n, k: _strain_entries(c, n, n - 1),
     "Eqcf": lambda c, n, k: _strain_entries(c, n, DomainSpec(n, k).K),
 }

@@ -22,6 +22,7 @@ import scipy.linalg
 
 from qcf1d.chain import force_atomistic, force_lqc
 from qcf1d.lattice import diff, lp_norm, summed_load
+from qcf1d.operators import strain_stencil
 from qcf1d.potentials import Coefficients
 from qcf1d.scans import OPERATOR_BUILDERS
 from qcf1d.solver import solve_strain
@@ -241,19 +242,46 @@ def dense(entries, rows, cols):
     return a
 
 
-def index_ranges(name, n):
-    """(rows, columns) of dump-operator's operator name at half-width n.
+def bonds(n):
+    """The bonds -n+1..n of a chain of half-width n: the rows and columns of a strain operator."""
+    return range(-n + 1, n + 1)
 
-    A strain operator maps bonds -n+1..n to bonds, a displacement
-    operator every atom -n..n to the free atoms -n+1..n-1.
+
+def conjugate_dense(stencil, eps, identity, next_nearest=0.0):
+    """The displacement operator conjugate to identity * I + next_nearest * B, densely.
+
+    Row j is ((E Dv)_j - (E Dv)_{j+1}) / eps: the rows and columns of I
+    and of B (the library's own integer_entries) are differenced as
+    integers before the scaling, so entries that cancel are exact zeros.
+    Rows are the free atoms -n+1..n-1, columns every atom -n..n.
     """
-    bonds = range(-n + 1, n + 1)
-    return (bonds, bonds) if name in ("Ea", "Eqcf") else (range(-n + 1, n), range(-n, n + 1))
+    row, col, b = stencil.integer_entries()
+    nb = stencil.diag.size
+    ints = np.zeros((2, nb, nb + 2), dtype=np.int64)  # bond columns padded by a zero column on each side
+    ints[0, np.arange(nb), np.arange(nb) + 1] = 1
+    ints[1, row, col + 1] = b
+    a, b = np.diff(np.diff(ints, axis=1), axis=2)
+    return (identity * a + next_nearest * b) / eps**2
+
+
+# the displacement operators, as (band of B, identity, next_nearest) from (c, n, k)
+CONJUGATES = {
+    "La": lambda c, n, k: (n - 1, c.phiF, c.phi2F),
+    "Llqc": lambda c, n, k: (n - 1, c.phiF + 4.0 * c.phi2F, 0.0),
+    "Lqcf": lambda c, n, k: (k, c.phiF, c.phi2F),
+}
 
 
 def operator_dense(name, c, n, k=None):
-    """The dense matrix of OPERATOR_BUILDERS[name] at eps = 1/n; k is read by Lqcf and Eqcf only."""
-    return dense(OPERATOR_BUILDERS[name](c, n, k), *index_ranges(name, n))
+    """The dense matrix of operator name at eps = 1/n; k is read by Lqcf and Eqcf only.
+
+    Ea and Eqcf are dump-operator's entries; La, Llqc and Lqcf are their
+    conjugates, built here from the same stencil.
+    """
+    if name in CONJUGATES:
+        band, identity, next_nearest = CONJUGATES[name](c, n, k)
+        return conjugate_dense(strain_stencil(n, band), 1.0 / n, identity, next_nearest)
+    return dense(OPERATOR_BUILDERS[name](c, n, k), bonds(n), bonds(n))
 
 
 def la_dense(c, m, eps):

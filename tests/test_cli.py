@@ -182,21 +182,20 @@ def test_coercivity_nearest_neighbor_skips_fit(tmp_path):
 
 
 def test_stability_commands_assemble_no_matrix(tmp_path, monkeypatch):
-    # coercivity and infsup read Eqcf from the bands of its strain stencil,
+    # coercivity reads Eqcf from the bands of its strain stencil,
     # convergence solves on it, and patch-test evaluates forces: none lists
-    # the entries of a displacement operator
+    # the entries of an operator (infsup does, for its lower bound's margin)
     def no_assembly(*args, **kwargs):
         raise RuntimeError("a matrix was assembled")
 
-    monkeypatch.setattr(StrainStencil, "conjugate_entries", no_assembly)
+    monkeypatch.setattr(StrainStencil, "integer_entries", no_assembly)
     springs = ["--phiF", "1", "--phi2F", "-0.2"]
     for argv, code in ((["coercivity", *springs, "--N-list", "16,32"], 0),
-                       (["infsup", *springs, "--N-list", "16,32", "--p-list", "1,2"], 0),
                        (["convergence", "--phiF", "1", "--phi2F", "-0.05", "--N-list", "16,32"], 0),
                        (["patch-test", "--N-list", "16,32"], 0),
                        # the control: these two do list them
                        (["eig-scan", *springs, "--N-list", "16"], 1),
-                       (["dump-operator", *springs, "--operator", "Lqcf", "--N", "8"], 1)):
+                       (["dump-operator", *springs, "--operator", "Eqcf", "--N", "8"], 1)):
         out = tmp_path / f"{argv[0]}.csv"
         assert run([*argv, "--K-ratio", "0.25", "--out", out]) == code, argv[0]
 
@@ -246,40 +245,36 @@ def test_dump_operator_triples(tmp_path):
 def test_dump_operator_takes_its_size_from_n_only(tmp_path, capsys):
     out = tmp_path / "x.csv"
     with pytest.raises(SystemExit) as exc:
-        run(["dump-operator", "--operator", "Lqcf", "--N-list", "8,16", "--K", "2",
+        run(["dump-operator", "--operator", "Eqcf", "--N-list", "8,16", "--K", "2",
              "--phiF", "1", "--phi2F", "1", "--out", out])
     assert exc.value.code == 2
-    assert run(["dump-operator", "--operator", "Lqcf", "--K", "2",
+    assert run(["dump-operator", "--operator", "Eqcf", "--K", "2",
                 "--phiF", "1", "--phi2F", "1", "--out", out]) == 2
     assert "need --N" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("operator,size,n_rows", [
-    ("La", ["--N", "3"], 5),
+    ("Ea", ["--N", "3"], 6),
     ("Ea", ["--N", "8", "--K", "7"], 16),
 ])
 def test_dump_operator_reads_k_only_for_coupled_operators(tmp_path, operator, size, n_rows):
-    # La, Llqc and Ea take no split, so a K that N leaves no room for is no error
+    # Ea takes no split, so an N with no admissible K, or a K that N leaves
+    # no room for, is no error
     out = tmp_path / "x.csv"
     springs = ["--phiF", "1", "--phi2F", "0.1", "--out", out]
     assert run(["dump-operator", "--operator", operator, *size, *springs]) == 0
     _, _, rows = read_rows(out)
     assert len({r["row"] for r in rows}) == n_rows
-    coupled = "Lqcf" if operator == "La" else "Eqcf"
-    assert run(["dump-operator", "--operator", coupled, *size, *springs]) == 2
+    assert run(["dump-operator", "--operator", "Eqcf", *size, *springs]) == 2
 
 
 @pytest.mark.parametrize("operator,n,code,message", [
-    ("La", 1, 2, "half-width must be at least 2"),
-    ("Llqc", 1, 2, "half-width must be at least 2"),
     ("Ea", 1, 0, None),
-    ("Lqcf", 2, 2, "K=2, N=2"),
     ("Eqcf", 2, 2, "K=2, N=2"),
 ])
 def test_dump_operator_smallest_sizes(tmp_path, capsys, operator, n, code, message):
-    # a displacement operator needs half-width 2, Ea is 2 x 2 at N=1, and
-    # N=2 leaves a coupled operator no split K
+    # Ea is 2 x 2 at N=1, and N=2 leaves Eqcf no split K
     out = tmp_path / "x.csv"
     assert run(["dump-operator", "--operator", operator, "--N", n, "--phiF", "1", "--phi2F", "0.1",
                 "--out", out]) == code
@@ -290,28 +285,15 @@ def test_dump_operator_smallest_sizes(tmp_path, capsys, operator, n, code, messa
         assert len(read_rows(out)[2]) == 4
 
 
-def test_dump_operator_llqc_with_no_local_spring_is_empty(tmp_path):
-    # phiF + 4*phi2F = 0 zeroes every entry of Llqc, and the springs
-    # themselves are no configuration error: the table is its config echo
-    # and the header of the row type
+@pytest.mark.parametrize("operator", ["La", "Llqc", "Lqcf"])
+def test_dump_operator_offers_only_strain_operators(tmp_path, capsys, operator):
+    # the displacement operators are the conjugates of Ea and Eqcf, and are not dumped
     out = tmp_path / "x.csv"
-    assert run(["dump-operator", "--operator", "Llqc", "--N", "8", "--phiF", "1", "--phi2F", "-0.25",
-                "--out", out]) == 0
-    comments, header, rows = read_rows(out)
-    assert "# operator=Llqc" in comments
-    assert (header, rows) == (["row", "col", "value"], [])
-
-
-def test_dump_operator_la_row_sums(tmp_path):
-    out = tmp_path / "la.csv"
-    code = run(["dump-operator", "--operator", "La", "--N", "8", "--K", "2",
-                "--phiF", "1", "--phi2F", "-0.1", "--out", out])
-    assert code == 0
-    _, _, rows = read_rows(out)
-    sums = {}
-    for r in rows:
-        sums[r["row"]] = sums.get(r["row"], 0.0) + float(r["value"])
-    assert all(abs(s) <= 1e-9 for s in sums.values())
+    with pytest.raises(SystemExit) as exc:
+        run(["dump-operator", "--operator", operator, "--N", "8", "--phiF", "1", "--phi2F", "0.1", "--out", out])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dump_operator_ea_is_symmetric(tmp_path):
@@ -703,7 +685,7 @@ def test_infsup_outside_dominance_exits_2(tmp_path, capsys):
 
 
 def coefficient_command(command, coefficients, out):
-    size = ["--operator", "La", "--N", "8"] if command == "dump-operator" else ["--N-list", "16"]
+    size = ["--operator", "Ea", "--N", "8"] if command == "dump-operator" else ["--N-list", "16"]
     return [command, *coefficients, *size, "--out", out]
 
 
@@ -767,7 +749,7 @@ def test_coercivity_failed_shift_check_exits_1_naming_the_shift(tmp_path, capsys
 @pytest.mark.parametrize("args", [
     ["coercivity", "--phiF", "1", "--phi2F", "-0.2", "--N-list", "16"],
     ["patch-test", "--N-list", "16"],
-    ["dump-operator", "--operator", "La", "--N", "8", "--phiF", "1", "--phi2F", "0.1"],
+    ["dump-operator", "--operator", "Ea", "--N", "8", "--phiF", "1", "--phi2F", "0.1"],
 ])
 def test_nonfinite_k_ratio_exits_2_naming_the_flag(tmp_path, capsys, args, ratio):
     out = tmp_path / "x.csv"
@@ -781,7 +763,7 @@ def test_nonfinite_k_ratio_exits_2_naming_the_flag(tmp_path, capsys, args, ratio
 @pytest.mark.parametrize("args", [
     ["coercivity", "--phiF", "1", "--phi2F", "-0.2", "--N-list", "64"],
     ["patch-test", "--N-list", "16"],
-    ["dump-operator", "--operator", "Lqcf", "--N", "8", "--phiF", "1", "--phi2F", "0.1"],
+    ["dump-operator", "--operator", "Eqcf", "--N", "8", "--phiF", "1", "--phi2F", "0.1"],
 ])
 def test_nonpositive_k_ratio_exits_2_naming_the_flag(tmp_path, capsys, args, ratio, via_file):
     # a ratio <= 0 names no split: it is not raised to K=2

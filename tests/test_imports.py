@@ -116,7 +116,7 @@ runs = [
     ["infsup", "--phiF", "1", "--phi2F", "-0.2", "--N-list", "16,32", "--p-list", "1,2,4"],
     ["convergence", "--phiF", "1", "--phi2F", "-0.05", "--N-list", "16,32", "--K-ratio", "0.25",
      "--M-factor", "4", "--load", "cospi"],
-    ["dump-operator", "--operator", "Lqcf", "--N", "8", "--K", "2", "--phiF", "1", "--phi2F", "1"],
+    ["dump-operator", "--operator", "Eqcf", "--N", "8", "--K", "2", "--phiF", "1", "--phi2F", "1"],
     ["eig-scan", "--phiF", "1", "--phi2F", "-0.2", "--N-list", "16,32"],
 ]
 codes = [qcf1d.cli.main(argv + ["--out", f"{sys.argv[1]}/{argv[0]}.csv"]) for argv in runs]
@@ -175,7 +175,7 @@ def test_every_library_function_runs_in_a_subcommand(tmp_path):
     # src/ holds only what a subcommand runs; test-only oracles live in
     # tests/oracles.py
     got = fresh_run(EVERY_FUNCTION, tmp_path)
-    assert got == {"codes": [0] * 12, "never_called": []}
+    assert got == {"codes": [0] * 9, "never_called": []}
 
 
 FOOTPRINT = """
@@ -185,7 +185,7 @@ kernels = ("qcf1d.solver", "qcf1d.stability")
 loaded = {"import": sorted(m for m in (*kernels, "json", "numpy") if m in sys.modules)}
 runs = [
     ["patch-test", "--N-list", "16", "--K-all"],
-    ["dump-operator", "--operator", "Lqcf", "--N", "8", "--K", "2", "--phiF", "1", "--phi2F", "1"],
+    ["dump-operator", "--operator", "Eqcf", "--N", "8", "--K", "2", "--phiF", "1", "--phi2F", "1"],
     ["convergence", "--phiF", "1", "--phi2F", "-0.05", "--N-list", "16,32"],
 ]
 for argv in runs:

@@ -16,12 +16,12 @@ from qcf1d.potentials import Coefficients, lennard_jones
 from oracles import (
     DIFFERENTIAL_NK,
     DIFFERENTIAL_PHI2F,
+    bonds,
     dense,
     ea_dense,
     eqcf_dense,
     fd_jacobian,
     force_qcf,
-    index_ranges,
     interface_probe,
     l2_decomposition,
     l2_dense,
@@ -56,10 +56,9 @@ def weak_form_gap(E, L, v, w, eps):
 
 def test_la_stencils():
     m = 6
-    eps = 0.125
-    row, col, value = strain_stencil(m, m - 1).conjugate_entries(eps, C.phiF, C.phi2F)
-    assert (row.min(), row.max(), col.min(), col.max()) == (-5, 5, -6, 6)
-    a = dense((row, col, value), *index_ranges("La", m))  # row i at offset i + 5, column j at offset j + 6
+    eps = 1.0 / m
+    a = operator_dense("La", C, m)  # row i at offset i + 5, column j at offset j + 6
+    assert a.shape == (11, 13)
     s = 1.0 / eps**2
     assert_allclose(a[5, 6], (2 * C.phiF + 2 * C.phi2F) * s)
     assert_allclose(a[5, 7], -C.phiF * s)
@@ -139,8 +138,8 @@ def test_lqcf_splits_into_l1_and_l2():
 
 def test_bandwidth_and_sparsity():
     spec = DomainSpec(16, 4)
-    row, col, _ = dumped("Lqcf", C, spec.N, spec.K)
-    assert np.max(np.abs(row - col)) <= 2
+    row, col = np.nonzero(operator_dense("Lqcf", C, spec.N, spec.K))  # atoms row - 15 and col - 16
+    assert np.max(np.abs((row - 15) - (col - 16))) <= 2
     Eq = operator_dense("Eqcf", C, spec.N, spec.K)
     counts = (Eq != 0.0).sum(axis=1)
     assert counts.max() <= 4
@@ -169,7 +168,7 @@ def test_weak_form_identity_ea():
     m = 8
     eps = 1.0 / m
     E = operator_dense("Ea", C, m)
-    L = operator_dense("La", C, m)
+    L = la_dense(C, m, eps)
     for _ in range(20):
         v, w = random_pair(m)
         gap, scale = weak_form_gap(E, L, v, w, eps)
@@ -182,7 +181,7 @@ def test_weak_form_identity_eqcf_all_k(n):
     for k in range(2, n // 2 + 1):
         spec = DomainSpec(n, k)
         E = operator_dense("Eqcf", C, spec.N, spec.K)
-        L = operator_dense("Lqcf", C, spec.N, spec.K)
+        L = lqcf_dense(C, spec)
         for _ in range(5):
             v, w = random_pair(n)
             gap, scale = weak_form_gap(E, L, v, w, eps)
@@ -318,16 +317,15 @@ def test_dense_oracle_rejects_entries_outside_its_ranges():
 
 def test_every_dump_is_row_major_without_duplicates_or_zeros():
     # the builders list one entry per position, exact zeros included: every
-    # next-nearest entry at phi2F = 0, the interface diagonal phiF + 5*phi2F
-    # of E at phi2F = -0.2, and all of Llqc at phiF + 4*phi2F = 0
+    # next-nearest entry at phi2F = 0, and the interface diagonal
+    # phiF + 5*phi2F of E at phi2F = -0.2
     for name in sorted(OPERATOR_BUILDERS):
         for phiF, phi2F in [(1.0, 0.0), (1.0, -0.2), (1.0, -0.25), (2.5, 0.3)]:
             for n, k in [(4, 2), (8, 2), (16, 7)]:
                 case = (name, phiF, phi2F, n, k)
                 c = Coefficients(phiF, phi2F)
                 row, col, value = dumped(name, c, n, k)
-                rows, cols = index_ranges(name, n)
-                key = (row - rows.start) * len(cols) + (col - cols.start)
+                key = (row + n - 1) * 2 * n + (col + n - 1)  # bond j at offset j + n - 1
                 assert np.all(np.diff(key) > 0), case  # row-major, each position once
                 assert np.all(value != 0.0), case
                 listed = OPERATOR_BUILDERS[name](c, n, k)[2]
@@ -341,22 +339,20 @@ def test_sparse_assembly_matches_dense_oracles(phi2F, n, k):
     c = Coefficients(1.0, phi2F)
     spec = DomainSpec(n, k)
     eps = spec.eps
-    oracles = {
-        "La": la_dense(c, n, eps),
-        "Llqc": llqc_dense(c, n, eps),
-        "Lqcf": lqcf_dense(c, spec),
-        "Ea": ea_dense(c, n),
-        "Eqcf": eqcf_dense(c, spec),
-    }
-    for name, expected in oracles.items():
+    # the conjugates of the library's stencil, built in the test
+    conjugates = {"La": la_dense(c, n, eps), "Llqc": llqc_dense(c, n, eps), "Lqcf": lqcf_dense(c, spec)}
+    for name, expected in conjugates.items():
+        got = operator_dense(name, c, n, k)
+        assert got.shape == expected.shape
+        assert_array_max_ulp(got, expected, maxulp=1)
+    for name, expected in (("Ea", ea_dense(c, n)), ("Eqcf", eqcf_dense(c, spec))):
         row, col, value = dumped(name, c, n, k)
-        rows, cols = index_ranges(name, n)
-        got = dense((row, col, value), rows, cols)
+        got = dense((row, col, value), bonds(n), bonds(n))
         assert got.shape == expected.shape
         assert_array_max_ulp(got, expected, maxulp=1)
         # stored pattern = nonzero pattern, read row-major
         nz_rows, nz_cols = np.nonzero(expected)
-        assert np.array_equal(row, nz_rows + rows.start) and np.array_equal(col, nz_cols + cols.start)
+        assert np.array_equal(row, nz_rows - n + 1) and np.array_equal(col, nz_cols - n + 1)
 
 
 @pytest.mark.parametrize("n,k", DIFFERENTIAL_NK)
