@@ -5,8 +5,8 @@ config echoed in # comments, or JSON) and encode acceptance in the exit
 status: 0 when every proved inequality and tolerance in the run holds,
 1 when one fails, 2 for configuration errors.
 
-Each option is declared once, as a RunConfig field; the flags, the
-config-file keys and the echo are all derived from those fields.  Flags
+Each option is declared once, in the OPTIONS table; the flags, the
+config-file keys, the RunConfig fields and the echo all read it.  Flags
 can also be given in a config file (--config): a flat key=value file, or
 a CSV table, whose echo re-runs it; explicit flags override file values.
 
@@ -20,8 +20,8 @@ the subcommands that run them.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
-from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -74,8 +74,7 @@ def _bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _option(parse: Callable, default=None, choices: Optional[Sequence] = None,
-            commands: Optional[tuple] = None):
+class Option(NamedTuple):
     """A RunConfig field that is also a flag and a config-file key.
 
     parse converts the string given on the command line or in the file;
@@ -83,35 +82,45 @@ def _option(parse: Callable, default=None, choices: Optional[Sequence] = None,
     subcommands that take the option (None: every subcommand).  A _bool
     option is a flag without a value on the command line.
     """
-    meta = {"parse": parse, "choices": choices, "commands": commands}
-    if isinstance(default, list):
-        return field(default_factory=lambda: list(default), metadata=meta)
-    return field(default=default, metadata=meta)
+
+    name: str
+    parse: Callable
+    default: object = None
+    choices: Optional[Sequence] = None
+    commands: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved configuration of one subcommand run."""
+OPTIONS = (
+    Option("format", str, "csv", ("csv", "json")),
+    Option("out", str, ""),
+    Option("phiF", float, commands=COEFFICIENT_COMMANDS),
+    Option("phi2F", float, commands=COEFFICIENT_COMMANDS),
+    Option("potential", str, "lj", sorted(POTENTIALS)),
+    Option("F", float),
+    Option("F_list", _float_list, commands=("patch-test",)),
+    Option("N", int, commands=("dump-operator",)),
+    Option("N_list", _int_list, [], commands=("patch-test", "coercivity", "infsup", "convergence", "eig-scan")),
+    Option("K", int),
+    Option("K_ratio", float),
+    Option("K_all", _bool, False, commands=("patch-test",)),
+    Option("M_factor", int, 4, commands=("convergence",)),
+    Option("p_list", _float_list, [1.0, 2.0, 4.0], commands=("infsup",)),
+    Option("load", str, "cospi", sorted(LOADS), ("convergence",)),
+    Option("operator", str, None, sorted(OPERATOR_BUILDERS), ("dump-operator",)),
+)
 
-    command: str
-    format: str = _option(str, "csv", choices=("csv", "json"))
-    out: str = _option(str, "")
-    phiF: Optional[float] = _option(float, commands=COEFFICIENT_COMMANDS)
-    phi2F: Optional[float] = _option(float, commands=COEFFICIENT_COMMANDS)
-    potential: str = _option(str, "lj", choices=sorted(POTENTIALS))
-    F: Optional[float] = _option(float)
-    F_list: Optional[list] = _option(_float_list, commands=("patch-test",))
-    N: Optional[int] = _option(int, commands=("dump-operator",))
-    N_list: list = _option(_int_list, [], commands=("patch-test", "coercivity", "infsup", "convergence", "eig-scan"))
-    K: Optional[int] = _option(int)
-    K_ratio: Optional[float] = _option(float)
-    K_all: bool = _option(_bool, False, commands=("patch-test",))
-    M_factor: int = _option(int, 4, commands=("convergence",))
-    p_list: list = _option(_float_list, [1.0, 2.0, 4.0], commands=("infsup",))
-    load: str = _option(str, "cospi", choices=sorted(LOADS), commands=("convergence",))
-    operator: Optional[str] = _option(
-        str, choices=sorted(OPERATOR_BUILDERS), commands=("dump-operator",)
-    )
+
+class RunConfig(NamedTuple("RunConfig", [("command", str), *((o.name, object) for o in OPTIONS)])):
+    """Resolved configuration of one subcommand run: the command, and one field per option."""
+
+    __slots__ = ()
+
+    def __new__(cls, command: str, **values):
+        fields = [values.pop(o.name, o.default) for o in OPTIONS]
+        if values:
+            raise TypeError(f"unknown options {sorted(values)}")
+        # a copy of each list, so that no two runs share one
+        return super().__new__(cls, command, *(list(v) if isinstance(v, list) else v for v in fields))
 
     def coefficients(self) -> Coefficients:
         if self.phiF is not None and self.phi2F is not None:
@@ -152,28 +161,22 @@ class RunConfig:
 
     def echo(self) -> dict:
         d = {"command": self.command}
-        for f in options(self.command):
-            v = getattr(self, f.name)
+        for o in options(self.command):
+            v = getattr(self, o.name)
             if v is not None and v != []:
-                d[f.name] = v
+                d[o.name] = v
         return d
 
 
 def options(command: Optional[str] = None) -> list:
-    """The settable RunConfig fields; with a command, only those it takes."""
-    return [
-        f
-        for f in fields(RunConfig)
-        if f.name != "command"
-        and (command is None or f.metadata["commands"] is None or command in f.metadata["commands"])
-    ]
+    """The options; with a command, only those it takes."""
+    return [o for o in OPTIONS if command is None or o.commands is None or command in o.commands]
 
 
-def _parse(f, text: str):
-    value = f.metadata["parse"](text)
-    choices = f.metadata["choices"]
-    if choices is not None and value not in choices:
-        raise ValueError(f"{value!r} is not one of {', '.join(choices)}")
+def _parse(o: Option, text: str):
+    value = o.parse(text)
+    if o.choices is not None and value not in o.choices:
+        raise ValueError(f"{value!r} is not one of {', '.join(o.choices)}")
     return value
 
 
@@ -185,7 +188,7 @@ def read_config_file(path: str, command: Optional[str] = None) -> dict:
     options of that subcommand are accepted.  A table of the command is
     read up to its CSV header, skipping the echo's keys that name no option.
     """
-    known = {f.name: f for f in options(command)}
+    known = {o.name: o for o in options(command)}
     table = None
     values = {}
     with open(path) as fh:
@@ -205,7 +208,7 @@ def read_config_file(path: str, command: Optional[str] = None) -> dict:
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
             if key not in known:
-                if table is not None and key not in {f.name for f in options()}:
+                if table is not None and key not in {o.name for o in OPTIONS}:
                     continue  # the echo's command, or one of its extras
                 scope = f" for {command}" if command else ""
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}{scope}")
@@ -216,7 +219,8 @@ def read_config_file(path: str, command: Optional[str] = None) -> dict:
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """Every subcommand with its help; only command's subparser takes its options."""
     # no abbreviations: --N must not mean --N-list, as the config key N does not
     parser = argparse.ArgumentParser(
         prog="qcf1d",
@@ -224,24 +228,28 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, run in COMMANDS.items():
-        sub = subs.add_parser(command, help=run.__doc__, allow_abbrev=False)
+    for name, run in COMMANDS.items():
+        sub = subs.add_parser(name, help=run.__doc__, allow_abbrev=False)
+        if name != command:
+            continue
+        # a token that starts with -digit or -.digit is a value: argparse's own pattern
+        # has no exponent, and would read --phi2F -1e-3 as two flags
+        sub._negative_number_matcher = re.compile(r"-\.?\d")
         sub.add_argument("--config", help="flat key=value file, or a qcf1d CSV table; flags override it")
-        for f in options(command):
-            flag = "--" + f.name.replace("_", "-")
-            if f.metadata["parse"] is _bool:
-                sub.add_argument(flag, dest=f.name, action="store_true", default=None)
+        for o in options(command):
+            flag = "--" + o.name.replace("_", "-")
+            if o.parse is _bool:
+                sub.add_argument(flag, dest=o.name, action="store_true", default=None)
             else:
-                sub.add_argument(flag, dest=f.name, type=f.metadata["parse"],
-                                 choices=f.metadata["choices"], default=None)
+                sub.add_argument(flag, dest=o.name, type=o.parse, choices=o.choices, default=None)
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     merged = read_config_file(args.config, args.command) if args.config else {}
-    for f in options(args.command):
-        if getattr(args, f.name) is not None:
-            merged[f.name] = getattr(args, f.name)
+    for o in options(args.command):
+        if getattr(args, o.name) is not None:
+            merged[o.name] = getattr(args, o.name)
     given = {name for name, value in merged.items() if value is not False}
     for a, b in CONTRADICTIONS:
         if a in given and b in given:
@@ -360,7 +368,9 @@ COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser takes no option but --help, so its first other token names the subcommand
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)

@@ -20,8 +20,7 @@ can list them without importing the solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -32,9 +31,8 @@ LOADS = {
 }
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    """Geometry of a coupled computation.
+class DomainSpec(NamedTuple("DomainSpec", [("N", int), ("K", int), ("M", Optional[int])])):
+    """Geometry of a coupled computation, checked when it is built.
 
     N: computational half-width; sets the scale eps = 1/N.
     K: atomistic half-width; sites |j| <= K use the atomistic force law,
@@ -44,17 +42,14 @@ class DomainSpec:
        reference solves and truncation errors; at least N+2).
     """
 
-    N: int
-    K: int
-    M: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (2 <= self.K and 2 * self.K <= self.N):
-            raise ValueError(
-                f"K out of range: need 2 <= K <= N/2, got K={self.K}, N={self.N}"
-            )
-        if self.M is not None and self.M < self.N + 2:
-            raise ValueError(f"M must exceed N+1, got M={self.M}, N={self.N}")
+    def __new__(cls, N: int, K: int, M: Optional[int] = None):
+        if not (2 <= K and 2 * K <= N):
+            raise ValueError(f"K out of range: need 2 <= K <= N/2, got K={K}, N={N}")
+        if M is not None and M < N + 2:
+            raise ValueError(f"M must exceed N+1, got M={M}, N={N}")
+        return super().__new__(cls, N, K, M)
 
     @property
     def eps(self) -> float:

@@ -31,7 +31,7 @@ without loops in O(N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,8 +155,7 @@ class BorderedSolve:
         return y + self.columns @ u, float(u[0])
 
 
-@dataclass(frozen=True)
-class StrainStencil:
+class StrainStencil(NamedTuple):
     """Next-nearest part B of a strain operator phiF * I + phi2F * B, as bands.
 
     Bonds -n+1..n sit at offsets 0..2n-1.  Row i of B has diag[i] on the

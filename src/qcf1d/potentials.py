@@ -7,20 +7,17 @@ leaves only two material constants, the second derivatives at F and 2F.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class PairPotential:
-    """Two-body potential of the bond strain with analytic derivatives.
+class PairPotential(NamedTuple):
+    """Analytic first and second derivatives of a two-body potential of the bond strain.
 
-    eval, deriv1, deriv2 accept scalars or numpy arrays.
+    deriv1 and deriv2 accept scalars or numpy arrays.
     """
 
-    eval: Callable
     deriv1: Callable
     deriv2: Callable
 
@@ -34,12 +31,6 @@ def _lj_checked(r):
 
 # a tiny r overflows to inf (or nan) silently: callers check the values are finite
 @np.errstate(over="ignore", invalid="ignore")
-def _lj_eval(r):
-    s = _lj_checked(r) ** -6
-    return s * s - 2.0 * s
-
-
-@np.errstate(over="ignore", invalid="ignore")
 def _lj_deriv1(r):
     r = _lj_checked(r)
     return -12.0 * r**-13 + 12.0 * r**-7
@@ -52,15 +43,15 @@ def _lj_deriv2(r):
 
 
 def lennard_jones() -> PairPotential:
-    """Normalized Lennard-Jones potential r^-12 - 2 r^-6.
+    """The derivatives of the normalized Lennard-Jones potential r^-12 - 2 r^-6.
 
     The minimum sits at r = 1 with value -1.  Evaluation at r <= 0 raises.
+    No subcommand reads the energy itself: tests/oracles.py holds it.
     """
-    return PairPotential(_lj_eval, _lj_deriv1, _lj_deriv2)
+    return PairPotential(_lj_deriv1, _lj_deriv2)
 
 
-@dataclass(frozen=True)
-class Coefficients:
+class Coefficients(NamedTuple("Coefficients", [("phiF", float), ("phi2F", float)])):
     """Spring constants phiF = phi''(F) and phi2F = phi''(2F).
 
     Both must be finite, and phiF positive.  phi2F may be zero (pure
@@ -68,15 +59,15 @@ class Coefficients:
     condition check it themselves.
     """
 
-    phiF: float
-    phi2F: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("phiF", "phi2F"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.phiF > 0.0:
-            raise ValueError(f"phiF must be positive, got {self.phiF}")
+    def __new__(cls, phiF: float, phi2F: float):
+        for name, value in (("phiF", phiF), ("phi2F", phi2F)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not phiF > 0.0:
+            raise ValueError(f"phiF must be positive, got {phiF}")
+        return super().__new__(cls, phiF, phi2F)
 
     @classmethod
     def from_potential(cls, phi: PairPotential, F: float) -> "Coefficients":

@@ -52,21 +52,34 @@ def fd_jacobian(F, x, h=1e-6):
     return np.column_stack(cols)
 
 
-def energy_atomistic_loop(v, phi, eps):
-    """Brute-force bond loop over both neighbor ranges."""
+@np.errstate(over="ignore", invalid="ignore")
+def lj_energy(r):
+    """The normalized Lennard-Jones potential r^-12 - 2 r^-6, whose derivatives lennard_jones gives.
+
+    Scalars or arrays; r <= 0 raises, as the derivatives do.
+    """
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
+        raise ValueError("Lennard-Jones potential needs a positive separation")
+    s = r**-6
+    return s * s - 2.0 * s
+
+
+def energy_atomistic_loop(v, energy, eps):
+    """Brute-force bond loop over both neighbor ranges; energy is the potential of the bond strain."""
     total = 0.0
     for j in range(1, len(v)):
-        total += eps * float(phi.eval((v[j] - v[j - 1]) / eps))
+        total += eps * float(energy((v[j] - v[j - 1]) / eps))
     for j in range(2, len(v)):
-        total += eps * float(phi.eval((v[j] - v[j - 2]) / eps))
+        total += eps * float(energy((v[j] - v[j - 2]) / eps))
     return total
 
 
-def energy_lqc_loop(v, phi, eps):
+def energy_lqc_loop(v, energy, eps):
     total = 0.0
     for j in range(1, len(v)):
         r = (v[j] - v[j - 1]) / eps
-        total += eps * float(phi.eval(r) + phi.eval(2.0 * r))
+        total += eps * float(energy(r) + energy(2.0 * r))
     return total
 
 
@@ -87,8 +100,8 @@ def qce_bonds(spec):
     return terms
 
 
-def energy_qce_loop(y, spec, phi):
-    return sum(0.5 * spec.eps * float(phi.eval(a * (y[hi] - y[lo]) / spec.eps))
+def energy_qce_loop(y, spec, energy):
+    return sum(0.5 * spec.eps * float(energy(a * (y[hi] - y[lo]) / spec.eps))
                for lo, hi, a in qce_bonds(spec))
 
 

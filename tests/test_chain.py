@@ -9,7 +9,8 @@ from qcf1d.lattice import DomainSpec, uniform_positions
 from qcf1d.potentials import PairPotential, lennard_jones
 from qcf1d.scans import patch_test_scan
 
-from oracles import energy_atomistic_loop, energy_lqc_loop, fd_gradient, fd_jacobian, force_qcf, interior_sites
+from oracles import (energy_atomistic_loop, energy_lqc_loop, fd_gradient, fd_jacobian, force_qcf, interior_sites,
+                     lj_energy)
 
 LJ = lennard_jones()
 RNG = np.random.default_rng(42)
@@ -28,48 +29,48 @@ def test_energy_uniform_bond_count():
     eps = 0.25
     for F in (1.0, 0.9):
         y = uniform_positions(F, 2, eps)
-        expected = eps * (4.0 * LJ.eval(F) + 3.0 * LJ.eval(2.0 * F))
-        assert_allclose(energy_atomistic_loop(y, LJ, eps), expected, rtol=1e-12)
+        expected = eps * (4.0 * lj_energy(F) + 3.0 * lj_energy(2.0 * F))
+        assert_allclose(energy_atomistic_loop(y, lj_energy, eps), expected, rtol=1e-12)
 
 
 def test_energy_uniform_lj_value():
     eps = 0.25
     y = uniform_positions(1.0, 2, eps)
-    assert_allclose(energy_atomistic_loop(y, LJ, eps), eps * (-4.0 + 3.0 * LJ.eval(2.0)), rtol=1e-14)
+    assert_allclose(energy_atomistic_loop(y, lj_energy, eps), eps * (-4.0 + 3.0 * lj_energy(2.0)), rtol=1e-14)
 
 
 def test_energy_lqc_uniform_and_extra_bond():
     eps = 0.25
     y = uniform_positions(1.0, 2, eps)
-    assert_allclose(energy_lqc_loop(y, LJ, eps), eps * 4.0 * (LJ.eval(1.0) + LJ.eval(2.0)), rtol=1e-12)
+    assert_allclose(energy_lqc_loop(y, lj_energy, eps), eps * 4.0 * (lj_energy(1.0) + lj_energy(2.0)), rtol=1e-12)
     # the local energy carries one more next-nearest term than the atomistic one
-    diff = energy_lqc_loop(y, LJ, eps) - energy_atomistic_loop(y, LJ, eps)
-    assert_allclose(diff, eps * LJ.eval(2.0), rtol=1e-12)
+    diff = energy_lqc_loop(y, lj_energy, eps) - energy_atomistic_loop(y, lj_energy, eps)
+    assert_allclose(diff, eps * lj_energy(2.0), rtol=1e-12)
 
 
 def test_energy_domain_error_propagates():
     eps = 0.25
     y = np.array([0.0, 0.25, 0.2, 0.5, 0.75])  # one inverted bond
     with pytest.raises(ValueError):
-        energy_atomistic_loop(y, LJ, eps)
+        energy_atomistic_loop(y, lj_energy, eps)
 
 
 def test_local_minimum_at_uniform_unit_strain():
     # perturbing one interior atom strictly increases the energy near F = 1
     eps = 1.0 / 4
     y = uniform_positions(1.0, 4, eps)
-    e0 = energy_atomistic_loop(y, LJ, eps)
+    e0 = energy_atomistic_loop(y, lj_energy, eps)
     for delta in (1e-3 * eps, -1e-3 * eps):
         yp = y.copy()
         yp[4] += delta
-        assert energy_atomistic_loop(yp, LJ, eps) > e0
+        assert energy_atomistic_loop(yp, lj_energy, eps) > e0
 
 
 def test_force_atomistic_is_scaled_energy_gradient():
     eps = 1.0 / 8
     y = perturbed_uniform(1.0, 8, eps)
     f = force_atomistic(y, LJ, eps)
-    grad = fd_gradient(lambda v: energy_atomistic_loop(v, LJ, eps), y)
+    grad = fd_gradient(lambda v: energy_atomistic_loop(v, lj_energy, eps), y)
     expected = -grad[1:-1] / eps
     assert_allclose(f, expected, rtol=1e-6, atol=1e-6 * np.max(np.abs(expected)))
 
@@ -78,7 +79,7 @@ def test_force_lqc_is_scaled_energy_gradient():
     eps = 1.0 / 8
     y = perturbed_uniform(1.0, 8, eps)
     f = force_lqc(y, LJ, eps)
-    grad = fd_gradient(lambda v: energy_lqc_loop(v, LJ, eps), y)
+    grad = fd_gradient(lambda v: energy_lqc_loop(v, lj_energy, eps), y)
     expected = -grad[1:-1] / eps
     assert_allclose(f, expected, rtol=1e-6, atol=1e-6 * np.max(np.abs(expected)))
 
@@ -153,7 +154,7 @@ def test_patch_test_property(F, n, k_frac):
 
 # phi''(2F) > 0, unlike LJ near F = 1: a zigzag then moves the local field
 # more than the atomistic one
-QUARTIC = PairPotential(lambda r: r**4 / 12, lambda r: r**3 / 3, lambda r: r**2)
+QUARTIC = PairPotential(lambda r: r**3 / 3, lambda r: r**2)  # the derivatives of r^4 / 12
 
 
 def graded_zigzag(F, n, rng, grow):

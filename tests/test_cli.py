@@ -499,11 +499,14 @@ COMMAND_OPTIONS = {
 
 
 def test_parser_option_strings_per_subcommand():
-    parser = cli.build_parser()
-    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert set(subs.choices) == set(COMMAND_OPTIONS)
-    for command, sub in subs.choices.items():
-        assert set(sub._option_string_actions) == COMMON_OPTIONS | COMMAND_OPTIONS[command]
+    # every subcommand is registered, with its help; only the one a run names takes options
+    for command in COMMAND_OPTIONS:
+        parser = cli.build_parser(command)
+        (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(subs.choices) == set(COMMAND_OPTIONS)
+        for name, sub in subs.choices.items():
+            expected = COMMON_OPTIONS | COMMAND_OPTIONS[name] if name == command else {"-h", "--help"}
+            assert set(sub._option_string_actions) == expected, (command, name)
 
 
 @pytest.mark.parametrize("flag", ["--jobs", "--seed"])
@@ -759,7 +762,7 @@ def test_nonfinite_k_ratio_exits_2_naming_the_flag(tmp_path, capsys, args, ratio
 
 
 @pytest.mark.parametrize("via_file", [False, True])
-@pytest.mark.parametrize("ratio", ["-3", "0", "-0.0"])
+@pytest.mark.parametrize("ratio", ["-3", "0", "-0.0", "-1e-3"])
 @pytest.mark.parametrize("args", [
     ["coercivity", "--phiF", "1", "--phi2F", "-0.2", "--N-list", "64"],
     ["patch-test", "--N-list", "16"],
@@ -779,6 +782,32 @@ def test_nonpositive_k_ratio_exits_2_naming_the_flag(tmp_path, capsys, args, rat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "-2E-1", "-.5e-1"])
+def test_negative_exponent_values_read_alike_from_flags_and_config(tmp_path, value):
+    # argparse's own negative-number pattern has no exponent, so it took
+    # `--phi2F -1e-3` for two flags and exited 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"phi2F={value}\n")
+    base = ["coercivity", "--phiF", "1", "--N-list", "16,32"]
+    tables = []
+    for i, argv in enumerate(([*base, "--phi2F", value], [*base, f"--phi2F={value}"], [*base, "--config", cfg])):
+        out = tmp_path / f"{i}.csv"
+        assert run([*argv, "--out", out]) == 0
+        tables.append([line for line in out.read_text().splitlines() if not line.startswith("# out=")])
+    assert tables[0] == tables[1] == tables[2]
+    assert f"# phi2F={float(value)}" in tables[0]
+
+
+@pytest.mark.parametrize("args,message", [
+    (["infsup", "--phiF", "1", "--phi2F", "-0.2", "--N-list", "16", "--p-list", "-1e0,2"],
+     "p must satisfy 1 <= p < inf, got -1.0"),
+    (["patch-test", "--N-list", "16", "--F-list", "-1e-1,1"], "needs a positive separation"),
+])
+def test_negative_exponent_list_values_reach_the_run(tmp_path, capsys, args, message):
+    assert run([*args, "--out", tmp_path / "x.csv"]) == 2
+    assert message in capsys.readouterr().err
+
+
 GC_COUNT = """
 import gc, json, sys
 from qcf1d.cli import main
@@ -793,12 +822,12 @@ print(json.dumps({"code": code, "starts": starts}))
 
 def test_patch_test_makes_no_object_per_row(tmp_path):
     # 5115 rows: a tuple per split or per row runs the collector 9 times
-    # or more; the one collection left is building the argument parser
+    # or more, and building every subcommand's options once ran it once
     out = tmp_path / "p.csv"
     proc = subprocess.run([sys.executable, "-c", GC_COUNT, str(out)], capture_output=True, text=True,
                           env=checkout_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got["code"] == 0
-    assert len(got["starts"]) <= 1, got["starts"]
+    assert got["starts"] == []
     assert "# points_checked=5115" in out.read_text()

@@ -145,7 +145,7 @@ for info in pkgutil.iter_modules(qcf1d.__path__):
             public[obj.__code__] = f"{info.name}.{name}"
         elif inspect.isclass(obj):
             # methods, dunders, properties and classmethods written in the module,
-            # not those dataclass or NamedTuple generate
+            # not those NamedTuple generates
             for attr, member in vars(obj).items():
                 fn = getattr(member, "fget", getattr(member, "__func__", member))
                 if inspect.isfunction(fn) and fn.__code__.co_filename == module.__file__:
@@ -182,7 +182,7 @@ FOOTPRINT = """
 import sys
 import qcf1d.cli
 kernels = ("qcf1d.solver", "qcf1d.stability")
-loaded = {"import": sorted(m for m in (*kernels, "json", "numpy") if m in sys.modules)}
+loaded = {"import": sorted(m for m in (*kernels, "json", "numpy", "dataclasses", "copy") if m in sys.modules)}
 runs = [
     ["patch-test", "--N-list", "16", "--K-all"],
     ["dump-operator", "--operator", "Eqcf", "--N", "8", "--K", "2", "--phiF", "1", "--phi2F", "1"],
@@ -198,7 +198,9 @@ print(json.dumps(loaded))
 
 def test_a_subcommand_loads_only_the_kernels_it_runs(tmp_path):
     # patch-test and dump-operator run no stability or solver kernel, so a
-    # process running them never loads those modules; convergence is the control
+    # process running them never loads those modules; convergence is the control.
+    # The records are NamedTuples and the options one table, so neither
+    # dataclasses nor the copy module it imports is loaded
     assert fresh_run(FOOTPRINT, tmp_path) == {
         "import": ["numpy"],
         "patch-test": [0, []],
@@ -250,3 +252,9 @@ def test_the_console_script_freezes_the_heap_before_exit(tmp_path):
     got = fresh_run(AS_CONSOLE_SCRIPT, target, "patch-test", "--N-list", "16", "--K-all",
                     "--out", tmp_path / "p.csv")
     assert got == {"code": 0, "frozen": True}
+
+
+def test_no_source_file_uses_dataclasses():
+    # one record idiom: typing.NamedTuple, with a validating subclass where a record checks its values
+    sources = sorted(Path(SRC, "qcf1d").glob("*.py"))
+    assert sources and not [p.name for p in sources if "dataclass" in p.read_text()]

@@ -22,6 +22,14 @@ def test_domain_spec_validation():
             DomainSpec(16, 4, M=m)
 
 
+def test_domain_spec_is_an_immutable_value():
+    spec = DomainSpec(16, 4)
+    assert spec == DomainSpec(16, 4, None) and spec != DomainSpec(16, 4, M=18)
+    for name in ("K", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, 3)
+
+
 def test_domain_spec_regions():
     spec = DomainSpec(8, 2)
     assert spec.eps == 0.125

