@@ -44,12 +44,10 @@ from .scans import (
     write_table,
 )
 
-POTENTIALS = {"lj": lennard_jones}
 # the subcommands that read spring constants through RunConfig.coefficients
 COEFFICIENT_COMMANDS = ("coercivity", "infsup", "convergence", "dump-operator", "eig-scan")
 # pairs of options that each set the same quantity, so a run takes at most one of a pair
-CONTRADICTIONS = (("K", "K_all"), ("K", "K_ratio"), ("K_ratio", "K_all"), ("F", "phiF"), ("F", "phi2F"),
-                  ("F", "F_list"))
+CONTRADICTIONS = (("K", "K_all"), ("K", "K_ratio"), ("K_ratio", "K_all"))
 
 
 def _items(s: str) -> list[str]:
@@ -95,9 +93,7 @@ OPTIONS = (
     Option("out", str, ""),
     Option("phiF", float, commands=COEFFICIENT_COMMANDS),
     Option("phi2F", float, commands=COEFFICIENT_COMMANDS),
-    Option("potential", str, "lj", sorted(POTENTIALS)),
-    Option("F", float),
-    Option("F_list", _float_list, commands=("patch-test",)),
+    Option("F_list", _float_list, [0.9, 1.0, 1.1], commands=("patch-test",)),
     Option("N", int, commands=("dump-operator",)),
     Option("N_list", _int_list, [], commands=("patch-test", "coercivity", "infsup", "convergence", "eig-scan")),
     Option("K", int),
@@ -123,11 +119,9 @@ class RunConfig(NamedTuple("RunConfig", [("command", str), *((o.name, object) fo
         return super().__new__(cls, command, *(list(v) if isinstance(v, list) else v for v in fields))
 
     def coefficients(self) -> Coefficients:
-        if self.phiF is not None and self.phi2F is not None:
-            return Coefficients(self.phiF, self.phi2F)
-        if self.F is not None:
-            return Coefficients.from_potential(POTENTIALS[self.potential](), self.F)
-        raise ValueError("need either --phiF and --phi2F, or --potential with --F")
+        if self.phiF is None or self.phi2F is None:
+            raise ValueError("need --phiF and --phi2F")
+        return Coefficients(self.phiF, self.phi2F)
 
     def k_for(self, n: int) -> int:
         if self.K is not None:
@@ -232,9 +226,10 @@ def build_parser(command: Optional[str]) -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=run.__doc__, allow_abbrev=False)
         if name != command:
             continue
-        # a token that starts with -digit or -.digit is a value: argparse's own pattern
-        # has no exponent, and would read --phi2F -1e-3 as two flags
-        sub._negative_number_matcher = re.compile(r"-\.?\d")
+        # a token that starts with -digit or -.digit, or is -inf, -infinity or -nan in
+        # any case, is a value: argparse's own pattern has no exponent and no non-finite
+        # form, and would read --phi2F -1e-3 or --phi2F -inf as two flags
+        sub._negative_number_matcher = re.compile(r"-\.?\d|-(?:inf|infinity|nan)$", re.IGNORECASE)
         sub.add_argument("--config", help="flat key=value file, or a qcf1d CSV table; flags override it")
         for o in options(command):
             flag = "--" + o.name.replace("_", "-")
@@ -269,11 +264,9 @@ class TripleRow(NamedTuple):
 
 def cmd_patch_test(cfg: RunConfig) -> tuple:
     """ghost-force residuals at uniform states"""
-    phi = POTENTIALS[cfg.potential]()
-    if cfg.F_list == []:
+    if not cfg.F_list:
         raise ValueError("need at least one strain in --F-list")
-    F_values = cfg.F_list or ([cfg.F] if cfg.F is not None else [0.9, 1.0, 1.1])
-    table = patch_test_scan(phi, F_values, cfg.splits())
+    table = patch_test_scan(lennard_jones(), cfg.F_list, cfg.splits())
     ok = bool(np.all(table.passed))
     # np.max, not max: a NaN residual must show in the extras wherever it sits
     extras = {

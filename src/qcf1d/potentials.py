@@ -1,8 +1,9 @@
-"""Pair potentials and the linearized spring coefficients they induce.
+"""The pair potential of the patch test, and the spring constants of the linearized chain.
 
-Potentials take the dimensionless bond strain r (deformed bond length per
-reference spacing).  Linearizing the chain about the uniform strain F
-leaves only two material constants, the second derivatives at F and 2F.
+The potential takes the dimensionless bond strain r (deformed bond length
+per reference spacing).  Linearizing the chain about the uniform strain F
+leaves only two material constants, the second derivatives at F and 2F,
+which every other subcommand is given directly.
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ import numpy as np
 
 
 class PairPotential(NamedTuple):
-    """Analytic first and second derivatives of a two-body potential of the bond strain.
+    """The analytic first derivative of a two-body potential of the bond strain.
 
-    deriv1 and deriv2 accept scalars or numpy arrays.
+    deriv1 accepts scalars or numpy arrays.
     """
 
     deriv1: Callable
-    deriv2: Callable
 
 
 def _lj_checked(r):
@@ -36,19 +36,14 @@ def _lj_deriv1(r):
     return -12.0 * r**-13 + 12.0 * r**-7
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _lj_deriv2(r):
-    r = _lj_checked(r)
-    return 156.0 * r**-14 - 84.0 * r**-8
-
-
 def lennard_jones() -> PairPotential:
-    """The derivatives of the normalized Lennard-Jones potential r^-12 - 2 r^-6.
+    """The first derivative of the normalized Lennard-Jones potential r^-12 - 2 r^-6.
 
     The minimum sits at r = 1 with value -1.  Evaluation at r <= 0 raises.
-    No subcommand reads the energy itself: tests/oracles.py holds it.
+    No subcommand reads the energy or its second derivative: tests/oracles.py
+    holds them.
     """
-    return PairPotential(_lj_deriv1, _lj_deriv2)
+    return PairPotential(_lj_deriv1)
 
 
 class Coefficients(NamedTuple("Coefficients", [("phiF", float), ("phi2F", float)])):
@@ -68,8 +63,4 @@ class Coefficients(NamedTuple("Coefficients", [("phiF", float), ("phi2F", float)
         if not phiF > 0.0:
             raise ValueError(f"phiF must be positive, got {phiF}")
         return super().__new__(cls, phiF, phi2F)
-
-    @classmethod
-    def from_potential(cls, phi: PairPotential, F: float) -> "Coefficients":
-        return cls(float(phi.deriv2(F)), float(phi.deriv2(2.0 * F)))
 

@@ -9,9 +9,11 @@ the explicit interface probe, dense eigen- and singular-value solves for
 the stability constants, dense LU for the linear solves, and direct
 operator products in exact rational arithmetic for the truncation error
 and the quadratic form.  The forces of the energy-based coupling (QCE),
-which has ghost forces, serve the negative controls.  The site sets of
-a domain (interior, atomistic, continuum) live here too, since only the
-tests index by them.
+which has ghost forces, serve the negative controls.  The
+Lennard-Jones energy and second derivative, with the spring constants
+they give at a strain, live here because the CLI is given spring
+constants directly; so do the site sets of a domain (interior,
+atomistic, continuum), since only the tests index by them.
 Keep these dumb and slow on purpose.
 """
 
@@ -54,7 +56,7 @@ def fd_jacobian(F, x, h=1e-6):
 
 @np.errstate(over="ignore", invalid="ignore")
 def lj_energy(r):
-    """The normalized Lennard-Jones potential r^-12 - 2 r^-6, whose derivatives lennard_jones gives.
+    """The normalized Lennard-Jones potential r^-12 - 2 r^-6, whose first derivative lennard_jones gives.
 
     Scalars or arrays; r <= 0 raises, as the derivatives do.
     """
@@ -63,6 +65,20 @@ def lj_energy(r):
         raise ValueError("Lennard-Jones potential needs a positive separation")
     s = r**-6
     return s * s - 2.0 * s
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def lj_deriv2(r):
+    """The second derivative 156 r^-14 - 84 r^-8 of lj_energy; scalars or arrays, r <= 0 raises."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
+        raise ValueError("Lennard-Jones potential needs a positive separation")
+    return 156.0 * r**-14 - 84.0 * r**-8
+
+
+def lj_coefficients(F):
+    """The spring constants phi''(F) and phi''(2F) of the Lennard-Jones chain at the strain F."""
+    return Coefficients(float(lj_deriv2(F)), float(lj_deriv2(2.0 * F)))
 
 
 def energy_atomistic_loop(v, energy, eps):

@@ -34,6 +34,7 @@ from oracles import (
     l2_decomposition,
     l2_dense,
     la_dense,
+    lj_coefficients,
     lqcf_dense,
     operator_dense,
     pair_dense,
@@ -119,7 +120,7 @@ def test_c04_jacobian_consistency():
     eps = 1.0 / 32
     F = 1.05
     spec = DomainSpec(n, 8)
-    c = Coefficients.from_potential(LJ, F)
+    c = lj_coefficients(F)
     y = uniform_positions(F, m, eps)
     cases = {
         "atomistic": (operator_dense("La", c, m), lambda v: force_atomistic(v, LJ, eps)),

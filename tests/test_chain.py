@@ -154,7 +154,7 @@ def test_patch_test_property(F, n, k_frac):
 
 # phi''(2F) > 0, unlike LJ near F = 1: a zigzag then moves the local field
 # more than the atomistic one
-QUARTIC = PairPotential(lambda r: r**3 / 3, lambda r: r**2)  # the derivatives of r^4 / 12
+QUARTIC = PairPotential(lambda r: r**3 / 3)  # the derivative of r^4 / 12
 
 
 def graded_zigzag(F, n, rng, grow):

@@ -65,8 +65,8 @@ def test_patch_test_echoes_only_its_options(tmp_path):
     assert run(["patch-test", "--N-list", "16", "--K", "4", "--out", out]) == 0
     comments, _, _ = read_rows(out)
     keys = {c[2:].split("=", 1)[0] for c in comments if "=" in c}
-    assert {"command", "N_list", "K", "potential"} <= keys
-    assert not keys & {"load", "p_list", "M_factor", "phiF", "phi2F"}
+    assert {"command", "N_list", "K", "F_list"} <= keys
+    assert not keys & {"load", "p_list", "M_factor", "phiF", "phi2F", "potential", "F"}
 
 
 @pytest.mark.parametrize("flag", ["--M-factor", "--phiF", "--phi2F"])
@@ -345,7 +345,7 @@ def test_config_file_diagnostics(tmp_path):
 
 
 @pytest.mark.parametrize("key, args", [
-    ("potential", ["--F", "1.0"]),
+    ("format", ["--operator", "Ea", "--phiF", "1", "--phi2F", "1"]),
     ("operator", ["--phiF", "1", "--phi2F", "1"]),
 ])
 def test_config_file_bad_choice_exits_2(tmp_path, capsys, key, args):
@@ -401,6 +401,11 @@ def table_command(table):
     return table.read_text().split("\n", 1)[0].removeprefix("# qcf1d ")
 
 
+def lines_but_out(path):
+    """A table's lines, but its `# out=` echo, which names where each run wrote it."""
+    return [line for line in path.read_text().splitlines() if not line.startswith("# out=")]
+
+
 def cells(line):
     return line.split("=", 1) if line.startswith("#") else line.split(",")
 
@@ -420,8 +425,7 @@ def test_a_committed_table_reruns_from_its_own_header(tmp_path, table):
     # --out always, so the test never rewrites results/
     out = tmp_path / table.name
     assert run([table_command(table), "--config", table, "--out", out]) == 0
-    want, got = ([line for line in path.read_text().splitlines() if not line.startswith("# out=")]
-                 for path in (table, out))
+    want, got = lines_but_out(table), lines_but_out(out)
     assert f"# out={out}" in out.read_text()
     if table.name in EXACT_TABLES:
         assert got == want
@@ -434,6 +438,28 @@ def test_a_committed_table_reruns_from_its_own_header(tmp_path, table):
         tols = [0.0] * len(cells(w)) if w.startswith("#") else row_tols
         assert len(cells(w)) == len(cells(g)) == len(tols), (w, g)
         assert all(map(same_cell, cells(w), cells(g), tols)), (w, g)
+
+
+@pytest.mark.parametrize("name", EXACT_TABLES)
+def test_a_table_with_a_potential_line_still_reruns(tmp_path, name):
+    # earlier tables echo `# potential=lj`, a key that names no option: it is skipped
+    table = tmp_path / name
+    first, rest = (RESULTS / name).read_text().split("\n", 1)
+    table.write_text(f"{first}\n# potential=lj\n{rest}")
+    out = tmp_path / f"re_{name}"
+    assert run([table_command(table), "--config", table, "--out", out]) == 0
+    assert lines_but_out(out) == lines_but_out(RESULTS / name)
+
+
+def test_a_default_patch_test_table_echoes_its_strains_and_reruns(tmp_path):
+    first = tmp_path / "p.csv"
+    assert run(["patch-test", "--N-list", "16", "--K", "4", "--out", first]) == 0
+    comments, _, rows = read_rows(first)
+    assert "# F_list=[0.9, 1.0, 1.1]" in comments
+    assert [r["F"] for r in rows] == ["0.9", "1.0", "1.1"]
+    again = tmp_path / "again.csv"
+    assert run(["patch-test", "--config", first, "--out", again]) == 0
+    assert lines_but_out(again) == lines_but_out(first)
 
 
 def test_a_table_given_to_another_subcommand_exits_2_naming_both(tmp_path, capsys):
@@ -449,7 +475,7 @@ def test_a_table_given_to_another_subcommand_exits_2_naming_both(tmp_path, capsy
     ("# K_all=1", "unknown key 'K_all' for coercivity"),  # an option of patch-test only
     ("# N_list=[256, x]", "bad value for 'N_list'"),
     ("# phiF=one", "bad value for 'phiF'"),
-    ("# potential=morse", "bad value for 'potential'"),
+    ("# format=xml", "bad value for 'format'"),
     ("# phiF", "expected key=value"),
 ])
 def test_a_bad_table_header_line_exits_2_naming_it(tmp_path, capsys, line, message):
@@ -484,8 +510,7 @@ def test_no_extra_is_named_as_an_option(tmp_path):
 
 
 COMMON_OPTIONS = {
-    "-h", "--help", "--config", "--potential", "--F",
-    "--K", "--K-ratio", "--out", "--format",
+    "-h", "--help", "--config", "--K", "--K-ratio", "--out", "--format",
 }
 SPRINGS = {"--phiF", "--phi2F"}
 COMMAND_OPTIONS = {
@@ -514,6 +539,18 @@ def test_removed_flags_exit_2(tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
         run(["patch-test", "--N-list", "16", flag, "1", "--out", tmp_path / "x.csv"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag,value", [("--potential", "lj"), ("--F", "1.0")])
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_retired_spring_and_strain_flags_exit_2(tmp_path, capsys, command, flag, value):
+    # spring constants come only from --phiF/--phi2F, and patch-test's strains only from --F-list
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run([command, *SMALL_RUNS[command], flag, value, "--out", out])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_abbreviated_flag_exits_2(tmp_path):
@@ -548,10 +585,12 @@ def test_infsup_checks_p2_bound_without_p2_row(tmp_path, monkeypatch):
     (["patch-test", "--N-list", "16", "--K", "3", "--K-all"], "--K contradicts --K-all"),
     (["coercivity", "--phiF", "1", "--phi2F", "-0.2", "--N-list", "16", "--K", "4", "--K-ratio", "0.5"],
      "--K contradicts --K-ratio"),
-    (["coercivity", "--F", "1.0", "--phiF", "2", "--N-list", "16"], "--F contradicts --phiF"),
-    (["infsup", "--F", "1.0", "--phi2F", "-0.2", "--N-list", "16"], "--F contradicts --phi2F"),
+    (["dump-operator", "--operator", "Ea", "--N", "8", "--phiF", "1", "--phi2F", "1", "--K", "2", "--K-ratio", "0.25"],
+     "--K contradicts --K-ratio"),
+    # named in the table's order, whatever the order of the flags
+    (["eig-scan", "--phiF", "1", "--phi2F", "-0.2", "--N-list", "16", "--K-ratio", "0.25", "--K", "4"],
+     "--K contradicts --K-ratio"),
     (["patch-test", "--N-list", "16", "--K-ratio", "0.5", "--K-all"], "--K-ratio contradicts --K-all"),
-    (["patch-test", "--N-list", "16", "--K", "4", "--F", "1.3", "--F-list", "0.9"], "--F contradicts --F-list"),
 ])
 def test_contradicting_flags_exit_2_naming_both(tmp_path, capsys, argv, flags):
     # each pair sets one quantity, and the table would echo the flag the run ignored
@@ -563,10 +602,10 @@ def test_contradicting_flags_exit_2_naming_both(tmp_path, capsys, argv, flags):
 
 def test_contradiction_between_config_file_and_flag_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("phiF = 2\nphi2F = -0.2\n")
+    cfg.write_text("phiF = 2\nphi2F = -0.2\nK = 4\n")
     out = tmp_path / "x.csv"
-    assert run(["coercivity", "--config", cfg, "--F", "1.0", "--N-list", "16", "--out", out]) == 2
-    assert "--F contradicts --phiF" in capsys.readouterr().err
+    assert run(["coercivity", "--config", cfg, "--K-ratio", "0.25", "--N-list", "16", "--out", out]) == 2
+    assert "--K contradicts --K-ratio" in capsys.readouterr().err
     assert not out.exists()
     # K_all = no sets nothing, so it leaves --K free
     cfg.write_text("K_all = no\n")
@@ -705,7 +744,8 @@ def test_nonfinite_phi2F_exits_2(tmp_path, command, value):
 
 
 @pytest.mark.parametrize("command", cli.COEFFICIENT_COMMANDS)
-@pytest.mark.parametrize("coefficients", [["--phiF", "inf", "--phi2F", "0.1"], ["--F", "1e-30"]])
+# 1e999 is too large for a double, and reads as inf
+@pytest.mark.parametrize("coefficients", [["--phiF", "inf", "--phi2F", "0.1"], ["--phiF", "1e999", "--phi2F", "0.1"]])
 def test_infinite_phiF_exits_2(tmp_path, capsys, command, coefficients):
     out = tmp_path / "x.csv"
     assert run(coefficient_command(command, coefficients, out)) == 2
@@ -714,14 +754,13 @@ def test_infinite_phiF_exits_2(tmp_path, capsys, command, coefficients):
 
 
 @pytest.mark.parametrize("command,message", [
-    ("coercivity", "phiF must be finite, got inf"),
     ("patch-test", "phi'(F) and phi'(2F) must be finite, got (-inf, -inf) at F=1e-30"),
 ])
 def test_overflowing_strain_exits_2_without_warnings(tmp_path, command, message):
-    # phi'(1e-30) and phi''(1e-30) overflow to inf: a configuration error,
+    # phi'(1e-30) overflows to inf: a configuration error,
     # reported once by the CLI, with no numpy warning before it
     out = tmp_path / "x.csv"
-    proc = run_process([command, "--F", "1e-30", "--N-list", "16", "--out", out])
+    proc = run_process([command, "--F-list", "1e-30", "--N-list", "16", "--out", out])
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
     assert "Warning" not in proc.stderr
@@ -748,7 +787,7 @@ def test_coercivity_failed_shift_check_exits_1_naming_the_shift(tmp_path, capsys
     assert not out.exists()
 
 
-@pytest.mark.parametrize("ratio", ["inf", "nan"])
+@pytest.mark.parametrize("ratio", ["inf", "nan", "-inf"])
 @pytest.mark.parametrize("args", [
     ["coercivity", "--phiF", "1", "--phi2F", "-0.2", "--N-list", "16"],
     ["patch-test", "--N-list", "16"],
@@ -793,9 +832,24 @@ def test_negative_exponent_values_read_alike_from_flags_and_config(tmp_path, val
     for i, argv in enumerate(([*base, "--phi2F", value], [*base, f"--phi2F={value}"], [*base, "--config", cfg])):
         out = tmp_path / f"{i}.csv"
         assert run([*argv, "--out", out]) == 0
-        tables.append([line for line in out.read_text().splitlines() if not line.startswith("# out=")])
+        tables.append(lines_but_out(out))
     assert tables[0] == tables[1] == tables[2]
     assert f"# phi2F={float(value)}" in tables[0]
+
+
+@pytest.mark.parametrize("value", ["-inf", "-Infinity", "-INF", "-nan", "-NaN"])
+def test_negative_nonfinite_values_read_alike_from_flags_and_config(tmp_path, capsys, value):
+    # argparse's own pattern, and one for -digit alone, took `--phi2F -inf` for two flags
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"phi2F={value}\n")
+    out = tmp_path / "x.csv"
+    base = ["coercivity", "--phiF", "1", "--N-list", "16", "--out", out]
+    errors = []
+    for argv in ([*base, "--phi2F", value], [*base, "--config", cfg]):
+        assert run(argv) == 2
+        errors.append(capsys.readouterr().err.splitlines()[0])
+    assert errors[0] == errors[1] == f"error: phi2F must be finite, got {float(value)}"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args,message", [

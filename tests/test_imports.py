@@ -156,7 +156,6 @@ coefficients = ["--phiF", "1", "--phi2F", "-0.2"]
 runs = [
     ["patch-test", "--N-list", "16", "--K-all", "--F-list", "0.9,1.1"],
     ["coercivity", *coefficients, "--N-list", "16,32"],
-    ["coercivity", "--F", "1.0", "--N-list", "16,32"],
     ["infsup", *coefficients, "--N-list", "16,32", "--p-list", "1,2,4", "--format", "json"],
     ["convergence", "--phiF", "1", "--phi2F", "-0.05", "--N-list", "16,32", "--load", "cospi"],
     ["eig-scan", *coefficients, "--N-list", "16,32"],
@@ -175,7 +174,7 @@ def test_every_library_function_runs_in_a_subcommand(tmp_path):
     # src/ holds only what a subcommand runs; test-only oracles live in
     # tests/oracles.py
     got = fresh_run(EVERY_FUNCTION, tmp_path)
-    assert got == {"codes": [0] * 9, "never_called": []}
+    assert got == {"codes": [0] * 8, "never_called": []}
 
 
 FOOTPRINT = """

@@ -26,6 +26,7 @@ from oracles import (
     l2_decomposition,
     l2_dense,
     la_dense,
+    lj_coefficients,
     llqc_dense,
     lqcf_dense,
     operator_dense,
@@ -241,7 +242,7 @@ def test_operators_linearize_their_force_fields(assemble, force_name):
     eps = 1.0 / n
     F = 1.05
     spec = DomainSpec(n, 4)
-    c = Coefficients.from_potential(LJ, F)
+    c = lj_coefficients(F)
     forces = {
         "atomistic": lambda y: force_atomistic(y, LJ, eps),
         "lqc": lambda y: force_lqc(y, LJ, eps),
