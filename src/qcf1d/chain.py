@@ -14,15 +14,17 @@ apart.  Three force laws act on the free atoms j = -L+1..L-1:
 
 The coupled field passes the patch test (it vanishes identically at a
 uniformly strained state) but is not a gradient: its Jacobian is not
-symmetric.
+symmetric.  Each law takes the pair force phi, the first derivative of
+the pair potential as a function of the bond strain.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .lattice import DomainSpec, diff
-from .potentials import PairPotential
 
 
 def _nnn_strains(y: np.ndarray, eps: float) -> np.ndarray:
@@ -30,15 +32,15 @@ def _nnn_strains(y: np.ndarray, eps: float) -> np.ndarray:
     return (y[2:] - y[:-2]) / eps
 
 
-def force_atomistic(y: np.ndarray, phi: PairPotential, eps: float) -> np.ndarray:
+def force_atomistic(y: np.ndarray, phi: Callable, eps: float) -> np.ndarray:
     """Atomistic force (per lattice spacing) on the free atoms -L+1..L-1.
 
     The next-nearest terms that would reach atoms -L-1 or L+1 are taken to
     be zero, which makes the field exactly minus the scaled energy
     gradient on the 2L+1 chain.
     """
-    d1 = phi.deriv1(diff(y, eps))
-    d2 = phi.deriv1(_nnn_strains(y, eps))
+    d1 = phi(diff(y, eps))
+    d2 = phi(_nnn_strains(y, eps))
     zero = np.zeros(1)
     d2_right = np.concatenate([d2[1:], zero])
     d2_left = np.concatenate([zero, d2[:-1]])
@@ -46,14 +48,14 @@ def force_atomistic(y: np.ndarray, phi: PairPotential, eps: float) -> np.ndarray
     return ((d1[1:] - d1[:-1]) + (d2_right - d2_left)) / eps
 
 
-def force_lqc(y: np.ndarray, phi: PairPotential, eps: float) -> np.ndarray:
+def force_lqc(y: np.ndarray, phi: Callable, eps: float) -> np.ndarray:
     """Local QC force (per lattice spacing) on the free atoms -L+1..L-1."""
     r = diff(y, eps)
-    g = phi.deriv1(r) + 2.0 * phi.deriv1(2.0 * r)
+    g = phi(r) + 2.0 * phi(2.0 * r)
     return (g[1:] - g[:-1]) / eps
 
 
-def max_abs_force_qcf(y: np.ndarray, ks: list[int], phi: PairPotential) -> np.ndarray:
+def max_abs_force_qcf(y: np.ndarray, ks: list[int], phi: Callable) -> np.ndarray:
     """max_j |f_j| of the coupled force f at y, for every split K in ks.
 
     The coupled force takes the atomistic law on sites |j| <= K and the

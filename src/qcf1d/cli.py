@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .lattice import LOADS, DomainSpec
-from .potentials import Coefficients, lennard_jones
+from .potentials import Coefficients, lj_deriv1
 from .scans import (
     OPERATOR_BUILDERS,
     CoercivityScanRow,
@@ -97,7 +97,7 @@ OPTIONS = (
     Option("N", int, commands=("dump-operator",)),
     Option("N_list", _int_list, [], commands=("patch-test", "coercivity", "infsup", "convergence", "eig-scan")),
     Option("K", int),
-    Option("K_ratio", float),
+    Option("K_ratio", float, 0.25),
     Option("K_all", _bool, False, commands=("patch-test",)),
     Option("M_factor", int, 4, commands=("convergence",)),
     Option("p_list", _float_list, [1.0, 2.0, 4.0], commands=("infsup",)),
@@ -126,12 +126,11 @@ class RunConfig(NamedTuple("RunConfig", [("command", str), *((o.name, object) fo
     def k_for(self, n: int) -> int:
         if self.K is not None:
             return self.K
-        ratio = 0.25 if self.K_ratio is None else self.K_ratio
-        if not np.isfinite(ratio):
-            raise ValueError(f"--K-ratio must be finite, got {ratio}")
-        if ratio <= 0:
-            raise ValueError(f"--K-ratio must be positive, got {ratio}")
-        return max(2, int(round(ratio * n)))
+        if not np.isfinite(self.K_ratio):
+            raise ValueError(f"--K-ratio must be finite, got {self.K_ratio}")
+        if self.K_ratio <= 0:
+            raise ValueError(f"--K-ratio must be positive, got {self.K_ratio}")
+        return max(2, int(round(self.K_ratio * n)))
 
     def splits(self) -> list[tuple]:
         """(N, the splits K run at N) for each N of --N-list, in order; --K-all's splits are a range."""
@@ -162,9 +161,9 @@ class RunConfig(NamedTuple("RunConfig", [("command", str), *((o.name, object) fo
         return d
 
 
-def options(command: Optional[str] = None) -> list:
-    """The options; with a command, only those it takes."""
-    return [o for o in OPTIONS if command is None or o.commands is None or command in o.commands]
+def options(command: str) -> list:
+    """The options command takes."""
+    return [o for o in OPTIONS if o.commands is None or command in o.commands]
 
 
 def _parse(o: Option, text: str):
@@ -174,13 +173,13 @@ def _parse(o: Option, text: str):
     return value
 
 
-def read_config_file(path: str, command: Optional[str] = None) -> dict:
+def read_config_file(path: str, command: str) -> dict:
     """Flat key=value file; # starts a comment.  Or a CSV table, whose first line is `# qcf1d <command>`.
 
-    Keys are option names (dashes or underscores).  Values go through the
-    same parser and choices as the flags, and with a command only the
-    options of that subcommand are accepted.  A table of the command is
-    read up to its CSV header, skipping the echo's keys that name no option.
+    Keys are the names (dashes or underscores) of the options command
+    takes.  Values go through the same parser and choices as the flags.  A
+    table of the command is read up to its CSV header, skipping the echo's
+    keys that name no option.
     """
     known = {o.name: o for o in options(command)}
     table = None
@@ -189,7 +188,7 @@ def read_config_file(path: str, command: Optional[str] = None) -> dict:
         for lineno, raw in enumerate(fh, start=1):
             if lineno == 1 and raw.startswith("# qcf1d "):
                 table = raw[len("# qcf1d "):].strip()
-                if command is not None and table != command:
+                if table != command:
                     raise ValueError(f"{path}:1: a table of {table}, not of {command}")
                 continue
             if table is not None and not raw.startswith("#"):
@@ -204,8 +203,7 @@ def read_config_file(path: str, command: Optional[str] = None) -> dict:
             if key not in known:
                 if table is not None and key not in {o.name for o in OPTIONS}:
                     continue  # the echo's command, or one of its extras
-                scope = f" for {command}" if command else ""
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}{scope}")
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r} for {command}")
             try:
                 values[key] = _parse(known[key], val.strip())
             except ValueError as exc:
@@ -230,6 +228,7 @@ def build_parser(command: Optional[str]) -> argparse.ArgumentParser:
         # any case, is a value: argparse's own pattern has no exponent and no non-finite
         # form, and would read --phi2F -1e-3 or --phi2F -inf as two flags
         sub._negative_number_matcher = re.compile(r"-\.?\d|-(?:inf|infinity|nan)$", re.IGNORECASE)
+        sub.set_defaults(parser=sub)  # main prints its usage under a configuration error
         sub.add_argument("--config", help="flat key=value file, or a qcf1d CSV table; flags override it")
         for o in options(command):
             flag = "--" + o.name.replace("_", "-")
@@ -250,6 +249,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if a in given and b in given:
             a, b = (name.replace("_", "-") for name in (a, b))
             raise ValueError(f"--{a} contradicts --{b}: give one of them")
+    if given & {"K", "K_all"}:
+        merged["K_ratio"] = None  # so the echo names only the split rule the run used
     cfg = RunConfig(command=args.command, **merged)
     if not cfg.out:
         raise ValueError("missing output path (--out)")
@@ -266,7 +267,7 @@ def cmd_patch_test(cfg: RunConfig) -> tuple:
     """ghost-force residuals at uniform states"""
     if not cfg.F_list:
         raise ValueError("need at least one strain in --F-list")
-    table = patch_test_scan(lennard_jones(), cfg.F_list, cfg.splits())
+    table = patch_test_scan(lj_deriv1, cfg.F_list, cfg.splits())
     ok = bool(np.all(table.passed))
     # np.max, not max: a NaN residual must show in the extras wherever it sits
     extras = {
@@ -296,6 +297,9 @@ def cmd_infsup(cfg: RunConfig) -> tuple:
     c = cfg.coefficients()
     if not cfg.p_list:
         raise ValueError("need at least one exponent in --p-list")
+    for p in cfg.p_list:  # before any sweep point, though infsup_p_upper checks p too
+        if not 1.0 <= p < np.inf:
+            raise ValueError(f"--p-list: p must satisfy 1 <= p < inf, got {p}")
     rows = [row for n, k in cfg.nk_pairs() for row in infsup_point(c, cfg.p_list, n, k)]
     extras = {}
     by_kind = {}
@@ -372,7 +376,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if ok else 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        args.parser.print_usage(sys.stderr)
         return 2
     except RuntimeError as exc:  # solver/eigensolver failures
         print(f"error: {exc}", file=sys.stderr)

@@ -8,18 +8,9 @@ which every other subcommand is given directly.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-
-
-class PairPotential(NamedTuple):
-    """The analytic first derivative of a two-body potential of the bond strain.
-
-    deriv1 accepts scalars or numpy arrays.
-    """
-
-    deriv1: Callable
 
 
 def _lj_checked(r):
@@ -31,19 +22,15 @@ def _lj_checked(r):
 
 # a tiny r overflows to inf (or nan) silently: callers check the values are finite
 @np.errstate(over="ignore", invalid="ignore")
-def _lj_deriv1(r):
-    r = _lj_checked(r)
-    return -12.0 * r**-13 + 12.0 * r**-7
-
-
-def lennard_jones() -> PairPotential:
+def lj_deriv1(r):
     """The first derivative of the normalized Lennard-Jones potential r^-12 - 2 r^-6.
 
-    The minimum sits at r = 1 with value -1.  Evaluation at r <= 0 raises.
-    No subcommand reads the energy or its second derivative: tests/oracles.py
-    holds them.
+    The minimum sits at r = 1 with value -1.  Accepts scalars or numpy
+    arrays; evaluation at r <= 0 raises.  No subcommand reads the energy
+    or its second derivative: tests/oracles.py holds them.
     """
-    return PairPotential(_lj_deriv1)
+    r = _lj_checked(r)
+    return -12.0 * r**-13 + 12.0 * r**-7
 
 
 class Coefficients(NamedTuple("Coefficients", [("phiF", float), ("phi2F", float)])):

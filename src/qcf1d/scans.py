@@ -22,7 +22,7 @@ import numpy as np
 from .chain import max_abs_force_qcf
 from .lattice import DomainSpec, lp_norm, uniform_positions
 from .operators import strain_stencil
-from .potentials import Coefficients, PairPotential
+from .potentials import Coefficients
 
 PATCH_TEST_TOL = 1e-13
 
@@ -77,11 +77,11 @@ class EigScanRow(NamedTuple):
     n_nonpositive: int
 
 
-def _patch_point(phi: PairPotential, F: float, n: int, ks: Sequence[int]) -> PatchTestRow:
+def _patch_point(phi: Callable, F: float, n: int, ks: Sequence[int]) -> PatchTestRow:
     """The patch-test table of one strain and size, a row per split in ks."""
     eps = DomainSpec(n, ks[0]).eps
     y = uniform_positions(F, n, eps)
-    slopes = float(phi.deriv1(F)), float(phi.deriv1(2.0 * F))
+    slopes = float(phi(F)), float(phi(2.0 * F))
     if not np.all(np.isfinite(slopes)):
         raise ValueError(f"phi'(F) and phi'(2F) must be finite, got {slopes} at F={F}")
     k = np.asarray(ks)
@@ -91,7 +91,7 @@ def _patch_point(phi: PairPotential, F: float, n: int, ks: Sequence[int]) -> Pat
     return PatchTestRow(np.full(k.size, F), np.full(k.size, n), k, residual, np.full(k.size, tol), residual <= tol)
 
 
-def patch_test_scan(phi: PairPotential, F_values: Sequence[float], splits: Sequence[tuple]) -> PatchTestRow:
+def patch_test_scan(phi: Callable, F_values: Sequence[float], splits: Sequence[tuple]) -> PatchTestRow:
     """Ghost-force residuals of the coupled force at uniform states, as one table of arrays.
 
     One sweep point per F and (N, splits K at N) in splits, which

@@ -56,7 +56,7 @@ def fd_jacobian(F, x, h=1e-6):
 
 @np.errstate(over="ignore", invalid="ignore")
 def lj_energy(r):
-    """The normalized Lennard-Jones potential r^-12 - 2 r^-6, whose first derivative lennard_jones gives.
+    """The normalized Lennard-Jones potential r^-12 - 2 r^-6, whose first derivative is lj_deriv1.
 
     Scalars or arrays; r <= 0 raises, as the derivatives do.
     """
@@ -129,7 +129,7 @@ def force_qce(y, spec, phi):
     """
     grad = np.zeros(len(y))
     for lo, hi, a in qce_bonds(spec):
-        g = 0.5 * a * float(phi.deriv1(a * (y[hi] - y[lo]) / spec.eps))
+        g = 0.5 * a * float(phi(a * (y[hi] - y[lo]) / spec.eps))
         grad[hi] += g
         grad[lo] -= g
     return -grad[1:-1] / spec.eps

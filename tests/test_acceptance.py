@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from qcf1d.chain import force_atomistic, force_lqc, max_abs_force_qcf
 from qcf1d.lattice import LOADS, DomainSpec, diff, lp_norm, uniform_positions
 from qcf1d.operators import strain_stencil
-from qcf1d.potentials import Coefficients, lennard_jones
+from qcf1d.potentials import Coefficients, lj_deriv1
 from qcf1d.scans import loglog_slope
 from qcf1d.solver import error_report_detailed, sample_load, truncation_error_stencil
 from qcf1d.stability import (
@@ -42,7 +42,7 @@ from oracles import (
     truncation_error_dense,
 )
 
-LJ = lennard_jones()
+LJ = lj_deriv1
 
 
 def report(num, name, detail):
@@ -57,7 +57,7 @@ def test_c01_patch_test():
         ks = list(range(2, n // 2 + 1))
         for F in (0.9, 0.95, 1.0, 1.05, 1.1):
             residuals = max_abs_force_qcf(uniform_positions(F, n, eps), ks, LJ)
-            scale = max(1.0, abs(LJ.deriv1(F)) + abs(LJ.deriv1(2 * F)))
+            scale = max(1.0, abs(LJ(F)) + abs(LJ(2 * F)))
             tol = 1e-13 * scale / eps
             assert np.all(residuals <= tol), (F, n, residuals, tol)
             worst = max(worst, float(np.max(residuals)))

@@ -6,13 +6,13 @@ from numpy.testing import assert_allclose
 
 from qcf1d.chain import force_atomistic, force_lqc, max_abs_force_qcf
 from qcf1d.lattice import DomainSpec, uniform_positions
-from qcf1d.potentials import PairPotential, lennard_jones
+from qcf1d.potentials import lj_deriv1
 from qcf1d.scans import patch_test_scan
 
 from oracles import (energy_atomistic_loop, energy_lqc_loop, fd_gradient, fd_jacobian, force_qcf, interior_sites,
                      lj_energy)
 
-LJ = lennard_jones()
+LJ = lj_deriv1
 RNG = np.random.default_rng(42)
 
 
@@ -95,8 +95,8 @@ def test_force_atomistic_uniform_interior_and_boundary():
     # boundary convention; substituting the uniform state into the force
     # formula (and the gradient oracle) gives -phi'(2F)/eps there
     assert len(f) == 15  # free atoms -7..7
-    assert_allclose(f[-1], -LJ.deriv1(2.0 * F) / eps, rtol=1e-10)
-    assert_allclose(f[0], +LJ.deriv1(2.0 * F) / eps, rtol=1e-10)
+    assert_allclose(f[-1], -LJ(2.0 * F) / eps, rtol=1e-10)
+    assert_allclose(f[0], +LJ(2.0 * F) / eps, rtol=1e-10)
 
 
 def test_force_lqc_uniform_vanishes_everywhere():
@@ -148,13 +148,14 @@ def test_patch_test_property(F, n, k_frac):
     spec = DomainSpec(n, k)
     y = uniform_positions(F, n, spec.eps)
     residual = max_abs_force_qcf(y, [k], LJ)[0]
-    scale = max(1.0, abs(LJ.deriv1(F)) + abs(LJ.deriv1(2.0 * F)))
+    scale = max(1.0, abs(LJ(F)) + abs(LJ(2.0 * F)))
     assert residual <= 1e-13 * scale / spec.eps
 
 
 # phi''(2F) > 0, unlike LJ near F = 1: a zigzag then moves the local field
 # more than the atomistic one
-QUARTIC = PairPotential(lambda r: r**3 / 3)  # the derivative of r^4 / 12
+def QUARTIC(r):  # the derivative of r^4 / 12
+    return r**3 / 3
 
 
 def graded_zigzag(F, n, rng, grow):

@@ -66,7 +66,7 @@ def test_patch_test_echoes_only_its_options(tmp_path):
     comments, _, _ = read_rows(out)
     keys = {c[2:].split("=", 1)[0] for c in comments if "=" in c}
     assert {"command", "N_list", "K", "F_list"} <= keys
-    assert not keys & {"load", "p_list", "M_factor", "phiF", "phi2F", "potential", "F"}
+    assert not keys & {"load", "p_list", "M_factor", "phiF", "phi2F", "potential", "F", "K_ratio"}
 
 
 @pytest.mark.parametrize("flag", ["--M-factor", "--phiF", "--phi2F"])
@@ -338,10 +338,10 @@ def test_config_file_diagnostics(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("phiF = 1.0\nnonsense_key = 3\n")
     with pytest.raises(ValueError, match="bad.cfg:2"):
-        read_config_file(str(bad))
+        read_config_file(str(bad), "coercivity")
     bad.write_text("phiF\n")
     with pytest.raises(ValueError, match="expected key=value"):
-        read_config_file(str(bad))
+        read_config_file(str(bad), "coercivity")
 
 
 @pytest.mark.parametrize("key, args", [
@@ -452,14 +452,17 @@ def test_a_table_with_a_potential_line_still_reruns(tmp_path, name):
 
 
 def test_a_default_patch_test_table_echoes_its_strains_and_reruns(tmp_path):
-    first = tmp_path / "p.csv"
-    assert run(["patch-test", "--N-list", "16", "--K", "4", "--out", first]) == 0
-    comments, _, rows = read_rows(first)
-    assert "# F_list=[0.9, 1.0, 1.1]" in comments
-    assert [r["F"] for r in rows] == ["0.9", "1.0", "1.1"]
-    again = tmp_path / "again.csv"
-    assert run(["patch-test", "--config", first, "--out", again]) == 0
-    assert lines_but_out(again) == lines_but_out(first)
+    # with no K flag, the split rule is the default --K-ratio, which the table echoes
+    for split in (["--K", "4"], []):
+        first = tmp_path / "p.csv"
+        assert run(["patch-test", "--N-list", "16", *split, "--out", first]) == 0
+        comments, _, rows = read_rows(first)
+        assert "# F_list=[0.9, 1.0, 1.1]" in comments
+        assert ("# K_ratio=0.25" in comments) == (not split)
+        assert [r["F"] for r in rows] == ["0.9", "1.0", "1.1"]
+        again = tmp_path / "again.csv"
+        assert run(["patch-test", "--config", first, "--out", again]) == 0
+        assert lines_but_out(again) == lines_but_out(first)
 
 
 def test_a_table_given_to_another_subcommand_exits_2_naming_both(tmp_path, capsys):
@@ -500,7 +503,7 @@ SMALL_RUNS = {
 def test_no_extra_is_named_as_an_option(tmp_path):
     # a table's echo is read back skipping the keys that name no option, so
     # an extra named as an option would be read as that option
-    names = {f.name for f in cli.options()}
+    names = {f.name for f in cli.OPTIONS}
     assert set(SMALL_RUNS) == set(cli.COMMANDS)
     for command, args in SMALL_RUNS.items():
         out = tmp_path / f"{command}.json"
@@ -598,6 +601,14 @@ def test_contradicting_flags_exit_2_naming_both(tmp_path, capsys, argv, flags):
     assert run([*argv, "--out", out]) == 2
     assert flags in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_configuration_error_prints_the_subcommand_usage(tmp_path, capsys):
+    argv = ["coercivity", "--phiF", "2", "--phi2F", "-0.2", "--N-list", "16", "--K", "4", "--K-ratio", "0.25"]
+    assert run([*argv, "--out", tmp_path / "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --K contradicts --K-ratio")
+    assert "usage: qcf1d coercivity " in err
 
 
 def test_contradiction_between_config_file_and_flag_exits_2(tmp_path, capsys):
@@ -701,6 +712,22 @@ def test_infsup_empty_p_list_exits_2(tmp_path, capsys, monkeypatch, via_file):
         argv += ["--p-list", ","]
     assert run(argv) == 2
     assert "--p-list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p_list", ["0.5", "2,inf", "1,nan"])
+def test_infsup_bad_p_exits_2_before_any_sweep_point(tmp_path, capsys, monkeypatch, p_list):
+    # the whole first point used to run before its probe bound rejected p
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setattr(stability, "infsup_2", not_reached)
+    out = tmp_path / "x.csv"
+    argv = ["infsup", "--phiF", "1", "--phi2F", "-0.2", "--N-list", "16,32", "--p-list", p_list, "--out", out]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "--p-list: p must satisfy 1 <= p < inf" in err
+    assert "usage: qcf1d infsup " in err
     assert not out.exists()
 
 

@@ -13,7 +13,7 @@ import pytest
 from qcf1d import cli, operators, scans, stability
 from qcf1d.chain import force_atomistic, force_lqc
 from qcf1d.lattice import DomainSpec, uniform_positions
-from qcf1d.potentials import lennard_jones
+from qcf1d.potentials import lj_deriv1
 
 from oracles import energy_atomistic_loop, energy_lqc_loop, energy_qce_loop, fd_gradient, force_qce, lj_energy
 
@@ -23,7 +23,7 @@ def run(argv, out):
 
 
 def test_force_qce_is_minus_the_gradient_of_the_qce_energy():
-    phi, n = lennard_jones(), 16
+    phi, n = lj_deriv1, 16
     eps = 1.0 / n
     y = uniform_positions(1.0, n, eps) + 1e-3 * np.sin(np.arange(2 * n + 1))
     spec = DomainSpec(n, 4)
@@ -44,10 +44,10 @@ def max_abs_force_qce(y, ks, phi):
 
 def test_ghost_forces_fail_the_patch_test(tmp_path, monkeypatch):
     # QCE's residual at a uniform state is phi'(2F) / (2 eps) at the interface
-    phi, n = lennard_jones(), 16
+    phi, n = lj_deriv1, 16
     for F in (0.9, 1.0, 1.1):
         ghost = max_abs_force_qce(uniform_positions(F, n, 1.0 / n), [4], phi)[0]
-        assert ghost == pytest.approx(abs(float(phi.deriv1(2.0 * F))) * n / 2.0, rel=1e-12)
+        assert ghost == pytest.approx(abs(float(phi(2.0 * F))) * n / 2.0, rel=1e-12)
     monkeypatch.setattr(scans, "max_abs_force_qcf", max_abs_force_qce)
     out = tmp_path / "patch.csv"
     assert run(["patch-test", "--N-list", "16,32", "--K-all"], out) == 1

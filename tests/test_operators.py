@@ -11,7 +11,7 @@ from qcf1d.lattice import DomainSpec, diff, lp_norm, uniform_positions
 from qcf1d.cli import RunConfig, cmd_dump_operator
 from qcf1d.operators import _reduce, _substitute, frobenius_norm, multiply, strain_stencil
 from qcf1d.scans import OPERATOR_BUILDERS
-from qcf1d.potentials import Coefficients, lennard_jones
+from qcf1d.potentials import Coefficients, lj_deriv1
 
 from oracles import (
     DIFFERENTIAL_NK,
@@ -33,7 +33,7 @@ from oracles import (
     pair_dense,
 )
 
-LJ = lennard_jones()
+LJ = lj_deriv1
 C = Coefficients(1.0, -0.05)
 RNG = np.random.default_rng(7)
 

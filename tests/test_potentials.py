@@ -4,16 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qcf1d.potentials import Coefficients, lennard_jones
+from qcf1d.potentials import Coefficients, lj_deriv1
 
 from oracles import lj_coefficients, lj_deriv2, lj_energy
 
-LJ = lennard_jones()
+LJ = lj_deriv1
 
 
 def test_minimum_at_one():
     assert lj_energy(1.0) == -1.0
-    assert LJ.deriv1(1.0) == 0.0
+    assert LJ(1.0) == 0.0
 
 
 def test_second_derivative_values():
@@ -29,13 +29,13 @@ def test_derivatives_match_finite_differences(r):
     h = 1e-5
     # atol covers stationary points, where the relative error is undefined
     fd1 = (lj_energy(r + h) - lj_energy(r - h)) / (2.0 * h)
-    assert_allclose(LJ.deriv1(r), fd1, rtol=1e-6, atol=1e-6)
-    fd2 = (LJ.deriv1(r + h) - LJ.deriv1(r - h)) / (2.0 * h)
+    assert_allclose(LJ(r), fd1, rtol=1e-6, atol=1e-6)
+    fd2 = (LJ(r + h) - LJ(r - h)) / (2.0 * h)
     assert_allclose(lj_deriv2(r), fd2, rtol=1e-6, atol=1e-6)
 
 
 def test_domain_error_at_nonpositive_separation():
-    for fn in (lj_energy, LJ.deriv1, lj_deriv2):
+    for fn in (lj_energy, LJ, lj_deriv2):
         with pytest.raises(ValueError):
             fn(0.0)
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from qcf1d import operators, stability
 from qcf1d.cli import RunConfig, cmd_dump_operator
 from qcf1d.lattice import LOADS, DomainSpec
-from qcf1d.potentials import Coefficients, lennard_jones
+from qcf1d.potentials import Coefficients, lj_deriv1
 from qcf1d.scans import (
     CHUNK_ROWS,
     CoercivityScanRow,
@@ -170,7 +170,7 @@ def json_per_row(command, config, table, extras):
 def every_table():
     c = Coefficients(1.0, -0.2)
     return {
-        "patch-test": patch_test_scan(lennard_jones(), [0.9, 1.0], [(8, [2, 3, 4]), (16, [2])]),
+        "patch-test": patch_test_scan(lj_deriv1, [0.9, 1.0], [(8, [2, 3, 4]), (16, [2])]),
         "coercivity": columns(CoercivityScanRow, [coercivity_point(c, n, k) for n, k in [(16, 4), (32, 8)]]),
         "infsup": columns(InfSupScanRow, [row for n, k in [(16, 4), (32, 8)]
                                           for row in infsup_point(c, [1.0, 2.0, 4.0], n, k)]),
