@@ -46,8 +46,9 @@ from .scans import (
 
 # the subcommands that read spring constants through RunConfig.coefficients
 COEFFICIENT_COMMANDS = ("coercivity", "infsup", "convergence", "dump-operator", "eig-scan")
-# pairs of options that each set the same quantity, so a run takes at most one of a pair
-CONTRADICTIONS = (("K", "K_all"), ("K", "K_ratio"), ("K_ratio", "K_all"))
+# the options that each name the split rule: the config file names at most one, the flags at
+# most one, and the flags' rule replaces the file's
+SPLIT_RULE = ("K", "K_ratio", "K_all")
 
 
 def _items(s: str) -> list[str]:
@@ -240,16 +241,15 @@ def build_parser(command: Optional[str]) -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    merged = read_config_file(args.config, args.command) if args.config else {}
-    for o in options(args.command):
-        if getattr(args, o.name) is not None:
-            merged[o.name] = getattr(args, o.name)
-    given = {name for name, value in merged.items() if value is not False}
-    for a, b in CONTRADICTIONS:
-        if a in given and b in given:
-            a, b = (name.replace("_", "-") for name in (a, b))
+    flags = {o.name: getattr(args, o.name) for o in options(args.command) if getattr(args, o.name) is not None}
+    merged = {}
+    for source in (read_config_file(args.config, args.command) if args.config else {}, flags):
+        rule = [name for name in SPLIT_RULE if source.get(name, False) is not False]  # K_all = no names none
+        if len(rule) > 1:
+            a, b = (name.replace("_", "-") for name in rule[:2])
             raise ValueError(f"--{a} contradicts --{b}: give one of them")
-    if given & {"K", "K_all"}:
+        merged = {name: v for name, v in merged.items() if not (rule and name in SPLIT_RULE)} | source
+    if "K" in merged or merged.get("K_all"):
         merged["K_ratio"] = None  # so the echo names only the split rule the run used
     cfg = RunConfig(command=args.command, **merged)
     if not cfg.out:

@@ -28,6 +28,7 @@ LOADS = {
     "cospi": lambda x: np.cos(np.pi * x),
     "const": np.ones_like,
     "zero": np.zeros_like,
+    "exp": np.exp,  # not even under the reflection x -> -x, as every other load is
 }
 
 

@@ -39,6 +39,7 @@ from .potentials import Coefficients
 from .stability import dual_norm_star
 
 BACKWARD_ERROR_TOL = 1e-13
+UNIT_ROUNDOFF = 2.0**-53  # u: a strain solve refines once when its backward error exceeds 16 u
 
 
 def sample_load(load: Callable, half_width: int, eps: float) -> np.ndarray:
@@ -73,20 +74,29 @@ def solve_strain(
     BACKWARD_ERROR_TOL (Rigal-Gaches; Higham, Accuracy and Stability of
     Numerical Algorithms, ch. 7).  ||E|| is bounded row by row by
     |T| 1 + |L|^T |R| 1, which adds 4 |phi2F| on far-field rows and is
-    exact unless a far field is a single row wide.
+    exact unless a far field is a single row wide.  A backward error above
+    16 u first buys one step of iterative refinement through the same
+    factor, and the refined pair is gated (Skeel, Math. Comp. 35 (1980);
+    Higham, ch. 12).
     """
     solve = strain_stencil(n, k).factor(c, "E", weight=eps, what=what)
     w, const = solve.solve(g, delta_u)
     if not np.all(np.isfinite(w)):
         raise RuntimeError(f"{what}: solution is not finite")
     (lower, diag, upper), left, right = solve.tridiagonal, solve.left, solve.right
-    resid = max(float(np.max(np.abs(multiply((lower, diag, upper), left, right, w) - g - const))),
-                abs(eps * float(np.sum(w)) - delta_u))
     off = np.abs(lower) + np.abs(upper)
     row_norms = np.abs(diag) + off + np.abs(left).T @ np.abs(right).sum(axis=1)
     a_norm = max(float(np.max(row_norms)) + 1.0, 2.0 * n * eps)
-    scale = (a_norm * max(float(np.max(np.abs(w))), abs(const))
-             + max(float(np.max(np.abs(g))), abs(delta_u)))
+    for step in range(2):  # the solve, then at most one step of refinement
+        r = multiply((lower, diag, upper), left, right, w) - g - const
+        r_mean = eps * float(np.sum(w)) - delta_u
+        resid = max(float(np.max(np.abs(r))), abs(r_mean))
+        scale = (a_norm * max(float(np.max(np.abs(w))), abs(const))
+                 + max(float(np.max(np.abs(g))), abs(delta_u)))
+        if step or not resid > 16.0 * UNIT_ROUNDOFF * scale:
+            break
+        dw, dconst = solve.solve(-r, -r_mean)
+        w, const = w + dw, const + dconst
     if not resid <= BACKWARD_ERROR_TOL * scale:  # also catches NaN
         margin = float(np.min(np.abs(diag) - off))
         raise RuntimeError(

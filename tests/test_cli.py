@@ -368,7 +368,7 @@ def test_unknown_load_exits_2_naming_the_choices(tmp_path, capsys):
     cfg.write_text("load = foo\n")
     assert run([*args, "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert "'load'" in err and "const, cospi, zero" in err
+    assert "'load'" in err and "const, cospi, exp, zero" in err
 
 
 def test_config_file_bad_format_exits_before_sweep(tmp_path, monkeypatch):
@@ -611,16 +611,39 @@ def test_a_configuration_error_prints_the_subcommand_usage(tmp_path, capsys):
     assert "usage: qcf1d coercivity " in err
 
 
-def test_contradiction_between_config_file_and_flag_exits_2(tmp_path, capsys):
+def test_a_flag_replaces_the_config_files_split_rule(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("phiF = 2\nphi2F = -0.2\nK = 4\n")
     out = tmp_path / "x.csv"
-    assert run(["coercivity", "--config", cfg, "--K-ratio", "0.25", "--N-list", "16", "--out", out]) == 2
-    assert "--K contradicts --K-ratio" in capsys.readouterr().err
-    assert not out.exists()
+    assert run(["coercivity", "--config", cfg, "--K-ratio", "0.25", "--N-list", "16", "--out", out]) == 0
+    comments, _, _ = read_rows(out)
+    assert "# K_ratio=0.25" in comments
+    assert not any(c.startswith("# K=") for c in comments)
     # K_all = no sets nothing, so it leaves --K free
     cfg.write_text("K_all = no\n")
     assert run(["patch-test", "--config", cfg, "--N-list", "16", "--K", "3", "--out", out]) == 0
+
+
+@pytest.mark.parametrize("split", [[], ["--K", "4"]])
+def test_a_config_file_naming_two_split_rules_exits_2(tmp_path, capsys, split):
+    # a flag's rule replaces the file's, but the file still names at most one
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("phiF = 2\nphi2F = -0.2\nK = 4\nK_ratio = 0.25\n")
+    out = tmp_path / "x.csv"
+    assert run(["coercivity", "--config", cfg, "--N-list", "16", *split, "--out", out]) == 2
+    assert "--K contradicts --K-ratio" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_default_table_reruns_under_k_all(tmp_path):
+    default, rerun, direct = tmp_path / "d.csv", tmp_path / "rerun.csv", tmp_path / "direct.csv"
+    assert run(["patch-test", "--N-list", "16", "--out", default]) == 0
+    assert run(["patch-test", "--config", default, "--K-all", "--out", rerun]) == 0
+    assert run(["patch-test", "--N-list", "16", "--K-all", "--out", direct]) == 0
+    assert lines_but_out(rerun) == lines_but_out(direct)
+    comments, _, _ = read_rows(rerun)
+    assert "# K_all=1" in comments
+    assert not any(c.startswith("# K_ratio=") for c in comments)
 
 
 def test_coefficients_required(tmp_path, capsys):

@@ -69,6 +69,21 @@ def test_solve_gate_reports_dominance_margin(monkeypatch):
         assert_allclose(margin, C.phiF + 4.0 * C.phi2F, rtol=1e-3)
 
 
+@pytest.mark.parametrize("load", [np.ones_like, np.exp], ids=["const", "exp"])
+@pytest.mark.parametrize("phi2F", [-0.24, 0.1, 0.3])
+def test_refined_solves_are_backward_stable_to_16_unit_roundoffs(monkeypatch, load, phi2F):
+    # the reference and coupled solves of a convergence run at N = 2^14, K = N/4: unrefined,
+    # the coupled solve's backward error is 380-1270 u at phi2F > 0 and 19-27 u at
+    # phi2F = -0.24; one step of refinement brings it below 1 u
+    monkeypatch.setattr(solver, "BACKWARD_ERROR_TOL", 16.0 * solver.UNIT_ROUNDOFF)
+    c, n = Coefficients(1.0, phi2F), 2**14
+    m, eps = 4 * n, 1.0 / n
+    g = summed_load(sample_load(load, m, eps), eps)
+    w_a = solve_strain(c, m, m - 1, g, 0.0, eps)
+    inner = slice(m - n, m + n)
+    solve_strain(c, n, n // 4, g[inner], eps * float(np.sum(w_a[inner])), eps)
+
+
 def test_nonfinite_solve_is_a_numerical_failure():
     # the summed load of finite samples overflows: that must surface as
     # RuntimeError (exit 1), not as the ValueError of a configuration error
