@@ -13,8 +13,9 @@ a CSV table, whose echo re-runs it; explicit flags override file values.
 A `qcf1d` or `python -m qcf1d.cli` process freezes its heap once main
 returns, so the interpreter's shutdown collections skip the objects
 that importing numpy and qcf1d left; main itself leaves the heap alone
-for in-process callers.  The stability and solver kernels load only in
-the subcommands that run them.
+for in-process callers.  Each claim's subcommand builds its rows from
+the kernels and checks them in its one cmd_* function; the stability and
+solver kernels load only in the subcommands that run them.
 """
 
 from __future__ import annotations
@@ -26,19 +27,15 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .lattice import LOADS, DomainSpec
+from .lattice import LOADS, DomainSpec, lp_norm
+from .operators import strain_stencil
 from .potentials import Coefficients, lj_deriv1
 from .scans import (
-    OPERATOR_BUILDERS,
     CoercivityScanRow,
     EigScanRow,
     InfSupScanRow,
-    coercivity_point,
-    coercivity_slope,
     columns,
-    convergence_point,
     eig_point,
-    infsup_point,
     loglog_slope,
     patch_test_scan,
     write_table,
@@ -103,7 +100,7 @@ OPTIONS = (
     Option("M_factor", int, 4, commands=("convergence",)),
     Option("p_list", _float_list, [1.0, 2.0, 4.0], commands=("infsup",)),
     Option("load", str, "cospi", sorted(LOADS), ("convergence",)),
-    Option("operator", str, None, sorted(OPERATOR_BUILDERS), ("dump-operator",)),
+    Option("operator", str, None, ("Ea", "Eqcf"), ("dump-operator",)),
 )
 
 
@@ -281,10 +278,19 @@ def cmd_patch_test(cfg: RunConfig) -> tuple:
 
 def cmd_coercivity(cfg: RunConfig) -> tuple:
     """scan the minimum of the quadratic form"""
+    from .stability import quadratic_form, rayleigh_min, unstable_candidate
+
     c = cfg.coefficients()
-    rows = [coercivity_point(c, n, k) for n, k in cfg.nk_pairs()]
-    slope = coercivity_slope(rows)
-    extras = {} if slope is None else {"slope_abs_rayleigh_vs_N": slope}
+    rows = []
+    for n, k in cfg.nk_pairs():
+        spec = DomainSpec(n, k)
+        # the Rayleigh minimum next to the value at the explicit spike candidate
+        witness = min(quadratic_form(c, spec, unstable_candidate(spec, sign)) for sign in "+-")
+        rows.append(CoercivityScanRow(n, k, rayleigh_min(c, spec), witness))
+    neg = [r for r in rows if r.rayleigh_min < 0.0]
+    extras = {}
+    if len(neg) >= 2:
+        extras["slope_abs_rayleigh_vs_N"] = loglog_slope([r.N for r in neg], [abs(r.rayleigh_min) for r in neg])
     # feasibility of the witness is the one proved relation in this scan
     ok = all(r.rayleigh_min <= r.witness_value + 1e-9 * max(1.0, abs(r.witness_value)) for r in rows)
     return columns(CoercivityScanRow, rows), extras, ok
@@ -292,7 +298,7 @@ def cmd_coercivity(cfg: RunConfig) -> tuple:
 
 def cmd_infsup(cfg: RunConfig) -> tuple:
     """inf-sup bounds and exact 2-norm values"""
-    from .stability import infsup_p_upper
+    from .stability import infsup_2, infsup_p_upper, rdd_margin
 
     c = cfg.coefficients()
     if not cfg.p_list:
@@ -300,7 +306,18 @@ def cmd_infsup(cfg: RunConfig) -> tuple:
     for p in cfg.p_list:  # before any sweep point, though infsup_p_upper checks p too
         if not 1.0 <= p < np.inf:
             raise ValueError(f"--p-list: p must satisfy 1 <= p < inf, got {p}")
-    rows = [row for n, k in cfg.nk_pairs() for row in infsup_point(c, cfg.p_list, n, k)]
+    if c.phi2F == 0.0:  # likewise: the exit status reads the p=2 bound at every point
+        raise ValueError("--phi2F: the probe upper bound needs phi2F != 0")
+    rows, ok = [], True
+    for n, k in cfg.nk_pairs():
+        spec = DomainSpec(n, k)
+        # a certified lower bound, the exact 2-norm value and the probe upper bounds
+        rows.append(InfSupScanRow(n, k, np.inf, "lower_bound", 0.5 * rdd_margin(c, strain_stencil(n, k))))
+        exact = infsup_2(c, spec)
+        rows.append(InfSupScanRow(n, k, 2.0, "exact", exact))
+        rows += [InfSupScanRow(n, k, float(p), "upper_bound", infsup_p_upper(c, spec, p)) for p in cfg.p_list]
+        # the exact value against the p=2 probe bound, whether or not --p-list writes it
+        ok = ok and exact <= infsup_p_upper(c, spec, 2.0) + 1e-12
     extras = {}
     by_kind = {}
     for r in rows:
@@ -310,24 +327,23 @@ def cmd_infsup(cfg: RunConfig) -> tuple:
             extras[f"slope_{kind}_p{p:g}"] = loglog_slope(
                 [g.N for g in group], [g.value for g in group]
             )
-    # every exact value against the p=2 probe bound, whether or not --p-list writes it
-    ok = all(r.value <= infsup_p_upper(c, DomainSpec(r.N, r.K), 2.0) + 1e-12
-             for r in rows if r.kind == "exact")
     return columns(InfSupScanRow, rows), extras, ok
 
 
 def cmd_convergence(cfg: RunConfig) -> tuple:
     """coupled-vs-reference error study"""
-    from .solver import ErrorReport
+    from .solver import ErrorReport, error_report_detailed
 
     c = cfg.coefficients()
-    checked = [convergence_point(c, LOADS[cfg.load], cfg.M_factor, n, k) for n, k in cfg.nk_pairs()]
-    rows = [rep for rep, _, _ in checked]
-    ok = True
-    for rep, half_t_l1, floor in checked:
+    rows, ok = [], True
+    for n, k in cfg.nk_pairs():
+        spec = DomainSpec(n, k, M=cfg.M_factor * n)
+        # t is the truncation error, floor the strain solves' rounding floor
+        rep, t, floor = error_report_detailed(c, LOADS[cfg.load], spec)
+        rows.append(rep)
         ok = ok and rep.err_strain_inf <= rep.bound_rhs + floor
         ok = ok and rep.trunc_star <= rep.trunc_bound
-        ok = ok and rep.trunc_star <= half_t_l1 + 1e-15
+        ok = ok and rep.trunc_star <= 0.5 * lp_norm(t, spec.eps, 1) + 1e-15
     extras = {"all_inequalities_hold": ok}
     errs = [r.err_strain_inf for r in rows]
     if len(rows) >= 2 and all(e > 0 for e in errs):
@@ -341,10 +357,12 @@ def cmd_dump_operator(cfg: RunConfig) -> tuple:
         raise ValueError("need --operator")
     if cfg.N is None or cfg.N < 1:
         raise ValueError(f"need --N for dump-operator, a positive size, got {cfg.N}")
-    row, col, value = OPERATOR_BUILDERS[cfg.operator](cfg.coefficients(), cfg.N, cfg.k_for(cfg.N))
+    c, n, k = cfg.coefficients(), cfg.N, cfg.k_for(cfg.N)
+    # Ea's band covers every bond; only Eqcf reads K, whose range DomainSpec checks
+    row, col, value = strain_stencil(n, n - 1 if cfg.operator == "Ea" else DomainSpec(n, k).K).entries(c)
     order = np.lexsort((col, row))  # row-major
     order = order[value[order] != 0.0]  # an entry that cancels is an exact zero, and is not written
-    return TripleRow(row[order], col[order], value[order]), {}, True
+    return TripleRow(row[order] - n + 1, col[order] - n + 1, value[order]), {}, True  # indexed by bond
 
 
 def cmd_eig_scan(cfg: RunConfig) -> tuple:
@@ -374,13 +392,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         table, extras, ok = COMMANDS[cfg.command](cfg)
         write_table(cfg.out, cfg.format, cfg.command, cfg.echo(), table, extras)
         return 0 if ok else 1
+    except (RuntimeError, np.linalg.LinAlgError) as exc:  # numerical failures, ahead of ValueError: LinAlgError is one
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         args.parser.print_usage(sys.stderr)
         return 2
-    except RuntimeError as exc:  # solver/eigensolver failures
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def _entry() -> None:  # the console script's and `python -m qcf1d.cli`'s

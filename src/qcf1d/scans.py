@@ -1,16 +1,11 @@
-"""Sweep points behind the CLI, plus table serialization.
+"""Row types, the patch-test and eig-scan points, and table serialization.
 
-Each *_point function maps one domain size and split to rows of plain
-numbers, and the CLI runs them in input order; a patch-test point takes
-every split of its size at once.  A table is a NamedTuple whose fields
-are equal-length columns, numpy arrays or lists: patch-test and
-dump-operator keep the arrays their kernels return, and the short scans
-turn their rows into lists with columns().  write_table formats each
-distinct value of an array column once per chunk of rows.
-
-The coercivity, inf-sup and convergence points import their kernels
-from stability and solver in their bodies, so a process that runs only
-patch-test or dump-operator never loads those modules.
+A patch-test point takes every split of its size at once; an eig-scan
+point maps one domain size and split to a row.  A table is a NamedTuple
+whose fields are equal-length columns, numpy arrays or lists:
+patch-test and dump-operator keep the arrays their kernels return, and
+the short scans turn their rows into lists with columns().  write_table
+formats each distinct value of an array column once per chunk of rows.
 """
 
 from __future__ import annotations
@@ -20,7 +15,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .chain import max_abs_force_qcf
-from .lattice import DomainSpec, lp_norm, uniform_positions
+from .lattice import DomainSpec, uniform_positions
 from .operators import strain_stencil
 from .potentials import Coefficients
 
@@ -107,46 +102,6 @@ def columns(row_type, rows: Sequence) -> NamedTuple:
     return row_type._make([r[i] for r in rows] for i in range(len(row_type._fields)))
 
 
-def coercivity_point(c: Coefficients, n: int, k: int) -> CoercivityScanRow:
-    """The Rayleigh minimum next to the value at the explicit spike candidate."""
-    from .stability import quadratic_form, rayleigh_min, unstable_candidate
-
-    spec = DomainSpec(n, k)
-    witness = min(quadratic_form(c, spec, unstable_candidate(spec, sign)) for sign in "+-")
-    return CoercivityScanRow(n, k, rayleigh_min(c, spec), witness)
-
-
-def coercivity_slope(rows: Sequence[CoercivityScanRow]) -> Optional[float]:
-    """Log-log slope of |rayleigh_min| vs N over the negative-value rows."""
-    neg = [r for r in rows if r.rayleigh_min < 0.0]
-    if len(neg) < 2:
-        return None
-    return loglog_slope([r.N for r in neg], [abs(r.rayleigh_min) for r in neg])
-
-
-def infsup_point(c: Coefficients, ps: Sequence[float], n: int, k: int) -> list[InfSupScanRow]:
-    """Certified lower bound, exact 2-norm value, and probe upper bounds."""
-    from .stability import infsup_2, infsup_p_upper, rdd_margin
-
-    spec = DomainSpec(n, k)
-    rows = [
-        InfSupScanRow(n, k, np.inf, "lower_bound", 0.5 * rdd_margin(c, strain_stencil(n, k))),
-        InfSupScanRow(n, k, 2.0, "exact", infsup_2(c, spec)),
-    ]
-    for p in ps:
-        rows.append(InfSupScanRow(n, k, float(p), "upper_bound", infsup_p_upper(c, spec, p)))
-    return rows
-
-
-def convergence_point(c: Coefficients, load: Callable, m_factor: int, n: int, k: int) -> tuple:
-    """(ErrorReport, half 1-norm of the truncation error, rounding floor)."""
-    from .solver import error_report_detailed
-
-    spec = DomainSpec(n, k, M=m_factor * n)
-    report, t, floor = error_report_detailed(c, load, spec)
-    return report, 0.5 * lp_norm(t, spec.eps, 1), floor
-
-
 def eig_point(c: Coefficients, n: int, k: int) -> EigScanRow:
     """Eigenvalues of the interior block of Lqcf (atoms -N+1..N-1), from two half-size blocks.
 
@@ -181,20 +136,6 @@ def eig_point(c: Coefficients, n: int, k: int) -> EigScanRow:
         float(np.abs(ev.imag).max()),
         int(np.sum(ev.real <= 0.0)),
     )
-
-
-def _strain_entries(c: Coefficients, n: int, k: int) -> tuple:
-    """(row, col, value) of E on bonds -n+1..n, B from strain_stencil(n, k)."""
-    row, col, value = strain_stencil(n, k).entries(c)
-    return row - n + 1, col - n + 1, value
-
-
-# dump-operator's (row, col, value) from (c, N, K), indexed by bond; only Eqcf
-# reads K, and DomainSpec checks its range before the stencil
-OPERATOR_BUILDERS = {
-    "Ea": lambda c, n, k: _strain_entries(c, n, n - 1),
-    "Eqcf": lambda c, n, k: _strain_entries(c, n, DomainSpec(n, k).K),
-}
 
 
 def _format_value(v) -> str:

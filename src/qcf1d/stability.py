@@ -236,7 +236,8 @@ def infsup_p_upper(c: Coefficients, spec: DomainSpec, p: float) -> float:
     (2*phi2F) chosen so the far-field rows of E xi cancel exactly.
     Closed form: the image keeps exactly four nonzero entries (two per
     interface) while the probe itself has about 2(N-K) unit entries, so
-    the quotient decays like N^(-1/p).
+    the quotient decays like N^(-1/p).  Every term is scaled by w^p,
+    w = 1/max(1, |alpha|), so no power overflows when |phi2F| is small.
     """
     if not (1.0 <= float(p) < np.inf):
         raise ValueError(f"p must satisfy 1 <= p < inf, got {p}")
@@ -246,11 +247,13 @@ def infsup_p_upper(c: Coefficients, spec: DomainSpec, p: float) -> float:
     n, k = spec.N, spec.K
     eps = spec.eps
     alpha = (c.phiF + 5.0 * c.phi2F) / (2.0 * c.phi2F)
+    w = 1.0 / max(1.0, abs(alpha))
+    a = max(-1.0, min(1.0, alpha))  # w * alpha, exactly; alpha itself when w = 1
     num_p = 2.0 * eps * (
-        abs(alpha * c.phi2F) ** p
-        + abs(alpha * c.phiF + (1.0 + 2.0 * alpha) * c.phi2F) ** p
+        abs(a * c.phi2F) ** p
+        + abs(a * c.phiF + (w + 2.0 * a) * c.phi2F) ** p
     )
-    den_p = 2.0 * eps * (n - k - 1 + abs(alpha) ** p)
+    den_p = 2.0 * eps * ((n - k - 1) * w**p + abs(a) ** p)
     return (num_p / den_p) ** (1.0 / p)
 
 

@@ -26,7 +26,6 @@ from qcf1d.chain import force_atomistic, force_lqc
 from qcf1d.lattice import diff, lp_norm, summed_load
 from qcf1d.operators import strain_stencil
 from qcf1d.potentials import Coefficients
-from qcf1d.scans import OPERATOR_BUILDERS
 from qcf1d.solver import solve_strain
 
 
@@ -301,6 +300,12 @@ CONJUGATES = {
 }
 
 
+def dump_entries(name, c, n, k):
+    """dump-operator's (row, col, value) of Ea or Eqcf, unsorted, indexed by bond; only Eqcf reads k."""
+    row, col, value = strain_stencil(n, n - 1 if name == "Ea" else k).entries(c)
+    return row - n + 1, col - n + 1, value
+
+
 def operator_dense(name, c, n, k=None):
     """The dense matrix of operator name at eps = 1/n; k is read by Lqcf and Eqcf only.
 
@@ -310,7 +315,7 @@ def operator_dense(name, c, n, k=None):
     if name in CONJUGATES:
         band, identity, next_nearest = CONJUGATES[name](c, n, k)
         return conjugate_dense(strain_stencil(n, band), 1.0 / n, identity, next_nearest)
-    return dense(OPERATOR_BUILDERS[name](c, n, k), bonds(n), bonds(n))
+    return dense(dump_entries(name, c, n, k), bonds(n), bonds(n))
 
 
 def la_dense(c, m, eps):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcf1d import cli, scans, solver, stability
+from qcf1d import cli, solver, stability
 from qcf1d.cli import main, read_config_file
 from qcf1d.lattice import DomainSpec
 from qcf1d.operators import StrainStencil
@@ -724,7 +724,7 @@ def test_infsup_empty_p_list_exits_2(tmp_path, capsys, monkeypatch, via_file):
     def no_sweep(*args, **kwargs):
         raise AssertionError("sweep ran")
 
-    monkeypatch.setattr(cli, "infsup_point", no_sweep)
+    monkeypatch.setattr(stability, "infsup_2", no_sweep)
     out = tmp_path / "x.csv"
     argv = ["infsup", "--phiF", "1", "--phi2F", "-0.2", "--N-list", "16,32", "--out", out]
     if via_file:
@@ -752,6 +752,32 @@ def test_infsup_bad_p_exits_2_before_any_sweep_point(tmp_path, capsys, monkeypat
     assert "--p-list: p must satisfy 1 <= p < inf" in err
     assert "usage: qcf1d infsup " in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("phi2F", ["0", "-0.0"])
+def test_infsup_zero_phi2F_exits_2_before_any_sweep_point(tmp_path, capsys, monkeypatch, phi2F):
+    # the exit status reads the p=2 probe bound, which needs phi2F != 0, at every point
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a sweep point ran")
+
+    for kernel in ("rdd_margin", "infsup_2"):
+        monkeypatch.setattr(stability, kernel, not_reached)
+    out = tmp_path / "x.csv"
+    assert run(["infsup", "--phiF", "1", "--phi2F", phi2F, "--N-list", "16,32", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "--phi2F: the probe upper bound needs phi2F != 0" in err
+    assert "usage: qcf1d infsup " in err
+    assert not out.exists()
+
+
+def test_infsup_small_phi2F_writes_its_probe_bounds(tmp_path):
+    # alpha = (phiF + 5 phi2F) / (2 phi2F) is 5e99: alpha**p overflowed, yet every bound is about phiF
+    out = tmp_path / "i.csv"
+    proc = run_process(["infsup", "--phiF", "1", "--phi2F", "1e-100", "--N-list", "16,32", "--out", out])
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    _, _, rows = read_rows(out)
+    assert [float(r["value"]) for r in rows if r["kind"] == "upper_bound"] == [1.0] * 6
 
 
 def test_convergence_holds_at_large_n(tmp_path):
@@ -817,7 +843,7 @@ def test_overflowing_strain_exits_2_without_warnings(tmp_path, command, message)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("operator", sorted(scans.OPERATOR_BUILDERS))
+@pytest.mark.parametrize("operator", ("Ea", "Eqcf"))
 @pytest.mark.parametrize("n", [0, -2])
 def test_dump_operator_nonpositive_n_exits_2_naming_the_flag(tmp_path, capsys, operator, n):
     out = tmp_path / "x.csv"
@@ -834,6 +860,31 @@ def test_coercivity_failed_shift_check_exits_1_naming_the_shift(tmp_path, capsys
     out = tmp_path / "x.csv"
     assert run(["coercivity", "--phiF", "1", "--phi2F", "-0.2", "--N-list", "16", "--out", out]) == 1
     assert "inertia check failed, shift -" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,kernel", [("coercivity", "rayleigh_min"), ("infsup", "infsup_2")])
+def test_linalg_breakdown_exits_1_without_usage(tmp_path, capsys, monkeypatch, command, kernel):
+    # LinAlgError subclasses ValueError, yet a numerical breakdown is no configuration error
+    def breaks_down(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(stability, kernel, breaks_down)
+    out = tmp_path / "x.csv"
+    assert run([command, "--phiF", "1", "--phi2F", "-0.2", "--N-list", "16", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "error: Eigenvalues did not converge" in err
+    assert "usage:" not in err
+    assert not out.exists()
+
+
+def test_tiny_phi2F_breakdown_exits_1_without_usage(tmp_path):
+    # C^{-1} = 2/phi2F overflows in rayleigh_min's inertia check, whose eigvalsh then fails
+    out = tmp_path / "x.csv"
+    proc = run_process(["coercivity", "--phiF", "1", "--phi2F", "1e-308", "--N-list", "16", "--out", out])
+    assert proc.returncode == 1, proc.stderr
+    assert "usage:" not in proc.stderr
+    assert "Traceback" not in proc.stderr
     assert not out.exists()
 
 

@@ -161,7 +161,7 @@ runs = [
     ["eig-scan", *coefficients, "--N-list", "16,32"],
     ["coercivity", "--config", f"{out}/run.cfg"],
 ] + [["dump-operator", "--operator", op, "--N", "8", "--K", "2", *coefficients]
-     for op in sorted(qcf1d.scans.OPERATOR_BUILDERS)]
+     for op in ("Ea", "Eqcf")]
 called = set()
 sys.setprofile(lambda frame, event, arg: event == "call" and called.add(frame.f_code))
 codes = [qcf1d.cli.main(argv + ["--out", f"{out}/{i}.out"]) for i, argv in enumerate(runs)]

@@ -61,7 +61,7 @@ def no_interface(monkeypatch):
         s = operators.strain_stencil(n, k)
         return operators.StrainStencil(s.band, s.diag, ())
 
-    for module in (stability, scans):
+    for module in (stability, cli):
         monkeypatch.setattr(module, "strain_stencil", interface_free)
 
 

@@ -8,21 +8,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcf1d import operators, stability
-from qcf1d.cli import RunConfig, cmd_dump_operator
-from qcf1d.lattice import LOADS, DomainSpec
+from qcf1d.cli import COMMANDS, RunConfig, cmd_coercivity
+from qcf1d.lattice import DomainSpec
 from qcf1d.potentials import Coefficients, lj_deriv1
 from qcf1d.scans import (
     CHUNK_ROWS,
     CoercivityScanRow,
     EigScanRow,
-    InfSupScanRow,
     PatchTestRow,
     _format_value,
-    coercivity_point,
     columns,
-    convergence_point,
     eig_point,
-    infsup_point,
     loglog_slope,
     patch_test_scan,
     write_table,
@@ -80,10 +76,10 @@ def test_coercivity_point_evaluates_each_candidate_once(phi2F, monkeypatch):
         spec = DomainSpec(n, k)
         calls.clear()
         solves.clear()
-        row = coercivity_point(c, n, k)
+        table, _, _ = cmd_coercivity(RunConfig("coercivity", phiF=c.phiF, phi2F=c.phi2F, N_list=[n], K=k))
         assert calls == [spec, spec]
         assert len(solves) == 1
-        assert row.rayleigh_min == stability.rayleigh_min(c, spec)
+        assert table.rayleigh_min == [stability.rayleigh_min(c, spec)]
 
 
 @pytest.mark.parametrize("phi2F", [-0.2, 0.0, 0.3])
@@ -97,7 +93,7 @@ def test_coercivity_point_splits_sym_e_once(phi2F, monkeypatch):
         return split(self, c, form)
 
     monkeypatch.setattr(operators.StrainStencil, "split", counted)
-    coercivity_point(Coefficients(1.0, phi2F), 64, 16)
+    cmd_coercivity(RunConfig("coercivity", phiF=1.0, phi2F=phi2F, N_list=[64], K=16))
     assert sorted(forms) == ["E", "E", "sym"]  # one E per spike candidate
 
 
@@ -169,15 +165,17 @@ def json_per_row(command, config, table, extras):
 
 def every_table():
     c = Coefficients(1.0, -0.2)
+
+    def table(command, **values):
+        return COMMANDS[command](RunConfig(command, **values))[0]
+
+    # the short scans at N=16, 32 with the default K_ratio=0.25: K=4, 8
     return {
         "patch-test": patch_test_scan(lj_deriv1, [0.9, 1.0], [(8, [2, 3, 4]), (16, [2])]),
-        "coercivity": columns(CoercivityScanRow, [coercivity_point(c, n, k) for n, k in [(16, 4), (32, 8)]]),
-        "infsup": columns(InfSupScanRow, [row for n, k in [(16, 4), (32, 8)]
-                                          for row in infsup_point(c, [1.0, 2.0, 4.0], n, k)]),
-        "convergence": columns(ErrorReport, [convergence_point(Coefficients(1.0, -0.05), LOADS["cospi"], 4, n, k)[0]
-                                             for n, k in [(16, 4), (32, 8)]]),
-        "dump-operator": cmd_dump_operator(RunConfig("dump-operator", operator="Eqcf", N=8, K=2, phiF=1.0,
-                                                     phi2F=-0.2))[0],
+        "coercivity": table("coercivity", phiF=1.0, phi2F=-0.2, N_list=[16, 32]),
+        "infsup": table("infsup", phiF=1.0, phi2F=-0.2, N_list=[16, 32], p_list=[1.0, 2.0, 4.0]),
+        "convergence": table("convergence", phiF=1.0, phi2F=-0.05, N_list=[16, 32], M_factor=4, load="cospi"),
+        "dump-operator": table("dump-operator", operator="Eqcf", N=8, K=2, phiF=1.0, phi2F=-0.2),
         "eig-scan": columns(EigScanRow, [eig_point(c, n, k) for n, k in [(8, 2), (16, 4)]]),
     }
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,26 @@ def test_infsup_p_upper_matches_direct_computation():
     for p in (1.0, 2.0, 4.0):
         direct = lp_norm(E @ xi, spec.eps, p) / lp_norm(xi, spec.eps, p)
         assert_allclose(infsup_p_upper(C, spec, p), direct, rtol=1e-12)
+
+
+def probe_bound_exact(c, spec, p):
+    """infsup_p_upper's closed form in exact rational arithmetic, up to the final root."""
+    phiF, phi2F = Fraction(c.phiF), Fraction(c.phi2F)
+    alpha = (phiF + 5 * phi2F) / (2 * phi2F)
+    num = abs(alpha * phi2F) ** p + abs(alpha * phiF + (1 + 2 * alpha) * phi2F) ** p
+    return float(num / (spec.N - spec.K - 1 + abs(alpha) ** p)) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("phi2F", [-0.24, -0.2, -0.05, -1e-3, 1e-20, -1e-20, 1e-100, -1e-100,
+                                   1e-300, -1e-300, 0.1, 0.3, 2.0, 1e-310, -5e-324])
+def test_infsup_p_upper_matches_exact_arithmetic(phi2F):
+    # with |phi2F| small, alpha is large and an unscaled alpha**p overflows,
+    # though the bound itself is close to phiF
+    c = Coefficients(1.0, phi2F)
+    for n in (16, 1024, 2**20):
+        spec = DomainSpec(n, n // 4)
+        for p in (1, 2, 4):
+            assert_allclose(infsup_p_upper(c, spec, p), probe_bound_exact(c, spec, p), rtol=1e-15, atol=0)
 
 
 def test_interface_probe_is_mean_zero():
