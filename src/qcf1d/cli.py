@@ -291,8 +291,8 @@ def cmd_coercivity(cfg: RunConfig) -> tuple:
     extras = {}
     if len(neg) >= 2:
         extras["slope_abs_rayleigh_vs_N"] = loglog_slope([r.N for r in neg], [abs(r.rayleigh_min) for r in neg])
-    # feasibility of the witness is the one proved relation in this scan
-    ok = all(r.rayleigh_min <= r.witness_value + 1e-9 * max(1.0, abs(r.witness_value)) for r in rows)
+    # feasibility of the witness is the one proved relation in this scan; allowances scale with c.unit()
+    ok = all(r.rayleigh_min <= r.witness_value + 1e-9 * max(c.unit()[1], abs(r.witness_value)) for r in rows)
     return columns(CoercivityScanRow, rows), extras, ok
 
 
@@ -317,7 +317,7 @@ def cmd_infsup(cfg: RunConfig) -> tuple:
         rows.append(InfSupScanRow(n, k, 2.0, "exact", exact))
         rows += [InfSupScanRow(n, k, float(p), "upper_bound", infsup_p_upper(c, spec, p)) for p in cfg.p_list]
         # the exact value against the p=2 probe bound, whether or not --p-list writes it
-        ok = ok and exact <= infsup_p_upper(c, spec, 2.0) + 1e-12
+        ok = ok and exact <= infsup_p_upper(c, spec, 2.0) + 1e-12 * c.unit()[1]
     extras = {}
     by_kind = {}
     for r in rows:

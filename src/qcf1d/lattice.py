@@ -56,17 +56,6 @@ class DomainSpec(NamedTuple("DomainSpec", [("N", int), ("K", int), ("M", Optiona
     def eps(self) -> float:
         return 1.0 / self.N
 
-    def extended_continuum_bonds(self) -> np.ndarray:
-        """Bond indices {-N+2..-K+1} and {K+2..N+1}."""
-        left = np.arange(-self.N + 2, -self.K + 2)
-        right = np.arange(self.K + 2, self.N + 2)
-        return np.concatenate([left, right])
-
-    def require_reference(self) -> int:
-        if self.M is None:
-            raise ValueError("DomainSpec.M is required for this operation")
-        return self.M
-
 
 def lp_norm(f, eps: float, p) -> float:
     """Weighted norm (eps * sum |v|^p)^(1/p); p = inf gives the max norm."""
@@ -98,6 +87,19 @@ def summed_load(f: np.ndarray, eps: float) -> np.ndarray:
     g = np.zeros(len(f) - 1)
     g[:-1] = eps * np.cumsum(f[-2:0:-1])[::-1]
     return g
+
+
+def dual_norm_star(f: np.ndarray, eps: float) -> float:
+    """Dual norm of a load: sup <f, w> over w in V0 with ||Dw||_1 = 1.
+
+    Closed form: half the oscillation of the weighted suffix sums
+    g_i = eps * sum_{j=i}^{N-1} f_j (with g_N = 0).  The boundary samples
+    f_{+-N} never pair with an admissible w and are ignored.
+    """
+    if len(f) < 3:
+        raise ValueError("field too short")
+    g = summed_load(f, eps)
+    return 0.5 * float(g.max() - g.min())
 
 
 def uniform_positions(F: float, half_width: int, eps: float) -> np.ndarray:

@@ -51,3 +51,8 @@ class Coefficients(NamedTuple("Coefficients", [("phiF", float), ("phi2F", float)
             raise ValueError(f"phiF must be positive, got {phiF}")
         return super().__new__(cls, phiF, phi2F)
 
+    def unit(self) -> tuple:
+        """(Coefficients(phiF/s, phi2F/s), s) with s = max(phiF, |phi2F|): every kernel is linear in them."""
+        s = max(self.phiF, abs(self.phi2F))
+        return Coefficients(self.phiF / s, self.phi2F / s), s
+

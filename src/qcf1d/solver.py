@@ -19,7 +19,7 @@ that of the displacement system grows like M^2.
 Plugging the reference solution into the coupled equations leaves a
 residual supported in the continuum region, equal there to
 eps^2 * phi2F * (centered fourth difference); measuring it in the dual
-norm of dual_norm_star and dividing by the certified inf-sup constant
+norm of lattice.dual_norm_star and dividing by the certified inf-sup constant
 bounds the strain error at order eps^2.  The residual is taken from
 differences of third differences of the reference displacement, which
 are second differences of its strains, in O(N); applying both operators
@@ -33,10 +33,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .lattice import DomainSpec, diff, lp_norm, summed_load
+from .lattice import DomainSpec, diff, dual_norm_star, lp_norm, summed_load
 from .operators import multiply, strain_stencil
 from .potentials import Coefficients
-from .stability import dual_norm_star
 
 BACKWARD_ERROR_TOL = 1e-13
 UNIT_ROUNDOFF = 2.0**-53  # u: a strain solve refines once when its backward error exceeds 16 u
@@ -164,21 +163,22 @@ def error_report_detailed(
     """
     if not c.phiF + 8.0 * c.phi2F > 0.0:
         raise ValueError("error report needs the stability regime phiF + 8*phi2F > 0")
-    m = spec.require_reference()
-    n = spec.N
-    eps = spec.eps
+    if spec.M is None:
+        raise ValueError("error report needs the reference half-width DomainSpec.M")
+    m, n, k, eps = spec.M, spec.N, spec.K, spec.eps
     g = summed_load(sample_load(load, m, eps), eps)
     w_a = solve_strain(c, m, m - 1, g, 0.0, eps, "atomistic solve")
     inner = slice(m - n, m + n)  # bonds -N+1..N
     w_an = w_a[inner]
-    w_q = solve_strain(c, n, spec.K, g[inner], eps * float(np.sum(w_an)), eps, "coupled solve")
-    d3 = diff(diff(w_a, eps), eps)  # D3_j at offset j + M - 3
-    d3_max = float(np.max(np.abs(d3[spec.extended_continuum_bonds() + m - 3])))
+    w_q = solve_strain(c, n, k, g[inner], eps * float(np.sum(w_an)), eps, "coupled solve")
+    d3 = np.abs(diff(diff(w_a, eps), eps))  # |D3_j| at offset j + M - 3
+    # on bonds -N+2..-K+1 and K+2..N+1, whose D3 the continuum residual reads
+    d3_max = float(max(d3[m - n - 1:m - k - 1].max(), d3[m + k - 1:m + n - 1].max()))
     t = truncation_error_stencil(w_a, c, spec)
     gamma = c.phiF + 8.0 * c.phi2F
     report = ErrorReport(
         N=n,
-        K=spec.K,
+        K=k,
         M=m,
         eps=eps,
         err_strain_inf=lp_norm(w_an - w_q, eps, np.inf),

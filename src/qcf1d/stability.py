@@ -10,14 +10,16 @@ as low as -const * sqrt(N): both effects come from the interface columns
 of the conjugate operator and are reproduced here by explicit
 constructions.  Every kernel reads that operator, E, from the bands of
 operators.StrainStencil and assembles no matrix; the minimum of the form
-is found about one shift below Weyl's lower bound on the spectrum.
+is found about one shift below Weyl's lower bound on the spectrum.  The
+values are linear in (phiF, phi2F), so each kernel that solves or takes
+powers runs on Coefficients.unit() and scales its result back.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .lattice import DomainSpec, diff, lp_norm, summed_load
+from .lattice import DomainSpec, diff, lp_norm
 from .operators import BorderedSolve, StrainStencil, frobenius_norm, multiply, strain_stencil
 from .potentials import Coefficients
 
@@ -90,11 +92,12 @@ def _lanczos_max(op, n: int, what: str) -> tuple:
 
 
 def quadratic_form(c: Coefficients, spec: DomainSpec, v: np.ndarray) -> float:
-    """<L v, v> = <E Dv, Dv> (the conjugate identity) for a field vanishing exactly at +-N."""
+    """<L v, v> = <E Dv, Dv> (the conjugate identity) for a field vanishing exactly at +-N, on c.unit()."""
     if not (v[0] == 0.0 and v[-1] == 0.0):
         raise ValueError("quadratic form is defined on fields vanishing at +-N")
+    c, scale = c.unit()
     dv = diff(v, spec.eps)
-    return spec.eps * float(dv @ multiply(*strain_stencil(spec.N, spec.K).split(c), dv))
+    return scale * spec.eps * float(dv @ multiply(*strain_stencil(spec.N, spec.K).split(c), dv))
 
 
 def _below_spectrum(solve, c: Coefficients) -> bool:
@@ -108,14 +111,16 @@ def _below_spectrum(solve, c: Coefficients) -> bool:
     eigenvalues, where m counts the eigenvalues below sigma of sym(E)
     on mean-zero strains and r/2 those of -C^{-1}.  The factor holds
     A^{-1} [1, (C U)^T], so [1 U^T]^T A^{-1} [1 U^T] is its Gram matrix
-    times diag(1, C^{-1}).
+    times diag(1, C^{-1}).  The count is taken on h times the Schur
+    matrix, h = |phi2F|/2 (1 with no interface terms), which has the same
+    inertia and no 2/phi2F to overflow: h C^{-1} is sign(phi2F) times the
+    swap of U's blocks [far; kink].
     """
     r = solve.gram.shape[0] - 1
-    c_inv = np.zeros((r + 1, r + 1))
-    if r:  # C^{-1} = (2 / phi2F) times the swap of U's blocks [far; kink]
-        c_inv[1:, 1:] = np.kron([[0.0, 2.0 / c.phi2F], [2.0 / c.phi2F, 0.0]], np.eye(r // 2))
+    c_inv = np.zeros((r + 1, r + 1))  # h C^{-1}, padded
+    c_inv[1:, 1:] = np.sign(c.phi2F) * np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(r // 2))
     one_c_inv = c_inv.copy()
-    one_c_inv[0, 0] = 1.0  # diag(1, C^{-1})
+    one_c_inv[0, 0] = 0.5 * abs(c.phi2F) if r else 1.0  # h diag(1, C^{-1})
     schur = -c_inv - solve.gram @ one_c_inv
     eig = np.linalg.eigvalsh(0.5 * (schur + schur.T))
     return np.count_nonzero(eig < 0.0) == r // 2 + 1 and np.count_nonzero(eig > 0.0) == r // 2
@@ -145,29 +150,24 @@ def rayleigh_min(c: Coefficients, spec: DomainSpec) -> float:
     failed inertia check of sigma (_below_spectrum) raises RuntimeError.
     The Lanczos vector's Rayleigh quotient is returned, and the pair must
     pass a residual check on the unshifted bands, scaled by ||sym(E)||_F + |lam| ||I||_F.
+    All of it runs on c.unit(), and the minimum is scaled back.
     """
+    c, scale = c.unit()
     n = 2 * spec.N
     (lower, diag, upper), left, right = strain_stencil(spec.N, spec.K).split(c, "sym")
     floor = _spectrum_floor((lower, diag, upper), left, right)
     sigma = floor - 1e-3 * max(1.0, abs(floor))
     solve = BorderedSolve((lower, diag - sigma, upper), left, right)
     if not _below_spectrum(solve, c):
-        raise RuntimeError(f"rayleigh_min: inertia check failed, shift {sigma:.6g} is not below the spectrum")
-
-    def shift_invert(x):
-        y = solve.solve(x - x.mean())[0]
-        return y - y.mean()
-
-    _, x = _lanczos_max(shift_invert, n, "rayleigh_min")
+        raise RuntimeError(f"rayleigh_min: inertia check failed, shift {scale * sigma:.6g} is not below the spectrum")
+    _, x = _lanczos_max(lambda x: solve.solve(x)[0], n, "rayleigh_min")
     hx = multiply((lower, diag, upper), left, right, x)
     lam = float(x @ hx / (x @ x))
     resid = np.linalg.norm(hx - hx.mean() - lam * x)
-    scale = (frobenius_norm((lower, diag, upper), left, right) + abs(lam) * np.sqrt(n)) * np.linalg.norm(x)
-    if scale > 0 and resid > EIG_TOL * scale:
-        raise RuntimeError(
-            f"eigensolve residual {resid:.3e} exceeds {EIG_TOL:.1e} * {scale:.3e}"
-        )
-    return lam
+    bound = (frobenius_norm((lower, diag, upper), left, right) + abs(lam) * np.sqrt(n)) * np.linalg.norm(x)
+    if not resid <= EIG_TOL * bound:  # also catches NaN
+        raise RuntimeError(f"eigensolve residual {resid:.3e} exceeds {EIG_TOL:.1e} * {bound:.3e}")
+    return scale * lam
 
 
 def unstable_candidate(spec: DomainSpec, sign: str = "-") -> np.ndarray:
@@ -212,20 +212,18 @@ def infsup_2(c: Coefficients, spec: DomainSpec) -> float:
     mean-zero subspace (the eps-weights cancel between trial and test
     norms).  The bordered solve S of E maps b to the mean-zero x with
     E x - b constant: the inverse of the compressed E; S^T is the
-    bordered solve of E^T.  Lanczos on x -> P S^T S P x, with P removing
-    the mean, returns 1/s^2 as the largest eigenvalue.  Raises
+    bordered solve of E^T.  Each absorbs any constant in b, so Lanczos on
+    x -> S^T S x over mean-zero vectors returns 1/s^2 as the largest
+    eigenvalue.  It runs on c.unit(), and s is scaled back.  Raises
     ValueError unless phiF + 4*phi2F > 0, as the coupled solve does.
     """
-    s = strain_stencil(spec.N, spec.K)
-    solve, solve_t = (s.factor(c, form, what="infsup_2") for form in ("E", "E^T"))
-
-    def normal(x):
-        y = solve.solve(x - x.mean())[0]
-        z = solve_t.solve(y - y.mean())[0]
-        return z - z.mean()
-
-    lam, _ = _lanczos_max(normal, 2 * spec.N, "infsup_2")
-    return float(1.0 / np.sqrt(lam))
+    stencil = strain_stencil(spec.N, spec.K)
+    if not c.phiF + 4.0 * c.phi2F > 0.0:  # the factor's error names c's margin, not that of c.unit()
+        stencil.factor(c, what="infsup_2")
+    c, scale = c.unit()
+    solve, solve_t = (stencil.factor(c, form, what="infsup_2") for form in ("E", "E^T"))
+    lam, _ = _lanczos_max(lambda x: solve_t.solve(solve.solve(x)[0])[0], 2 * spec.N, "infsup_2")
+    return float(scale / np.sqrt(lam))
 
 
 def infsup_p_upper(c: Coefficients, spec: DomainSpec, p: float) -> float:
@@ -237,13 +235,15 @@ def infsup_p_upper(c: Coefficients, spec: DomainSpec, p: float) -> float:
     Closed form: the image keeps exactly four nonzero entries (two per
     interface) while the probe itself has about 2(N-K) unit entries, so
     the quotient decays like N^(-1/p).  Every term is scaled by w^p,
-    w = 1/max(1, |alpha|), so no power overflows when |phi2F| is small.
+    w = 1/max(1, |alpha|), so no power overflows when |phi2F| is small,
+    and the bound is taken on c.unit() and scaled back.
     """
     if not (1.0 <= float(p) < np.inf):
         raise ValueError(f"p must satisfy 1 <= p < inf, got {p}")
     if c.phi2F == 0.0:
         raise ValueError("upper bound needs phi2F != 0")
     p = float(p)
+    c, scale = c.unit()
     n, k = spec.N, spec.K
     eps = spec.eps
     alpha = (c.phiF + 5.0 * c.phi2F) / (2.0 * c.phi2F)
@@ -254,17 +254,4 @@ def infsup_p_upper(c: Coefficients, spec: DomainSpec, p: float) -> float:
         + abs(a * c.phiF + (w + 2.0 * a) * c.phi2F) ** p
     )
     den_p = 2.0 * eps * ((n - k - 1) * w**p + abs(a) ** p)
-    return (num_p / den_p) ** (1.0 / p)
-
-
-def dual_norm_star(f: np.ndarray, eps: float) -> float:
-    """Dual norm of a load: sup <f, w> over w in V0 with ||Dw||_1 = 1.
-
-    Closed form: half the oscillation of the weighted suffix sums
-    g_i = eps * sum_{j=i}^{N-1} f_j (with g_N = 0).  The boundary samples
-    f_{+-N} never pair with an admissible w and are ignored.
-    """
-    if len(f) < 3:
-        raise ValueError("field too short")
-    g = summed_load(f, eps)
-    return 0.5 * float(g.max() - g.min())
+    return scale * (num_p / den_p) ** (1.0 / p)

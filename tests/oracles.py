@@ -569,7 +569,8 @@ def truncation_error_dense(u_a, c, spec):
     rounded once per entry.  Needs M >= N+2 so the atomistic stencil at
     rows +-(N-1) stays inside the reference chain.
     """
-    spec.require_reference()
+    if spec.M is None:
+        raise ValueError("the direct route needs the reference half-width DomainSpec.M")
     n, eps = spec.N, spec.eps
     m = len(u_a) // 2  # site j at j + m
     if m < n + 2:

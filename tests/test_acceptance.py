@@ -10,13 +10,12 @@ import numpy as np
 from numpy.testing import assert_allclose
 
 from qcf1d.chain import force_atomistic, force_lqc, max_abs_force_qcf
-from qcf1d.lattice import LOADS, DomainSpec, diff, lp_norm, uniform_positions
+from qcf1d.lattice import LOADS, DomainSpec, diff, dual_norm_star, lp_norm, uniform_positions
 from qcf1d.operators import strain_stencil
 from qcf1d.potentials import Coefficients, lj_deriv1
 from qcf1d.scans import loglog_slope
 from qcf1d.solver import error_report_detailed, sample_load, truncation_error_stencil
 from qcf1d.stability import (
-    dual_norm_star,
     infsup_2,
     infsup_p_upper,
     rayleigh_min,

@@ -878,14 +878,33 @@ def test_linalg_breakdown_exits_1_without_usage(tmp_path, capsys, monkeypatch, c
     assert not out.exists()
 
 
-def test_tiny_phi2F_breakdown_exits_1_without_usage(tmp_path):
-    # C^{-1} = 2/phi2F overflows in rayleigh_min's inertia check, whose eigvalsh then fails
+@pytest.mark.parametrize("phi2F", ["1e-308", "-1e-308"])
+def test_tiny_phi2F_exits_0_with_the_nearest_neighbor_minimum(tmp_path, phi2F):
+    # rayleigh_min's inertia check forms no C^{-1} = 2/phi2F, which would overflow
     out = tmp_path / "x.csv"
-    proc = run_process(["coercivity", "--phiF", "1", "--phi2F", "1e-308", "--N-list", "16", "--out", out])
-    assert proc.returncode == 1, proc.stderr
-    assert "usage:" not in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert not out.exists()
+    proc = run_process(["coercivity", "--phiF", "1", "--phi2F", phi2F, "--N-list", "16", "--out", out])
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr
+    _, _, rows = read_rows(out)
+    assert rows[0]["rayleigh_min"] == "1.0"
+
+
+@pytest.mark.parametrize("command", ["coercivity", "infsup"])
+def test_extreme_constants_give_the_unit_run_scaled(tmp_path, command):
+    # the kernels run on the unit constants, and each check's allowance is
+    # relative to max(phiF, |phi2F|), so every scale exits 0 with s times the values
+    tables = {}
+    for s in ("1", "1e-300", "1e-6", "1e300"):
+        out = tmp_path / f"{s}.csv"
+        proc = run_process([command, "--phiF", s, "--phi2F", repr(-0.2 * float(s)), "--N-list", "16,64",
+                            "--out", out])
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        _, header, rows = read_rows(out)
+        names = [name for name in header if name in ("rayleigh_min", "witness_value", "value")]
+        tables[s] = np.array([[float(row[name]) for name in names] for row in rows])
+    for s in ("1e-300", "1e-6", "1e300"):
+        np.testing.assert_allclose(tables[s], float(s) * tables["1"], rtol=1e-12)
 
 
 @pytest.mark.parametrize("ratio", ["inf", "nan", "-inf"])

@@ -204,7 +204,7 @@ def test_a_subcommand_loads_only_the_kernels_it_runs(tmp_path):
         "import": ["numpy"],
         "patch-test": [0, []],
         "dump-operator": [0, []],
-        "convergence": [0, ["qcf1d.solver", "qcf1d.stability"]],
+        "convergence": [0, ["qcf1d.solver"]],
     }
 
 

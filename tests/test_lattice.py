@@ -36,8 +36,6 @@ def test_domain_spec_regions():
     assert list(atomistic_sites(spec)) == [-2, -1, 0, 1, 2]
     cont = list(continuum_sites(spec))
     assert cont == [-7, -6, -5, -4, -3, 3, 4, 5, 6, 7]
-    bonds = list(spec.extended_continuum_bonds())
-    assert bonds == [-6, -5, -4, -3, -2, -1, 4, 5, 6, 7, 8, 9]
 
 
 def test_lp_norms():

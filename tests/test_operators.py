@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_max_ulp
 from qcf1d.chain import force_atomistic, force_lqc
 from qcf1d.lattice import DomainSpec, diff, lp_norm, uniform_positions
 from qcf1d.cli import RunConfig, cmd_dump_operator
-from qcf1d.operators import _reduce, _substitute, frobenius_norm, multiply, strain_stencil
+from qcf1d.operators import BorderedSolve, _reduce, _substitute, frobenius_norm, multiply, strain_stencil
 from qcf1d.potentials import Coefficients, lj_deriv1
 
 from oracles import (
@@ -441,3 +441,28 @@ def test_substitution_leaves_the_right_hand_sides_unchanged(n):
     tx[:, 1:] += lower[1:] * x[:, :-1]
     tx[:, :-1] += upper[:-1] * x[:, 1:]
     assert_allclose(tx, rhs, rtol=0, atol=1e-12 * np.max(np.abs(rhs)))
+
+
+@pytest.mark.parametrize("form", ["E", "E^T", "sym"])
+@pytest.mark.parametrize("phi2F", [-0.2, 0.3])
+@pytest.mark.parametrize("n,k", [(6, 2), (6, 3), (64, 2), (64, 32)])
+def test_bordered_solve_absorbs_constants_and_returns_its_weighted_sum(n, k, phi2F, form):
+    # the Lanczos operators of the stability kernels apply these solves to
+    # vectors with no mean removed: a constant t in b only moves const by -t,
+    # and x carries the prescribed weighted sum d; sym(E) is shifted below
+    # its Gershgorin bound, as rayleigh_min shifts it
+    c = Coefficients(1.0, phi2F)
+    (lower, diag, upper), left, right = strain_stencil(n, k).split(c, form)
+    if form == "sym":
+        diag = diag - (np.min(diag - np.abs(lower) - np.abs(upper)) - 1.0)
+    weight = 1.0 / n
+    solve = BorderedSolve((lower, diag, upper), left, right, weight)
+    rng = np.random.default_rng(n + k)
+    b, (t, d) = rng.standard_normal(2 * n), rng.standard_normal(2)
+    x, const = solve.solve(b, d)
+    x_t, const_t = solve.solve(b + t, d)
+    assert_allclose(x_t, x, rtol=0, atol=1e-13 * np.max(np.abs(x)))
+    assert_allclose(const_t, const - t, rtol=0, atol=1e-13 * max(abs(const), abs(t)))
+    for v, e in ((x, d), (x_t, d), (solve.solve(b + t)[0], 0.0)):
+        # to the rounding bound of a sum of 2n terms: measured up to 28 u here
+        assert abs(weight * np.sum(v) - e) <= 2 * n * 2.0**-53 * (weight * np.sum(np.abs(v)) + abs(e))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qcf1d.lattice import LOADS, DomainSpec, diff, lp_norm, summed_load
+from qcf1d.lattice import LOADS, DomainSpec, diff, dual_norm_star, lp_norm, summed_load
 from qcf1d import solver
 from qcf1d.potentials import Coefficients
 from qcf1d.solver import (
@@ -11,12 +11,12 @@ from qcf1d.solver import (
     solve_strain,
     truncation_error_stencil,
 )
-from qcf1d.stability import dual_norm_star
 
 from oracles import (
     DIFFERENTIAL_NK,
     DIFFERENTIAL_PHI2F,
     continuum_sites,
+    diff3,
     diff4_centered,
     displacement_solve,
     ea_dense,
@@ -290,6 +290,25 @@ def test_error_report_requires_stability_regime():
     spec = DomainSpec(16, 4, M=64)
     with pytest.raises(ValueError, match="stability regime"):
         error_report_detailed(Coefficients(1.0, -0.2), LOADS["cospi"], spec)
+
+
+@pytest.mark.parametrize("load", [np.exp, lambda x: np.exp(-x), lambda x: np.arctan(20.0 * x)],
+                         ids=["exp", "exp_reflected", "arctan"])
+def test_trunc_bound_reads_d3_on_the_continuum_residuals_bonds(load):
+    # 2 eps^2 |phi2F| max|D3| over bonds -N+2..-K+1 and K+2..N+1, the third
+    # differences of the reference displacement that the continuum residual
+    # reads; under these three loads |D3| peaks at the outer end bond N+1,
+    # at -N+2, and at the inner end bonds -K+1 and K+2, next to larger values
+    # on the atomistic bonds -K+2 and K+1
+    spec = DomainSpec(32, 8, M=128)
+    n, k, m = spec.N, spec.K, spec.M
+    report = error_report_detailed(C, load, spec)[0]
+    d3 = diff3(make_reference(spec, load), spec.eps)  # D3_j at offset j + M - 3
+    bonds = np.concatenate((np.arange(-n + 2, -k + 2), np.arange(k + 2, n + 2)))
+    expected = 2.0 * spec.eps**2 * abs(C.phi2F) * np.max(np.abs(d3[bonds + m - 3]))
+    assert_allclose(report.trunc_bound, expected, rtol=1e-9)
+    with pytest.raises(ValueError, match="DomainSpec.M"):
+        error_report_detailed(C, load, DomainSpec(n, k))
 
 
 def test_constant_load_hits_rounding_floor():

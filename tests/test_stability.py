@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qcf1d import stability
-from qcf1d.lattice import DomainSpec, diff, lp_norm
+from qcf1d.lattice import DomainSpec, diff, dual_norm_star, lp_norm
 from qcf1d.operators import BorderedSolve, strain_stencil
 from qcf1d.potentials import Coefficients
 from qcf1d.stability import (
@@ -15,7 +15,6 @@ from qcf1d.stability import (
     _lanczos_max,
     _spectrum_floor,
     _start_vector,
-    dual_norm_star,
     infsup_2,
     infsup_p_upper,
     quadratic_form,
@@ -375,17 +374,19 @@ def test_infsup_2_near_the_dominance_limit(phi2F, n, k):
     assert_allclose(infsup_2(c, spec), infsup_2_dense(eqcf_dense(c, spec)), rtol=1e-13 / margin)
 
 
-@pytest.mark.parametrize("phi2F,margin", [(-0.25, "0"), (-0.3, "-0.2")])
+@pytest.mark.parametrize("phi2F,margin", [(-0.25, "0"), (-0.3, "-0.2"), (-2.0, "-7")])
 def test_infsup_2_needs_diagonal_dominance(phi2F, margin):
+    # at phi2F = -2 the kernel runs on the constants halved, yet names their own margin
     with pytest.raises(ValueError, match=rf"infsup_2 needs phiF \+ 4\*phi2F > 0 .*, got {margin}$"):
         infsup_2(Coefficients(1.0, phi2F), DomainSpec(16, 4))
 
 
 @pytest.mark.parametrize("n,k", DIFFERENTIAL_NK)
-@pytest.mark.parametrize("phi2F", DIFFERENTIAL_PHI2F + [-0.4])
+@pytest.mark.parametrize("phi2F", DIFFERENTIAL_PHI2F + [-0.4, 1e-308, -1e-308])
 def test_inertia_certificate_matches_dense_eigenvalues(phi2F, n, k):
     # on both sides of the smallest eigenvalue, wherever sym(T) - sigma
-    # is strictly dominant, as the certificate requires
+    # is strictly dominant, as the certificate requires; at |phi2F| = 1e-308
+    # a certificate that formed C^{-1} = 2/phi2F would overflow
     c = Coefficients(1.0, phi2F)
     spec = DomainSpec(n, k)
     dense = rayleigh_min_dense(c, spec)
@@ -411,3 +412,16 @@ def test_lanczos_cap_is_a_numerical_failure(kernel, monkeypatch):
     monkeypatch.setattr(stability, "LANCZOS_MAX_ITER", 2)
     with pytest.raises(RuntimeError, match=r"did not converge in 2 iterations \(residual [0-9.e+-]+ >"):
         kernel(Coefficients(1.0, -0.2), DomainSpec(64, 16))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-6, 1e300, 1e307])
+@pytest.mark.parametrize("phi2F", [-0.2, 0.3])
+def test_kernels_are_scale_covariant(phi2F, scale):
+    # each kernel is linear in (phiF, phi2F), whatever the scale of the constants
+    c, scaled = Coefficients(1.0, phi2F), Coefficients(scale, phi2F * scale)
+    for n, k in ((16, 4), (64, 16)):
+        spec = DomainSpec(n, k)
+        v = unstable_candidate(spec)
+        for kernel in (rayleigh_min, infsup_2, lambda c, spec: infsup_p_upper(c, spec, 2.0),
+                       lambda c, spec: quadratic_form(c, spec, v)):
+            assert_allclose(kernel(scaled, spec), scale * kernel(c, spec), rtol=1e-12)
