@@ -21,12 +21,12 @@ Every operator has one source, the bands of StrainStencil.  split
 writes E, E^T or sym(E) in one form T' + L^T R: a tridiagonal T' plus
 one rank-one term per interface, or two for sym(E), with L and R plain
 arrays.  It is the one form of E the kernels read: each splits once
-and passes the split to multiply, frobenius_norm and BorderedSolve
-(factor builds one for E or E^T), so no kernel builds a matrix.
-integer_entries lists B's nonzeros as small integers, for eig-scan,
-and entries scales them to E, for dump-operator and the inf-sup lower
-bound: (row, col, value) arrays with one entry per position, assembled
-without loops in O(N).
+and passes the split to multiply, norm_bound and BorderedSolve (factor
+builds one for E or E^T), and rdd_margin reads it too, so no kernel
+builds a matrix.  integer_entries lists B's nonzeros as small integers,
+for eig-scan, and entries scales them to E, for dump-operator: (row,
+col, value) arrays with one entry per position, assembled without loops
+in O(N).
 """
 
 from __future__ import annotations
@@ -102,18 +102,17 @@ def multiply(tridiagonal: tuple, left: np.ndarray, right: np.ndarray, w: np.ndar
     return out + (right @ w) @ left
 
 
-def frobenius_norm(tridiagonal: tuple, left: np.ndarray, right: np.ndarray) -> float:
-    """||T + L^T R||_F in O(rN), with no entry listed.
+def norm_bound(tridiagonal: tuple, left: np.ndarray, right: np.ndarray) -> float:
+    """Max row sum of |T| + |L|^T |R|: a bound on ||T + L^T R||_inf, and on its 2-norm if it is symmetric.
 
-    Its square is ||T||_F^2 + sum((L L^T) * (R R^T)) + 2 <T, L^T R>,
-    the cross term read on T's three bands only.
+    Summed in place on one vector, one row of L at a time, in O(rN).
     """
     lower, diag, upper = tridiagonal
-    cross = (np.einsum("i,ki,ki->", diag, left, right)
-             + np.einsum("i,ki,ki->", lower[1:], left[:, 1:], right[:, :-1])
-             + np.einsum("i,ki,ki->", upper[:-1], left[:, :-1], right[:, 1:]))
-    low_rank = np.sum((left @ left.T) * (right @ right.T))
-    return float(np.sqrt(sum(float(v @ v) for v in tridiagonal) + low_rank + 2.0 * cross))
+    rows = np.abs(lower) + np.abs(upper)
+    rows += np.abs(diag)
+    for lk, rk in zip(left, right):
+        rows += float(np.sum(np.abs(rk))) * np.abs(lk)
+    return float(np.max(rows))
 
 
 class BorderedSolve:
@@ -208,6 +207,27 @@ class StrainStencil(NamedTuple):
         left = np.vstack((kink, far))
         left *= 0.5 * c.phi2F  # in place: one full copy fewer at the peak of rayleigh_min
         return tridiagonal, left, u
+
+    def rdd_margin(self, c: Coefficients) -> float:
+        """Row diagonal-dominance margin gamma of E, read from split.
+
+        gamma = min_i (E_ii + negative off-diagonals of row i) - max_i
+        (positive off-diagonals of row i); if gamma > 0, gamma/2 bounds E's
+        mean-zero max-norm/1-norm inf-sup constant below.  T's bands and
+        each kink column of L^T R hold entries of one sign; a kink entry
+        on a row's own diagonal adds to it, as in integer_entries.
+        """
+        (lower, diag, upper), left, right = self.split(c)
+        off = np.zeros((2, diag.size))  # row sums of the positive and of the negative off-diagonals
+        np.add(lower, upper, out=off[int(c.phi2F < 0.0)])
+        for far, kink, (_, col) in zip(left, right, self.interfaces):
+            for j in range(col, col + 3):
+                v = kink[j] * far  # column j of this term
+                diag[j] += v[j]
+                v[j] = 0.0
+                off[int(kink[j] * c.phi2F < 0.0)] += v
+        diag += off[1]
+        return float(np.min(diag) - np.max(off[0]))
 
     def integer_entries(self) -> tuple:
         """(row, col, b) of B at offsets 0..2n-1: one entry per position, diagonal first.

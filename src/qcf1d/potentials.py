@@ -54,5 +54,5 @@ class Coefficients(NamedTuple("Coefficients", [("phiF", float), ("phi2F", float)
     def unit(self) -> tuple:
         """(Coefficients(phiF/s, phi2F/s), s) with s = max(phiF, |phi2F|): every kernel is linear in them."""
         s = max(self.phiF, abs(self.phi2F))
-        return Coefficients(self.phiF / s, self.phi2F / s), s
+        return tuple.__new__(Coefficients, (self.phiF / s, self.phi2F / s)), s  # unchecked: phiF/s may underflow
 

@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .lattice import DomainSpec, diff, dual_norm_star, lp_norm, summed_load
-from .operators import multiply, strain_stencil
+from .operators import multiply, norm_bound, strain_stencil
 from .potentials import Coefficients
 
 BACKWARD_ERROR_TOL = 1e-13
@@ -71,23 +71,20 @@ def solve_strain(
     system [[E, -1], [eps 1^T, 0]] in the max norm,
     ||residual|| / (||A|| ||(w, const)|| + ||(g, delta_u)||), stays within
     BACKWARD_ERROR_TOL (Rigal-Gaches; Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 7).  ||E|| is bounded row by row by
-    |T| 1 + |L|^T |R| 1, which adds 4 |phi2F| on far-field rows and is
-    exact unless a far field is a single row wide.  A backward error above
-    16 u first buys one step of iterative refinement through the same
-    factor, and the refined pair is gated (Skeel, Math. Comp. 35 (1980);
-    Higham, ch. 12).
+    Numerical Algorithms, ch. 7).  ||E|| is bounded by norm_bound, which
+    adds 4 |phi2F| on far-field rows and is exact unless a far field is
+    a single row wide.  A backward error above 16 u first buys one step
+    of iterative refinement through the same factor, and the refined
+    pair is gated (Skeel, Math. Comp. 35 (1980); Higham, ch. 12).
     """
     solve = strain_stencil(n, k).factor(c, "E", weight=eps, what=what)
     w, const = solve.solve(g, delta_u)
     if not np.all(np.isfinite(w)):
         raise RuntimeError(f"{what}: solution is not finite")
-    (lower, diag, upper), left, right = solve.tridiagonal, solve.left, solve.right
-    off = np.abs(lower) + np.abs(upper)
-    row_norms = np.abs(diag) + off + np.abs(left).T @ np.abs(right).sum(axis=1)
-    a_norm = max(float(np.max(row_norms)) + 1.0, 2.0 * n * eps)
+    split = solve.tridiagonal, solve.left, solve.right
+    a_norm = max(norm_bound(*split) + 1.0, 2.0 * n * eps)
     for step in range(2):  # the solve, then at most one step of refinement
-        r = multiply((lower, diag, upper), left, right, w) - g - const
+        r = multiply(*split, w) - g - const
         r_mean = eps * float(np.sum(w)) - delta_u
         resid = max(float(np.max(np.abs(r))), abs(r_mean))
         scale = (a_norm * max(float(np.max(np.abs(w))), abs(const))
@@ -97,7 +94,8 @@ def solve_strain(
         dw, dconst = solve.solve(-r, -r_mean)
         w, const = w + dw, const + dconst
     if not resid <= BACKWARD_ERROR_TOL * scale:  # also catches NaN
-        margin = float(np.min(np.abs(diag) - off))
+        lower, diag, upper = solve.tridiagonal
+        margin = float(np.min(np.abs(diag) - np.abs(lower) - np.abs(upper)))
         raise RuntimeError(
             f"{what}: backward error {resid / scale:.3e} exceeds {BACKWARD_ERROR_TOL:.1e} "
             f"(diagonal-dominance margin of T {margin:.3e})"
@@ -105,29 +103,27 @@ def solve_strain(
     return w
 
 
-def truncation_error_stencil(w_a: np.ndarray, c: Coefficients, spec: DomainSpec) -> np.ndarray:
+def truncation_error_stencil(d3: np.ndarray, c: Coefficients, spec: DomainSpec) -> np.ndarray:
     """Residual of the reference solution in the coupled equations, on sites -N..N.
 
-    w_a holds the reference strains on bonds -L+1..L for any L >= N+2,
-    L read from its length.  On the continuum sites the residual is
-    eps^2 * phi2F * D4_j, taken here as eps * phi2F * (D3_{j+2} -
-    D3_{j+1}) from one array of third differences D3 of the
-    displacement, the second differences of w_a; zero on the atomistic
-    sites and at the boundary.  Each entry carries
-    rounding of order 1e-16 * N^2, as on any route, but the suffix sums
-    of dual_norm_star telescope to differences of the same D3, so there
-    the rounding of each D3 cancels.  That of a separately computed
-    fourth difference would not.  O(N).
+    d3 holds the third differences D3_j of the reference displacement
+    (the second differences of its strains) on j = -L+3..L, at offset
+    j + L - 3, for any L >= N+2 read from its length.  On the continuum
+    sites the residual is eps^2 * phi2F * D4_j, taken as eps * phi2F *
+    (D3_{j+2} - D3_{j+1}); zero on the atomistic sites and at the
+    boundary.  Each entry carries rounding of order 1e-16 * N^2, as on
+    any route, but the suffix sums of dual_norm_star telescope to
+    differences of the same D3, so there the rounding of each D3
+    cancels, as that of a separate fourth difference would not.  O(N).
     """
     n, k = spec.N, spec.K
-    if len(w_a) % 2:
-        raise ValueError(f"strains must cover bonds -L+1..L, got {len(w_a)} values")
-    if len(w_a) < 2 * n + 4:
-        raise ValueError(f"reference half-width too small: need L >= N+2, got L={len(w_a) // 2}, N={n}")
-    d3 = diff(diff(w_a, spec.eps), spec.eps)  # D3_j at offset j + L - 3
+    if len(d3) % 2:
+        raise ValueError(f"third differences must cover bonds -L+3..L, got {len(d3)} values")
+    if len(d3) < 2 * n + 2:
+        raise ValueError(f"reference half-width too small: need L >= N+2, got L={len(d3) // 2 + 1}, N={n}")
     j = np.arange(-n, n + 1)
     cont = (np.abs(j) > k) & (np.abs(j) <= n - 1)
-    jc = j[cont] + len(w_a) // 2 - 3
+    jc = j[cont] + len(d3) // 2 - 2  # offset of D3_j
     t = np.zeros(2 * n + 1)
     t[cont] = spec.eps * c.phi2F * (d3[jc + 2] - d3[jc + 1])
     return t
@@ -159,10 +155,14 @@ def error_report_detailed(
     from strains.  floor, BACKWARD_ERROR_TOL times the strains' max
     norm, is the rounding the two solves may leave in err_strain_inf:
     the error bound is checked up to it, since with phi2F = 0 the bound
-    is 0 and the error is rounding residue alone.
+    is 0 and the error is rounding residue alone.  bound_rhs is
+    trunc_bound over the inf-sup lower bound gamma/2, gamma the margin
+    StrainStencil.rdd_margin of the coupled E, which must be positive.
     """
-    if not c.phiF + 8.0 * c.phi2F > 0.0:
-        raise ValueError("error report needs the stability regime phiF + 8*phi2F > 0")
+    # the margin before the solves, so its temporaries are freed before they peak
+    gamma = strain_stencil(spec.N, spec.K).rdd_margin(c)
+    if not gamma > 0.0:
+        raise ValueError(f"error report needs the stability regime gamma > 0, got gamma = {gamma:.6g}")
     if spec.M is None:
         raise ValueError("error report needs the reference half-width DomainSpec.M")
     m, n, k, eps = spec.M, spec.N, spec.K, spec.eps
@@ -171,19 +171,12 @@ def error_report_detailed(
     inner = slice(m - n, m + n)  # bonds -N+1..N
     w_an = w_a[inner]
     w_q = solve_strain(c, n, k, g[inner], eps * float(np.sum(w_an)), eps, "coupled solve")
-    d3 = np.abs(diff(diff(w_a, eps), eps))  # |D3_j| at offset j + M - 3
+    d3 = diff(diff(w_a, eps), eps)  # D3_j at offset j + M - 3
+    t = truncation_error_stencil(d3, c, spec)
     # on bonds -N+2..-K+1 and K+2..N+1, whose D3 the continuum residual reads
-    d3_max = float(max(d3[m - n - 1:m - k - 1].max(), d3[m + k - 1:m + n - 1].max()))
-    t = truncation_error_stencil(w_a, c, spec)
-    gamma = c.phiF + 8.0 * c.phi2F
-    report = ErrorReport(
-        N=n,
-        K=k,
-        M=m,
-        eps=eps,
-        err_strain_inf=lp_norm(w_an - w_q, eps, np.inf),
-        bound_rhs=4.0 * eps**2 * abs(c.phi2F) * d3_max / gamma,
-        trunc_star=dual_norm_star(t, eps),
-        trunc_bound=2.0 * eps**2 * abs(c.phi2F) * d3_max,
-    )
+    d3_max = float(max(np.max(np.abs(d3[m - n - 1:m - k - 1])), np.max(np.abs(d3[m + k - 1:m + n - 1]))))
+    trunc_bound = 2.0 * eps**2 * abs(c.phi2F) * d3_max
+    report = ErrorReport(N=n, K=k, M=m, eps=eps, err_strain_inf=lp_norm(w_an - w_q, eps, np.inf),
+                         bound_rhs=2.0 * trunc_bound / gamma, trunc_star=dual_norm_star(t, eps),
+                         trunc_bound=trunc_bound)
     return report, t, BACKWARD_ERROR_TOL * float(np.max(np.abs(w_an)))

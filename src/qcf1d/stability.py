@@ -2,13 +2,13 @@
 
 The coupled operator keeps a uniform inf-sup constant only for one norm
 pairing: testing max-norm strains against summed-strain test fields.
-There the row diagonal-dominance margin gamma of its conjugate certifies
-an inf-sup constant of at least gamma/2, with gamma = phiF + 8*phi2F
-independently of domain sizes.  In every other strain pairing the
-constant decays like N^(-1/p), and the quadratic form itself takes values
-as low as -const * sqrt(N): both effects come from the interface columns
-of the conjugate operator and are reproduced here by explicit
-constructions.  Every kernel reads that operator, E, from the bands of
+There the row diagonal-dominance margin gamma of its conjugate
+(StrainStencil.rdd_margin) certifies an inf-sup constant of at least
+gamma/2, with gamma = phiF + 8*min(phi2F, 0) independently of domain
+sizes.  In every other strain pairing the constant decays like
+N^(-1/p), and the quadratic form itself takes values as low as
+-const * sqrt(N): both effects come from the interface columns of the
+conjugate operator and are reproduced here by explicit constructions.  Every kernel reads that operator, E, from the bands of
 operators.StrainStencil and assembles no matrix; the minimum of the form
 is found about one shift below Weyl's lower bound on the spectrum.  The
 values are linear in (phiF, phi2F), so each kernel that solves or takes
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lattice import DomainSpec, diff, lp_norm
-from .operators import BorderedSolve, StrainStencil, frobenius_norm, multiply, strain_stencil
+from .operators import BorderedSolve, multiply, norm_bound, strain_stencil
 from .potentials import Coefficients
 
 EIG_TOL = 1e-10
@@ -149,22 +149,22 @@ def rayleigh_min(c: Coefficients, spec: DomainSpec) -> float:
     bands sym(E) - sigma, sigma a fixed gap below _spectrum_floor; a
     failed inertia check of sigma (_below_spectrum) raises RuntimeError.
     The Lanczos vector's Rayleigh quotient is returned, and the pair must
-    pass a residual check on the unshifted bands, scaled by ||sym(E)||_F + |lam| ||I||_F.
-    All of it runs on c.unit(), and the minimum is scaled back.
+    pass a residual check on the unshifted bands, scaled by norm_bound +
+    |lam| >= ||sym(E) - lam I||_2.  All of it runs on c.unit(), and the
+    minimum is scaled back.
     """
     c, scale = c.unit()
-    n = 2 * spec.N
     (lower, diag, upper), left, right = strain_stencil(spec.N, spec.K).split(c, "sym")
     floor = _spectrum_floor((lower, diag, upper), left, right)
     sigma = floor - 1e-3 * max(1.0, abs(floor))
     solve = BorderedSolve((lower, diag - sigma, upper), left, right)
     if not _below_spectrum(solve, c):
         raise RuntimeError(f"rayleigh_min: inertia check failed, shift {scale * sigma:.6g} is not below the spectrum")
-    _, x = _lanczos_max(lambda x: solve.solve(x)[0], n, "rayleigh_min")
+    _, x = _lanczos_max(lambda x: solve.solve(x)[0], 2 * spec.N, "rayleigh_min")
     hx = multiply((lower, diag, upper), left, right, x)
     lam = float(x @ hx / (x @ x))
     resid = np.linalg.norm(hx - hx.mean() - lam * x)
-    bound = (frobenius_norm((lower, diag, upper), left, right) + abs(lam) * np.sqrt(n)) * np.linalg.norm(x)
+    bound = (norm_bound((lower, diag, upper), left, right) + abs(lam)) * np.linalg.norm(x)
     if not resid <= EIG_TOL * bound:  # also catches NaN
         raise RuntimeError(f"eigensolve residual {resid:.3e} exceeds {EIG_TOL:.1e} * {bound:.3e}")
     return scale * lam
@@ -189,20 +189,6 @@ def unstable_candidate(spec: DomainSpec, sign: str = "-") -> np.ndarray:
     v = np.where(np.abs(j) <= k + 2, 1.0, ramp / (n - k - 2.0))
     v[(k + 1) + n] += (1.0 if sign == "+" else -1.0) * np.sqrt(spec.eps)
     return v * (1.0 / lp_norm(diff(v, spec.eps), spec.eps, 2))
-
-
-def rdd_margin(c: Coefficients, stencil: StrainStencil) -> float:
-    """Row diagonal-dominance margin gamma of the strain operator E of stencil.
-
-    gamma = min_i (E_ii + sum of negative off-diagonals in row i)
-            - max_i (sum of positive off-diagonals in row i).
-    When gamma > 0 the mean-zero max-norm/1-norm inf-sup constant of E is
-    at least gamma/2.
-    """
-    row, _, value = stencil.entries(c)
-    nb = stencil.diag.size  # entries lists the diagonal first
-    neg, pos = (np.bincount(row[nb:], clip(value[nb:], 0.0), minlength=nb) for clip in (np.minimum, np.maximum))
-    return float(np.min(value[:nb] + neg) - np.max(pos))
 
 
 def infsup_2(c: Coefficients, spec: DomainSpec) -> float:

@@ -19,7 +19,6 @@ from qcf1d.stability import (
     infsup_2,
     infsup_p_upper,
     rayleigh_min,
-    rdd_margin,
     unstable_candidate,
 )
 
@@ -166,7 +165,7 @@ def test_c06_diagonal_dominance_margin():
     worst = 0.0
     for n in (16, 64, 256):
         for k in range(2, n // 2 + 1):
-            g = rdd_margin(c, strain_stencil(n, k))
+            g = strain_stencil(n, k).rdd_margin(c)
             assert abs(g - closed) <= 1e-14
             assert abs(0.5 * g - 0.3) <= 1e-14
             worst = max(worst, abs(g - closed))
@@ -210,7 +209,7 @@ def test_c08_truncation_identity():
     spec = DomainSpec(32, 8, M=128)
     u_a = displacement_solve(c, sample_load(load, 128, spec.eps), 127, spec.eps)
     t = truncation_error_dense(u_a, c, spec)
-    ts = truncation_error_stencil(diff(u_a, spec.eps), c, spec)
+    ts = truncation_error_stencil(diff(diff(diff(u_a, spec.eps), spec.eps), spec.eps), c, spec)
     entry_tol = 1e-12 / spec.eps**2
     assert np.max(np.abs(t - ts)) <= entry_tol
     js = np.arange(-32, 33)

@@ -760,8 +760,8 @@ def test_infsup_zero_phi2F_exits_2_before_any_sweep_point(tmp_path, capsys, monk
     def not_reached(*args, **kwargs):
         raise AssertionError("a sweep point ran")
 
-    for kernel in ("rdd_margin", "infsup_2"):
-        monkeypatch.setattr(stability, kernel, not_reached)
+    monkeypatch.setattr(StrainStencil, "rdd_margin", not_reached)
+    monkeypatch.setattr(stability, "infsup_2", not_reached)
     out = tmp_path / "x.csv"
     assert run(["infsup", "--phiF", "1", "--phi2F", phi2F, "--N-list", "16,32", "--out", out]) == 2
     err = capsys.readouterr().err
@@ -905,6 +905,16 @@ def test_extreme_constants_give_the_unit_run_scaled(tmp_path, command):
         tables[s] = np.array([[float(row[name]) for name in names] for row in rows])
     for s in ("1e-300", "1e-6", "1e300"):
         np.testing.assert_allclose(tables[s], float(s) * tables["1"], rtol=1e-12)
+
+
+@pytest.mark.parametrize("command", ["coercivity", "infsup"])
+def test_underflowed_unit_phiF_is_no_configuration_error(tmp_path, command):
+    # phiF / max(phiF, |phi2F|) = 1e-600 underflows to 0 in the unit constants:
+    # rounding, not an input that fails the check phiF > 0
+    out = tmp_path / "x.csv"
+    proc = run_process([command, "--phiF", "1e-300", "--phi2F", "1e300", "--N-list", "16", "--out", out])
+    assert proc.returncode == 0, proc.stderr
+    assert "phiF must be positive" not in proc.stderr
 
 
 @pytest.mark.parametrize("ratio", ["inf", "nan", "-inf"])

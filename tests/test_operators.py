@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_max_ulp
 from qcf1d.chain import force_atomistic, force_lqc
 from qcf1d.lattice import DomainSpec, diff, lp_norm, uniform_positions
 from qcf1d.cli import RunConfig, cmd_dump_operator
-from qcf1d.operators import BorderedSolve, _reduce, _substitute, frobenius_norm, multiply, strain_stencil
+from qcf1d.operators import BorderedSolve, _reduce, _substitute, multiply, norm_bound, strain_stencil
 from qcf1d.potentials import Coefficients, lj_deriv1
 
 from oracles import (
@@ -388,17 +388,23 @@ def test_strain_stencil_bands_match_dense_oracles(phi2F, n, k):
 
 
 @pytest.mark.parametrize("phiF", [1.0, 0.3])
-@pytest.mark.parametrize("phi2F", DIFFERENTIAL_PHI2F + [-1.7])
+@pytest.mark.parametrize("phi2F", DIFFERENTIAL_PHI2F + [-1.7, -0.25 + 1e-6])
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (8, 4), (16, 7)] + DIFFERENTIAL_NK)
-def test_frobenius_norm_matches_listed_entries(phiF, phi2F, n, k):
+def test_norm_bound_matches_listed_entries(phiF, phi2F, n, k):
     # from the split alone, for E, E^T and sym(E) of the coupled stencil and
     # the atomistic one (k = n-1: no interface); a far field one row wide
-    # (n=4, k=2) meets the kink on its diagonal only
+    # (n=4, k=2) meets the kink on its diagonal only, and phi2F = -0.25 + 1e-6
+    # takes phiF + 4*phi2F to 0 at phiF = 1
     c = Coefficients(phiF, phi2F)
     for band, E in ((k, eqcf_dense(c, DomainSpec(n, k))), (n - 1, ea_dense(c, n))):
         s = strain_stencil(n, band)
         for form, expected in (("E", E), ("E^T", E.T), ("sym", 0.5 * (E + E.T))):
-            assert_allclose(frobenius_norm(*s.split(c, form)), np.linalg.norm(expected), rtol=1e-12)
+            (lower, diag, upper), left, right = s.split(c, form)
+            T = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+            rows = np.abs(T).sum(axis=1) + (np.abs(left).T @ np.abs(right)).sum(axis=1)
+            bound = norm_bound((lower, diag, upper), left, right)
+            assert_allclose(bound, np.max(rows), rtol=1e-14)
+            assert bound >= np.linalg.norm(expected, np.inf) * (1.0 - 1e-14)
 
 
 def test_substitution_frees_even_rows_on_the_way_up():

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from qcf1d.lattice import LOADS, DomainSpec, diff, dual_norm_star, lp_norm, summed_load
 from qcf1d import solver
+from qcf1d.operators import strain_stencil
 from qcf1d.potentials import Coefficients
 from qcf1d.solver import (
     error_report_detailed,
@@ -200,7 +201,7 @@ def test_truncation_error_matches_stencil_route():
         spec = DomainSpec(n, n // 4, M=4 * n)
         u_a = make_reference(spec)
         t = truncation_error_dense(u_a, C, spec)
-        ts = truncation_error_stencil(diff(u_a, spec.eps), C, spec)
+        ts = truncation_error_stencil(diff(diff(diff(u_a, spec.eps), spec.eps), spec.eps), C, spec)
         assert np.max(np.abs(t - ts)) <= 1e-12 / spec.eps**2, n
         assert_allclose(dual_norm_star(ts, spec.eps), dual_norm_star(t, spec.eps), rtol=1e-6)
 
@@ -223,25 +224,29 @@ def test_truncation_vanishes_on_cubic_fields():
     spec = DomainSpec(16, 4, M=64)
     x = np.arange(-64, 65) * spec.eps
     cubic = 1.0 + x - 0.5 * x**2 + 0.25 * x**3
-    stencil = truncation_error_stencil(diff(cubic, spec.eps), C, spec)
+    stencil = truncation_error_stencil(diff(diff(diff(cubic, spec.eps), spec.eps), spec.eps), C, spec)
     for name, t in (("dense", truncation_error_dense(cubic, C, spec)), ("stencil", stencil)):
         assert np.max(np.abs(t)) <= 1e-12 / spec.eps**2, name
 
 
 def test_truncation_offset_comes_from_the_strains_length():
-    # the reference strains of half-width M and the same strains sliced to
-    # half-width N+2 give the same residual, bit for bit
+    # the third differences of the reference strains of half-width M and of
+    # the same strains sliced to half-width N+2 give the same residual, bit for bit
     spec = DomainSpec(32, 8, M=128)
     w_a = diff(make_reference(spec), spec.eps)  # bond j at offset j + M - 1
     sliced = w_a[spec.M - spec.N - 2 : spec.M + spec.N + 2]  # bonds -N-1..N+2
     assert len(sliced) == 2 * (spec.N + 2)
-    full = truncation_error_stencil(w_a, C, spec)
+
+    def residual(w):
+        return truncation_error_stencil(diff(diff(w, spec.eps), spec.eps), C, spec)
+
+    full = residual(w_a)
     assert np.max(np.abs(full)) > 0.0
-    assert np.array_equal(truncation_error_stencil(sliced, C, spec), full)
+    assert np.array_equal(residual(sliced), full)
     with pytest.raises(ValueError, match="reference half-width"):
-        truncation_error_stencil(sliced[1:-1], C, spec)
+        residual(sliced[1:-1])
     with pytest.raises(ValueError, match="bonds"):
-        truncation_error_stencil(sliced[1:], C, spec)
+        residual(sliced[1:])
 
 
 def test_truncation_needs_reference_margin():
@@ -249,7 +254,8 @@ def test_truncation_needs_reference_margin():
     # itself rejects M = N+1 (test_lattice)
     spec = DomainSpec(32, 8, M=34)
     u = np.zeros(67)  # sites -33..33: half-width N+1
-    for route, field in ((truncation_error_dense, u), (truncation_error_stencil, diff(u, spec.eps))):
+    d3 = diff(diff(diff(u, spec.eps), spec.eps), spec.eps)
+    for route, field in ((truncation_error_dense, u), (truncation_error_stencil, d3)):
         with pytest.raises(ValueError, match="reference (half-width|field) too"):
             route(field, C, spec)
 
@@ -290,6 +296,18 @@ def test_error_report_requires_stability_regime():
     spec = DomainSpec(16, 4, M=64)
     with pytest.raises(ValueError, match="stability regime"):
         error_report_detailed(Coefficients(1.0, -0.2), LOADS["cospi"], spec)
+
+
+def test_bound_rhs_divides_by_the_margin_at_positive_phi2F():
+    # with phi2F > 0 the margin is phiF, not phiF + 8*phi2F = 1.8: half of
+    # 1.8 exceeds the exact max-norm inf-sup constant, about 0.53 at phi2F = 0.1
+    c = Coefficients(1.0, 0.1)
+    spec = DomainSpec(32, 8, M=128)
+    gamma = strain_stencil(spec.N, spec.K).rdd_margin(c)
+    assert gamma == 1.0
+    rep, _, _ = error_report_detailed(c, LOADS["cospi"], spec)
+    assert rep.bound_rhs > 0.0
+    assert rep.bound_rhs == 2.0 * rep.trunc_bound / gamma
 
 
 @pytest.mark.parametrize("load", [np.exp, lambda x: np.exp(-x), lambda x: np.arctan(20.0 * x)],

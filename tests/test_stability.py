@@ -19,7 +19,6 @@ from qcf1d.stability import (
     infsup_p_upper,
     quadratic_form,
     rayleigh_min,
-    rdd_margin,
     unstable_candidate,
 )
 
@@ -116,24 +115,27 @@ def test_candidate_needs_room_for_the_ramp():
 def test_rdd_margin_identity_matrix():
     assert rdd_margin_dense(np.eye(7)) == 1.0
     # phi2F = 0 leaves E = phiF * I
-    assert rdd_margin(Coefficients(1.0, 0.0), strain_stencil(8, 2)) == 1.0
+    assert strain_stencil(8, 2).rdd_margin(Coefficients(1.0, 0.0)) == 1.0
 
 
 def test_rdd_margin_of_conjugate_operators():
     # conjugate coupled operator: margin phiF + 8 phi2F, size-independent
-    g = rdd_margin(Coefficients(1.0, -0.05), strain_stencil(64, 16))
+    g = strain_stencil(64, 16).rdd_margin(Coefficients(1.0, -0.05))
     assert_allclose(g, 0.6, atol=1e-14)
     # conjugate atomistic operator: no positive off-diagonals, margin
     # comes from the interior rows alone: phiF + 4 phi2F
-    g = rdd_margin(Coefficients(1.0, -0.1), strain_stencil(32, 31))
+    g = strain_stencil(32, 31).rdd_margin(Coefficients(1.0, -0.1))
     assert_allclose(g, 0.6, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [16, 64])
 def test_rdd_margin_independent_of_split(n):
-    for k in range(2, n // 2 + 1):
-        g = rdd_margin(C, strain_stencil(n, k))
-        assert abs(g - (C.phiF + 8.0 * C.phi2F)) <= 1e-14
+    # gamma = phiF + 8*min(phi2F, 0): with phi2F > 0 the smallest diagonal plus
+    # negative off-diagonals is phiF + 2*phi2F, and the largest positive sum 2*phi2F
+    for c in (C, Coefficients(1.0, 0.1), Coefficients(1.0, 0.3)):
+        for k in range(2, n // 2 + 1):
+            g = strain_stencil(n, k).rdd_margin(c)
+            assert abs(g - (c.phiF + 8.0 * min(c.phi2F, 0.0))) <= 1e-14
 
 
 def test_infsup_2_identity():
@@ -347,7 +349,7 @@ def test_sparse_kernels_match_dense_oracles(phi2F, n, k):
     assert _spectrum_floor(*strain_stencil(n, k).split(c, "sym")) <= dense + 1e-12 * max(1.0, abs(dense))
     assert_allclose(infsup_2(c, spec), infsup_2_dense(eqcf_dense(c, spec)), rtol=1e-9)
     for band, dense in ((k, eqcf_dense(c, spec)), (n - 1, ea_dense(c, n))):
-        assert rdd_margin(c, strain_stencil(n, band)) == rdd_margin_dense(dense)
+        assert strain_stencil(n, band).rdd_margin(c) == rdd_margin_dense(dense)
 
 
 @pytest.mark.parametrize("n,k", DIFFERENTIAL_NK)
