@@ -388,6 +388,24 @@ def test_strain_stencil_bands_match_dense_oracles(phi2F, n, k):
 
 
 @pytest.mark.parametrize("phiF", [1.0, 0.3])
+@pytest.mark.parametrize("phi2F", DIFFERENTIAL_PHI2F + [-1.7])
+@pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (8, 4), (16, 7)] + DIFFERENTIAL_NK)
+def test_frobenius_norm_matches_listed_entries(phiF, phi2F, n, k):
+    # the split and the listed entries carry the same E in the Frobenius
+    # norm, for E, E^T and sym(E) of the coupled stencil and the atomistic
+    # one (k = n-1: no interface), at phiF != 1 and on far fields one row
+    # wide (n=4, k=2), where the kink meets the diagonal only
+    c = Coefficients(phiF, phi2F)
+    for band, E in ((k, eqcf_dense(c, DomainSpec(n, k))), (n - 1, ea_dense(c, n))):
+        s = strain_stencil(n, band)
+        assert_allclose(np.linalg.norm(s.entries(c)[2]), np.linalg.norm(E), rtol=1e-14)
+        for form, expected in (("E", E), ("E^T", E.T), ("sym", 0.5 * (E + E.T))):
+            (lower, diag, upper), left, right = s.split(c, form)
+            split = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1) + left.T @ right
+            assert np.linalg.norm(split - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("phiF", [1.0, 0.3])
 @pytest.mark.parametrize("phi2F", DIFFERENTIAL_PHI2F + [-1.7, -0.25 + 1e-6])
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (8, 4), (16, 7)] + DIFFERENTIAL_NK)
 def test_norm_bound_matches_listed_entries(phiF, phi2F, n, k):
