@@ -10,15 +10,20 @@ config-file keys, the RunConfig fields and the echo all read it.  Flags
 can also be given in a config file (--config): a flat key=value file, or
 a CSV table, whose echo re-runs it; explicit flags override file values.
 
-A `qcf1d` or `python -m qcf1d.cli` process freezes its heap once main
-returns, so the interpreter's shutdown collections skip the objects
-that importing numpy and qcf1d left; main itself leaves the heap alone
-for in-process callers.  Each claim's subcommand builds its rows from
-the kernels and checks them in its one cmd_* function; the stability and
-solver kernels load only in the subcommands that run them.
+A `qcf1d` or `python -m qcf1d.cli` process freezes its import heap
+before main runs and once it returns, so no collection walks the objects
+that importing numpy and qcf1d left (the module entry collects none while
+it imports); main leaves the heap alone for in-process callers.  Each
+claim's subcommand builds its rows and checks in its one cmd_* function;
+the chain, operator, stability and solver kernels load only where run.
 """
 
 from __future__ import annotations
+
+import gc
+
+if __name__ == "__main__":  # _entry enables the collector once the imports are frozen
+    gc.disable()
 
 import argparse
 import re
@@ -28,21 +33,13 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .lattice import LOADS, DomainSpec, lp_norm
-from .operators import strain_stencil
-from .potentials import Coefficients, lj_deriv1
-from .scans import (
-    CoercivityScanRow,
-    EigScanRow,
-    InfSupScanRow,
-    columns,
-    eig_point,
-    loglog_slope,
-    patch_test_scan,
-    write_table,
-)
+from .potentials import Coefficients
+from .scans import CoercivityScanRow, EigScanRow, InfSupScanRow, PatchTestRow, columns, loglog_slope, write_table
 
 # the subcommands that read spring constants through RunConfig.coefficients
 COEFFICIENT_COMMANDS = ("coercivity", "infsup", "convergence", "dump-operator", "eig-scan")
+# the patch test's residual allowance, relative to the pair forces' scale over eps
+PATCH_TEST_TOL = 1e-13
 # the options that each name the split rule: the config file names at most one, the flags at
 # most one, and the flags' rule replaces the file's
 SPLIT_RULE = ("K", "K_ratio", "K_all")
@@ -262,9 +259,26 @@ class TripleRow(NamedTuple):
 
 def cmd_patch_test(cfg: RunConfig) -> tuple:
     """ghost-force residuals at uniform states"""
+    from .chain import max_abs_force_qcf
+    from .lattice import uniform_positions
+    from .potentials import lj_deriv1
+
     if not cfg.F_list:
         raise ValueError("need at least one strain in --F-list")
-    table = patch_test_scan(lj_deriv1, cfg.F_list, cfg.splits())
+    splits, points = cfg.splits(), []
+    for F in cfg.F_list:
+        for n, ks in splits:
+            # one point per (F, N): the forces are evaluated once for all its splits
+            eps = DomainSpec(n, ks[0]).eps
+            y = uniform_positions(F, n, eps)
+            slopes = float(lj_deriv1(F)), float(lj_deriv1(2.0 * F))
+            if not np.all(np.isfinite(slopes)):
+                raise ValueError(f"phi'(F) and phi'(2F) must be finite, got {slopes} at F={F}")
+            residual = max_abs_force_qcf(y, ks, lj_deriv1)
+            tol = PATCH_TEST_TOL * max(1.0, abs(slopes[0]) + abs(slopes[1])) / eps
+            # F, N and the tolerance repeat along the point's splits
+            points.append(PatchTestRow(*np.broadcast_arrays(F, n, np.asarray(ks), residual, tol, residual <= tol)))
+    table = PatchTestRow._make(map(np.concatenate, zip(*points)))
     ok = bool(np.all(table.passed))
     # np.max, not max: a NaN residual must show in the extras wherever it sits
     extras = {
@@ -298,6 +312,7 @@ def cmd_coercivity(cfg: RunConfig) -> tuple:
 
 def cmd_infsup(cfg: RunConfig) -> tuple:
     """inf-sup bounds and exact 2-norm values"""
+    from .operators import strain_stencil
     from .stability import infsup_2, infsup_p_upper
 
     c = cfg.coefficients()
@@ -353,6 +368,8 @@ def cmd_convergence(cfg: RunConfig) -> tuple:
 
 def cmd_dump_operator(cfg: RunConfig) -> tuple:
     """write (row,col,value) triples"""
+    from .operators import strain_stencil
+
     if not cfg.operator:
         raise ValueError("need --operator")
     if cfg.N is None or cfg.N < 1:
@@ -367,8 +384,14 @@ def cmd_dump_operator(cfg: RunConfig) -> tuple:
 
 def cmd_eig_scan(cfg: RunConfig) -> tuple:
     """exploratory eigenvalue-sign scan"""
+    from .operators import strain_stencil
+
     c = cfg.coefficients()
-    return columns(EigScanRow, [eig_point(c, n, k) for n, k in cfg.nk_pairs()]), {}, True
+    rows = []
+    for n, k in cfg.nk_pairs():
+        ev = strain_stencil(n, k).conjugate_eigenvalues(c)
+        rows.append(EigScanRow(n, k, float(ev.real.min()), float(np.abs(ev.imag).max()), int(np.sum(ev.real <= 0.0))))
+    return columns(EigScanRow, rows), {}, True
 
 
 # each run returns (table, extras, ok); main writes the table and maps ok to the exit status
@@ -402,8 +425,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _entry() -> None:  # the console script's and `python -m qcf1d.cli`'s
-    import gc
-
+    gc.freeze()  # the import heap, which no collection need walk again
+    gc.enable()
     status = main()
     # here, not in main, so in-process callers keep their heap; and not os._exit,
     # which would skip the stdio flushes and the atexit handlers

@@ -1,25 +1,18 @@
-"""Row types, the patch-test and eig-scan points, and table serialization.
+"""Row types, table columns, the log-log slope, and table serialization.
 
-A patch-test point takes every split of its size at once; an eig-scan
-point maps one domain size and split to a row.  A table is a NamedTuple
-whose fields are equal-length columns, numpy arrays or lists:
-patch-test and dump-operator keep the arrays their kernels return, and
-the short scans turn their rows into lists with columns().  write_table
-formats each distinct value of an array column once per chunk of rows.
+Nothing here computes a quantity of the chain: cli.py builds each claim's
+rows.  A table is a NamedTuple whose fields are equal-length columns,
+numpy arrays or lists: patch-test and dump-operator keep the arrays
+their kernels return, and the short scans turn their rows into lists
+with columns().  write_table formats each distinct value of an array
+column once per chunk of rows.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-
-from .chain import max_abs_force_qcf
-from .lattice import DomainSpec, uniform_positions
-from .operators import strain_stencil
-from .potentials import Coefficients
-
-PATCH_TEST_TOL = 1e-13
 
 
 def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -72,70 +65,9 @@ class EigScanRow(NamedTuple):
     n_nonpositive: int
 
 
-def _patch_point(phi: Callable, F: float, n: int, ks: Sequence[int]) -> PatchTestRow:
-    """The patch-test table of one strain and size, a row per split in ks."""
-    eps = DomainSpec(n, ks[0]).eps
-    y = uniform_positions(F, n, eps)
-    slopes = float(phi(F)), float(phi(2.0 * F))
-    if not np.all(np.isfinite(slopes)):
-        raise ValueError(f"phi'(F) and phi'(2F) must be finite, got {slopes} at F={F}")
-    k = np.asarray(ks)
-    residual = max_abs_force_qcf(y, k, phi)
-    scale = max(1.0, abs(slopes[0]) + abs(slopes[1]))
-    tol = PATCH_TEST_TOL * scale / eps
-    return PatchTestRow(np.full(k.size, F), np.full(k.size, n), k, residual, np.full(k.size, tol), residual <= tol)
-
-
-def patch_test_scan(phi: Callable, F_values: Sequence[float], splits: Sequence[tuple]) -> PatchTestRow:
-    """Ghost-force residuals of the coupled force at uniform states, as one table of arrays.
-
-    One sweep point per F and (N, splits K at N) in splits, which
-    evaluates the forces once for all of its splits; the rows keep the
-    order F, then splits.  Neither F_values nor splits may be empty.
-    """
-    points = [_patch_point(phi, F, n, ks) for F in F_values for n, ks in splits]
-    return PatchTestRow._make(map(np.concatenate, zip(*points)))
-
-
 def columns(row_type, rows: Sequence) -> NamedTuple:
     """Rows of row_type as one table: a row_type whose fields are lists, the columns."""
     return row_type._make([r[i] for r in rows] for i in range(len(row_type._fields)))
-
-
-def eig_point(c: Coefficients, n: int, k: int) -> EigScanRow:
-    """Eigenvalues of the interior block of Lqcf (atoms -N+1..N-1), from two half-size blocks.
-
-    Row j of Lqcf is ((E Dv)_j - (E Dv)_{j+1}) / eps with E = phiF * I +
-    phi2F * B, so its rows j >= 0 are the second differences, across
-    rows and columns, of I and B on bonds 0..N: small integers,
-    differenced before the scaling.  Lqcf commutes exactly with the
-    reflection j -> -j, so the interior block splits into its action on
-    even fields (v_{-m} = v_m: columns m and -m summed, rows j >= 0,
-    N x N) and on odd ones (v_{-m} = -v_m: their difference, rows
-    j >= 1, (N-1) x (N-1)).  Each block is similar, by a diagonal
-    scaling, to a diagonal block of Q^T L Q with Q the orthonormal
-    even/odd basis, so together they carry the spectrum of the interior
-    block for a quarter of the flops and memory of its dense eigensolve.
-    """
-    row, col, entry = strain_stencil(n, DomainSpec(n, k).K).integer_entries()
-    ints = np.zeros((2, n + 1, 2 * n), dtype=np.int8)  # I and B on bonds 0..N (offsets N-1..2N-1)
-    ints[0, np.arange(n + 1), np.arange(n - 1, 2 * n)] = 1
-    half = row >= n - 1
-    ints[1, row[half] - n + 1, col[half]] = entry[half]
-    a, b = np.diff(np.diff(ints, axis=1), axis=2)  # rows j = 0..N-1, columns atoms -N+1..N-1
-    rows = (c.phiF * a + c.phi2F * b) / (1.0 / n) ** 2
-    even = rows[:, n - 1:].copy()  # columns m = 0..N-1
-    even[:, 1:] += rows[:, n - 2::-1]  # columns -m = -1..-N+1
-    odd = rows[1:, n:] - rows[1:, n - 2::-1]
-    del ints, a, b, rows  # freed before the eigensolves
-    ev = np.concatenate([np.linalg.eigvals(even), np.linalg.eigvals(odd)])
-    return EigScanRow(
-        n,
-        k,
-        float(ev.real.min()),
-        float(np.abs(ev.imag).max()),
-        int(np.sum(ev.real <= 0.0)),
-    )
 
 
 def _format_value(v) -> str:

@@ -158,11 +158,21 @@ def error_report_detailed(
     is 0 and the error is rounding residue alone.  bound_rhs is
     trunc_bound over the inf-sup lower bound gamma/2, gamma the margin
     StrainStencil.rdd_margin of the coupled E, which must be positive.
+
+    The margin's two row quantities each sum at most 7 terms of one row
+    of T and L^T R, whose absolute sums norm_bound bounds, so it rounds
+    by less than its allowance 16 u norm_bound (Higham, ch. 3).  A margin
+    below -allowance raises ValueError; one within it, or NaN, raises
+    RuntimeError, since rounding alone may have made it.
     """
     # the margin before the solves, so its temporaries are freed before they peak
-    gamma = strain_stencil(spec.N, spec.K).rdd_margin(c)
-    if not gamma > 0.0:
+    stencil = strain_stencil(spec.N, spec.K)
+    gamma = stencil.rdd_margin(c)
+    allowance = 16.0 * UNIT_ROUNDOFF * norm_bound(*stencil.split(c))
+    if gamma < -allowance:
         raise ValueError(f"error report needs the stability regime gamma > 0, got gamma = {gamma:.6g}")
+    if not gamma > allowance:
+        raise RuntimeError(f"error report: margin gamma = {gamma:.6g} is within its rounding allowance {allowance:.6g}")
     if spec.M is None:
         raise ValueError("error report needs the reference half-width DomainSpec.M")
     m, n, k, eps = spec.M, spec.N, spec.K, spec.eps

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qcf1d.chain import force_atomistic, force_lqc, max_abs_force_qcf
+from qcf1d.cli import RunConfig, cmd_patch_test
 from qcf1d.lattice import DomainSpec, uniform_positions
 from qcf1d.potentials import lj_deriv1
-from qcf1d.scans import patch_test_scan
 
 from oracles import (energy_atomistic_loop, energy_lqc_loop, fd_gradient, fd_jacobian, force_qcf, interior_sites,
                      lj_energy)
@@ -188,7 +188,7 @@ def test_split_maxima_match_direct_dispatch(n):
     # every admissible K, the edges K=2 and K=n//2 included, compared with ==
     ks = list(range(2, n // 2 + 1))
     F_values = [0.9, 1.0, 1.1]
-    table = patch_test_scan(LJ, F_values, [(n, ks)])
+    table, _, _ = cmd_patch_test(RunConfig("patch-test", F_list=F_values, N_list=[n], K_all=True))
     assert list(zip(table.F.tolist(), table.N.tolist(), table.K.tolist())) == [(F, n, k) for F in F_values for k in ks]
     for F, group in zip(F_values, np.split(table.residual, 3)):
         assert np.all(group == 0.0)

@@ -10,11 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcf1d import cli, solver, stability
+from qcf1d import chain, cli, solver, stability
 from qcf1d.cli import main, read_config_file
 from qcf1d.lattice import DomainSpec
 from qcf1d.operators import StrainStencil
-from qcf1d.scans import PatchTestRow
 
 
 def run(argv):
@@ -98,14 +97,12 @@ def test_patch_test_nonfinite_strain_exits_2(tmp_path, capsys, F):
 
 def test_patch_test_extras_propagate_nan(tmp_path, monkeypatch):
     # wherever a NaN residual sits among the rows, the extras report it
-    def scan_with_nan(phi, F_values, splits):
-        return PatchTestRow(np.full(3, 1.0), np.full(3, 16), np.array([2, 3, 4]),
-                            np.array([0.0, float("nan"), 0.0]), np.full(3, 1e-11),
-                            np.array([True, False, True]))
+    def residuals_with_nan(y, ks, phi):
+        return np.where(np.asarray(ks) == 3, float("nan"), 0.0)
 
-    monkeypatch.setattr(cli, "patch_test_scan", scan_with_nan)
+    monkeypatch.setattr(chain, "max_abs_force_qcf", residuals_with_nan)
     out = tmp_path / "x.csv"
-    assert run(["patch-test", "--N-list", "16", "--K-all", "--out", out]) == 1
+    assert run(["patch-test", "--N-list", "8", "--K-all", "--F-list", "1.0", "--out", out]) == 1
     comments, _, _ = read_rows(out)
     for line in ("# max_residual=nan", "# worst_residual_over_tol=nan",
                  "# points_checked=3", "# all_passed=0"):
@@ -157,6 +154,16 @@ def test_convergence_checks_the_error_bound_up_to_the_rounding_floor(tmp_path, m
 
     monkeypatch.setattr(solver, "error_report_detailed", inflated)
     assert run(argv) == 1
+
+
+def test_convergence_margin_lost_to_rounding_exits_1(tmp_path, capsys):
+    # the true margin is phiF > 0, but at 1e-300 beside phi2F = 1e300 the
+    # margin's sums round it away: a numerical failure, not a configuration error
+    out = tmp_path / "c.csv"
+    assert run(["convergence", "--phiF", "1e-300", "--phi2F", "1e300", "--N-list", "16", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "gamma = 0 is within its rounding allowance" in err and "usage:" not in err
+    assert not out.exists()
 
 
 def test_coercivity_reports_slope(tmp_path):
@@ -375,7 +382,7 @@ def test_config_file_bad_format_exits_before_sweep(tmp_path, monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("sweep ran")
 
-    monkeypatch.setattr(cli, "patch_test_scan", no_sweep)
+    monkeypatch.setattr(chain, "max_abs_force_qcf", no_sweep)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("format = xml\n")
     code = run(["patch-test", "--config", cfg, "--N-list", "16", "--out", tmp_path / "x.csv"])
@@ -657,7 +664,7 @@ def test_patch_test_k_all_needs_n_at_least_4(tmp_path, capsys, monkeypatch, n_li
     def no_sweep(*args, **kwargs):
         raise AssertionError("sweep ran")
 
-    monkeypatch.setattr(cli, "patch_test_scan", no_sweep)
+    monkeypatch.setattr(chain, "max_abs_force_qcf", no_sweep)
     out = tmp_path / "x.csv"
     assert run(["patch-test", "--N-list", n_list, "--K-all", "--out", out]) == 2
     assert "no admissible split K for N=3" in capsys.readouterr().err
@@ -705,7 +712,7 @@ def test_patch_test_empty_f_list_exits_2(tmp_path, capsys, monkeypatch, via_file
     def no_sweep(*args, **kwargs):
         raise AssertionError("sweep ran")
 
-    monkeypatch.setattr(cli, "patch_test_scan", no_sweep)
+    monkeypatch.setattr(chain, "max_abs_force_qcf", no_sweep)
     out = tmp_path / "x.csv"
     argv = ["patch-test", "--N-list", "16", "--K", "2", "--out", out]
     if via_file:

@@ -6,9 +6,11 @@ arrays.  Only the dense test oracles use scipy.  And every public
 function of the library, and every method of its public classes, is
 run by some subcommand.
 
-Nor does a subcommand load a kernel it does not run: patch-test and
-dump-operator never load the solver or stability modules, and both
-`qcf1d` and `python -m qcf1d.cli` freeze the heap before they exit.
+Nor does a subcommand load a kernel it does not run: only patch-test
+loads the chain module, patch-test never loads the operators module,
+and patch-test and dump-operator never load the solver or stability
+modules.  Both `qcf1d` and `python -m qcf1d.cli` freeze the heap before
+they exit, with the garbage collector enabled.
 
 Each case runs a fresh interpreter, since this test session has long
 since imported scipy itself.
@@ -180,32 +182,41 @@ def test_every_library_function_runs_in_a_subcommand(tmp_path):
 FOOTPRINT = """
 import sys
 import qcf1d.cli
-kernels = ("qcf1d.solver", "qcf1d.stability")
-loaded = {"import": sorted(m for m in (*kernels, "json", "numpy", "dataclasses", "copy") if m in sys.modules)}
-runs = [
-    ["patch-test", "--N-list", "16", "--K-all"],
-    ["dump-operator", "--operator", "Eqcf", "--N", "8", "--K", "2", "--phiF", "1", "--phi2F", "1"],
-    ["convergence", "--phiF", "1", "--phi2F", "-0.05", "--N-list", "16,32"],
-]
-for argv in runs:
-    code = qcf1d.cli.main(argv + ["--out", f"{sys.argv[1]}/{argv[0]}.csv"])
-    loaded[argv[0]] = [code, sorted(m for m in kernels if m in sys.modules)]
+kernels = ("qcf1d.chain", "qcf1d.operators", "qcf1d.solver", "qcf1d.stability")
+imported = sorted(m for m in (*kernels, "json", "numpy", "dataclasses", "copy") if m in sys.modules)
+argv = sys.argv[2:]
+code = qcf1d.cli.main(argv + ["--out", f"{sys.argv[1]}/{argv[0]}.csv"])
 import json
-print(json.dumps(loaded))
+print(json.dumps({"import": imported, "run": [code, sorted(m for m in kernels if m in sys.modules)]}))
 """
+
+SPRINGS = ["--phiF", "1", "--phi2F", "-0.2"]
+FOOTPRINT_RUNS = {
+    "patch-test": ["--N-list", "16", "--K-all"],
+    "coercivity": [*SPRINGS, "--N-list", "16,32"],
+    "infsup": [*SPRINGS, "--N-list", "16,32", "--p-list", "1,2"],
+    "convergence": ["--phiF", "1", "--phi2F", "-0.05", "--N-list", "16,32"],
+    "dump-operator": ["--operator", "Eqcf", "--N", "8", "--K", "2", "--phiF", "1", "--phi2F", "1"],
+    "eig-scan": [*SPRINGS, "--N-list", "16"],
+}
 
 
 def test_a_subcommand_loads_only_the_kernels_it_runs(tmp_path):
-    # patch-test and dump-operator run no stability or solver kernel, so a
-    # process running them never loads those modules; convergence is the control.
-    # The records are NamedTuples and the options one table, so neither
-    # dataclasses nor the copy module it imports is loaded
-    assert fresh_run(FOOTPRINT, tmp_path) == {
-        "import": ["numpy"],
-        "patch-test": [0, []],
-        "dump-operator": [0, []],
-        "convergence": [0, ["qcf1d.solver"]],
+    # each subcommand in a fresh process: only patch-test evaluates forces, and
+    # it alone never reads a strain stencil; only the stability claims load
+    # stability, and only convergence the solver.  The records are NamedTuples
+    # and the options one table, so neither dataclasses nor the copy module it
+    # imports is loaded
+    got = {command: fresh_run(FOOTPRINT, tmp_path, command, *argv) for command, argv in FOOTPRINT_RUNS.items()}
+    runs = {
+        "patch-test": ["qcf1d.chain"],
+        "coercivity": ["qcf1d.operators", "qcf1d.stability"],
+        "infsup": ["qcf1d.operators", "qcf1d.stability"],
+        "convergence": ["qcf1d.operators", "qcf1d.solver"],
+        "dump-operator": ["qcf1d.operators"],
+        "eig-scan": ["qcf1d.operators"],
     }
+    assert got == {command: {"import": ["numpy"], "run": [0, loaded]} for command, loaded in runs.items()}
 
 
 AS_MAIN = """
@@ -216,7 +227,7 @@ try:
     runpy.run_module("qcf1d.cli", run_name="__main__")
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"code": code, "frozen": gc.get_freeze_count() > 0}))
+print(json.dumps({"code": code, "frozen": gc.get_freeze_count() > 0, "collecting": gc.isenabled()}))
 """
 
 
@@ -225,9 +236,10 @@ print(json.dumps({"code": code, "frozen": gc.get_freeze_count() > 0}))
     (["patch-test", "--N-list", "16", "--K", "3", "--K-all"], 2),  # a configuration error
 ])
 def test_the_module_entry_freezes_the_heap_before_exit(tmp_path, argv, code):
-    # the interpreter's shutdown collections then skip the import heap
+    # the interpreter's shutdown collections then skip the import heap; the
+    # collector, off while the module entry imports, is on again once main runs
     got = fresh_run(AS_MAIN, *argv, "--out", tmp_path / "p.csv")
-    assert got == {"code": code, "frozen": True}
+    assert got == {"code": code, "frozen": True, "collecting": True}
 
 
 AS_CONSOLE_SCRIPT = """

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qcf1d import cli, operators, scans, stability
+from qcf1d import chain, cli, operators, stability
 from qcf1d.chain import force_atomistic, force_lqc
 from qcf1d.lattice import DomainSpec, uniform_positions
 from qcf1d.potentials import lj_deriv1
@@ -48,7 +48,7 @@ def test_ghost_forces_fail_the_patch_test(tmp_path, monkeypatch):
     for F in (0.9, 1.0, 1.1):
         ghost = max_abs_force_qce(uniform_positions(F, n, 1.0 / n), [4], phi)[0]
         assert ghost == pytest.approx(abs(float(phi(2.0 * F))) * n / 2.0, rel=1e-12)
-    monkeypatch.setattr(scans, "max_abs_force_qcf", max_abs_force_qce)
+    monkeypatch.setattr(chain, "max_abs_force_qcf", max_abs_force_qce)
     out = tmp_path / "patch.csv"
     assert run(["patch-test", "--N-list", "16,32", "--K-all"], out) == 1
     assert "# all_passed=0" in out.read_text().splitlines()
@@ -57,11 +57,15 @@ def test_ghost_forces_fail_the_patch_test(tmp_path, monkeypatch):
 @pytest.fixture
 def no_interface(monkeypatch):
     """The strain stencil without its interface terms, in every kernel of the stability claims."""
+    # the original, bound before the patch: interface_free would otherwise call itself
+    strain_stencil = operators.strain_stencil
+
     def interface_free(n, k):
-        s = operators.strain_stencil(n, k)
+        s = strain_stencil(n, k)
         return operators.StrainStencil(s.band, s.diag, ())
 
-    for module in (stability, cli):
+    # cli imports strain_stencil from operators when a subcommand runs
+    for module in (stability, operators):
         monkeypatch.setattr(module, "strain_stencil", interface_free)
 
 

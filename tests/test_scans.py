@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from qcf1d import operators, stability
 from qcf1d.cli import COMMANDS, RunConfig, cmd_coercivity
 from qcf1d.lattice import DomainSpec
-from qcf1d.potentials import Coefficients, lj_deriv1
+from qcf1d.potentials import Coefficients
 from qcf1d.scans import (
     CHUNK_ROWS,
     CoercivityScanRow,
@@ -18,9 +18,7 @@ from qcf1d.scans import (
     PatchTestRow,
     _format_value,
     columns,
-    eig_point,
     loglog_slope,
-    patch_test_scan,
     write_table,
 )
 from qcf1d.solver import ErrorReport
@@ -45,7 +43,9 @@ def test_eig_point_matches_full_interior_block(phi2F, n, k):
     flip = np.eye(2 * n - 1)[::-1]
     assert np.array_equal(interior @ flip, flip @ interior)  # the symmetry the blocks rest on
     ev = np.linalg.eigvals(interior)
-    row = eig_point(c, n, k)
+    assert operators.strain_stencil(n, k).conjugate_eigenvalues(c).size == ev.size
+    cfg = RunConfig("eig-scan", phiF=1.0, phi2F=phi2F, N_list=[n], K=k)
+    row = EigScanRow(*(column[0] for column in COMMANDS["eig-scan"](cfg)[0]))
     assert (row.N, row.K) == (n, k)
     assert row.n_nonpositive == np.sum(ev.real <= 0.0)
     assert_allclose(row.min_real, ev.real.min(), rtol=1e-10)
@@ -164,19 +164,17 @@ def json_per_row(command, config, table, extras):
 
 
 def every_table():
-    c = Coefficients(1.0, -0.2)
-
     def table(command, **values):
         return COMMANDS[command](RunConfig(command, **values))[0]
 
     # the short scans at N=16, 32 with the default K_ratio=0.25: K=4, 8
     return {
-        "patch-test": patch_test_scan(lj_deriv1, [0.9, 1.0], [(8, [2, 3, 4]), (16, [2])]),
+        "patch-test": table("patch-test", F_list=[0.9, 1.0], N_list=[8, 16], K_all=True),
         "coercivity": table("coercivity", phiF=1.0, phi2F=-0.2, N_list=[16, 32]),
         "infsup": table("infsup", phiF=1.0, phi2F=-0.2, N_list=[16, 32], p_list=[1.0, 2.0, 4.0]),
         "convergence": table("convergence", phiF=1.0, phi2F=-0.05, N_list=[16, 32], M_factor=4, load="cospi"),
         "dump-operator": table("dump-operator", operator="Eqcf", N=8, K=2, phiF=1.0, phi2F=-0.2),
-        "eig-scan": columns(EigScanRow, [eig_point(c, n, k) for n, k in [(8, 2), (16, 4)]]),
+        "eig-scan": table("eig-scan", phiF=1.0, phi2F=-0.2, N_list=[8, 16]),
     }
 
 

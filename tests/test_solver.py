@@ -298,6 +298,17 @@ def test_error_report_requires_stability_regime():
         error_report_detailed(Coefficients(1.0, -0.2), LOADS["cospi"], spec)
 
 
+def test_a_margin_within_rounding_of_zero_is_a_numerical_failure():
+    # phi2F = -phiF/8 makes the margin phiF + 8 phi2F exactly 0: no longer a
+    # violated regime but a margin that rounding may have made, as when phiF
+    # vanishes beside phi2F and the true margin phiF > 0 is lost in the sums
+    spec = DomainSpec(16, 4, M=64)
+    for c in (Coefficients(1.0, -0.125), Coefficients(8.0, -1.0), Coefficients(1e-300, 1e300)):
+        assert strain_stencil(spec.N, spec.K).rdd_margin(c) == 0.0
+        with pytest.raises(RuntimeError, match="within its rounding allowance"):
+            error_report_detailed(c, LOADS["cospi"], spec)
+
+
 def test_bound_rhs_divides_by_the_margin_at_positive_phi2F():
     # with phi2F > 0 the margin is phiF, not phiF + 8*phi2F = 1.8: half of
     # 1.8 exceeds the exact max-norm inf-sup constant, about 0.53 at phi2F = 0.1

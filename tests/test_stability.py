@@ -312,6 +312,19 @@ def test_noncoercivity_onset_grows_with_stiffness_ratio():
     assert onsets[1] < onsets[2]
 
 
+def test_rayleigh_min_follows_its_two_term_closed_form():
+    # an observation, not the paper's theorem: at large N the minimum is
+    # phiF + (19/6) phi2F - (|phi2F|/2) sqrt(6 (N-K-1)), to within 7e-4 at
+    # N=4096 and 1.5e-4 at N=16384, with either sign of phi2F
+    for n in (4096, 16384):
+        for phi2F in (-0.24, -0.2, -0.05, 0.1, 0.3):
+            for ratio in (0.1, 0.25, 0.5):
+                k = int(round(ratio * n))
+                closed = 1.0 + 19.0 / 6.0 * phi2F - 0.5 * abs(phi2F) * np.sqrt(6.0 * (n - k - 1))
+                got = rayleigh_min(Coefficients(1.0, phi2F), DomainSpec(n, k))
+                assert abs(got / closed - 1.0) <= 1e-3, (n, phi2F, ratio)
+
+
 # 2N+1 Fibonacci: a linear Weyl start vector frac((i+1) g) is odd at these N
 FIBONACCI_NK = [(n, max(2, n // 4)) for n in (6, 10, 27, 44)]
 
