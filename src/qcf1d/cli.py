@@ -10,20 +10,16 @@ config-file keys, the RunConfig fields and the echo all read it.  Flags
 can also be given in a config file (--config): a flat key=value file, or
 a CSV table, whose echo re-runs it; explicit flags override file values.
 
-A `qcf1d` or `python -m qcf1d.cli` process freezes its import heap
-before main runs and once it returns, so no collection walks the objects
-that importing numpy and qcf1d left (the module entry collects none while
-it imports); main leaves the heap alone for in-process callers.  Each
-claim's subcommand builds its rows and checks in its one cmd_* function;
-the chain, operator, stability and solver kernels load only where run.
+A `qcf1d` or `python -m qcf1d.cli` process freezes its heap once main
+returns, so the interpreter's shutdown collections skip the objects
+that importing numpy and qcf1d left; main itself leaves the heap alone
+for in-process callers.  Each claim's subcommand builds its rows from
+the kernels and checks them in its one cmd_* function; the chain,
+operator, stability and solver kernels load only in the subcommands
+that run them.
 """
 
 from __future__ import annotations
-
-import gc
-
-if __name__ == "__main__":  # _entry enables the collector once the imports are frozen
-    gc.disable()
 
 import argparse
 import re
@@ -32,9 +28,17 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .lattice import LOADS, DomainSpec, lp_norm
-from .potentials import Coefficients
-from .scans import CoercivityScanRow, EigScanRow, InfSupScanRow, PatchTestRow, columns, loglog_slope, write_table
+from .lattice import LOADS, DomainSpec, lp_norm, uniform_positions
+from .potentials import Coefficients, lj_deriv1
+from .scans import (
+    CoercivityScanRow,
+    EigScanRow,
+    InfSupScanRow,
+    PatchTestRow,
+    columns,
+    loglog_slope,
+    write_table,
+)
 
 # the subcommands that read spring constants through RunConfig.coefficients
 COEFFICIENT_COMMANDS = ("coercivity", "infsup", "convergence", "dump-operator", "eig-scan")
@@ -260,8 +264,6 @@ class TripleRow(NamedTuple):
 def cmd_patch_test(cfg: RunConfig) -> tuple:
     """ghost-force residuals at uniform states"""
     from .chain import max_abs_force_qcf
-    from .lattice import uniform_positions
-    from .potentials import lj_deriv1
 
     if not cfg.F_list:
         raise ValueError("need at least one strain in --F-list")
@@ -274,10 +276,14 @@ def cmd_patch_test(cfg: RunConfig) -> tuple:
             slopes = float(lj_deriv1(F)), float(lj_deriv1(2.0 * F))
             if not np.all(np.isfinite(slopes)):
                 raise ValueError(f"phi'(F) and phi'(2F) must be finite, got {slopes} at F={F}")
-            residual = max_abs_force_qcf(y, ks, lj_deriv1)
-            tol = PATCH_TEST_TOL * max(1.0, abs(slopes[0]) + abs(slopes[1])) / eps
+            k = np.asarray(ks)
+            residual = max_abs_force_qcf(y, k, lj_deriv1)
+            scale = max(1.0, abs(slopes[0]) + abs(slopes[1]))
+            tol = PATCH_TEST_TOL * scale / eps
             # F, N and the tolerance repeat along the point's splits
-            points.append(PatchTestRow(*np.broadcast_arrays(F, n, np.asarray(ks), residual, tol, residual <= tol)))
+            points.append(
+                PatchTestRow(np.full(k.size, F), np.full(k.size, n), k, residual, np.full(k.size, tol), residual <= tol)
+            )
     table = PatchTestRow._make(map(np.concatenate, zip(*points)))
     ok = bool(np.all(table.passed))
     # np.max, not max: a NaN residual must show in the extras wherever it sits
@@ -328,7 +334,7 @@ def cmd_infsup(cfg: RunConfig) -> tuple:
         spec = DomainSpec(n, k)
         exact = infsup_2(c, spec)  # before the margin, whose freed temporaries would raise its peak
         # a certified lower bound, the exact 2-norm value and the probe upper bounds
-        rows.append(InfSupScanRow(n, k, np.inf, "lower_bound", 0.5 * strain_stencil(n, k).rdd_margin(c)))
+        rows.append(InfSupScanRow(n, k, np.inf, "lower_bound", 0.5 * strain_stencil(n, k).rdd_margin(c).gamma))
         rows.append(InfSupScanRow(n, k, 2.0, "exact", exact))
         rows += [InfSupScanRow(n, k, float(p), "upper_bound", infsup_p_upper(c, spec, p)) for p in cfg.p_list]
         # the exact value against the p=2 probe bound, whether or not --p-list writes it
@@ -390,7 +396,15 @@ def cmd_eig_scan(cfg: RunConfig) -> tuple:
     rows = []
     for n, k in cfg.nk_pairs():
         ev = strain_stencil(n, k).conjugate_eigenvalues(c)
-        rows.append(EigScanRow(n, k, float(ev.real.min()), float(np.abs(ev.imag).max()), int(np.sum(ev.real <= 0.0))))
+        rows.append(
+            EigScanRow(
+                n,
+                k,
+                float(ev.real.min()),
+                float(np.abs(ev.imag).max()),
+                int(np.sum(ev.real <= 0.0)),
+            )
+        )
     return columns(EigScanRow, rows), {}, True
 
 
@@ -425,8 +439,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _entry() -> None:  # the console script's and `python -m qcf1d.cli`'s
-    gc.freeze()  # the import heap, which no collection need walk again
-    gc.enable()
+    import gc
+
     status = main()
     # here, not in main, so in-process callers keep their heap; and not os._exit,
     # which would skip the stdio flushes and the atexit handlers

@@ -37,6 +37,8 @@ import numpy as np
 
 from .potentials import Coefficients
 
+UNIT_ROUNDOFF = 2.0**-53  # u: rdd_margin's allowance and a strain solve's refinement threshold are 16 u
+
 
 def _reduce(lower, diag, upper) -> tuple:
     """Odd-even cyclic reduction of lower_i x_{i-1} + diag_i x_i + upper_i x_{i+1}.
@@ -113,6 +115,11 @@ def norm_bound(tridiagonal: tuple, left: np.ndarray, right: np.ndarray) -> float
     for lk, rk in zip(left, right):
         rows += float(np.sum(np.abs(rk))) * np.abs(lk)
     return float(np.max(rows))
+
+
+class Margin(NamedTuple):
+    gamma: float
+    allowance: float  # the bound on gamma's rounding
 
 
 class BorderedSolve:
@@ -208,16 +215,22 @@ class StrainStencil(NamedTuple):
         left *= 0.5 * c.phi2F  # in place: one full copy fewer at the peak of rayleigh_min
         return tridiagonal, left, u
 
-    def rdd_margin(self, c: Coefficients) -> float:
-        """Row diagonal-dominance margin gamma of E, read from split.
+    def rdd_margin(self, c: Coefficients) -> Margin:
+        """Row diagonal-dominance margin gamma of E, read from split, and its rounding allowance.
 
         gamma = min_i (E_ii + negative off-diagonals of row i) - max_i
         (positive off-diagonals of row i); if gamma > 0, gamma/2 bounds E's
         mean-zero max-norm/1-norm inf-sup constant below.  T's bands and
         each kink column of L^T R hold entries of one sign; a kink entry
-        on a row's own diagonal adds to it, as in integer_entries.
+        on a row's own diagonal adds to it, as in integer_entries.  The
+        two row quantities each sum at most 7 terms of one row of T and
+        L^T R, whose absolute sums norm_bound bounds, so gamma rounds by
+        less than its allowance 16 u norm_bound (Higham, ch. 3): a gamma
+        within it cannot be told from 0 at this scale.
         """
-        (lower, diag, upper), left, right = self.split(c)
+        split = self.split(c)
+        allowance = 16.0 * UNIT_ROUNDOFF * norm_bound(*split)  # before the sums below write into diag
+        (lower, diag, upper), left, right = split
         off = np.zeros((2, diag.size))  # row sums of the positive and of the negative off-diagonals
         np.add(lower, upper, out=off[int(c.phi2F < 0.0)])
         for far, kink, (_, col) in zip(left, right, self.interfaces):
@@ -227,7 +240,7 @@ class StrainStencil(NamedTuple):
                 v[j] = 0.0
                 off[int(kink[j] * c.phi2F < 0.0)] += v
         diag += off[1]
-        return float(np.min(diag) - np.max(off[0]))
+        return Margin(float(np.min(diag) - np.max(off[0])), allowance)
 
     def integer_entries(self) -> tuple:
         """(row, col, b) of B at offsets 0..2n-1: one entry per position, diagonal first.

@@ -34,11 +34,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .lattice import DomainSpec, diff, dual_norm_star, lp_norm, summed_load
-from .operators import multiply, norm_bound, strain_stencil
+from .operators import UNIT_ROUNDOFF, multiply, norm_bound, strain_stencil
 from .potentials import Coefficients
 
 BACKWARD_ERROR_TOL = 1e-13
-UNIT_ROUNDOFF = 2.0**-53  # u: a strain solve refines once when its backward error exceeds 16 u
 
 
 def sample_load(load: Callable, half_width: int, eps: float) -> np.ndarray:
@@ -159,20 +158,20 @@ def error_report_detailed(
     trunc_bound over the inf-sup lower bound gamma/2, gamma the margin
     StrainStencil.rdd_margin of the coupled E, which must be positive.
 
-    The margin's two row quantities each sum at most 7 terms of one row
-    of T and L^T R, whose absolute sums norm_bound bounds, so it rounds
-    by less than its allowance 16 u norm_bound (Higham, ch. 3).  A margin
-    below -allowance raises ValueError; one within it, or NaN, raises
-    RuntimeError, since rounding alone may have made it.
+    A margin below minus its rounding allowance raises ValueError; one
+    within the allowance, or NaN, raises RuntimeError: it cannot be told
+    from 0 at this scale, whether it is 0 (phi2F = -phiF/8) or a positive
+    margin lost in the sums.
     """
     # the margin before the solves, so its temporaries are freed before they peak
-    stencil = strain_stencil(spec.N, spec.K)
-    gamma = stencil.rdd_margin(c)
-    allowance = 16.0 * UNIT_ROUNDOFF * norm_bound(*stencil.split(c))
+    gamma, allowance = strain_stencil(spec.N, spec.K).rdd_margin(c)
     if gamma < -allowance:
         raise ValueError(f"error report needs the stability regime gamma > 0, got gamma = {gamma:.6g}")
     if not gamma > allowance:
-        raise RuntimeError(f"error report: margin gamma = {gamma:.6g} is within its rounding allowance {allowance:.6g}")
+        raise RuntimeError(
+            f"error report: margin gamma = {gamma:.6g} is within its rounding allowance {allowance:.6g}, "
+            "so it cannot be told from 0 at this scale"
+        )
     if spec.M is None:
         raise ValueError("error report needs the reference half-width DomainSpec.M")
     m, n, k, eps = spec.M, spec.N, spec.K, spec.eps

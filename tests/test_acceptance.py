@@ -165,7 +165,7 @@ def test_c06_diagonal_dominance_margin():
     worst = 0.0
     for n in (16, 64, 256):
         for k in range(2, n // 2 + 1):
-            g = strain_stencil(n, k).rdd_margin(c)
+            g = strain_stencil(n, k).rdd_margin(c).gamma
             assert abs(g - closed) <= 1e-14
             assert abs(0.5 * g - 0.3) <= 1e-14
             worst = max(worst, abs(g - closed))

@@ -299,12 +299,13 @@ def test_error_report_requires_stability_regime():
 
 
 def test_a_margin_within_rounding_of_zero_is_a_numerical_failure():
-    # phi2F = -phiF/8 makes the margin phiF + 8 phi2F exactly 0: no longer a
-    # violated regime but a margin that rounding may have made, as when phiF
-    # vanishes beside phi2F and the true margin phiF > 0 is lost in the sums
+    # phi2F = -phiF/8 makes the margin phiF + 8 phi2F exactly 0, and with phiF
+    # beside phi2F = 1e300 the true margin phiF > 0 is lost in the sums: neither
+    # can be told from 0 within the margin's rounding allowance
     spec = DomainSpec(16, 4, M=64)
     for c in (Coefficients(1.0, -0.125), Coefficients(8.0, -1.0), Coefficients(1e-300, 1e300)):
-        assert strain_stencil(spec.N, spec.K).rdd_margin(c) == 0.0
+        gamma, allowance = strain_stencil(spec.N, spec.K).rdd_margin(c)
+        assert gamma == 0.0 and allowance > 0.0
         with pytest.raises(RuntimeError, match="within its rounding allowance"):
             error_report_detailed(c, LOADS["cospi"], spec)
 
@@ -314,7 +315,7 @@ def test_bound_rhs_divides_by_the_margin_at_positive_phi2F():
     # 1.8 exceeds the exact max-norm inf-sup constant, about 0.53 at phi2F = 0.1
     c = Coefficients(1.0, 0.1)
     spec = DomainSpec(32, 8, M=128)
-    gamma = strain_stencil(spec.N, spec.K).rdd_margin(c)
+    gamma = strain_stencil(spec.N, spec.K).rdd_margin(c).gamma
     assert gamma == 1.0
     rep, _, _ = error_report_detailed(c, LOADS["cospi"], spec)
     assert rep.bound_rhs > 0.0

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from qcf1d import stability
 from qcf1d.lattice import DomainSpec, diff, dual_norm_star, lp_norm
-from qcf1d.operators import BorderedSolve, strain_stencil
+from qcf1d.operators import UNIT_ROUNDOFF, BorderedSolve, norm_bound, strain_stencil
 from qcf1d.potentials import Coefficients
 from qcf1d.stability import (
     _below_spectrum,
@@ -115,27 +115,29 @@ def test_candidate_needs_room_for_the_ramp():
 def test_rdd_margin_identity_matrix():
     assert rdd_margin_dense(np.eye(7)) == 1.0
     # phi2F = 0 leaves E = phiF * I
-    assert strain_stencil(8, 2).rdd_margin(Coefficients(1.0, 0.0)) == 1.0
+    assert strain_stencil(8, 2).rdd_margin(Coefficients(1.0, 0.0)).gamma == 1.0
 
 
 def test_rdd_margin_of_conjugate_operators():
     # conjugate coupled operator: margin phiF + 8 phi2F, size-independent
-    g = strain_stencil(64, 16).rdd_margin(Coefficients(1.0, -0.05))
+    g = strain_stencil(64, 16).rdd_margin(Coefficients(1.0, -0.05)).gamma
     assert_allclose(g, 0.6, atol=1e-14)
     # conjugate atomistic operator: no positive off-diagonals, margin
     # comes from the interior rows alone: phiF + 4 phi2F
-    g = strain_stencil(32, 31).rdd_margin(Coefficients(1.0, -0.1))
+    g = strain_stencil(32, 31).rdd_margin(Coefficients(1.0, -0.1)).gamma
     assert_allclose(g, 0.6, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [16, 64])
 def test_rdd_margin_independent_of_split(n):
     # gamma = phiF + 8*min(phi2F, 0): with phi2F > 0 the smallest diagonal plus
-    # negative off-diagonals is phiF + 2*phi2F, and the largest positive sum 2*phi2F
+    # negative off-diagonals is phiF + 2*phi2F, and the largest positive sum 2*phi2F;
+    # its rounding stays within the allowance, 16 u times norm_bound of the split
     for c in (C, Coefficients(1.0, 0.1), Coefficients(1.0, 0.3)):
         for k in range(2, n // 2 + 1):
-            g = strain_stencil(n, k).rdd_margin(c)
-            assert abs(g - (c.phiF + 8.0 * min(c.phi2F, 0.0))) <= 1e-14
+            g, allowance = strain_stencil(n, k).rdd_margin(c)
+            assert allowance == 16.0 * UNIT_ROUNDOFF * norm_bound(*strain_stencil(n, k).split(c))
+            assert abs(g - (c.phiF + 8.0 * min(c.phi2F, 0.0))) <= min(1e-14, allowance)
 
 
 def test_infsup_2_identity():
@@ -362,7 +364,7 @@ def test_sparse_kernels_match_dense_oracles(phi2F, n, k):
     assert _spectrum_floor(*strain_stencil(n, k).split(c, "sym")) <= dense + 1e-12 * max(1.0, abs(dense))
     assert_allclose(infsup_2(c, spec), infsup_2_dense(eqcf_dense(c, spec)), rtol=1e-9)
     for band, dense in ((k, eqcf_dense(c, spec)), (n - 1, ea_dense(c, n))):
-        assert strain_stencil(n, band).rdd_margin(c) == rdd_margin_dense(dense)
+        assert strain_stencil(n, band).rdd_margin(c).gamma == rdd_margin_dense(dense)
 
 
 @pytest.mark.parametrize("n,k", DIFFERENTIAL_NK)
