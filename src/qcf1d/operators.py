@@ -304,16 +304,16 @@ class StrainStencil(NamedTuple):
 
     def factor(self, c: Coefficients, form: str = "E", weight: float = 1.0,
                what: str = "strain solve") -> BorderedSolve:
-        """The bordered solve of E (form "E") or E^T ("E^T"), from split.
+        """The bordered solve of E / s (form "E") or E^T / s ("E^T") from split, s = c.unit()[1].
 
-        Raises ValueError unless phiF + 4*phi2F > 0.
+        Raises ValueError unless phiF + 4*phi2F > 0, naming the margin of c, not of c.unit().
         """
         if not c.phiF + 4.0 * c.phi2F > 0.0:
             raise ValueError(
                 f"{what} needs phiF + 4*phi2F > 0 (diagonal dominance of T), "
                 f"got {c.phiF + 4.0 * c.phi2F:.6g}"
             )
-        return BorderedSolve(*self.split(c, form), weight, what)
+        return BorderedSolve(*self.split(c.unit()[0], form), weight, what)
 
 
 def strain_stencil(n: int, k: int) -> StrainStencil:

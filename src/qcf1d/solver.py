@@ -52,8 +52,8 @@ def sample_load(load: Callable, half_width: int, eps: float) -> np.ndarray:
 def solve_strain(
     c: Coefficients, n: int, k: int, g: np.ndarray, delta_u: float, eps: float,
     what: str = "strain solve",
-) -> np.ndarray:
-    """Strains w on bonds -n+1..n with E w = g + const and eps * sum(w) = delta_u.
+) -> tuple[np.ndarray, float]:
+    """(w, resid): strains w on bonds -n+1..n with E w = g + const and eps * sum(w) = delta_u.
 
     E is phiF * I + phi2F * B with B = strain_stencil(n, k): the
     conjugate atomistic operator for k = n-1, the conjugate coupled one
@@ -62,7 +62,10 @@ def solve_strain(
     bordered solve of StrainStencil.factor takes w from one cyclic
     reduction of T and a small capacitance system for the constant and
     the interface values.  The residual and the norm bound below read
-    T, L and R from that factor.
+    T, L and R from that factor.  The factor solves E / s, s =
+    c.unit()[1], so g is divided by s, and the refinement and the gate
+    below run on the unit system: any scale of (phiF, phi2F) gives the
+    same w.
 
     Raises ValueError unless phiF + 4*phi2F > 0, which (with phiF > 0)
     makes T strictly row diagonally dominant.  Raises RuntimeError on a
@@ -75,8 +78,11 @@ def solve_strain(
     a single row wide.  A backward error above 16 u first buys one step
     of iterative refinement through the same factor, and the refined
     pair is gated (Skeel, Math. Comp. 35 (1980); Higham, ch. 12).
+    resid, BACKWARD_ERROR_TOL times the gate's denominator, is the bound
+    the gate certifies on every entry of the unit system's residual.
     """
     solve = strain_stencil(n, k).factor(c, "E", weight=eps, what=what)
+    g = g / c.unit()[1]  # the factor solves E / s, s = c.unit()[1]
     w, const = solve.solve(g, delta_u)
     if not np.all(np.isfinite(w)):
         raise RuntimeError(f"{what}: solution is not finite")
@@ -99,7 +105,7 @@ def solve_strain(
             f"{what}: backward error {resid / scale:.3e} exceeds {BACKWARD_ERROR_TOL:.1e} "
             f"(diagonal-dominance margin of T {margin:.3e})"
         )
-    return w
+    return w, BACKWARD_ERROR_TOL * scale
 
 
 def truncation_error_stencil(d3: np.ndarray, c: Coefficients, spec: DomainSpec) -> np.ndarray:
@@ -151,12 +157,37 @@ def error_report_detailed(
     constant eps * sum_{j=N}^{M-1} f_j, which the multiplier of the mean
     constraint absorbs, and sharing it keeps its cumsum rounding out of
     the error.  The error, D3 and the truncation residual are all taken
-    from strains.  floor, BACKWARD_ERROR_TOL times the strains' max
-    norm, is the rounding the two solves may leave in err_strain_inf:
+    from strains.  bound_rhs is trunc_bound over the inf-sup lower bound
+    gamma/2, gamma the margin StrainStencil.rdd_margin of the coupled E,
+    which must be positive.
+
+    floor bounds the rounding the two solves may leave in err_strain_inf:
     the error bound is checked up to it, since with phi2F = 0 the bound
-    is 0 and the error is rounding residue alone.  bound_rhs is
-    trunc_bound over the inf-sup lower bound gamma/2, gamma the margin
-    StrainStencil.rdd_margin of the coupled E, which must be positive.
+    is 0 and the error is rounding residue alone.  Each solve's gate
+    certifies every entry of its unit system's residual, r = E w - g -
+    const and eps * sum(w) - delta_u, to be at most resid (solve_strain).
+    With S the bordered solve of E on the unit constants (b to the
+    mean-zero x with E x - b constant), the error e = e0 + mu 1 of w has
+    mean mu = (eps * sum(w) - delta_u) / (2 n eps) and e0 = S (r - mu E 1).
+    S absorbs constants, so E 1 enters only by its spread d about
+    phiF + 4*phi2F: 0 for the coupled E, 2 |phi2F| at the atomistic
+    chain's ends.  Hence
+
+      ||e||_inf <= resid (||S||_inf (1 + d / (2 n eps)) + 1 / (2 n eps)).
+
+    The reference's bound counts twice, as the coupled solve's mean
+    constraint reads w_an, so that w_q moves by the mean of its error.
+    And ||S||_inf <= 2 / margin:
+      * coupled: the margin is gamma.  At the maximum X and the minimum -Y
+        of a mean-zero x, the two rows of E x differ by at least
+        gamma (X + Y), while those of b differ by at most 2 ||b||_inf;
+      * reference: E = T, and the row of the largest |x_i| gives
+        ||x||_inf <= (||b||_inf + |const|) / delta, delta = phiF +
+        4*min(phi2F, 0) the row margin of T (Varah).  For phi2F <= 0, T is
+        an M-matrix, T^{-1} >= 0, and |const| <= ||b||_inf; for phi2F > 0,
+        summing the rows adds at most 2 phi2F / M ||x||_inf.  So the
+        margin is delta - 2 max(phi2F, 0) / M, and the floor is infinite
+        once that is not positive, at phi2F >= M phiF / 2.
 
     A margin below minus its rounding allowance raises ValueError; one
     within the allowance, or NaN, raises RuntimeError: it cannot be told
@@ -176,10 +207,17 @@ def error_report_detailed(
         raise ValueError("error report needs the reference half-width DomainSpec.M")
     m, n, k, eps = spec.M, spec.N, spec.K, spec.eps
     g = summed_load(sample_load(load, m, eps), eps)
-    w_a = solve_strain(c, m, m - 1, g, 0.0, eps, "atomistic solve")
+    w_a, resid_a = solve_strain(c, m, m - 1, g, 0.0, eps, "atomistic solve")
     inner = slice(m - n, m + n)  # bonds -N+1..N
     w_an = w_a[inner]
-    w_q = solve_strain(c, n, k, g[inner], eps * float(np.sum(w_an)), eps, "coupled solve")
+    w_q, resid_q = solve_strain(c, n, k, g[inner], eps * float(np.sum(w_an)), eps, "coupled solve")
+    cu, s = c.unit()  # the floor of each solve on its unit system, as derived above
+    delta = cu.phiF + 4.0 * min(cu.phi2F, 0.0) - 2.0 * max(cu.phi2F, 0.0) / m
+    floor = 0.0
+    for resid, margin, spread, size in ((2.0 * resid_a, delta, 2.0 * abs(cu.phi2F), m), (resid_q, gamma / s, 0.0, n)):
+        if resid:  # a zero load leaves no rounding, whatever the margin
+            mu = 1.0 / (2 * size * eps)  # the bound on |mu| per unit of resid
+            floor += resid * ((2.0 / margin if margin > 0.0 else np.inf) * (1.0 + spread * mu) + mu)
     d3 = diff(diff(w_a, eps), eps)  # D3_j at offset j + M - 3
     t = truncation_error_stencil(d3, c, spec)
     # on bonds -N+2..-K+1 and K+2..N+1, whose D3 the continuum residual reads
@@ -188,4 +226,4 @@ def error_report_detailed(
     report = ErrorReport(N=n, K=k, M=m, eps=eps, err_strain_inf=lp_norm(w_an - w_q, eps, np.inf),
                          bound_rhs=2.0 * trunc_bound / gamma, trunc_star=dual_norm_star(t, eps),
                          trunc_bound=trunc_bound)
-    return report, t, BACKWARD_ERROR_TOL * float(np.max(np.abs(w_an)))
+    return report, t, floor

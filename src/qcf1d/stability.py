@@ -11,8 +11,9 @@ N^(-1/p), and the quadratic form itself takes values as low as
 conjugate operator and are reproduced here by explicit constructions.  Every kernel reads that operator, E, from the bands of
 operators.StrainStencil and assembles no matrix; the minimum of the form
 is found about one shift below Weyl's lower bound on the spectrum.  The
-values are linear in (phiF, phi2F), so each kernel that solves or takes
-powers runs on Coefficients.unit() and scales its result back.
+values are linear in (phiF, phi2F), so each kernel runs on
+Coefficients.unit() and scales its result back; infsup_2 does so through
+StrainStencil.factor, the one owner of that rule for solves of E and E^T.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .operators import BorderedSolve, multiply, norm_bound, strain_stencil
 from .potentials import Coefficients
 
 EIG_TOL = 1e-10
-LANCZOS_TOL = 1e-10
+LANCZOS_TOL = 1e-12
 LANCZOS_MAX_ITER = 200
 
 
@@ -60,7 +61,11 @@ def _lanczos_max(op, n: int, what: str) -> tuple:
     Matrix Computations, ch. 10) from the fixed start vector, stopped
     when the residual |beta_m s_m| of the largest Ritz pair falls to
     LANCZOS_TOL times its Ritz value, or when the Krylov space is
-    invariant.  Each new basis vector is also kept free of constants:
+    invariant.  A Ritz value within its residual of the largest
+    eigenvalue then leaves infsup_2 within 5e-13 of itself, inside
+    infsup's allowance 1e-12 s even where the spectrum of S^T S is only
+    about 1e-12 wide (phi2F = 1e-12 phiF); a stop at 1e-10 was not.
+    Each new basis vector is also kept free of constants:
     when beta is small, rounding would leave it a mean of relative size
     1e-16 * ||op|| / beta, and the returned vector with it.  Raises
     RuntimeError after LANCZOS_MAX_ITER steps.
@@ -200,16 +205,13 @@ def infsup_2(c: Coefficients, spec: DomainSpec) -> float:
     E x - b constant: the inverse of the compressed E; S^T is the
     bordered solve of E^T.  Each absorbs any constant in b, so Lanczos on
     x -> S^T S x over mean-zero vectors returns 1/s^2 as the largest
-    eigenvalue.  It runs on c.unit(), and s is scaled back.  Raises
-    ValueError unless phiF + 4*phi2F > 0, as the coupled solve does.
+    eigenvalue.  StrainStencil.factor runs on c.unit(), so s is scaled
+    back.  Raises ValueError unless phiF + 4*phi2F > 0, as the coupled solve does.
     """
     stencil = strain_stencil(spec.N, spec.K)
-    if not c.phiF + 4.0 * c.phi2F > 0.0:  # the factor's error names c's margin, not that of c.unit()
-        stencil.factor(c, what="infsup_2")
-    c, scale = c.unit()
     solve, solve_t = (stencil.factor(c, form, what="infsup_2") for form in ("E", "E^T"))
     lam, _ = _lanczos_max(lambda x: solve_t.solve(solve.solve(x)[0])[0], 2 * spec.N, "infsup_2")
-    return float(scale / np.sqrt(lam))
+    return float(c.unit()[1] / np.sqrt(lam))
 
 
 def infsup_p_upper(c: Coefficients, spec: DomainSpec, p: float) -> float:

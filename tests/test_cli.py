@@ -9,11 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcf1d import chain, cli, solver, stability
 from qcf1d.cli import main, read_config_file
-from qcf1d.lattice import DomainSpec
-from qcf1d.operators import StrainStencil
+from qcf1d.lattice import LOADS, DomainSpec
+from qcf1d.operators import StrainStencil, strain_stencil
+from qcf1d.potentials import Coefficients
 
 
 def run(argv):
@@ -896,22 +899,82 @@ def test_tiny_phi2F_exits_0_with_the_nearest_neighbor_minimum(tmp_path, phi2F):
     assert rows[0]["rayleigh_min"] == "1.0"
 
 
-@pytest.mark.parametrize("command", ["coercivity", "infsup"])
-def test_extreme_constants_give_the_unit_run_scaled(tmp_path, command):
-    # the kernels run on the unit constants, and each check's allowance is
-    # relative to max(phiF, |phi2F|), so every scale exits 0 with s times the values
+# the ratio of a constant-load run at N=1024, K=376 that exited 1 at the scale 5.4e97
+CONST_LOAD_RATIO = 2.22750656613107e+97 / 5.439003279157439e+97
+# the power of s by which each column scales; a column not listed here is not compared
+SCALING_POWER = {"rayleigh_min": 1, "witness_value": 1, "value": 1,
+                 "err_strain_inf": -1, "bound_rhs": -1, "trunc_star": 0, "trunc_bound": 0}
+
+
+@pytest.mark.parametrize("command,ratio,args,atol", [
+    pytest.param("coercivity", -0.2, ["--N-list", "16,64"], 0.0, id="coercivity"),
+    pytest.param("infsup", -0.2, ["--N-list", "16,64"], 0.0, id="infsup"),
+    # -0.2 gives gamma < 0 in convergence
+    pytest.param("convergence", -0.05, ["--N-list", "16,64"], 0.0, id="convergence"),
+    # a constant load gives linear strains: every value is rounding, below 1e-13
+    pytest.param("convergence", CONST_LOAD_RATIO, ["--N-list", "1024", "--K", "376", "--load", "const"], 1e-13,
+                 id="convergence-const"),
+])
+def test_extreme_constants_give_the_unit_run_scaled(tmp_path, command, ratio, args, atol):
+    # the kernels and solves run on the unit constants, and each check's allowance
+    # is relative to max(phiF, |phi2F|), so every scale exits 0 with the unit run's
+    # values times s (coercivity, infsup), or with errors over s and the
+    # scale-free truncation residual unchanged (convergence)
     tables = {}
-    for s in ("1", "1e-300", "1e-6", "1e300"):
+    for s in ("1", "1e-300", "1e-6", "1e300", "5.439003279157439e+97"):
         out = tmp_path / f"{s}.csv"
-        proc = run_process([command, "--phiF", s, "--phi2F", repr(-0.2 * float(s)), "--N-list", "16,64",
-                            "--out", out])
+        proc = run_process([command, "--phiF", s, "--phi2F", repr(ratio * float(s)), *args, "--out", out])
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
         _, header, rows = read_rows(out)
-        names = [name for name in header if name in ("rayleigh_min", "witness_value", "value")]
-        tables[s] = np.array([[float(row[name]) for name in names] for row in rows])
-    for s in ("1e-300", "1e-6", "1e300"):
-        np.testing.assert_allclose(tables[s], float(s) * tables["1"], rtol=1e-12)
+        names = [name for name in header if name in SCALING_POWER]
+        powers = np.array([SCALING_POWER[name] for name in names], dtype=float)
+        tables[s] = np.array([[float(row[name]) for name in names] for row in rows]) / float(s) ** powers
+    for s in ("1e-300", "1e-6", "1e300", "5.439003279157439e+97"):
+        np.testing.assert_allclose(tables[s], tables["1"], rtol=1e-12, atol=atol)
+
+
+@st.composite
+def stable_runs(draw):
+    """(phiF, phi2F, N, K, load): phiF = 10^x, x in [-250, 250], and phi2F / phiF in (-1/4, 1]."""
+    phiF = 10.0 ** draw(st.floats(-250.0, 250.0))
+    ratio = draw(st.floats(-0.25, 1.0, exclude_min=True))
+    n = draw(st.integers(8, 1024))
+    return phiF, ratio * phiF, n, draw(st.integers(2, n // 2)), draw(st.sampled_from(sorted(LOADS)))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(stable_runs())
+@example((1.0, -0.125, 64, 16, "cospi"))
+@example((1e-200, 0.0, 64, 16, "exp"))
+@example((1e100, 1e88, 256, 2, "zero"))
+@example((1e-100, -1e-112, 512, 256, "cospi"))
+# runs that once exited 1 with the claim holding: Lanczos must resolve an S^T S
+# spectrum about 1e-12 wide; a constant load leaves an error of rounding alone,
+# within the solves' forward-error floor; and the solves run on the unit constants
+@example((1.0, 1e-12, 16, 4, "cospi"))
+@example((1.0, 1.0, 1024, 256, "const"))
+@example((5.439003279157439e+97, 2.22750656613107e+97, 1024, 376, "const"))
+def test_stable_range_exits_0_with_the_unit_run_scaled(tmp_path_factory, case):
+    # over the range phiF + 4*phi2F > 0: coercivity exits 0, and infsup wherever
+    # phi2F != 0, both with the values of the run on the unit constants times
+    # s = phiF; convergence exits 0 wherever its margin exceeds the allowance
+    phiF, phi2F, n, k, load = case
+    out = tmp_path_factory.getbasetemp() / "sweep.csv"
+    grid = ["--N-list", n, "--K", k]
+    for command in ("coercivity", "infsup") if phi2F else ("coercivity",):
+        values = []
+        for constants in ((phiF, phi2F), (1.0, phi2F / phiF)):
+            assert run([command, "--phiF", repr(constants[0]), "--phi2F", repr(constants[1]), *grid,
+                        "--out", out]) == 0, (command, constants)
+            _, header, rows = read_rows(out)
+            names = [name for name in header if name in ("rayleigh_min", "witness_value", "value")]
+            values.append(np.array([[float(row[name]) for name in names] for row in rows]))
+        np.testing.assert_allclose(values[0], phiF * values[1], rtol=1e-12)
+    gamma, allowance = strain_stencil(n, k).rdd_margin(Coefficients(phiF, phi2F))
+    if gamma > allowance:
+        assert run(["convergence", "--phiF", repr(phiF), "--phi2F", repr(phi2F), *grid, "--load", load,
+                    "--out", out]) == 0
 
 
 @pytest.mark.parametrize("command", ["coercivity", "infsup"])
