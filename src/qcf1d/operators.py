@@ -135,10 +135,10 @@ class BorderedSolve:
     """
 
     def __init__(self, tridiagonal: tuple, left: np.ndarray, right: np.ndarray, weight: float = 1.0,
-                 what: str = "strain solve"):
+                 what: str = "strain solve", scale: float = 1.0):
         self.reduction = _reduce(*tridiagonal)
         self.tridiagonal, self.left, self.right = tridiagonal, left, right
-        self.weight, self.what = weight, what
+        self.weight, self.what, self.scale = weight, what, scale  # T + L^T R is a caller's E / scale
         self.iface = np.append(0.0, np.ones(len(left)))
         # T^{-1} [1, L^T], one column per right-hand side, as the capacitance
         # sums expect; [1, L^T] is passed unnamed so the substitution can free it
@@ -304,7 +304,7 @@ class StrainStencil(NamedTuple):
 
     def factor(self, c: Coefficients, form: str = "E", weight: float = 1.0,
                what: str = "strain solve") -> BorderedSolve:
-        """The bordered solve of E / s (form "E") or E^T / s ("E^T") from split, s = c.unit()[1].
+        """The bordered solve of E / s (form "E") or E^T / s ("E^T") from split, with its scale s = c.unit()[1].
 
         Raises ValueError unless phiF + 4*phi2F > 0, naming the margin of c, not of c.unit().
         """
@@ -313,7 +313,8 @@ class StrainStencil(NamedTuple):
                 f"{what} needs phiF + 4*phi2F > 0 (diagonal dominance of T), "
                 f"got {c.phiF + 4.0 * c.phi2F:.6g}"
             )
-        return BorderedSolve(*self.split(c.unit()[0], form), weight, what)
+        unit, s = c.unit()
+        return BorderedSolve(*self.split(unit, form), weight, what, s)
 
 
 def strain_stencil(n: int, k: int) -> StrainStencil:

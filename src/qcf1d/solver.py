@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .lattice import DomainSpec, diff, dual_norm_star, lp_norm, summed_load
-from .operators import UNIT_ROUNDOFF, multiply, norm_bound, strain_stencil
+from .operators import UNIT_ROUNDOFF, BorderedSolve, multiply, norm_bound, strain_stencil
 from .potentials import Coefficients
 
 BACKWARD_ERROR_TOL = 1e-13
@@ -52,8 +52,8 @@ def sample_load(load: Callable, half_width: int, eps: float) -> np.ndarray:
 def solve_strain(
     c: Coefficients, n: int, k: int, g: np.ndarray, delta_u: float, eps: float,
     what: str = "strain solve",
-) -> tuple[np.ndarray, float]:
-    """(w, resid): strains w on bonds -n+1..n with E w = g + const and eps * sum(w) = delta_u.
+) -> tuple[np.ndarray, float, BorderedSolve]:
+    """(w, resid, solve): strains w on bonds -n+1..n with E w = g + const and eps * sum(w) = delta_u.
 
     E is phiF * I + phi2F * B with B = strain_stencil(n, k): the
     conjugate atomistic operator for k = n-1, the conjugate coupled one
@@ -62,8 +62,8 @@ def solve_strain(
     bordered solve of StrainStencil.factor takes w from one cyclic
     reduction of T and a small capacitance system for the constant and
     the interface values.  The residual and the norm bound below read
-    T, L and R from that factor.  The factor solves E / s, s =
-    c.unit()[1], so g is divided by s, and the refinement and the gate
+    T, L and R from that factor.  The factor solves E / solve.scale,
+    so g is divided by that scale, and the refinement and the gate
     below run on the unit system: any scale of (phiF, phi2F) gives the
     same w.
 
@@ -79,10 +79,11 @@ def solve_strain(
     of iterative refinement through the same factor, and the refined
     pair is gated (Skeel, Math. Comp. 35 (1980); Higham, ch. 12).
     resid, BACKWARD_ERROR_TOL times the gate's denominator, is the bound
-    the gate certifies on every entry of the unit system's residual.
+    the gate certifies on every entry of the unit system's residual;
+    solve is the factor, for forward_error_bound.
     """
     solve = strain_stencil(n, k).factor(c, "E", weight=eps, what=what)
-    g = g / c.unit()[1]  # the factor solves E / s, s = c.unit()[1]
+    g = g / solve.scale
     w, const = solve.solve(g, delta_u)
     if not np.all(np.isfinite(w)):
         raise RuntimeError(f"{what}: solution is not finite")
@@ -105,7 +106,32 @@ def solve_strain(
             f"{what}: backward error {resid / scale:.3e} exceeds {BACKWARD_ERROR_TOL:.1e} "
             f"(diagonal-dominance margin of T {margin:.3e})"
         )
-    return w, BACKWARD_ERROR_TOL * scale
+    return w, BACKWARD_ERROR_TOL * scale, solve
+
+
+def forward_error_bound(solve: BorderedSolve, resid: float, inverse_bound: float) -> float:
+    """Bound on ||w - w_exact||_inf for the w of solve_strain whose gate certified resid.
+
+    The unit system's bordered solve S maps b to the mean-zero x with
+    E x - b constant, and inverse_bound bounds ||S||_inf.  The error
+    e = e0 + mu 1 of w has mean mu = (eps * sum(w) - delta_u) / (2 n eps)
+    and e0 = S (r - mu E 1), r = E w - g - const.  S absorbs constants,
+    so E 1 enters only by its spread d, half the range of its entries:
+    0 for a coupled E, |phi2F| for the atomistic one at the chain ends.
+    Every entry of r, and the mean row, is at most resid, hence
+
+      ||e||_inf <= resid (||S||_inf (1 + d / (2 n eps)) + 1 / (2 n eps)).
+
+    Raises RuntimeError unless that is finite: a floor that cannot be
+    bounded would let any error pass the check it is added to.
+    """
+    e1 = multiply(solve.tridiagonal, solve.left, solve.right, np.ones(solve.tridiagonal[1].size))
+    d = 0.5 * float(np.max(e1) - np.min(e1))
+    mu = 1.0 / (solve.weight * e1.size)  # 1 / (2 n eps), the bound on |mu| per unit of resid
+    bound = resid * (inverse_bound * (1.0 + d * mu) + mu)
+    if not 0.0 <= bound < np.inf:
+        raise RuntimeError(f"{solve.what}: its rounding cannot be bounded (||S||_inf bound {inverse_bound:.3e})")
+    return bound
 
 
 def truncation_error_stencil(d3: np.ndarray, c: Coefficients, spec: DomainSpec) -> np.ndarray:
@@ -163,31 +189,22 @@ def error_report_detailed(
 
     floor bounds the rounding the two solves may leave in err_strain_inf:
     the error bound is checked up to it, since with phi2F = 0 the bound
-    is 0 and the error is rounding residue alone.  Each solve's gate
-    certifies every entry of its unit system's residual, r = E w - g -
-    const and eps * sum(w) - delta_u, to be at most resid (solve_strain).
-    With S the bordered solve of E on the unit constants (b to the
-    mean-zero x with E x - b constant), the error e = e0 + mu 1 of w has
-    mean mu = (eps * sum(w) - delta_u) / (2 n eps) and e0 = S (r - mu E 1).
-    S absorbs constants, so E 1 enters only by its spread d about
-    phiF + 4*phi2F: 0 for the coupled E, 2 |phi2F| at the atomistic
-    chain's ends.  Hence
-
-      ||e||_inf <= resid (||S||_inf (1 + d / (2 n eps)) + 1 / (2 n eps)).
-
-    The reference's bound counts twice, as the coupled solve's mean
-    constraint reads w_an, so that w_q moves by the mean of its error.
-    And ||S||_inf <= 2 / margin:
-      * coupled: the margin is gamma.  At the maximum X and the minimum -Y
-        of a mean-zero x, the two rows of E x differ by at least
-        gamma (X + Y), while those of b differ by at most 2 ||b||_inf;
-      * reference: E = T, and the row of the largest |x_i| gives
-        ||x||_inf <= (||b||_inf + |const|) / delta, delta = phiF +
-        4*min(phi2F, 0) the row margin of T (Varah).  For phi2F <= 0, T is
-        an M-matrix, T^{-1} >= 0, and |const| <= ||b||_inf; for phi2F > 0,
-        summing the rows adds at most 2 phi2F / M ||x||_inf.  So the
-        margin is delta - 2 max(phi2F, 0) / M, and the floor is infinite
-        once that is not positive, at phi2F >= M phiF / 2.
+    is 0 and the error is rounding residue alone.  It is the sum of the
+    two solves' forward_error_bound; the reference's counts twice, as the
+    coupled solve's mean constraint reads w_an, so that w_q moves by the
+    mean of its error.  The bounds on ||S||_inf, on the unit constants:
+      * coupled: 2 / gamma.  At the maximum X and the minimum -Y of a
+        mean-zero x, the two rows of E x differ by at least gamma (X + Y),
+        while those of b differ by at most 2 ||b||_inf;
+      * reference: E = T is symmetric, and S b = T^{-1} (b + const 1)
+        with const = -y^T b / 1^T y, y = T^{-1} 1.  So ||S||_inf <=
+        ||T^{-1}||_inf (1 + ||y||_1 / 1^T y), and ||T^{-1}||_inf <=
+        1 / delta, delta = phiF + 4*min(phi2F, 0) the row margin of T
+        (Varah).  Both are finite: delta > 0 wherever phiF + 4*phi2F > 0,
+        and 1^T y > 0 as T is positive definite.  For phi2F <= 0, T is an
+        M-matrix, y >= 0, and the bound is 2 / delta; for phi2F > 0, y
+        alternates in sign near the chain ends and the ratio is read off
+        y, the first column the factor already holds.
 
     A margin below minus its rounding allowance raises ValueError; one
     within the allowance, or NaN, raises RuntimeError: it cannot be told
@@ -207,17 +224,16 @@ def error_report_detailed(
         raise ValueError("error report needs the reference half-width DomainSpec.M")
     m, n, k, eps = spec.M, spec.N, spec.K, spec.eps
     g = summed_load(sample_load(load, m, eps), eps)
-    w_a, resid_a = solve_strain(c, m, m - 1, g, 0.0, eps, "atomistic solve")
+    w_a, resid_a, solve_a = solve_strain(c, m, m - 1, g, 0.0, eps, "atomistic solve")
     inner = slice(m - n, m + n)  # bonds -N+1..N
     w_an = w_a[inner]
-    w_q, resid_q = solve_strain(c, n, k, g[inner], eps * float(np.sum(w_an)), eps, "coupled solve")
-    cu, s = c.unit()  # the floor of each solve on its unit system, as derived above
-    delta = cu.phiF + 4.0 * min(cu.phi2F, 0.0) - 2.0 * max(cu.phi2F, 0.0) / m
-    floor = 0.0
-    for resid, margin, spread, size in ((2.0 * resid_a, delta, 2.0 * abs(cu.phi2F), m), (resid_q, gamma / s, 0.0, n)):
-        if resid:  # a zero load leaves no rounding, whatever the margin
-            mu = 1.0 / (2 * size * eps)  # the bound on |mu| per unit of resid
-            floor += resid * ((2.0 / margin if margin > 0.0 else np.inf) * (1.0 + spread * mu) + mu)
+    w_q, resid_q, solve_q = solve_strain(c, n, k, g[inner], eps * float(np.sum(w_an)), eps, "coupled solve")
+    # the bounds on ||S||_inf derived above, on the unit constants
+    y = solve_a.columns[:, 0]  # T^{-1} 1
+    delta = (c.phiF + 4.0 * min(c.phi2F, 0.0)) / solve_a.scale
+    s_a = (1.0 + float(np.sum(np.abs(y)) / np.sum(y))) / delta
+    s_q = 2.0 * solve_q.scale / gamma
+    floor = 2.0 * forward_error_bound(solve_a, resid_a, s_a) + forward_error_bound(solve_q, resid_q, s_q)
     d3 = diff(diff(w_a, eps), eps)  # D3_j at offset j + M - 3
     t = truncation_error_stencil(d3, c, spec)
     # on bonds -N+2..-K+1 and K+2..N+1, whose D3 the continuum residual reads

@@ -205,13 +205,13 @@ def infsup_2(c: Coefficients, spec: DomainSpec) -> float:
     E x - b constant: the inverse of the compressed E; S^T is the
     bordered solve of E^T.  Each absorbs any constant in b, so Lanczos on
     x -> S^T S x over mean-zero vectors returns 1/s^2 as the largest
-    eigenvalue.  StrainStencil.factor runs on c.unit(), so s is scaled
-    back.  Raises ValueError unless phiF + 4*phi2F > 0, as the coupled solve does.
+    eigenvalue.  StrainStencil.factor solves E / solve.scale, so s is
+    scaled back by it.  Raises ValueError unless phiF + 4*phi2F > 0, as the coupled solve does.
     """
     stencil = strain_stencil(spec.N, spec.K)
     solve, solve_t = (stencil.factor(c, form, what="infsup_2") for form in ("E", "E^T"))
     lam, _ = _lanczos_max(lambda x: solve_t.solve(solve.solve(x)[0])[0], 2 * spec.N, "infsup_2")
-    return float(c.unit()[1] / np.sqrt(lam))
+    return float(solve.scale / np.sqrt(lam))
 
 
 def infsup_p_upper(c: Coefficients, spec: DomainSpec, p: float) -> float:

@@ -176,7 +176,7 @@ def displacement_solve(c, f, k, eps, bc=(0.0, 0.0)):
     conjugate on the summed load, summed up from bc[0].
     """
     n = len(f) // 2
-    w, _ = solve_strain(c, n, k, summed_load(f, eps), bc[1] - bc[0], eps)
+    w = solve_strain(c, n, k, summed_load(f, eps), bc[1] - bc[0], eps)[0]
     return np.concatenate(([bc[0]], bc[0] + eps * np.cumsum(w)))
 
 

@@ -159,6 +159,27 @@ def test_convergence_checks_the_error_bound_up_to_the_rounding_floor(tmp_path, m
     assert run(argv) == 1
 
 
+@pytest.mark.parametrize("args", [["--phi2F", "40", "--N-list", "16"],
+                                  ["--phi2F", "8", "--N-list", "8", "--M-factor", "2"]])
+def test_convergence_floor_stays_finite_where_the_row_sums_bound_nothing(tmp_path, monkeypatch, args):
+    # at phi2F >= M phiF / 2 (M = 64 and 16 here) the row sums of the
+    # reference E no longer bound its bordered solve, but the solve is still
+    # bounded: the floor stays finite and small, so an error above the bound
+    # plus twice the floor still fails the check
+    argv = ["convergence", "--phiF", "1", *args, "--out", tmp_path / "c.csv"]
+    assert run(argv) == 0
+    real, floors = solver.error_report_detailed, []
+
+    def inflated(*a):
+        rep, t, floor = real(*a)
+        floors.append(floor)
+        return rep._replace(err_strain_inf=rep.bound_rhs + 2.0 * floor), t, floor
+
+    monkeypatch.setattr(solver, "error_report_detailed", inflated)
+    assert run(argv) == 1
+    assert floors and all(0.0 < f < 1e-10 for f in floors)
+
+
 def test_convergence_margin_lost_to_rounding_exits_1(tmp_path, capsys):
     # the true margin is phiF > 0, but at 1e-300 beside phi2F = 1e300 the
     # margin's sums round it away: a numerical failure, not a configuration error

@@ -8,6 +8,7 @@ from qcf1d.operators import strain_stencil
 from qcf1d.potentials import Coefficients
 from qcf1d.solver import (
     error_report_detailed,
+    forward_error_bound,
     sample_load,
     solve_strain,
     truncation_error_stencil,
@@ -34,7 +35,7 @@ RNG = np.random.default_rng(31)
 
 
 def test_zero_load_gives_zero_solution():
-    w, _ = solve_strain(C, 32, 31, np.zeros(64), 0.0, 1.0 / 8)
+    w = solve_strain(C, 32, 31, np.zeros(64), 0.0, 1.0 / 8)[0]
     assert np.all(w == 0.0)
 
 
@@ -53,7 +54,7 @@ def test_atomistic_solve_backward_stable_at_large_m():
     # yet the normwise backward error stays at rounding level
     eps = 1.0 / 768
     g = summed_load(sample_load(LOADS["cospi"], 3072, eps), eps)
-    w, _ = solve_strain(C, 3072, 3071, g, 0.0, eps)
+    w = solve_strain(C, 3072, 3071, g, 0.0, eps)[0]
     assert np.all(np.isfinite(w))
     assert abs(eps * np.sum(w)) <= 1e-13 * np.max(np.abs(w))  # u(M) - u(-M) = 0
 
@@ -80,7 +81,7 @@ def test_refined_solves_are_backward_stable_to_16_unit_roundoffs(monkeypatch, lo
     c, n = Coefficients(1.0, phi2F), 2**14
     m, eps = 4 * n, 1.0 / n
     g = summed_load(sample_load(load, m, eps), eps)
-    w_a, _ = solve_strain(c, m, m - 1, g, 0.0, eps)
+    w_a = solve_strain(c, m, m - 1, g, 0.0, eps)[0]
     inner = slice(m - n, m + n)
     solve_strain(c, n, n // 4, g[inner], eps * float(np.sum(w_a[inner])), eps)
 
@@ -106,7 +107,7 @@ def test_banded_solve_matches_dense_oracle(phi2F, n, k):
     rng = np.random.default_rng(n + k)
     g, delta_u = rng.standard_normal(2 * n), rng.standard_normal()
     for E, band in ((ea_dense(c, n), n - 1), (eqcf_dense(c, spec), k)):
-        w, _ = solve_strain(c, n, band, g, delta_u, eps)
+        w = solve_strain(c, n, band, g, delta_u, eps)[0]
         w_dense = solve_bordered_dense(E, g, delta_u, eps)
         assert np.max(np.abs(w - w_dense)) <= 1e-12 * np.max(np.abs(w_dense))
     f = rng.standard_normal(2 * n + 1)
@@ -350,25 +351,42 @@ def bordered_solve_norm(E):
 
 
 @pytest.mark.parametrize("n", [16, 64, 256])
-@pytest.mark.parametrize("phi2F", [-0.25 + 1e-6, -0.2, -0.125 + 1e-6, -0.05, 0.0, 0.3, 1.0, 2.0, 10.0])
+@pytest.mark.parametrize("phi2F", [-0.25 + 1e-6, -0.2, -0.125 + 1e-6, -0.05, 0.0, 0.3, 1.0, 2.0, 10.0, 1e3])
 def test_forward_error_floor_bounds_the_bordered_solves(phi2F, n):
-    # the two facts the convergence floor rests on: ||S||_inf <= 2 / margin, with
-    # margin gamma for the coupled E and phiF + 4*min(phi2F, 0) - 2*max(phi2F, 0)/M
-    # for the reference E on 2M bonds, and the spread of E 1 about phiF + 4*phi2F,
-    # 0 for the coupled E and 2 |phi2F| for the reference one; on K = 2 and K = N/2,
-    # and as phiF + 4*phi2F -> 0 (reference) and phiF + 8*phi2F -> 0 (coupled)
-    c = Coefficients(1.0, phi2F)
-    a = c.phiF + 4.0 * c.phi2F
-    cases = [(ea_dense(c, n), c.phiF + 4.0 * min(c.phi2F, 0.0) - 2.0 * max(c.phi2F, 0.0) / n, 2.0 * abs(c.phi2F))]
-    for k in (2, n // 2):
-        cases.append((eqcf_dense(c, DomainSpec(n, k)), strain_stencil(n, k).rdd_margin(c).gamma, 0.0))
+    # the facts the convergence floor rests on, on the unit constants:
+    # ||S||_inf <= 2 / gamma for the coupled E, on K = 2 and K = N/2, and
+    # ||S||_inf <= (1 + ||y||_1 / 1^T y) / (phiF + 4*min(phi2F, 0)), y = T^{-1} 1
+    # the factor's first column, for the reference E = T on 2n bonds, also at
+    # phi2F >= n phiF / 2, where T's row sums alone bound nothing; and the
+    # half range of E 1 is 0 coupled and |phi2F| reference.  As
+    # phiF + 4*phi2F -> 0 (reference) and phiF + 8*phi2F -> 0 (coupled)
+    c = Coefficients(1.0, phi2F).unit()[0]
+    E = ea_dense(c, n)
+    y = strain_stencil(n, n - 1).factor(c).columns[:, 0]
+    assert_allclose(y, np.linalg.solve(E, np.ones(2 * n)), rtol=0, atol=1e-10 * np.max(np.abs(y)))
+    bound = (1.0 + np.sum(np.abs(y)) / np.sum(y)) / (c.phiF + 4.0 * min(c.phi2F, 0.0))
+    assert bordered_solve_norm(E) <= bound * (1.0 + 1e-12)
+    assert_allclose(np.ptp(E.sum(axis=1)) / 2.0, abs(c.phi2F), rtol=0, atol=1e-15)
     checked = 0
-    for E, margin, spread in cases:
-        assert_allclose(np.max(np.abs(E.sum(axis=1) - a)), spread, rtol=0, atol=1e-15)
-        if margin > 0.0:
-            assert bordered_solve_norm(E) <= 2.0 / margin * (1.0 + 1e-12)
+    for k in (2, n // 2):
+        E = eqcf_dense(c, DomainSpec(n, k))
+        assert np.ptp(E.sum(axis=1)) <= 1e-15
+        gamma = strain_stencil(n, k).rdd_margin(c).gamma
+        if gamma > 0.0:
+            assert bordered_solve_norm(E) <= 2.0 / gamma * (1.0 + 1e-12)
             checked += 1
-    assert checked >= (1 if phi2F < -0.125 or phi2F >= n / 2 else 3)
+    assert checked == (0 if phi2F < -0.125 else 2)
+
+
+def test_forward_error_bound_reads_the_spread_and_refuses_an_unbounded_floor():
+    # resid (||S|| (1 + d mu) + mu), mu = 1 / (eps * 2n) and d = |phi2F| for the
+    # atomistic E; an infinite ||S|| bound is an error, not a floor that passes all
+    n, eps = 16, 1.0 / 16
+    solve = strain_stencil(n, n - 1).factor(Coefficients(1.0, 0.5), weight=eps)
+    mu = 1.0 / (eps * 2 * n)
+    assert_allclose(forward_error_bound(solve, 1e-13, 3.0), 1e-13 * (3.0 * (1.0 + 0.5 * mu) + mu), rtol=1e-14)
+    with pytest.raises(RuntimeError, match="cannot be bounded"):
+        forward_error_bound(solve, 1e-13, np.inf)
 
 
 def test_constant_load_hits_rounding_floor():
