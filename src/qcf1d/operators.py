@@ -123,7 +123,7 @@ class Margin(NamedTuple):
 
 
 class BorderedSolve:
-    """Solves (T + L^T R) x = b + const * 1 with weight * sum(x) = d, for many b.
+    """Solves (T + L^T R) x = b + const * 1 with sum(x) = d, for many b.
 
     T is tridiagonal and strictly diagonally dominant by rows or by
     columns; L and R are (r, size) arrays, kept with T's bands for the
@@ -134,24 +134,23 @@ class BorderedSolve:
     So each solve costs one substitution plus a small dense solve.
     """
 
-    def __init__(self, tridiagonal: tuple, left: np.ndarray, right: np.ndarray, weight: float = 1.0,
-                 what: str = "strain solve", scale: float = 1.0):
+    def __init__(self, tridiagonal: tuple, left: np.ndarray, right: np.ndarray, what: str, scale: float):
         self.reduction = _reduce(*tridiagonal)
         self.tridiagonal, self.left, self.right = tridiagonal, left, right
-        self.weight, self.what, self.scale = weight, what, scale  # T + L^T R is a caller's E / scale
+        self.what, self.scale = what, scale  # what names its errors; T + L^T R is a caller's E / scale
         self.iface = np.append(0.0, np.ones(len(left)))
         # T^{-1} [1, L^T], one column per right-hand side, as the capacitance
         # sums expect; [1, L^T] is passed unnamed so the substitution can free it
         self.columns = _substitute(
             self.reduction, np.vstack((np.ones(tridiagonal[1].size), left))).T.copy()
-        self.gram = self.constraints(self.columns)  # [weight * 1^T; R] T^{-1} [1, L^T]
+        self.gram = self.constraints(self.columns)  # [1^T; R] T^{-1} [1, L^T]
 
     def constraints(self, v: np.ndarray) -> np.ndarray:
-        """weight * sum(v) and R v, per column of v."""
-        return np.concatenate(([self.weight * np.sum(v, axis=0)], self.right @ v))
+        """sum(v) and R v, per column of v."""
+        return np.concatenate(([np.sum(v, axis=0)], self.right @ v))
 
     def solve(self, b: np.ndarray, d: float = 0.0) -> tuple:
-        """(x, const) with (T + L^T R) x = b + const * 1 and weight * sum(x) = d."""
+        """(x, const) with (T + L^T R) x = b + const * 1 and sum(x) = d."""
         y = _substitute(self.reduction, b[None, :])[0]
         try:
             u = np.linalg.solve(self.gram + np.diag(self.iface),
@@ -302,8 +301,7 @@ class StrainStencil(NamedTuple):
         value[:self.diag.size] += c.phiF
         return row, col, value
 
-    def factor(self, c: Coefficients, form: str = "E", weight: float = 1.0,
-               what: str = "strain solve") -> BorderedSolve:
+    def factor(self, c: Coefficients, form: str = "E", what: str = "strain solve") -> BorderedSolve:
         """The bordered solve of E / s (form "E") or E^T / s ("E^T") from split, with its scale s = c.unit()[1].
 
         Raises ValueError unless phiF + 4*phi2F > 0, naming the margin of c, not of c.unit().
@@ -314,7 +312,7 @@ class StrainStencil(NamedTuple):
                 f"got {c.phiF + 4.0 * c.phi2F:.6g}"
             )
         unit, s = c.unit()
-        return BorderedSolve(*self.split(unit, form), weight, what, s)
+        return BorderedSolve(*self.split(unit, form), what, s)
 
 
 def strain_stencil(n: int, k: int) -> StrainStencil:

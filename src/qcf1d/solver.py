@@ -62,10 +62,10 @@ def solve_strain(
     bordered solve of StrainStencil.factor takes w from one cyclic
     reduction of T and a small capacitance system for the constant and
     the interface values.  The residual and the norm bound below read
-    T, L and R from that factor.  The factor solves E / solve.scale,
-    so g is divided by that scale, and the refinement and the gate
-    below run on the unit system: any scale of (phiF, phi2F) gives the
-    same w.
+    T, L and R from that factor.  The factor solves E / solve.scale
+    with sum(w) = delta_u / eps, so g is divided by that scale, and the
+    refinement and the gate below run on the unit system: any scale of
+    (phiF, phi2F) gives the same w.
 
     Raises ValueError unless phiF + 4*phi2F > 0, which (with phiF > 0)
     makes T strictly row diagonally dominant.  Raises RuntimeError on a
@@ -82,9 +82,9 @@ def solve_strain(
     the gate certifies on every entry of the unit system's residual;
     solve is the factor, for forward_error_bound.
     """
-    solve = strain_stencil(n, k).factor(c, "E", weight=eps, what=what)
+    solve = strain_stencil(n, k).factor(c, "E", what)
     g = g / solve.scale
-    w, const = solve.solve(g, delta_u)
+    w, const = solve.solve(g, delta_u / eps)
     if not np.all(np.isfinite(w)):
         raise RuntimeError(f"{what}: solution is not finite")
     split = solve.tridiagonal, solve.left, solve.right
@@ -97,7 +97,7 @@ def solve_strain(
                  + max(float(np.max(np.abs(g))), abs(delta_u)))
         if step or not resid > 16.0 * UNIT_ROUNDOFF * scale:
             break
-        dw, dconst = solve.solve(-r, -r_mean)
+        dw, dconst = solve.solve(-r, -r_mean / eps)
         w, const = w + dw, const + dconst
     if not resid <= BACKWARD_ERROR_TOL * scale:  # also catches NaN
         lower, diag, upper = solve.tridiagonal
@@ -109,8 +109,8 @@ def solve_strain(
     return w, BACKWARD_ERROR_TOL * scale, solve
 
 
-def forward_error_bound(solve: BorderedSolve, resid: float, inverse_bound: float) -> float:
-    """Bound on ||w - w_exact||_inf for the w of solve_strain whose gate certified resid.
+def forward_error_bound(solve: BorderedSolve, resid: float, inverse_bound: float, eps: float) -> float:
+    """Bound on ||w - w_exact||_inf for the w of solve_strain at spacing eps whose gate certified resid.
 
     The unit system's bordered solve S maps b to the mean-zero x with
     E x - b constant, and inverse_bound bounds ||S||_inf.  The error
@@ -127,7 +127,7 @@ def forward_error_bound(solve: BorderedSolve, resid: float, inverse_bound: float
     """
     e1 = multiply(solve.tridiagonal, solve.left, solve.right, np.ones(solve.tridiagonal[1].size))
     d = 0.5 * float(np.max(e1) - np.min(e1))
-    mu = 1.0 / (solve.weight * e1.size)  # 1 / (2 n eps), the bound on |mu| per unit of resid
+    mu = 1.0 / (eps * e1.size)  # 1 / (2 n eps), the bound on |mu| per unit of resid
     bound = resid * (inverse_bound * (1.0 + d * mu) + mu)
     if not 0.0 <= bound < np.inf:
         raise RuntimeError(f"{solve.what}: its rounding cannot be bounded (||S||_inf bound {inverse_bound:.3e})")
@@ -233,7 +233,7 @@ def error_report_detailed(
     delta = (c.phiF + 4.0 * min(c.phi2F, 0.0)) / solve_a.scale
     s_a = (1.0 + float(np.sum(np.abs(y)) / np.sum(y))) / delta
     s_q = 2.0 * solve_q.scale / gamma
-    floor = 2.0 * forward_error_bound(solve_a, resid_a, s_a) + forward_error_bound(solve_q, resid_q, s_q)
+    floor = 2.0 * forward_error_bound(solve_a, resid_a, s_a, eps) + forward_error_bound(solve_q, resid_q, s_q, eps)
     d3 = diff(diff(w_a, eps), eps)  # D3_j at offset j + M - 3
     t = truncation_error_stencil(d3, c, spec)
     # on bonds -N+2..-K+1 and K+2..N+1, whose D3 the continuum residual reads

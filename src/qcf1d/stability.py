@@ -8,12 +8,13 @@ gamma/2, with gamma = phiF + 8*min(phi2F, 0) independently of domain
 sizes.  In every other strain pairing the constant decays like
 N^(-1/p), and the quadratic form itself takes values as low as
 -const * sqrt(N): both effects come from the interface columns of the
-conjugate operator and are reproduced here by explicit constructions.  Every kernel reads that operator, E, from the bands of
+conjugate operator and are reproduced here by explicit constructions.
+Every kernel reads that operator, E, from the bands of
 operators.StrainStencil and assembles no matrix; the minimum of the form
 is found about one shift below Weyl's lower bound on the spectrum.  The
 values are linear in (phiF, phi2F), so each kernel runs on
-Coefficients.unit() and scales its result back; infsup_2 does so through
-StrainStencil.factor, the one owner of that rule for solves of E and E^T.
+Coefficients.unit() and scales its result back, infsup_2 and rayleigh_min
+by the scale that their bordered solves carry.
 """
 
 from __future__ import annotations
@@ -156,13 +157,13 @@ def rayleigh_min(c: Coefficients, spec: DomainSpec) -> float:
     The Lanczos vector's Rayleigh quotient is returned, and the pair must
     pass a residual check on the unshifted bands, scaled by norm_bound +
     |lam| >= ||sym(E) - lam I||_2.  All of it runs on c.unit(), and the
-    minimum is scaled back.
+    minimum is scaled back by the scale the shifted solve carries.
     """
     c, scale = c.unit()
     (lower, diag, upper), left, right = strain_stencil(spec.N, spec.K).split(c, "sym")
     floor = _spectrum_floor((lower, diag, upper), left, right)
     sigma = floor - 1e-3 * max(1.0, abs(floor))
-    solve = BorderedSolve((lower, diag - sigma, upper), left, right)
+    solve = BorderedSolve((lower, diag - sigma, upper), left, right, "rayleigh_min", scale)
     if not _below_spectrum(solve, c):
         raise RuntimeError(f"rayleigh_min: inertia check failed, shift {scale * sigma:.6g} is not below the spectrum")
     _, x = _lanczos_max(lambda x: solve.solve(x)[0], 2 * spec.N, "rayleigh_min")
@@ -172,7 +173,7 @@ def rayleigh_min(c: Coefficients, spec: DomainSpec) -> float:
     bound = (norm_bound((lower, diag, upper), left, right) + abs(lam)) * np.linalg.norm(x)
     if not resid <= EIG_TOL * bound:  # also catches NaN
         raise RuntimeError(f"eigensolve residual {resid:.3e} exceeds {EIG_TOL:.1e} * {bound:.3e}")
-    return scale * lam
+    return solve.scale * lam
 
 
 def unstable_candidate(spec: DomainSpec, sign: str = "-") -> np.ndarray:

@@ -519,8 +519,8 @@ def rdd_margin_dense(A):
     return float(np.min(d + np.minimum(off, 0.0).sum(axis=1)) - np.max(np.maximum(off, 0.0).sum(axis=1)))
 
 
-def rayleigh_min_dense(c, spec):
-    """Smallest eigenvalue of sym(Eqcf) compressed to the mean-zero strains, densely.
+def sym_eigenvalues_dense(c, spec):
+    """Eigenvalues of sym(Eqcf) compressed to the mean-zero strains, ascending, densely.
 
     Q^T sym(E) Q, with Q an orthonormal basis of the mean-zero strains,
     is conditioned like sym(E) itself; the generalized problem of the
@@ -529,7 +529,12 @@ def rayleigh_min_dense(c, spec):
     """
     E = eqcf_dense(c, spec)
     Q = scipy.linalg.null_space(np.ones((1, E.shape[0])))
-    return float(np.linalg.eigvalsh(Q.T @ (0.5 * (E + E.T)) @ Q)[0])
+    return np.linalg.eigvalsh(Q.T @ (0.5 * (E + E.T)) @ Q)
+
+
+def rayleigh_min_dense(c, spec):
+    """Smallest eigenvalue of sym(Eqcf) compressed to the mean-zero strains, densely."""
+    return float(sym_eigenvalues_dense(c, spec)[0])
 
 
 def infsup_2_dense(M):
@@ -587,3 +592,80 @@ def truncation_error_dense(u_a, c, spec):
         la = phiF * (2 * u[s] - u[s - 1] - u[s + 1]) + phi2F * (2 * u[s] - u[s - 2] - u[s + 2])
         t[i + 1] = float((lq - la) / Fraction(eps) ** 2)
     return t
+
+
+def _negative_roots(coeffs):
+    """Negative roots, with multiplicity, of a real-rooted polynomial sum coeffs[i] x^i, exactly.
+
+    Descartes' rule of signs counts the positive roots of p(-x) exactly
+    when every root is real (the count's bound is then attained).
+    """
+    signs = [c * (-1) ** i > 0 for i, c in enumerate(coeffs) if c != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _characteristic_coefficients(a):
+    """Coefficients c_0..c_n of det(x I - a) for a list-of-lists square matrix, by Faddeev-LeVerrier."""
+    n = len(a)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(a[i][q] * m[q][j] for q in range(n)) + (coeffs[n - k + 1] if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        coeffs[n - k] = -sum(sum(a[i][q] * m[q][i] for q in range(n)) for i in range(n)) / k
+    return coeffs
+
+
+def exact_negative_count(phiF, phi2F, n, k):
+    """Eigenvalues below 0 of sym(Eqcf) on mean-zero strains, in exact rational arithmetic.
+
+    Row by row as eqcf_dense builds B: sym(E) = A + U^T C U, with A the
+    symmetric part of the tridiagonal rows (phiF + phi2F * [1, 2, 1] on
+    the band -k..k+1, phiF + 4*phi2F on the far-field diagonals), U the
+    far-field masks stacked over the [1, -2, 1] kinks, and C = (phi2F / 2)
+    times the swap of those two blocks.  An exact LDL^T (Thomas)
+    recurrence gives A's inertia from its pivots and solves
+    A^{-1} [U^T, 1]; the Schur matrix S = diag(-C^{-1}, 0) - [U; 1^T]
+    A^{-1} [U^T, 1] is r + 1 square, r = U's row count.  Eliminating
+    [[A, U^T, 1], [U, -C^{-1}, 0], [1^T, 0, 0]] in both orders
+    (Haynsworth) gives #neg(A) + #neg(S) = r/2 + 1 + m, where m is the
+    count returned and r/2 that of -C^{-1}.  S is symmetric, so its
+    characteristic polynomial is real-rooted and Descartes' rule reads
+    its inertia exactly.  Raises ZeroDivisionError if a pivot of A is 0.
+    """
+    phiF, phi2F = Fraction(phiF), Fraction(phi2F)
+    size = 2 * n
+    bond = range(-n + 1, n + 1)
+    band = [-k <= j <= k + 1 for j in bond]
+    # a band row has phi2F toward each neighboring bond that exists and as much on the diagonal:
+    # T[i, i+1] = phi2F on a band row i, T[i+1, i] = phi2F on a band row i+1
+    diag = [phiF + phi2F * ((i > 0) + (i < size - 1) if band[i] else 4) for i in range(size)]
+    off = [phi2F * (band[i] + band[i + 1]) / 2 for i in range(size - 1)]
+    far, kink = [], []
+    if phi2F != 0:
+        for rows, col in (((j <= -k - 1 for j in bond), -k - 1), ((j >= k + 2 for j in bond), k)):
+            mask = [Fraction(int(r)) for r in rows]
+            if any(mask):
+                far.append(mask)
+                kink.append([Fraction(0)] * size)
+                for dc, v in enumerate((1, -2, 1)):
+                    kink[-1][col + n - 1 + dc] = Fraction(v)
+    u = far + kink
+    r = len(u)
+    rhs = [[row[i] for row in u] + [Fraction(1)] for i in range(size)]  # [U^T, 1], row by row
+    # A = L D L^T, with L unit lower bidiagonal (multipliers ell)
+    pivots, ell, z = [diag[0]], [None], [rhs[0]]
+    for i in range(1, size):
+        ell.append(off[i - 1] / pivots[-1])
+        pivots.append(diag[i] - ell[-1] * off[i - 1])
+        z.append([a - ell[-1] * b for a, b in zip(rhs[i], z[-1])])
+    x = [None] * size
+    x[-1] = [v / pivots[-1] for v in z[-1]]
+    for i in range(size - 2, -1, -1):
+        x[i] = [v / pivots[i] - ell[i + 1] * w for v, w in zip(z[i], x[i + 1])]
+    schur = [[-sum(rhs[i][p] * x[i][q] for i in range(size)) for q in range(r + 1)] for p in range(r + 1)]
+    for p in range(r // 2):  # C^{-1} = (2 / phi2F) times the block swap
+        schur[p][p + r // 2] -= 2 / phi2F
+        schur[p + r // 2][p] -= 2 / phi2F
+    neg_a = sum(p < 0 for p in pivots)
+    return neg_a + _negative_roots(_characteristic_coefficients(schur)) - r // 2 - 1

@@ -180,6 +180,18 @@ def test_convergence_floor_stays_finite_where_the_row_sums_bound_nothing(tmp_pat
     assert floors and all(0.0 < f < 1e-10 for f in floors)
 
 
+def test_convergence_checks_the_dual_norm_up_to_its_rounding_bound(tmp_path, monkeypatch):
+    # at phi2F > 0 the exp load gives a one-signed t, so trunc_star <= ||t||_1 / 2
+    # is tight: at N=16 it holds within 1e-19, and a trunc_star inflated by
+    # 1e-12 relative (2.4e-16) exceeds the allowance 2 (2N+1) u ||t||_1 (3.4e-18)
+    argv = ["convergence", "--phiF", "1", "--phi2F", "0.1", "--load", "exp", "--N-list", "16",
+            "--out", tmp_path / "c.csv"]
+    assert run(argv) == 0
+    real = solver.dual_norm_star
+    monkeypatch.setattr(solver, "dual_norm_star", lambda *a: real(*a) * (1.0 + 1e-12))
+    assert run(argv) == 1
+
+
 def test_convergence_margin_lost_to_rounding_exits_1(tmp_path, capsys):
     # the true margin is phiF > 0, but at 1e-300 beside phi2F = 1e300 the
     # margin's sums round it away: a numerical failure, not a configuration error

@@ -473,14 +473,13 @@ def test_substitution_leaves_the_right_hand_sides_unchanged(n):
 def test_bordered_solve_absorbs_constants_and_returns_its_weighted_sum(n, k, phi2F, form):
     # the Lanczos operators of the stability kernels apply these solves to
     # vectors with no mean removed: a constant t in b only moves const by -t,
-    # and x carries the prescribed weighted sum d; sym(E) is shifted below
-    # its Gershgorin bound, as rayleigh_min shifts it
+    # and x carries the prescribed sum d (solve_strain passes delta_u / eps);
+    # sym(E) is shifted below its Gershgorin bound, as rayleigh_min shifts it
     c = Coefficients(1.0, phi2F)
     (lower, diag, upper), left, right = strain_stencil(n, k).split(c, form)
     if form == "sym":
         diag = diag - (np.min(diag - np.abs(lower) - np.abs(upper)) - 1.0)
-    weight = 1.0 / n
-    solve = BorderedSolve((lower, diag, upper), left, right, weight)
+    solve = BorderedSolve((lower, diag, upper), left, right, "bordered solve", 1.0)
     rng = np.random.default_rng(n + k)
     b, (t, d) = rng.standard_normal(2 * n), rng.standard_normal(2)
     x, const = solve.solve(b, d)
@@ -489,4 +488,4 @@ def test_bordered_solve_absorbs_constants_and_returns_its_weighted_sum(n, k, phi
     assert_allclose(const_t, const - t, rtol=0, atol=1e-13 * max(abs(const), abs(t)))
     for v, e in ((x, d), (x_t, d), (solve.solve(b + t)[0], 0.0)):
         # to the rounding bound of a sum of 2n terms: measured up to 28 u here
-        assert abs(weight * np.sum(v) - e) <= 2 * n * 2.0**-53 * (weight * np.sum(np.abs(v)) + abs(e))
+        assert abs(np.sum(v) - e) <= 2 * n * 2.0**-53 * (np.sum(np.abs(v)) + abs(e))

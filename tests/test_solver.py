@@ -382,11 +382,11 @@ def test_forward_error_bound_reads_the_spread_and_refuses_an_unbounded_floor():
     # resid (||S|| (1 + d mu) + mu), mu = 1 / (eps * 2n) and d = |phi2F| for the
     # atomistic E; an infinite ||S|| bound is an error, not a floor that passes all
     n, eps = 16, 1.0 / 16
-    solve = strain_stencil(n, n - 1).factor(Coefficients(1.0, 0.5), weight=eps)
+    solve = strain_stencil(n, n - 1).factor(Coefficients(1.0, 0.5))
     mu = 1.0 / (eps * 2 * n)
-    assert_allclose(forward_error_bound(solve, 1e-13, 3.0), 1e-13 * (3.0 * (1.0 + 0.5 * mu) + mu), rtol=1e-14)
+    assert_allclose(forward_error_bound(solve, 1e-13, 3.0, eps), 1e-13 * (3.0 * (1.0 + 0.5 * mu) + mu), rtol=1e-14)
     with pytest.raises(RuntimeError, match="cannot be bounded"):
-        forward_error_bound(solve, 1e-13, np.inf)
+        forward_error_bound(solve, 1e-13, np.inf, eps)
 
 
 def test_constant_load_hits_rounding_floor():

@@ -27,6 +27,7 @@ from oracles import (
     DIFFERENTIAL_PHI2F,
     ea_dense,
     eqcf_dense,
+    exact_negative_count,
     infsup_2_dense,
     interface_probe,
     l2_decomposition,
@@ -38,6 +39,7 @@ from oracles import (
     rayleigh_min_dense,
     rdd_margin_dense,
     sampled_dual_norm,
+    sym_eigenvalues_dense,
 )
 
 C = Coefficients(1.0, -0.05)
@@ -412,10 +414,51 @@ def test_inertia_certificate_matches_dense_eigenvalues(phi2F, n, k):
     checked = 0
     for sigma in dense + np.array([-1.0, -1e-3, 1e-3, 0.5]) * max(1.0, abs(dense)):
         if sigma < dominant_below:
-            solve = BorderedSolve((lower, diag - sigma, upper), left, right)
+            solve = BorderedSolve((lower, diag - sigma, upper), left, right, "rayleigh_min", 1.0)
             assert _below_spectrum(solve, c) == (sigma < dense), sigma
             checked += 1
     assert checked >= 2
+
+
+def test_singular_shifted_solve_names_rayleigh_min(monkeypatch):
+    # rayleigh_min's shifted solve names itself, not the strain solves
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(RuntimeError, match="rayleigh_min: bordered system is singular"):
+        rayleigh_min(Coefficients(1.0, -0.2), DomainSpec(64, 16))
+
+
+# -6/25 and -249/1000 take phiF + 4*phi2F toward 0, where sym(T) is indefinite
+@pytest.mark.parametrize("phi2F", [Fraction(-1, 5), Fraction(-1, 10), Fraction(-1, 20), Fraction(1, 10),
+                                   Fraction(3, 10), Fraction(-6, 25), Fraction(-249, 1000)])
+@pytest.mark.parametrize("n", [16, 64])
+def test_exact_negative_count_matches_the_dense_count(phi2F, n):
+    # the Haynsworth count of _below_spectrum, taken at sigma = 0 in rational
+    # arithmetic, against the signs of the dense eigenvalues wherever none is near 0
+    checked = 0
+    for k in sorted({2, round(n / 4), n // 2}):
+        eig = sym_eigenvalues_dense(Coefficients(1.0, float(phi2F)), DomainSpec(n, k))
+        if np.min(np.abs(eig)) > 1e-10:
+            assert exact_negative_count(1, phi2F, n, k) == np.count_nonzero(eig < 0.0), k
+            checked += 1
+    assert checked >= 2
+
+
+@pytest.mark.parametrize("phi2F,onset", [(Fraction(-1, 10), 41), (Fraction(-1, 20), 250),
+                                         (Fraction(1, 10), 153), (Fraction(3, 10), 36)])
+def test_exact_onset_of_a_negative_eigenvalue_matches_the_sign_of_rayleigh_min(phi2F, onset):
+    # at phiF = 1 and K = round(N/4), N* is the first N at which sym(E) has a
+    # negative eigenvalue on mean-zero strains; rayleigh_min changes sign there,
+    # and N* follows the law (8/9)(1 + 19p/6)^2 / p^2 within 2
+    for n, negative in ((onset - 1, False), (onset, True)):
+        k = max(2, round(n / 4))
+        m = exact_negative_count(1, phi2F, n, k)
+        assert m >= 1 if negative else m == 0, (n, m)
+        assert (rayleigh_min(Coefficients(1.0, float(phi2F)), DomainSpec(n, k)) < 0.0) == negative, n
+    p = float(phi2F)
+    assert abs(onset - 8.0 / 9.0 * (1.0 + 19.0 * p / 6.0) ** 2 / p**2) <= 2.0
 
 
 def test_failed_inertia_check_is_a_numerical_failure(monkeypatch):
