@@ -24,7 +24,7 @@ arrays.  It is the one form of E the kernels read: each splits once
 and passes the split to multiply, norm_bound and BorderedSolve (factor
 builds one for E or E^T), and rdd_margin reads it too, so no kernel
 builds a matrix.  integer_entries lists B's nonzeros as small integers:
-conjugate_eigenvalues forms eig-scan's block of L from them, and entries
+conjugate_eigenvalues forms eig-scan's blocks of L from them, and entries
 scales them to E for dump-operator, as (row, col, value) arrays with one
 entry per position, assembled without loops in O(N).
 """
@@ -273,8 +273,13 @@ class StrainStencil(NamedTuple):
         columns m and -m summed, rows j >= 0, N x N) and on odd ones
         (their difference, rows j >= 1, (N-1) x (N-1)).  Each block is
         similar, by a diagonal scaling, to a diagonal block of Q^T L Q,
-        Q the orthonormal even/odd basis, so the two carry the spectrum
-        for a quarter of the flops and memory of one dense eigensolve.
+        Q the orthonormal even/odd basis, so the two carry the spectrum.
+        The even block is built, eigensolved and freed before the odd one
+        is built, each row by row from the int8 differences, so the peak
+        holds one block, LAPACK's copy of it and the differences (half a
+        block).  Every entry is the same float operations in any build
+        order: (phiF a + phi2F b) / eps^2 on each half of a row, then the
+        even sum or the odd difference.
         """
         n = self.diag.size // 2
         row, col, entry = self.integer_entries()
@@ -283,12 +288,24 @@ class StrainStencil(NamedTuple):
         half = row >= n - 1
         ints[1, row[half] - n + 1, col[half]] = entry[half]
         a, b = np.diff(np.diff(ints, axis=1), axis=2)  # rows j = 0..N-1, columns atoms -N+1..N-1
-        rows = (c.phiF * a + c.phi2F * b) / (1.0 / n) ** 2
-        even = rows[:, n - 1:].copy()  # columns m = 0..N-1
-        even[:, 1:] += rows[:, n - 2::-1]  # columns -m = -1..-N+1
-        odd = rows[1:, n:] - rows[1:, n - 2::-1]
-        del ints, a, b, rows  # freed before the eigensolves
-        return np.concatenate([np.linalg.eigvals(even), np.linalg.eigvals(odd)])
+        del ints
+
+        def scaled(j):  # row j of L: atom m at index N-1+m
+            return (c.phiF * a[j] + c.phi2F * b[j]) / (1.0 / n) ** 2
+
+        # rows are written by index: a row view left over from the loop would keep its block alive
+        even = np.empty((n, n))  # columns m = 0..N-1, atom m plus atom -m for m >= 1
+        for j in range(n):
+            r = scaled(j)
+            even[j, 0] = r[n - 1]
+            np.add(r[n:], r[n - 2::-1], out=even[j, 1:])
+        values = np.linalg.eigvals(even)
+        del even  # freed before the odd block is built
+        odd = np.empty((n - 1, n - 1))  # rows and columns m = 1..N-1, atom m minus atom -m
+        for j in range(1, n):
+            r = scaled(j)
+            np.subtract(r[n:], r[n - 2::-1], out=odd[j - 1])
+        return np.concatenate([values, np.linalg.eigvals(odd)])
 
     def entries(self, c: Coefficients) -> tuple:
         """(row, col, value) of E, positioned as integer_entries lists B.

@@ -23,7 +23,7 @@ from qcf1d.scans import (
 )
 from qcf1d.solver import ErrorReport
 
-from oracles import DIFFERENTIAL_PHI2F, lqcf_dense
+from oracles import DIFFERENTIAL_PHI2F, conjugate_dense, lqcf_dense
 
 EIG_GRID = [
     (n, k)
@@ -31,10 +31,11 @@ EIG_GRID = [
     for k in sorted({2, n // 4, n // 2})
     if 2 <= k <= n // 2
 ]
+EIG_PHI2F = sorted({-0.49, -0.2, -0.05, 0.3, 0.7, *DIFFERENTIAL_PHI2F})
 
 
 @pytest.mark.parametrize("n,k", EIG_GRID)
-@pytest.mark.parametrize("phi2F", sorted({-0.49, -0.2, -0.05, 0.3, 0.7, *DIFFERENTIAL_PHI2F}))
+@pytest.mark.parametrize("phi2F", EIG_PHI2F)
 def test_eig_point_matches_full_interior_block(phi2F, n, k):
     # the two reflection blocks against one dense eigensolve of the
     # interior block of the loop-assembled oracle
@@ -51,6 +52,42 @@ def test_eig_point_matches_full_interior_block(phi2F, n, k):
     assert_allclose(row.min_real, ev.real.min(), rtol=1e-10)
     scale = np.abs(ev).max()  # rounding of an eigensolve is relative to the spectral radius
     assert abs(row.max_imag_abs - np.abs(ev.imag).max()) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("n,k", EIG_GRID)
+@pytest.mark.parametrize("phi2F", EIG_PHI2F)
+def test_eig_blocks_are_the_folded_integer_rows(phi2F, n, k):
+    # rows j = 0..N-1 of the oracle's interior block, folded into the even
+    # sum and the odd difference in whole-block operations: the row-by-row
+    # build gives the same blocks bit for bit, and LAPACK returns identical
+    # output for identical input, so the eigenvalues are equal, not close
+    c = Coefficients(1.0, phi2F)
+    stencil = operators.strain_stencil(n, k)
+    rows = conjugate_dense(stencil, 1.0 / n, c.phiF, c.phi2F)[n - 1:, 1:-1]  # columns atoms -N+1..N-1
+    even = rows[:, n - 1:].copy()
+    even[:, 1:] += rows[:, n - 2::-1]
+    odd = rows[1:, n:] - rows[1:, n - 2::-1]
+    expected = np.concatenate([np.linalg.eigvals(even), np.linalg.eigvals(odd)])
+    assert np.array_equal(stencil.conjugate_eigenvalues(c), expected)
+
+
+@pytest.mark.parametrize("k", [2, 64, 128])
+@pytest.mark.parametrize("phi2F", [-0.2, 0.3])
+def test_eig_blocks_are_built_one_at_a_time(phi2F, k):
+    # the even block is built, eigensolved and freed before the odd one is
+    # built, with no N x (2N-1) float rows: at most two N x N float blocks
+    # are traced at once (a build of both blocks from whole float rows
+    # peaks at 5.3).  tracemalloc sees numpy's buffers but not LAPACK's
+    # workspace, so this bounds the build, not the eigensolve
+    n = 256
+    stencil = operators.strain_stencil(n, k)
+    tracemalloc.start()
+    try:
+        stencil.conjugate_eigenvalues(Coefficients(1.0, phi2F))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * n * n, peak / (8 * n * n)
 
 
 @pytest.mark.parametrize("phi2F", [-0.2, 0.3])
